@@ -13,9 +13,10 @@ vector of weight ``m_hw + mu`` at degree n forces the exact resonance
 
     q(mu) := |mu|^2 + 2 (lambda, mu) = 2 kappa n,   mu in the root lattice.
 
-This module enumerates the solutions of that equation (candidate pairs),
-derives the Kostant-style lower bound C = min q, and turns the two into
-irreducibility certificates and composition-length bounds.  All arithmetic is
+A ResonanceScan enumerates the solutions of that equation (candidate pairs)
+in one walk of the root lattice, derives the Kostant-style lower bound
+C = min q, and turns the two into irreducibility certificates and
+composition-length bounds.  All arithmetic is
 exact: rational kappa stays in Fraction, non-real kappa in ComplexRational.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "ComplexRational",
     "DeltaBound",
     "IrreducibilityVerdict",
+    "ResonanceScan",
     "candidate_pairs",
     "delta_upper_bound",
     "exhaustive_level_bound",
@@ -111,104 +113,6 @@ class IrreducibilityVerdict:
         )
 
 
-def _check_kappa(kappa) -> None:
-    """Reject kappa in R_{>=0}; there the Sugawara normalisation degenerates
-    (kappa = 0) or the module is in the integrable regime we do not treat."""
-    if scalar_im(kappa) == 0 and scalar_re(kappa) >= 0:
-        raise ValueError("kappa must lie outside the nonnegative real axis")
-
-
-def top_l0_eigenvalue(a, kappa):
-    """L0 scalar a / (2 kappa) on the degree-0 layer, a = Casimir of M."""
-    if scalar_im(kappa) == 0:
-        return Fraction(a) / (2 * scalar_re(kappa))
-    return Fraction(a) / (2 * kappa)
-
-
-def resonance_value(lam: Weight, mu: RootVector):
-    """q(mu) = |mu|^2 + 2 (lambda, mu), exact."""
-    return root_norm_sq(mu) + 2 * pair_weight_root(lam, mu)
-
-
-def kostant_bound_C(lam: Weight) -> Fraction:
-    """min over the root lattice of q(mu); always <= 0 because q(0) = 0.
-
-    Since q(mu) = |mu + lambda|^2 - |lambda|^2 the minimum is attained inside
-    the ball |mu + lambda|^2 <= |lambda|^2, which is finite.
-    """
-    algebra = lam.algebra
-    best = Fraction(0)
-    for mu in enumerate_root_lattice_ball(algebra, lam, norm_sq(lam)):
-        q = resonance_value(lam, mu)
-        if q < best:
-            best = q
-    return best
-
-
-def exhaustive_level_bound(lam: Weight, kappa) -> int:
-    """Largest degree n that can carry a resonance for this lambda, kappa.
-
-    For non-real kappa only n = 0 can occur.  For real negative kappa,
-    2 kappa n = q(mu) >= C forces n <= C / (2 kappa).
-    """
-    _check_kappa(kappa)
-    if scalar_im(kappa) != 0:
-        return 0
-    c = kostant_bound_C(lam)
-    ratio = c / (2 * scalar_re(kappa))
-    return ratio.numerator // ratio.denominator
-
-
-def candidate_pairs(lam: Weight, kappa, n_max: int):
-    """All (mu, n) with q(mu) = 2 kappa n and 0 <= n <= n_max.
-
-    Returned sorted by (n, lexicographic mu).  mu = 0, n = 0 is always
-    present.  Raises for kappa on the nonnegative real axis.
-    """
-    _check_kappa(kappa)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    algebra = lam.algebra
-    xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(algebra.rho), kappa)
-    real = scalar_im(kappa) == 0
-    pairs = []
-    # q(mu) = 2 kappa n <= 0 for every admissible n, so the ball q <= 0
-    # already contains every solution regardless of n.
-    for mu in enumerate_root_lattice_ball(algebra, lam, norm_sq(lam)):
-        q = resonance_value(lam, mu)
-        if q > 0:
-            continue
-        if real:
-            n = q / (2 * scalar_re(kappa))
-            if n.denominator != 1 or n > n_max:
-                continue
-            n = int(n)
-        else:
-            if q != 0:
-                continue
-            n = 0
-        pairs.append(CandidatePair(mu, n, xi0 + n))
-    pairs.sort(key=lambda p: (p.n, p.mu.coords))
-    return pairs
-
-
-def in_X_lambda(kappa, lam: Weight) -> bool:
-    """Whether kappa lies in X_lambda = {q(mu) / 2n : mu in Q, n >= 1}."""
-    _check_kappa(kappa)
-    if scalar_im(kappa) != 0:
-        return False
-    bound = exhaustive_level_bound(lam, kappa)
-    if bound < 1:
-        return False
-    return any(p.n >= 1 for p in candidate_pairs(lam, kappa, bound))
-
-
-def in_Y_lambda(kappa, lam: Weight) -> bool:
-    """Whether kappa lies in Y_lambda; for our rational lambda this is exactly
-    the rationality of kappa."""
-    return scalar_im(kappa) == 0
-
-
 class DeltaBound:
     """Upper bound for the composition length of Ind(M)."""
 
@@ -235,6 +139,130 @@ class DeltaBound:
         return "DeltaBound(value=%d, complete=%r)" % (self.value, self.complete)
 
 
+def _check_kappa(kappa) -> None:
+    """Reject kappa in R_{>=0}; there the Sugawara normalisation degenerates
+    (kappa = 0) or the module is in the integrable regime we do not treat."""
+    if scalar_im(kappa) == 0 and scalar_re(kappa) >= 0:
+        raise ValueError("kappa must lie outside the nonnegative real axis")
+
+
+def top_l0_eigenvalue(a, kappa):
+    """L0 scalar a / (2 kappa) on the degree-0 layer, a = Casimir of M."""
+    if scalar_im(kappa) == 0:
+        return Fraction(a) / (2 * scalar_re(kappa))
+    return Fraction(a) / (2 * kappa)
+
+
+def resonance_value(lam: Weight, mu: RootVector):
+    """q(mu) = |mu|^2 + 2 (lambda, mu), exact."""
+    return root_norm_sq(mu) + 2 * pair_weight_root(lam, mu)
+
+
+class ResonanceScan:
+    """Every solution of q(mu) = 2 kappa n for one lambda, from one ball walk.
+
+    Since q(mu) = |mu + lambda|^2 - |lambda|^2, the root lattice points of the
+    ball |mu + lambda|^2 <= |lambda|^2 are exactly those with q(mu) <= 0.  For
+    every admissible kappa and n >= 0, 2 kappa n is 0 or has negative real
+    part, so every solution lies in this ball whatever kappa and n are.  The
+    scan keeps each ball point with its value q, and C = min q, which is <= 0
+    because mu = 0 is in the ball.
+    """
+
+    def __init__(self, lam: Weight):
+        self.lam = lam
+        self.points = [
+            (mu, resonance_value(lam, mu))
+            for mu in enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))
+        ]
+        self.c = min(q for _, q in self.points)
+
+    def level_bound(self, kappa) -> int:
+        """Largest degree n that can resonate: 0 for non-real kappa, else
+        floor(C / (2 kappa)), since 2 kappa n = q(mu) >= C."""
+        _check_kappa(kappa)
+        if scalar_im(kappa) != 0:
+            return 0
+        ratio = self.c / (2 * scalar_re(kappa))
+        return ratio.numerator // ratio.denominator
+
+    def pairs(self, kappa, n_max: int):
+        """The candidate pairs with n <= n_max, sorted by (n, mu)."""
+        _check_kappa(kappa)
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        xi0 = top_l0_eigenvalue(norm_sq(self.lam) - norm_sq(self.lam.algebra.rho), kappa)
+        if scalar_im(kappa) == 0:
+            two_kappa = 2 * scalar_re(kappa)
+            degrees = ((mu, q / two_kappa) for mu, q in self.points)
+        else:
+            degrees = ((mu, Fraction(0)) for mu, q in self.points if q == 0)
+        pairs = [
+            CandidatePair(mu, int(n), xi0 + int(n))
+            for mu, n in degrees
+            if n.denominator == 1 and n <= n_max
+        ]
+        pairs.sort(key=lambda p: (p.n, p.mu.coords))
+        return pairs
+
+    def certificate(self, kappa) -> IrreducibilityVerdict:
+        """KostantBound when kappa is real with re(kappa) < C/2 < 0; otherwise
+        OutsideXLambda or Inconclusive by the positive-degree candidates."""
+        if scalar_im(kappa) == 0 and scalar_re(kappa) < self.c / 2 < 0:
+            return IrreducibilityVerdict(CERTIFIED, REASON_KOSTANT)
+        positive = [p for p in self.pairs(kappa, self.level_bound(kappa)) if p.n >= 1]
+        if not positive:
+            return IrreducibilityVerdict(CERTIFIED, REASON_OUTSIDE_X)
+        return IrreducibilityVerdict(INCONCLUSIVE, None, positive)
+
+    def delta(self, kappa, n_max: int) -> DeltaBound:
+        """The length bound of delta_upper_bound for M = L(lambda - rho)."""
+        algebra = self.lam.algebra
+        m_hw = self.lam - algebra.rho
+        levels = sorted({p.n for p in self.pairs(kappa, n_max)})
+        total = sum(length_of(weyl_level_decomposition(algebra, m_hw, n)) for n in levels)
+        return DeltaBound(total, self.level_bound(kappa) <= n_max)
+
+
+def kostant_bound_C(lam: Weight) -> Fraction:
+    """min over the root lattice of q(mu); always <= 0 because q(0) = 0.
+
+    Since q(mu) = |mu + lambda|^2 - |lambda|^2 the minimum is attained inside
+    the ball |mu + lambda|^2 <= |lambda|^2, which is finite.
+    """
+    return ResonanceScan(lam).c
+
+
+def exhaustive_level_bound(lam: Weight, kappa) -> int:
+    """Largest degree n that can carry a resonance for this lambda, kappa.
+
+    For non-real kappa only n = 0 can occur.  For real negative kappa,
+    2 kappa n = q(mu) >= C forces n <= C / (2 kappa).
+    """
+    return ResonanceScan(lam).level_bound(kappa)
+
+
+def candidate_pairs(lam: Weight, kappa, n_max: int):
+    """All (mu, n) with q(mu) = 2 kappa n and 0 <= n <= n_max.
+
+    Returned sorted by (n, lexicographic mu).  mu = 0, n = 0 is always
+    present.  Raises for kappa on the nonnegative real axis.
+    """
+    return ResonanceScan(lam).pairs(kappa, n_max)
+
+
+def in_X_lambda(kappa, lam: Weight) -> bool:
+    """Whether kappa lies in X_lambda = {q(mu) / 2n : mu in Q, n >= 1}."""
+    # a positive-degree candidate survives exactly when the certificate fails
+    return not ResonanceScan(lam).certificate(kappa).certified
+
+
+def in_Y_lambda(kappa, lam: Weight) -> bool:
+    """Whether kappa lies in Y_lambda; for our rational lambda this is exactly
+    the rationality of kappa."""
+    return scalar_im(kappa) == 0
+
+
 def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:
     """Bound the length of Ind(M) by the lengths of the resonant layers.
 
@@ -245,15 +273,7 @@ def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:
     is complete when the candidate scan up to n_max is exhaustive (degree 0,
     i.e. M itself, is always a candidate via mu = 0).
     """
-    _check_kappa(kappa)
-    algebra = m_hw.algebra
-    lam = m_hw + algebra.rho
-    full = exhaustive_level_bound(lam, kappa)
-    levels = sorted({p.n for p in candidate_pairs(lam, kappa, n_max)})
-    total = 0
-    for n in levels:
-        total += length_of(weyl_level_decomposition(algebra, m_hw, n))
-    return DeltaBound(total, full <= n_max)
+    return ResonanceScan(m_hw + m_hw.algebra.rho).delta(kappa, n_max)
 
 
 def irreducibility_certificate(m_hw: Weight, kappa) -> IrreducibilityVerdict:
@@ -267,15 +287,4 @@ def irreducibility_certificate(m_hw: Weight, kappa) -> IrreducibilityVerdict:
     singular vector and no proper graded submodule.  Otherwise the verdict is
     Inconclusive and carries the nonzero-degree candidates.
     """
-    _check_kappa(kappa)
-    algebra = m_hw.algebra
-    lam = m_hw + algebra.rho
-    c = kostant_bound_C(lam)
-    if scalar_im(kappa) == 0 and c < 0 and scalar_re(kappa) < c / 2:
-        return IrreducibilityVerdict(CERTIFIED, REASON_KOSTANT)
-    if not in_X_lambda(kappa, lam):
-        return IrreducibilityVerdict(CERTIFIED, REASON_OUTSIDE_X)
-    bound = exhaustive_level_bound(lam, kappa)
-    positive = [p for p in candidate_pairs(lam, kappa, bound) if p.n >= 1]
-    assert positive, "inconclusive verdict requires a surviving candidate"
-    return IrreducibilityVerdict(INCONCLUSIVE, None, positive)
+    return ResonanceScan(m_hw + m_hw.algebra.rho).certificate(kappa)

@@ -40,35 +40,9 @@ def _mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def _trace_prod(a, b):
     n = len(a)
     return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
-
-
-def _col_sparse(mat):
-    """Column-sparse view: cols[j] = [(i, v)] over nonzero entries."""
-    n = len(mat)
-    return [[(i, mat[i][j]) for i in range(n) if mat[i][j]] for j in range(n)]
-
-
-def _apply_col_sparse(cols, vec: dict) -> dict:
-    out = {}
-    for j, x in vec.items():
-        for (i, v) in cols[j]:
-            nv = out.get(i, 0) + v * x
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-    return out
 
 
 class ChevalleyBasis:
@@ -141,12 +115,6 @@ def _zero_weight(algebra):
     return Weight(algebra, (0,) * algebra.rank)
 
 
-def _rv_weight(algebra, coords):
-    n = algebra.rank
-    A = algebra.cartan
-    return Weight(algebra, tuple(sum(A[i][j] * coords[j] for j in range(n)) for i in range(n)))
-
-
 def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
     if algebra.series == "A" and algebra.rank == 1:
         return _sl2_basis(algebra)
@@ -162,7 +130,7 @@ def _sl2_basis(algebra):
     e = _mat(2, [(0, 1, 1)])
     f = _mat(2, [(1, 0, 1)])
     h = _mat(2, [(0, 0, 1), (1, 1, -1)])
-    alpha = _rv_weight(algebra, (1,))
+    alpha = algebra.root_vector((1,)).to_weight()
     z = _zero_weight(algebra)
     return ChevalleyBasis(
         algebra,
@@ -182,9 +150,9 @@ def _sl3_basis(algebra):
     f12 = _mat(3, [(2, 0, 1)])
     h1 = _mat(3, [(0, 0, 1), (1, 1, -1)])
     h2 = _mat(3, [(1, 1, 1), (2, 2, -1)])
-    a1 = _rv_weight(algebra, (1, 0))
-    a2 = _rv_weight(algebra, (0, 1))
-    a12 = _rv_weight(algebra, (1, 1))
+    a1 = algebra.root_vector((1, 0)).to_weight()
+    a2 = algebra.root_vector((0, 1)).to_weight()
+    a12 = algebra.root_vector((1, 1)).to_weight()
     z = _zero_weight(algebra)
     return ChevalleyBasis(
         algebra,
@@ -261,7 +229,7 @@ def rep_adjoint(cb: ChevalleyBasis) -> Rep:
             for (k, v) in cb.bracket_list(p, q):
                 m[k][q] = v
         mats.append(tuple(tuple(row) for row in m))
-    theta = _rv_weight(cb.algebra, cb.algebra.highest_root)
+    theta = cb.algebra.root_vector(cb.algebra.highest_root).to_weight()
     return Rep(cb, mats, cb.weights, theta)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,11 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
     inconclusive certificates, so remap usage errors to 1."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-3/2" or "-1+1i" after a space as a value, not as an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
@@ -44,7 +50,7 @@ class JobConfig:
     def __init__(self, command, series, rank, weights=(), kappa=None, n_max=None,
                  fmt="text"):
         self.command = command
-        self.series = series
+        self.series = series.upper()
         self.rank = rank
         self.weights = tuple(tuple(Fraction(c) for c in w) for w in weights)
         self.kappa = kappa
@@ -252,20 +258,19 @@ def cmd_certify(config: JobConfig, out) -> int:
     kappa = config.kappa
     if kappa is None:
         raise ValueError("--kappa is required")
-    verdict = an.irreducibility_certificate(hw, kappa)
-    lam = hw + algebra.rho
-    c_bound = an.kostant_bound_C(lam)
-    bound = an.exhaustive_level_bound(lam, kappa)
-    delta = an.delta_upper_bound(hw, kappa, bound)
+    scan = an.ResonanceScan(hw + algebra.rho)
+    verdict = scan.certificate(kappa)
+    bound = scan.level_bound(kappa)
+    delta = scan.delta(kappa, bound)
     report = {
         "config": config.to_json_dict(),
         "status": verdict.status,
         "reason": verdict.reason,
         "candidates": [_candidate_json(p) for p in verdict.candidates],
-        "kostant_bound_C": format_fraction(c_bound),
+        "kostant_bound_C": format_fraction(scan.c),
         "exhaustive_level_bound": bound,
-        "in_X_lambda": an.in_X_lambda(kappa, lam),
-        "in_Y_lambda": an.in_Y_lambda(kappa, lam),
+        "in_X_lambda": not verdict.certified,
+        "in_Y_lambda": an.in_Y_lambda(kappa, scan.lam),
         "delta_upper_bound": {"value": delta.value, "complete": delta.complete},
         "top_l0_eigenvalue": format_scalar(
             an.top_l0_eigenvalue(casimir_on_irrep(algebra, hw), kappa)
@@ -335,12 +340,12 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     candidates = []
     certificate_consistent = None
     if kappa_in_scope:
-        lam = hw + algebra.rho
-        pairs = an.candidate_pairs(lam, kappa, depth)
+        scan = an.ResonanceScan(hw + algebra.rho)
+        pairs = scan.pairs(kappa, depth)
         candidates = [_candidate_json(p) for p in pairs]
         candidate_degrees = {p.n for p in pairs}
         necessity = finding_degrees <= candidate_degrees
-        verdict = an.irreducibility_certificate(hw, kappa)
+        verdict = scan.certificate(kappa)
         certificate_consistent = not (verdict.certified and findings)
 
     kl = []

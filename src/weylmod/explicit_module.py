@@ -146,10 +146,6 @@ class TruncatedWeylModule:
     def degree_dim(self, n: int) -> int:
         return len(self.degree_range(n))
 
-    @property
-    def degree_index(self):
-        return {n: self.degree_range(n) for n in range(self.depth + 1)}
-
     def degree_of(self, index: int) -> int:
         mono, _ = self.keys[index]
         return sum(f >> _SHIFT for f in mono)

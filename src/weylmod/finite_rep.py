@@ -184,6 +184,10 @@ def _weight_closure(hw: Weight):
     seen = {hw}
     stack = [hw]
     n = hw.algebra.rank
+    simple_roots = [
+        hw.algebra.root_vector([int(i == j) for j in range(n)]).to_weight()
+        for i in range(n)
+    ]
     while stack:
         w = stack.pop()
         for i in range(n):
@@ -191,16 +195,11 @@ def _weight_closure(hw: Weight):
             if k > 0:
                 cur = w
                 for _ in range(int(k)):
-                    cur = cur - _simple_root_weight(hw.algebra, i)
+                    cur = cur - simple_roots[i]
                     if cur not in seen:
                         seen.add(cur)
                         stack.append(cur)
     return seen
-
-
-@lru_cache(maxsize=None)
-def _simple_root_weight(algebra: AlgebraData, i: int) -> Weight:
-    return Weight(algebra, tuple(algebra.cartan[j][i] for j in range(algebra.rank)))
 
 
 @lru_cache(maxsize=None)
@@ -215,10 +214,7 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     )
     lam_norm = norm_sq(hw + rho)
     mults = {hw: 1}
-    alg_roots = [
-        Weight(algebra, RootW.coords)
-        for RootW in (_root_as_weight(algebra, r) for r in algebra.positive_roots)
-    ]
+    alg_roots = [algebra.root_vector(r).to_weight() for r in algebra.positive_roots]
     for w in dominants[1:]:
         acc = Fraction(0)
         for alpha in alg_roots:
@@ -241,21 +237,12 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     return Character(algebra, mults)
 
 
-@lru_cache(maxsize=None)
-def _root_as_weight(algebra: AlgebraData, root_coords) -> Weight:
-    n = algebra.rank
-    A = algebra.cartan
-    return Weight(
-        algebra, tuple(sum(A[i][j] * root_coords[j] for j in range(n)) for i in range(n))
-    )
-
-
 def _scale(w: Weight, k: int) -> Weight:
     return Weight(w.algebra, tuple(k * c for c in w.coords))
 
 
 def adjoint_character(algebra: AlgebraData) -> Character:
-    theta = _root_as_weight(algebra, algebra.highest_root)
+    theta = algebra.root_vector(algebra.highest_root).to_weight()
     return irrep_character(algebra, theta)
 
 

@@ -230,16 +230,28 @@ def test_candidate_pair_equality_and_hash():
 
 def test_certificate_matches_candidate_scan_on_sweep():
     # certified iff the exhaustive positive-degree candidate list is empty
-    sl2 = build_algebra("A", 1)
-    for hw_coord in (0, 2, 4):
-        hw = sl2.weight([hw_coord])
-        lam = _lam(sl2, [hw_coord])
+    for series, rank, coords in (
+        ("A", 1, [0]),
+        ("A", 1, [2]),
+        ("A", 1, [4]),
+        ("A", 2, [1, 1]),
+        ("B", 2, [1, 0]),
+        ("B", 2, [0, 1]),
+        ("G", 2, [1, 0]),
+        ("G", 2, [0, 1]),
+    ):
+        algebra = build_algebra(series, rank)
+        hw = algebra.weight(coords)
+        lam = _lam(algebra, coords)
+        c = kostant_bound_C(lam)
+        below_c = c / 2 - Fraction(1, 3)
         for kappa in (
             Fraction(-1),
             Fraction(-2),
             Fraction(-1, 2),
             Fraction(-9, 7),
             ComplexRational(-1, 1),
+            below_c,
         ):
             v = irreducibility_certificate(hw, kappa)
             bound = exhaustive_level_bound(lam, kappa)
@@ -247,3 +259,5 @@ def test_certificate_matches_candidate_scan_on_sweep():
             assert v.certified == (not positive)
             if not v.certified:
                 assert list(v.candidates) == positive
+            if kappa == below_c and c < 0:
+                assert v.reason == REASON_KOSTANT

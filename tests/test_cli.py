@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import weylmod
+from weylmod import affine_numerics
 from weylmod.cli import JobConfig, build_parser, main
 from weylmod.rational import ComplexRational
 
@@ -32,6 +35,8 @@ def test_parser_routes_subcommands():
     args = p.parse_args(["certify", "A", "1", "--hw", "2", "--kappa", "-2"])
     assert args.command == "certify"
     assert args.hw == ["2"]
+    args = p.parse_args(["certify", "A", "1", "--hw", "2", "--kappa", "-1+1i"])
+    assert args.kappa == "-1+1i"
     args = p.parse_args(["symlevels", "B", "2", "--n", "3", "--format", "json"])
     assert args.n == 3 and args.fmt == "json"
 
@@ -48,6 +53,8 @@ def test_algebra_text_and_json(capsys):
     assert data["algebra"]["dual_coxeter"] == "2"
     assert data["algebra"]["rho_norm_sq"] == "1/2"
     assert data["config"]["command"] == "algebra"
+    code, out, _ = _run(["algebra", "a", "1", "--format", "json"], capsys)
+    assert json.loads(out)["config"]["algebra"]["series"] == "A"
 
 
 def test_algebra_works_beyond_rank_two(capsys):
@@ -115,6 +122,27 @@ def test_certify_complex_kappa(capsys):
     assert data["reason"] == "OutsideXLambda"
     assert data["in_Y_lambda"] is False
     assert data["config"]["kappa"] == "-1+1 i"
+
+
+def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
+    calls = []
+    walk = affine_numerics.enumerate_root_lattice_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(affine_numerics, "enumerate_root_lattice_ball", counted)
+    for argv, expected in (
+        (["A", "2", "--hw", "1", "0", "--kappa=-1+1i"], "OutsideXLambda"),
+        (["A", "1", "--hw", "2", "--kappa", "-100"], "KostantBound"),
+        (["A", "1", "--hw", "2", "--kappa", "-2"], None),
+    ):
+        calls.clear()
+        code, out, _ = _run(["certify"] + argv + ["--format", "json"], capsys)
+        assert json.loads(out)["reason"] == expected
+        assert code == (2 if expected is None else 0)
+        assert len(calls) == 1, argv
 
 
 def test_certify_rejects_nonnegative_kappa(capsys):
@@ -208,6 +236,8 @@ def test_json_output_is_deterministic(capsys):
             "--format", "json"]
     code1, out1, _ = _run(argv, capsys)
     code2, out2, _ = _run(argv, capsys)
+    assert code1 in (0, 2)
+    assert json.loads(out1)["config"]["kappa"] == "-3/2"
     assert code1 == code2
     assert out1 == out2
     argv = ["crossvalidate", "A", "1", "--hw", "2", "--kappa", "-2",
@@ -228,9 +258,12 @@ def test_console_script_installed():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(weylmod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weylmod.cli", "certify", "A", "1", "--hw", "2",
          "--kappa", "-2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2
     assert "Inconclusive" in proc.stdout
