@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .finite_rep import weyl_dimension
+from .invariant import check
 from .linalg import SpanBuilder, matrix_inverse
 from .root_system import AlgebraData, Weight
 
@@ -63,7 +64,7 @@ class ChevalleyBasis:
         span = SpanBuilder(d * d)
         for m in self.matrices:
             added = span.add([m[i][j] for i in range(d) for j in range(d)])
-            assert added, "basis matrices are dependent"
+            check(added, "basis matrices are dependent")
         bracket = {}
         for p in range(self.dim):
             for q in range(self.dim):
@@ -75,7 +76,7 @@ class ChevalleyBasis:
                 )
                 flat = [c[i][j] for i in range(d) for j in range(d)]
                 coords = span.coords(flat)
-                assert coords is not None, "bracket left the span"
+                check(coords is not None, "bracket left the span")
                 entry = {k: v for k, v in coords.items() if v}
                 if entry:
                     bracket[(p, q)] = entry
@@ -99,7 +100,7 @@ class ChevalleyBasis:
                 ent = self.bracket.get((hi, q), {})
                 expect = self.weights[q].coords[i]
                 got = ent.get(q, Fraction(0))
-                assert got == expect and all(k == q for k in ent), "not a weight basis"
+                check(got == expect and all(k == q for k in ent), "not a weight basis")
 
     def bracket_list(self, p, q):
         """[x_p, x_q] as a sparse list of (index, coeff)."""
@@ -177,9 +178,6 @@ class Rep:
         self.hw = hw
         self.dim = len(basis_weights)
 
-    def matrix(self, p):
-        return self.mats[p]
-
 
 def rep_trivial(cb: ChevalleyBasis) -> Rep:
     z = _zero_weight(cb.algebra)
@@ -218,46 +216,6 @@ def rep_dual_defining(cb: ChevalleyBasis) -> Rep:
         mats.append(tuple(tuple(-m[j][i] for j in range(n)) for i in range(n)))
     ws = [Weight(alg, (-1, 0)), Weight(alg, (1, -1)), Weight(alg, (0, 1))]
     return Rep(cb, mats, ws, ws[2])
-
-
-def rep_adjoint(cb: ChevalleyBasis) -> Rep:
-    dim = cb.dim
-    mats = []
-    for p in range(dim):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for q in range(dim):
-            for (k, v) in cb.bracket_list(p, q):
-                m[k][q] = v
-        mats.append(tuple(tuple(row) for row in m))
-    theta = cb.algebra.root_vector(cb.algebra.highest_root).to_weight()
-    return Rep(cb, mats, cb.weights, theta)
-
-
-def rep_tensor(r1: Rep, r2: Rep) -> Rep:
-    cb = r1.cb
-    d1, d2 = r1.dim, r2.dim
-    dim = d1 * d2
-    mats = []
-    for p in range(cb.dim):
-        a, b = r1.mats[p], r2.mats[p]
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for i1 in range(d1):
-            for j1 in range(d1):
-                if a[i1][j1]:
-                    for k in range(d2):
-                        m[i1 * d2 + k][j1 * d2 + k] += a[i1][j1]
-        for k in range(d1):
-            for i2 in range(d2):
-                for j2 in range(d2):
-                    if b[i2][j2]:
-                        m[k * d2 + i2][k * d2 + j2] += b[i2][j2]
-        mats.append(tuple(tuple(row) for row in m))
-    weights = [
-        r1.basis_weights[i] + r2.basis_weights[j]
-        for i in range(d1)
-        for j in range(d2)
-    ]
-    return Rep(cb, mats, weights, r1.hw + r2.hw)
 
 
 class _TensorAmbient:
@@ -340,7 +298,7 @@ def build_irrep(cb: ChevalleyBasis, hw: Weight) -> Rep:
     # highest weight line: top vector of each factor
     top = [0] * a + [2] * b
     hw_index = amb.encode(top)
-    assert amb.weight(hw_index) == hw
+    check(amb.weight(hw_index) == hw, "top tensor vector is not of weight hw")
     span = SpanBuilder(amb.dim)
     v0 = {hw_index: Fraction(1)}
     span.add(v0)
@@ -358,33 +316,20 @@ def build_irrep(cb: ChevalleyBasis, hw: Weight) -> Rep:
                 basis_weights.append(basis_weights[j] + cb.weights[p])
                 queue.append(len(basis) - 1)
     dim = len(basis)
-    assert dim == weyl_dimension(alg, hw), "cyclic span has wrong dimension"
+    check(dim == weyl_dimension(alg, hw), "cyclic span has wrong dimension")
     mats = []
     for p in range(cb.dim):
         cols = []
         for j in range(dim):
             img = amb.apply(p, basis[j])
             coords = span.coords(img)
-            assert coords is not None, "span is not g-stable"
+            check(coords is not None, "span is not g-stable")
             col = [Fraction(0)] * dim
             for k, v in coords.items():
                 col[k] = v
             cols.append(col)
         mats.append(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
     return Rep(cb, mats, basis_weights, hw)
-
-
-def casimir_matrix(cb: ChevalleyBasis, rep: Rep):
-    """Omega = sum_p x_p x^p on the representation, as an exact matrix."""
-    n = rep.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for (p, q, c) in cb.casimir_pairs:
-        prod = _mat_mul(rep.mats[p], rep.mats[q])
-        for i in range(n):
-            for j in range(n):
-                if prod[i][j]:
-                    out[i][j] += c * prod[i][j]
-    return tuple(tuple(row) for row in out)
 
 
 def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:

@@ -23,7 +23,8 @@ from . import affine_numerics as an
 from . import explicit_module as em
 from .finite_rep import casimir_on_irrep, weyl_dimension
 from .graded_sym import sym_ad_graded, weyl_level_decomposition
-from .rational import format_fraction, format_scalar, parse_scalar, scalar_im, scalar_re
+from .invariant import InvariantError, check
+from .rational import format_fraction, format_scalar, parse_scalar
 from .root_system import build_algebra, norm_sq
 
 _FORMATS = ("text", "json")
@@ -74,19 +75,6 @@ class JobConfig:
             "n_max": self.n_max,
             "format": self.fmt,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "JobConfig":
-        kappa = data.get("kappa")
-        return cls(
-            command=data["command"],
-            series=data["algebra"]["series"],
-            rank=data["algebra"]["rank"],
-            weights=[[Fraction(c) for c in w] for w in data.get("weights", [])],
-            kappa=None if kappa is None else parse_scalar(kappa),
-            n_max=data.get("n_max"),
-            fmt=data.get("format", "text"),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +217,8 @@ def cmd_symlevels(config: JobConfig, out) -> int:
     for n in range(n_max + 1):
         dec = weyl_level_decomposition(algebra, trivial, n)
         dim = graded.level(n).dimension()
-        assert dim == dec.dimension()
+        check(dim == dec.dimension(),
+              "level %d: S(ad) dimension differs from its decomposition", n)
         levels.append(
             {
                 "degree": n,
@@ -314,13 +303,12 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     ]
     graded_ok = dims == expected_dims
 
-    l0 = em.sugawara_l0(module)
+    l0 = module.l0
     l0_ok = l0.is_scalar_by_degree()
     eigenvalues = [format_scalar(l0.eigenvalue(n)) for n in range(depth + 1)]
 
     virasoro_ok = em.virasoro_commutation_check(module)
 
-    kappa_in_scope = scalar_im(kappa) != 0 or scalar_re(kappa) < 0
     findings = []
     finding_degrees = set()
     for n in range(1, depth + 1):
@@ -339,8 +327,8 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     necessity = None
     candidates = []
     certificate_consistent = None
-    if kappa_in_scope:
-        scan = an.ResonanceScan(hw + algebra.rho)
+    scan = module.scan
+    if scan is not None:
         pairs = scan.pairs(kappa, depth)
         candidates = [_candidate_json(p) for p in pairs]
         candidate_degrees = {p.n for p in pairs}
@@ -435,7 +423,7 @@ def main(argv=None) -> int:
             return cmd_crossvalidate(config, sys.stdout,
                                      dump=getattr(args, "dump", None))
         return _COMMANDS[args.command](config, sys.stdout)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, InvariantError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

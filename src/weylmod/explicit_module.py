@@ -7,14 +7,15 @@ enveloping algebra of the negative-mode half: a basis of the degree-n layer is
     k_1 >= k_2 >= ... >= k_r >= 1,  sum k_i = n,
 
 with x_p running over a fixed Chevalley basis of g and m_j over a weight basis
-of M.  We materialize all layers up to a depth N and straighten the action of
-any x eps^m back into this basis using
+of M.  We materialize all layers up to a depth N and, once at construction,
+straighten the action of every x eps^m with |m| <= N back into this basis using
 
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
 
 with K acting by the scalar kappa - h_dual.  The zero modes act through M and
-the positive modes kill it.  All coefficients are exact: Fraction throughout,
-ComplexRational once kappa leaves the rationals.
+the positive modes kill it.  The result is one column-sparse action store;
+dense blocks are built only on request.  All coefficients are exact:
+Fraction throughout, ComplexRational once kappa leaves the rationals.
 
 On top of the raw action the module offers the brute-force oracles used to
 cross-check the resonance bookkeeping: the normally-ordered Sugawara L0, the
@@ -26,12 +27,15 @@ together with the exactness check ker(V(N') -> Hom(g, V(N'-1))) = V(1).
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 
-from .affine_numerics import candidate_pairs, top_l0_eigenvalue
+from .affine_numerics import ResonanceScan, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
 from .finite_rep import casimir_on_irrep
 from .graded_sym import sym_ad_graded
+from .invariant import check
 from .linalg import SpanBuilder, nullspace
 from .rational import ComplexRational, format_scalar, scalar_im, scalar_re
 from .root_system import Weight, same_weyl_orbit
@@ -44,6 +48,7 @@ _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
 
 _ONE = Fraction(1)
+_EMPTY = {}  # shared empty column; never mutated
 
 
 def depth_cap() -> int:
@@ -72,6 +77,15 @@ def _acc(table, key, value):
             del table[key]
 
 
+def _apply(columns, vec):
+    """A column-sparse operator {source: {target: coeff}} on {index: coeff}."""
+    out = {}
+    for idx, c in vec.items():
+        for t, v in columns.get(idx, _EMPTY).items():
+            _acc(out, t, c * v)
+    return out
+
+
 def monomials_of_degree(dim_g: int, n: int, max_factor=None):
     """All packed monomials (k_1,p_1) >= ... with sum k_i = n, k_i >= 1."""
     if n == 0:
@@ -89,15 +103,15 @@ def monomials_of_degree(dim_g: int, n: int, max_factor=None):
     return out
 
 
-def _unpack(mono):
-    return [((f >> _SHIFT), (f & _MASK)) for f in mono]
-
-
 class TruncatedWeylModule:
-    """Degrees 0..depth of Ind(M)_kappa with exact straightening.
+    """Degrees 0..depth of Ind(M)_kappa with its action store.
 
-    Immutable after construction; the straightening memos behave as pure
-    caches.  Use build_truncated to construct.
+    Immutable after construction (l0 is computed on first use); use
+    build_truncated to construct.  The action of every x_p eps^m with
+    |m| <= depth is straightened once, here, into column-sparse form, and
+    every operator below reads that store.  scan is the resonance scan of
+    lambda = m_hw + rho when kappa lies outside the nonnegative reals (where
+    candidates apply), else None.
     """
 
     def __init__(self, algebra, m_hw: Weight, kappa, depth: int):
@@ -108,18 +122,17 @@ class TruncatedWeylModule:
         self.cb = chevalley_basis(algebra)
         self.rep = rep_from_hw(self.cb, m_hw)
         self.k_scalar = kappa - algebra.dual_coxeter
-        self._opmemo = {}
-        self._lmmemo = {}
+        self.scan = None
+        if scalar_im(kappa) != 0 or scalar_re(kappa) < 0:
+            self.scan = ResonanceScan(m_hw + algebra.rho)
 
         sym_dims = sym_ad_graded(algebra, depth).dims()
         keys = []
         bounds = [0]
         for n in range(depth + 1):
             monos = sorted(monomials_of_degree(self.cb.dim, n))
-            assert len(monos) == sym_dims[n], "PBW layer does not match S(ad)"
-            for mono in monos:
-                for j in range(self.rep.dim):
-                    keys.append((mono, j))
+            check(len(monos) == sym_dims[n], "PBW layer does not match S(ad)")
+            keys.extend((mono, j) for mono in monos for j in range(self.rep.dim))
             bounds.append(len(keys))
         self.keys = tuple(keys)
         self._bounds = tuple(bounds)
@@ -131,6 +144,7 @@ class TruncatedWeylModule:
                 w = w + self.cb.weights[f & _MASK]
             weights.append(w)
         self.weights = tuple(weights)
+        self._action = _straighten(self)
 
     # -- layout --------------------------------------------------------------
 
@@ -147,15 +161,58 @@ class TruncatedWeylModule:
         return len(self.degree_range(n))
 
     def degree_of(self, index: int) -> int:
-        mono, _ = self.keys[index]
-        return sum(f >> _SHIFT for f in mono)
+        return bisect_right(self._bounds, index) - 1
 
-    # -- straightening core ----------------------------------------------------
+    # -- the action store ------------------------------------------------------
 
-    def _leftmul(self, f, mono):
+    def columns(self, p, m: int) -> dict:
+        """The nonzero columns of x_p eps^m, {source: {target: coeff}}; the
+        store is shared, so treat the result as read-only."""
+        if not isinstance(m, int) or abs(m) > self.depth:
+            raise ValueError("mode must be an integer with |m| <= depth")
+        return self._action[p, m]
+
+    def apply_generator(self, p, m: int, index: int) -> dict:
+        """x_p eps^m on basis vector #index, as {target index: coeff}."""
+        return self.apply_to_vector(p, m, {index: _ONE})
+
+    def apply_to_vector(self, p, m: int, vec: dict) -> dict:
+        """x_p eps^m on a sparse vector {index: coeff}."""
+        for idx in vec:
+            source = self.degree_of(idx)
+            if source - m > self.depth:
+                raise ValueError(
+                    "image of degree %d under mode %d leaves the truncation"
+                    % (source, m)
+                )
+        return _apply(self._action.get((p, m), _EMPTY), vec)
+
+    @cached_property
+    def l0(self) -> "L0Matrix":
+        """The Sugawara L0 of sugawara_l0, computed on first use."""
+        return sugawara_l0(self)
+
+    def generator_index(self, x) -> int:
+        if isinstance(x, int):
+            if not 0 <= x < self.cb.dim:
+                raise ValueError("generator index %d out of range" % x)
+            return x
+        if x in self.cb.index:
+            return self.cb.index[x]
+        raise ValueError("unknown generator %r" % (x,))
+
+
+def _straighten(module) -> dict:
+    """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth."""
+    cb = module.cb
+    k_scalar = module.k_scalar
+    lmmemo = {}
+    opmemo = {}
+
+    def leftmul(f, mono):
         """x_p eps^{-k} times a PBW monomial, as {monomial: coeff}."""
         key = (f, mono)
-        hit = self._lmmemo.get(key)
+        hit = lmmemo.get(key)
         if hit is not None:
             return hit
         if not mono or f >= mono[0]:
@@ -163,26 +220,26 @@ class TruncatedWeylModule:
         else:
             g, rest = mono[0], mono[1:]
             out = {}
-            for m2, c in self._leftmul(f, rest).items():
-                for m3, c3 in self._leftmul(g, m2).items():
+            for m2, c in leftmul(f, rest).items():
+                for m3, c3 in leftmul(g, m2).items():
                     _acc(out, m3, c * c3)
             # [x_f, x_g] eps^{-(k_f + k_g)}; no cocycle term between
             # two negative modes
             combined = ((f >> _SHIFT) + (g >> _SHIFT)) << _SHIFT
-            for q, cq in self.cb.bracket_list(f & _MASK, g & _MASK):
-                for m3, c3 in self._leftmul(combined | q, rest).items():
+            for q, cq in cb.bracket_list(f & _MASK, g & _MASK):
+                for m3, c3 in leftmul(combined | q, rest).items():
                     _acc(out, m3, cq * c3)
-        self._lmmemo[key] = out
+        lmmemo[key] = out
         return out
 
-    def _op(self, p, m, mono):
+    def op(p, m, mono):
         """x_p eps^m on mono (x) -, with the M tensor slot left symbolic.
 
         Returns {(monomial, tag): coeff} where tag None means the identity on
         M and tag q means a single factor x_q acting on M.
         """
         key = (p, m, mono)
-        hit = self._opmemo.get(key)
+        hit = opmemo.get(key)
         if hit is not None:
             return hit
         if not mono:
@@ -196,58 +253,51 @@ class TruncatedWeylModule:
             g, rest = mono[0], mono[1:]
             k0, p0 = g >> _SHIFT, g & _MASK
             out = {}
-            for (m2, tag), c in self._op(p, m, rest).items():
-                for m3, c3 in self._leftmul(g, m2).items():
+            for (m2, tag), c in op(p, m, rest).items():
+                for m3, c3 in leftmul(g, m2).items():
                     _acc(out, (m3, tag), c * c3)
-            for q, cq in self.cb.bracket_list(p, p0):
-                for (m3, tag), c3 in self._op(q, m - k0, rest).items():
+            for q, cq in cb.bracket_list(p, p0):
+                for (m3, tag), c3 in op(q, m - k0, rest).items():
                     _acc(out, (m3, tag), cq * c3)
             if m == k0:
-                pr = self.cb.pairing(p, p0)
+                pr = cb.pairing(p, p0)
                 if pr:
-                    _acc(out, (rest, None), m * pr * self.k_scalar)
-        self._opmemo[key] = out
+                    _acc(out, (rest, None), m * pr * k_scalar)
+        opmemo[key] = out
         return out
 
-    def apply_generator(self, p, m: int, index: int) -> dict:
-        """x_p eps^m on basis vector #index, as {target index: coeff}."""
-        mono, j = self.keys[index]
-        target = sum(f >> _SHIFT for f in mono) - m
-        if target > self.depth:
-            raise ValueError(
-                "image of degree %d under mode %d leaves the truncation"
-                % (target + m, m)
-            )
-        out = {}
-        if target < 0:
-            return out
-        mats = self.rep.mats
-        for (m2, tag), c in self._op(p, m, mono).items():
-            if tag is None:
-                _acc(out, self.index[(m2, j)], c)
-            else:
-                col = mats[tag]
-                for i in range(self.rep.dim):
-                    v = col[i][j]
-                    if v:
-                        _acc(out, self.index[(m2, i)], c * v)
-        return out
-
-    def apply_to_vector(self, p, m: int, vec: dict) -> dict:
-        out = {}
-        for idx, c in vec.items():
-            for t, v in self.apply_generator(p, m, idx).items():
-                _acc(out, t, c * v)
-        return out
-
-    def generator_index(self, x) -> int:
-        if isinstance(x, int):
-            if not 0 <= x < self.cb.dim:
-                raise ValueError("generator index %d out of range" % x)
-            return x
-        if x in self.cb.index:
-            return self.cb.index[x]
-        raise ValueError("unknown generator %r" % (x,))
+    depth = module.depth
+    mats = module.rep.mats
+    dim_m = module.rep.dim
+    index = module.index
+    store = {(p, m): {} for p in range(cb.dim) for m in range(-depth, depth + 1)}
+    for n in range(depth + 1):
+        rng = module.degree_range(n)
+        # the basis runs over (mono, j) with j fastest
+        for start in range(rng.start, rng.stop, dim_m):
+            mono = module.keys[start][0]
+            for p in range(cb.dim):
+                for m in range(n - depth, n + 1):
+                    terms = op(p, m, mono)
+                    cols = store[p, m]
+                    for j in range(dim_m):
+                        col = {}
+                        for (m2, tag), c in terms.items():
+                            if tag is None:
+                                _acc(col, index[(m2, j)], c)
+                                continue
+                            mat = mats[tag]
+                            for i in range(dim_m):
+                                v = mat[i][j]
+                                if v:
+                                    _acc(col, index[(m2, i)], c * v)
+                        if col:
+                            cols[start + j] = col
+    # leftmul and op refer to themselves, so only a cycle collection would
+    # free the memos; release them now
+    lmmemo.clear()
+    opmemo.clear()
+    return store
 
 
 def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylModule:
@@ -283,39 +333,51 @@ def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylMo
     return TruncatedWeylModule(algebra, m_hw, kappa, depth)
 
 
+def _image_degrees(depth: int, m: int) -> range:
+    """Source degrees n whose image under a mode-m operator has degree
+    0 <= n - m <= depth."""
+    return range(max(m, 0), depth + min(m, 0) + 1)
+
+
+def _dense(columns, sources: range, targets: range):
+    """The block of a column-sparse operator from sources to targets."""
+    mat = [[Fraction(0)] * len(sources) for _ in targets]
+    for c, idx in enumerate(sources):
+        for i, v in columns.get(idx, _EMPTY).items():
+            mat[i - targets.start][c] = v
+    return mat
+
+
 class ActionMatrix:
     """Degree-graded exact matrix of x eps^m (or of K when generator = "K").
 
-    block(n) maps coordinates of degree n to coordinates of degree n - m.
-    Source degrees whose image would exceed the truncation are omitted and
-    the matrix is marked partial.
+    block(n) builds the dense block mapping coordinates of degree n to
+    coordinates of degree n - m from the column-sparse store.  Source degrees
+    whose image would exceed the truncation are omitted and the matrix is
+    marked partial.
     """
 
-    def __init__(self, module, generator, mode, blocks, source_degrees, partial):
+    def __init__(self, module, generator, mode, columns):
         self.module = module
         self.generator = generator
         self.mode = mode
-        self._blocks = blocks
-        self.source_degrees = tuple(source_degrees)
-        self.partial = partial
+        self.columns = columns
+        self.source_degrees = tuple(range(module.depth + min(mode, 0) + 1))
+        self.partial = mode < 0
 
     def block(self, n: int):
-        if n not in self._blocks:
+        if n not in self.source_degrees:
             raise ValueError(
                 "mode %d is not defined on degree %d within depth %d"
                 % (self.mode, n, self.module.depth)
             )
-        return self._blocks[n]
-
-    def sparse_block(self, n: int) -> dict:
-        """{(row, col): coeff} for the degree-n block."""
-        mat = self.block(n)
-        out = {}
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v:
-                    out[(i, j)] = v
-        return out
+        if n < self.mode:
+            return []  # the image vanishes identically
+        return _dense(
+            self.columns,
+            self.module.degree_range(n),
+            self.module.degree_range(n - self.mode),
+        )
 
 
 def act(module: TruncatedWeylModule, x, m: int) -> ActionMatrix:
@@ -327,55 +389,29 @@ def act(module: TruncatedWeylModule, x, m: int) -> ActionMatrix:
     if x == "K":
         if m != 0:
             raise ValueError("K carries no modes")
-        blocks = {}
-        for n in range(module.depth + 1):
-            d = module.degree_dim(n)
-            blocks[n] = [
-                [module.k_scalar if i == j else Fraction(0) for j in range(d)]
-                for i in range(d)
-            ]
-        return ActionMatrix(module, "K", 0, blocks, range(module.depth + 1), False)
-    if not isinstance(m, int) or abs(m) > module.depth:
-        raise ValueError("mode must be an integer with |m| <= depth")
+        k = module.k_scalar
+        columns = {i: {i: k} for i in range(module.dim)} if k else {}
+        return ActionMatrix(module, "K", 0, columns)
     p = module.generator_index(x)
-    blocks = {}
-    degrees = []
-    partial = False
-    for n in range(module.depth + 1):
-        t = n - m
-        if t < 0:
-            # image vanishes identically; record the zero block
-            blocks[n] = [[] for _ in range(0)]
-            degrees.append(n)
-            continue
-        if t > module.depth:
-            partial = True
-            continue
-        rows = module.degree_dim(t)
-        cols = module.degree_dim(n)
-        src = module.degree_range(n).start
-        tgt = module.degree_range(t).start
-        mat = [[Fraction(0)] * cols for _ in range(rows)]
-        for c in range(cols):
-            for idx, v in module.apply_generator(p, m, src + c).items():
-                mat[idx - tgt][c] = v
-        blocks[n] = mat
-        degrees.append(n)
-    return ActionMatrix(module, module.cb.names[p], m, blocks, degrees, partial)
+    return ActionMatrix(module, module.cb.names[p], m, module.columns(p, m))
 
 
 class L0Matrix:
-    """Block-diagonal Sugawara L0, computed from the normally-ordered sum."""
+    """Block-diagonal Sugawara L0, computed from the normally-ordered sum.
 
-    def __init__(self, module, blocks, eigenvalues):
+    columns[i] is the image of basis vector #i as {target index: coeff}.
+    """
+
+    def __init__(self, module, columns, eigenvalues):
         self.module = module
-        self._blocks = blocks
+        self.columns = columns
         self._eigenvalues = eigenvalues
 
     def block(self, n: int):
-        if n not in self._blocks:
+        if n not in self._eigenvalues:
             raise ValueError("degree %d outside truncation" % n)
-        return self._blocks[n]
+        rng = self.module.degree_range(n)
+        return _dense(self.columns, rng, rng)
 
     def eigenvalue(self, n: int):
         if n not in self._eigenvalues:
@@ -383,12 +419,10 @@ class L0Matrix:
         return self._eigenvalues[n]
 
     def is_scalar_by_degree(self) -> bool:
-        for n, mat in self._blocks.items():
-            xi = self._eigenvalues[n]
-            for i, row in enumerate(mat):
-                for j, v in enumerate(row):
-                    if v != (xi if i == j else 0):
-                        return False
+        for n, xi in self._eigenvalues.items():
+            for idx in self.module.degree_range(n):
+                if self.columns[idx] != ({idx: xi} if xi else {}):
+                    return False
         return True
 
 
@@ -397,20 +431,18 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
 
     L0 = (1/kappa) sum_p [ x_p x^p / 2 + sum_{j>=1} (x_p eps^{-j})(x^p eps^j) ]
     with {x_p}, {x^p} dual bases of g under the normalized form, written in
-    normal order (positive modes to the right).  The result is asserted to be
+    normal order (positive modes to the right).  The result is checked to be
     the scalar a/(2 kappa) + n on each degree-n layer, a = Casimir of M.
+    module.l0 holds the result for reuse.
     """
     kappa = module.kappa
     a = casimir_on_irrep(module.algebra, module.m_hw)
     pairs = module.cb.casimir_pairs
-    blocks = {}
+    columns = {}
     eigenvalues = {}
     for n in range(module.depth + 1):
-        rng = module.degree_range(n)
-        d = len(rng)
         xi = top_l0_eigenvalue(a, kappa) + n
-        mat = [[Fraction(0)] * d for _ in range(d)]
-        for c, idx in enumerate(rng):
+        for idx in module.degree_range(n):
             acc = {}
             start = {idx: _ONE}
             for (p, q, w) in pairs:
@@ -426,57 +458,33 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
                     tmp = module.apply_to_vector(p, -j, tmp)
                     for t, v in tmp.items():
                         _acc(acc, t, w * v)
-            for t, v in acc.items():
-                mat[t - rng.start][c] = v / kappa
-            expected = {idx: xi} if xi else {}
-            assert {t: v / kappa for t, v in acc.items()} == expected, (
-                "Sugawara sum is not the expected scalar at degree %d" % n
-            )
-        blocks[n] = mat
+            col = {t: v / kappa for t, v in acc.items()}
+            check(col == ({idx: xi} if xi else {}),
+                  "Sugawara sum is not the expected scalar at degree %d", n)
+            columns[idx] = col
         eigenvalues[n] = xi
-    return L0Matrix(module, blocks, eigenvalues)
+    return L0Matrix(module, columns, eigenvalues)
 
 
 def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bool:
     """Exact check of [L0, x eps^m] = -m (x eps^m) on the valid window.
 
     Runs over every Chevalley generator and every mode |m| <= max_mode
-    (default: the full depth), comparing matrix products of the literally
-    computed L0 with the action blocks.  The products are evaluated column
-    by column over the nonzero entries, so the cost scales with the sparsity
-    of the action rather than with dense block size.
+    (default: the full depth), multiplying the columns of module.l0 with the
+    stored action columns over their nonzero entries, so the cost scales
+    with the sparsity of the action rather than with dense block size.
     """
-    l0 = sugawara_l0(module)
-    l0_cols = {}
-    for n in range(module.depth + 1):
-        block = l0.block(n)
-        cols = {}
-        for i, row in enumerate(block):
-            for j, v in enumerate(row):
-                if v:
-                    cols.setdefault(j, {})[i] = v
-        l0_cols[n] = cols
+    l0 = module.l0.columns
     top = module.depth if max_mode is None else max_mode
     for p in range(module.cb.dim):
-        name = module.cb.names[p]
         for m in range(-top, top + 1):
-            mat = act(module, name, m)
-            for n in mat.source_degrees:
-                t = n - m
-                if t < 0:
-                    continue
-                a_cols = {}
-                for (i, j), v in mat.sparse_block(n).items():
-                    a_cols.setdefault(j, {})[i] = v
-                for j in range(module.degree_dim(n)):
-                    aj = a_cols.get(j, {})
-                    lhs = {}
-                    for k, av in aj.items():
-                        for i, lv in l0_cols[t].get(k, {}).items():
-                            _acc(lhs, i, lv * av)
-                    for k, rv in l0_cols[n].get(j, {}).items():
-                        for i, av in a_cols.get(k, {}).items():
-                            _acc(lhs, i, -av * rv)
+            cols = module.columns(p, m)
+            for n in _image_degrees(module.depth, m):
+                for j in module.degree_range(n):
+                    aj = cols.get(j, _EMPTY)
+                    lhs = _apply(l0, aj)
+                    for i, v in _apply(cols, l0[j]).items():
+                        _acc(lhs, i, -v)
                     rhs = {} if m == 0 else {i: -m * v for i, v in aj.items()}
                     if lhs != rhs:
                         return False
@@ -506,7 +514,7 @@ class SingularVectorReport:
         )
 
 
-def _nullspace_of_columns(columns, n_rows_hint=None):
+def _nullspace_of_columns(columns):
     """Kernel of the map sending unit column c to the sparse vector columns[c].
 
     columns is a list of {row_key: coeff}.  Returns normalized kernel vectors
@@ -521,6 +529,15 @@ def _nullspace_of_columns(columns, n_rows_hint=None):
     return nullspace(rows, len(columns))
 
 
+def _raising_column(module, vec):
+    """(x_p eps) vec for every generator p, as one {(p, index): coeff}."""
+    return {
+        (p, t): v
+        for p in range(module.cb.dim)
+        for t, v in module.apply_to_vector(p, 1, vec).items()
+    }
+
+
 def _weight_blocks(module, indices):
     blocks = {}
     for idx in indices:
@@ -533,46 +550,31 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
 
     The kernel is solved exactly inside each weight space of the layer; one
     report is returned per weight carrying solutions, with the matching
-    resonance candidate attached when the candidate machinery applies to
-    kappa (outside the nonnegative reals).
+    resonance candidate of module.scan attached when the candidate machinery
+    applies to kappa (outside the nonnegative reals).
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
     lam = module.m_hw + module.algebra.rho
     matchable = []
-    if scalar_im(module.kappa) != 0 or scalar_re(module.kappa) < 0:
-        matchable = [p for p in candidate_pairs(lam, module.kappa, n) if p.n == n]
+    if module.scan is not None:
+        matchable = [p for p in module.scan.pairs(module.kappa, n) if p.n == n]
     reports = []
     blocks = _weight_blocks(module, module.degree_range(n))
     for wt_coords in sorted(blocks):
         block = blocks[wt_coords]
-        columns = []
-        for idx in block:
-            col = {}
-            for p in range(module.cb.dim):
-                for t, v in module.apply_generator(p, 1, idx).items():
-                    col[(p, t)] = v
-            columns.append(col)
-        kernel = _nullspace_of_columns(columns)
+        kernel = _nullspace_of_columns(
+            [_raising_column(module, {idx: _ONE}) for idx in block]
+        )
         if not kernel:
             continue
         weight = module.algebra.weight(wt_coords)
-        solutions = []
-        for vec in kernel:
-            solutions.append(
-                {block[i]: c for i, c in enumerate(vec) if c}
-            )
-        matched = None
+        solutions = [{block[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
         target = weight + module.algebra.rho
-        for p in matchable:
-            if lam + p.mu.to_weight() == target:
-                matched = p
-                break
+        shifted = [(p, lam + p.mu.to_weight()) for p in matchable]
+        matched = next((p for p, w in shifted if w == target), None)
         if matched is None:
-            for p in matchable:
-                if same_weyl_orbit(lam + p.mu.to_weight(), target):
-                    matched = p
-                    break
+            matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)
         reports.append(SingularVectorReport(n, weight, solutions, matched))
     return reports
 
@@ -632,12 +634,10 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
     for d in range(window + 1):
         rng = module.degree_range(d)
         if d < order:
-            for idx in rng:
-                vectors.append((d, {idx: _ONE}))
+            vectors.extend((d, {idx: _ONE}) for idx in rng)
             continue
-        ops = []
-        for e in range(order, d + 1):
-            ops.extend(monomials_of_degree(module.cb.dim, e))
+        ops = [op for e in range(order, d + 1)
+               for op in monomials_of_degree(module.cb.dim, e)]
         blocks = _weight_blocks(module, rng)
         for wt_coords in sorted(blocks):
             block = blocks[wt_coords]
@@ -681,22 +681,12 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
 
     basis = v_top.vectors
     # kernel of i inside V(order), solved in V(order) coordinates
-    columns = []
-    for _, vec in basis:
-        col = {}
-        for p in range(module.cb.dim):
-            for t, v in module.apply_to_vector(p, 1, vec).items():
-                col[(p, t)] = v
-        columns.append(col)
-    kernel = _nullspace_of_columns(columns)
-    kernel_vectors = []
-    for combo in kernel:
-        acc = {}
-        for i, c in enumerate(combo):
-            if c:
-                for t, v in basis[i][1].items():
-                    _acc(acc, t, c * v)
-        kernel_vectors.append(acc)
+    kernel = _nullspace_of_columns([_raising_column(module, vec) for _, vec in basis])
+    basis_columns = {i: vec for i, (_, vec) in enumerate(basis)}
+    kernel_vectors = [
+        _apply(basis_columns, {i: c for i, c in enumerate(combo) if c})
+        for combo in kernel
+    ]
 
     v_one_window = [(d, v) for (d, v) in v_one.vectors if d <= window]
     span_v1 = SpanBuilder(module.dim)
@@ -711,19 +701,13 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     kernel_matches = kernel_inside and kernel_span.rank() == span_v1.rank()
 
     # i lands in V(order-1) when order >= 2 (for order = 1 the map is zero)
+    v_prev = annihilator_level(module, order - 1) if order >= 2 else None
     lands = True
-    if order >= 2:
-        v_prev = annihilator_level(module, order - 1)
-        for d, vec in basis:
-            for p in range(module.cb.dim):
-                img = module.apply_to_vector(p, 1, vec)
-                if img and not v_prev.span_contains(d - 1, img):
-                    lands = False
-    else:
-        for _, vec in basis:
-            for p in range(module.cb.dim):
-                if module.apply_to_vector(p, 1, vec):
-                    lands = False
+    for d, vec in basis:
+        for p in range(module.cb.dim):
+            img = module.apply_to_vector(p, 1, vec)
+            if img and (v_prev is None or not v_prev.span_contains(d - 1, img)):
+                lands = False
 
     # equivariance: (x eps)(y v) = y ((x eps) v) + ([x, y] eps) v
     equivariant = True
@@ -761,10 +745,6 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     return ok, diagnostics
 
 
-def _format_entry(value):
-    return format_scalar(value)
-
-
 def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
     """Serializable snapshot of the truncated module.
 
@@ -791,52 +771,49 @@ def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
             basis.append(
                 {
                     "factors": [
-                        [k, module.cb.names[p]] for (k, p) in _unpack(mono)
+                        [f >> _SHIFT, module.cb.names[f & _MASK]] for f in mono
                     ],
                     "m_index": j,
-                    "weight": [_format_entry(c) for c in module.weights[idx].coords],
+                    "weight": [format_scalar(c) for c in module.weights[idx].coords],
                 }
             )
         degrees.append({"degree": n, "dimension": len(rng), "basis": basis})
     actions = []
     for p in range(module.cb.dim):
-        name = module.cb.names[p]
         for m in modes:
-            mat = act(module, name, m)
+            cols = module.columns(p, m)
             blocks = []
-            for n in mat.source_degrees:
-                t = n - m
-                if t < 0:
-                    continue
-                entries = []
-                block = mat.block(n)
-                for i, row in enumerate(block):
-                    for j, v in enumerate(row):
-                        if v:
-                            entries.append([i, j, _format_entry(v)])
+            for n in _image_degrees(module.depth, m):
+                src = module.degree_range(n)
+                tgt = module.degree_range(n - m).start
+                entries = sorted(
+                    [i - tgt, c, format_scalar(v)]
+                    for c, idx in enumerate(src)
+                    for i, v in cols.get(idx, _EMPTY).items()
+                )
                 blocks.append(
                     {
                         "source_degree": n,
-                        "target_degree": t,
+                        "target_degree": n - m,
                         "entries": entries,
                     }
                 )
             actions.append(
                 {
-                    "generator": name,
+                    "generator": module.cb.names[p],
                     "mode": m,
-                    "partial": mat.partial,
+                    "partial": m < 0,
                     "blocks": blocks,
                 }
             )
     return {
         "schema": "weylmod.truncated_module.v1",
         "algebra": {"series": module.algebra.series, "rank": module.algebra.rank},
-        "m_hw": [_format_entry(c) for c in module.m_hw.coords],
-        "kappa": _format_entry(module.kappa),
+        "m_hw": [format_scalar(c) for c in module.m_hw.coords],
+        "kappa": format_scalar(module.kappa),
         "depth": module.depth,
-        "dual_coxeter": _format_entry(module.algebra.dual_coxeter),
-        "k_scalar": _format_entry(module.k_scalar),
+        "dual_coxeter": format_scalar(module.algebra.dual_coxeter),
+        "k_scalar": format_scalar(module.k_scalar),
         "generators": list(module.cb.names),
         "degrees": degrees,
         "actions": actions,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .invariant import check
 from .root_system import (
     AlgebraData,
     Weight,
@@ -175,7 +176,7 @@ def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
         top = sum(lam_rho.coords[j] * d[j] * root[j] for j in range(n))
         bot = sum(rho.coords[j] * d[j] * root[j] for j in range(n))
         num *= top / bot
-    assert num.denominator == 1
+    check(num.denominator == 1, "Weyl dimension formula is not integral")
     return int(num)
 
 
@@ -229,9 +230,10 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
                     acc += 2 * m * inner_product(u, alpha)
                 k += 1
         denom = lam_norm - norm_sq(w + rho)
-        assert denom != 0
+        check(denom != 0, "Freudenthal denominator vanishes")
         val = acc / denom
-        assert val.denominator == 1 and val >= 0
+        check(val.denominator == 1 and val >= 0,
+              "Freudenthal multiplicity is not a nonnegative integer")
         if val:
             mults[w] = int(val)
     return Character(algebra, mults)
@@ -302,10 +304,9 @@ def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
         w = t - rho
         out[w] = out.get(w, 0) + sign * mult
     for w, m in list(out.items()):
+        check(m >= 0, "negative tensor multiplicity at %r", w)
         if m == 0:
             del out[w]
-        elif m < 0:
-            raise AssertionError("negative tensor multiplicity at %r" % (w,))
     return DecompositionMultiset(algebra, out)
 
 
@@ -321,7 +322,7 @@ def decompose_character(char: Character) -> DecompositionMultiset:
     while remaining:
         w = max(remaining, key=_height_key)
         m = remaining[w]
-        assert m > 0, "character is not a non-negative sum of irreducibles"
+        check(m > 0, "character is not a non-negative sum of irreducibles")
         out[w] = out.get(w, 0) + m
         for u, mu in irrep_character(algebra, w).dominant_items():
             r = remaining.get(u, 0) - m * mu

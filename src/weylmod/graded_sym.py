@@ -19,6 +19,7 @@ from .finite_rep import (
     irrep_character,
     tensor_decompose,
 )
+from .invariant import check
 from .root_system import AlgebraData, Weight
 
 
@@ -96,7 +97,7 @@ def sym_powers(char: Character, m_max: int):
         for c, v in acc.items():
             x = Fraction(v, m)
             if x:
-                assert x.denominator == 1
+                check(x.denominator == 1, "fractional multiplicity in Sym^%d", m)
                 full[c] = int(x)
         h.append(full)
     return [_full_to_character(algebra, full) for full in h]

@@ -210,33 +210,6 @@ def matrix_inverse(rows):
     return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
 
 
-def determinant(rows):
-    """Exact determinant via field Gaussian elimination (small matrices)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] == 0:
-                continue
-            fac = a[i][c] * inv
-            for j in range(c, n):
-                a[i][j] -= fac * a[c][j]
-    return det
-
-
 class SpanBuilder:
     """Incremental exact row reduction with coordinate tracking.
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .linalg import determinant, matrix_inverse
+from .invariant import check
+from .linalg import matrix_inverse
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -170,14 +171,14 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
     # sanity: symmetric positive definite
     for i in range(rank):
         for j in range(rank):
-            assert gram_root[i][j] == gram_root[j][i]
+            check(gram_root[i][j] == gram_root[j][i], "root Gram matrix not symmetric")
     pos = _positive_roots(cartan)
     top_height = sum(pos[-1])
     tops = [r for r in pos if sum(r) == top_height]
-    assert len(tops) == 1, "highest root must be unique"
+    check(len(tops) == 1, "highest root must be unique")
     theta = tops[0]
     h_dual = Fraction(1) + sum(theta[j] * d[j] for j in range(rank))
-    assert h_dual.denominator == 1
+    check(h_dual.denominator == 1, "dual Coxeter number is not an integer")
     return AlgebraData(
         series=series,
         rank=rank,
@@ -354,7 +355,7 @@ def same_weyl_orbit(x: Weight, y: Weight) -> bool:
 
 def _floor_sqrt(t: Fraction) -> int:
     """floor(sqrt(t)) for rational t >= 0."""
-    assert t >= 0
+    check(t >= 0, "square root of a negative number")
     return isqrt(t.numerator * t.denominator) // t.denominator
 
 
@@ -399,13 +400,3 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
             out.append(RootVector(algebra, m))
     out.sort(key=lambda rv: rv.coords)
     return out
-
-
-def gram_is_positive_definite(algebra: AlgebraData) -> bool:
-    """Leading principal minors of the root Gram matrix are all positive."""
-    g = algebra.gram_root
-    for k in range(1, algebra.rank + 1):
-        sub = [row[:k] for row in g[:k]]
-        if determinant(sub) <= 0:
-            return False
-    return True

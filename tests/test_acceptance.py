@@ -18,13 +18,8 @@ from weylmod.affine_numerics import (
     irreducibility_certificate,
     kostant_bound_C,
 )
-from weylmod.chevalley import (
-    casimir_matrix,
-    chevalley_basis,
-    rep_adjoint,
-    rep_from_hw,
-    rep_tensor,
-)
+from helpers import casimir_matrix, rep_adjoint, rep_tensor
+from weylmod.chevalley import chevalley_basis, rep_from_hw
 from weylmod.cli import main as cli_main
 from weylmod.explicit_module import (
     build_truncated,

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import casimir_matrix, rep_adjoint
 from weylmod.chevalley import (
-    casimir_matrix,
     chevalley_basis,
     build_irrep,
-    rep_adjoint,
     rep_defining,
     rep_dual_defining,
     rep_from_hw,

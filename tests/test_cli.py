@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 import weylmod
+from helpers import job_config_from_json_dict
 from weylmod import affine_numerics
+from weylmod import explicit_module as em
 from weylmod.cli import JobConfig, build_parser, main
 from weylmod.rational import ComplexRational
 
@@ -24,10 +26,10 @@ def _run(argv, capsys):
 def test_job_config_round_trip():
     cfg = JobConfig("certify", "A", 1, weights=[[2]], kappa=Fraction(-2),
                     n_max=None, fmt="json")
-    assert JobConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert job_config_from_json_dict(cfg.to_json_dict()) == cfg
     cfg2 = JobConfig("crossvalidate", "A", 2, weights=[[1, 0]],
                      kappa=ComplexRational(-1, 1), n_max=2, fmt="text")
-    assert JobConfig.from_json_dict(cfg2.to_json_dict()) == cfg2
+    assert job_config_from_json_dict(cfg2.to_json_dict()) == cfg2
 
 
 def test_parser_routes_subcommands():
@@ -143,6 +145,15 @@ def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
         assert json.loads(out)["reason"] == expected
         assert code == (2 if expected is None else 0)
         assert len(calls) == 1, argv
+    # crossvalidate: one scan per module, shared by every degree
+    for argv in (
+        ["A", "1", "--hw", "2", "--kappa=-2", "--depth", "4"],
+        ["A", "1", "--hw", "0", "--kappa=-1+1i", "--depth", "2"],
+    ):
+        calls.clear()
+        code, out, _ = _run(["crossvalidate"] + argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert len(calls) == 1, argv
 
 
 def test_certify_rejects_nonnegative_kappa(capsys):
@@ -255,6 +266,16 @@ def test_console_script_installed():
                           text=True)
     assert proc.returncode == 0
     assert "dimension 3" in proc.stdout
+
+
+def test_invariant_failure_exits_one_without_traceback(monkeypatch, capsys):
+    # a wrong Casimir scalar breaks the Sugawara invariant L0 = a/(2 kappa) + n
+    monkeypatch.setattr(em, "casimir_on_irrep", lambda algebra, hw: Fraction(99))
+    code, out, err = _run(["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1",
+                           "--depth", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: Sugawara sum is not the expected scalar at degree 0\n"
 
 
 def test_module_entry_point():

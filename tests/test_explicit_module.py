@@ -21,7 +21,7 @@ from weylmod.explicit_module import (
     virasoro_commutation_check,
 )
 from weylmod.graded_sym import sym_ad_graded
-from weylmod.rational import ComplexRational
+from weylmod.rational import ComplexRational, parse_scalar
 from weylmod.root_system import build_algebra
 
 SL2 = build_algebra("A", 1)
@@ -58,6 +58,8 @@ def test_layer_dimensions_match_graded_sym():
 def test_degree_bookkeeping():
     m = _sl2(hw=2, depth=2)
     assert m.dim == 3 + 9 + 27
+    # the action store is built; the straightening memos are not kept
+    assert not hasattr(m, "_opmemo") and not hasattr(m, "_lmmemo")
     for n in range(3):
         for idx in m.degree_range(n):
             assert m.degree_of(idx) == n
@@ -141,6 +143,13 @@ def test_negative_mode_is_partial_positive_is_not():
         lower.block(2)
     with pytest.raises(ValueError):
         act(m, "e", 3)
+    # the image of a top-degree vector under a lowering mode leaves the truncation
+    top = m.degree_range(2).start
+    with pytest.raises(ValueError):
+        m.apply_generator(0, -1, top)
+    with pytest.raises(ValueError):
+        m.apply_to_vector(0, -1, {top: Fraction(1)})
+    assert m.apply_generator(0, 3, top) == {}
 
 
 def _commutator_check(m, pairs_of_modes):
@@ -395,6 +404,35 @@ def test_module_json_entries_match_action():
                 expect.append([i, j, str(v)])
     assert block["entries"] == expect
     assert block["target_degree"] == 0
+    # act(...).block, apply_generator and the JSON entries read one store
+    for m in (
+        _sl2(hw=2, kappa=Fraction(-2), depth=2),
+        _sl2(hw=1, kappa=ComplexRational(-1, 1), depth=2),
+        build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1, 2), 1),
+        build_truncated(SL3, SL3.weight([0, 1]), ComplexRational(-1, 1), 1),
+    ):
+        _assert_action_forms_agree(m)
+
+
+def _assert_action_forms_agree(m):
+    d = module_json_dict(m)
+    for action in d["actions"]:
+        mat = act(m, action["generator"], action["mode"])
+        p = m.generator_index(action["generator"])
+        assert action["partial"] is mat.partial
+        sources = [b["source_degree"] for b in action["blocks"]]
+        assert sources == [n for n in mat.source_degrees if n >= mat.mode]
+        for b in action["blocks"]:
+            n, t = b["source_degree"], b["target_degree"]
+            block = mat.block(n)
+            src, tgt = m.degree_range(n), m.degree_range(t)
+            dense = [[0] * len(src) for _ in tgt]
+            for i, j, v in b["entries"]:
+                dense[i][j] = parse_scalar(v)
+            assert block == dense
+            for j, idx in enumerate(src):
+                column = {tgt.start + i: row[j] for i, row in enumerate(block) if row[j]}
+                assert m.apply_generator(p, mat.mode, idx) == column
 
 
 def test_module_json_marks_partial_modes():

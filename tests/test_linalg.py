@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction
 
+from helpers import determinant
 from weylmod.linalg import (
     SpanBuilder,
-    determinant,
     matrix_inverse,
     normalize_vector,
     nullspace,

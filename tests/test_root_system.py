@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import gram_is_positive_definite
 from weylmod.root_system import (
     build_algebra,
     dominant_representative,
     enumerate_root_lattice_ball,
-    gram_is_positive_definite,
     inner_product,
     norm_sq,
     pair_weight_root,
