@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .finite_rep import length_of
-from .graded_sym import weyl_level_decomposition
+from .finite_rep import tensor_decompose
+from .graded_sym import sym_ad_graded
 from .rational import ComplexRational, scalar_im, scalar_re
 from .root_system import (
     RootVector,
@@ -216,11 +216,16 @@ class ResonanceScan:
         return IrreducibilityVerdict(INCONCLUSIVE, None, positive)
 
     def delta(self, kappa, n_max: int) -> DeltaBound:
-        """The length bound of delta_upper_bound for M = L(lambda - rho)."""
+        """The length bound of delta_upper_bound for M = L(lambda - rho).
+
+        S(ad) is expanded once, to the largest candidate degree, and each
+        candidate level M (x) S(ad)_n is read from that one expansion.
+        """
         algebra = self.lam.algebra
         m_hw = self.lam - algebra.rho
         levels = sorted({p.n for p in self.pairs(kappa, n_max)})
-        total = sum(length_of(weyl_level_decomposition(algebra, m_hw, n)) for n in levels)
+        graded = sym_ad_graded(algebra, levels[-1])
+        total = sum(tensor_decompose(m_hw, graded.level(n)).length() for n in levels)
         return DeltaBound(total, self.level_bound(kappa) <= n_max)
 
 

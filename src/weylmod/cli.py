@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from . import affine_numerics as an
 from . import explicit_module as em
-from .finite_rep import casimir_on_irrep, weyl_dimension
-from .graded_sym import sym_ad_graded, weyl_level_decomposition
+from .finite_rep import casimir_on_irrep, tensor_decompose, weyl_dimension
+from .graded_sym import sym_ad_graded
 from .invariant import InvariantError, check
 from .rational import format_fraction, format_scalar, parse_scalar
 from .root_system import build_algebra, norm_sq
@@ -215,8 +215,9 @@ def cmd_symlevels(config: JobConfig, out) -> int:
     levels = []
     lines = ["S(ad) levels for %s%d" % (algebra.series, algebra.rank)]
     for n in range(n_max + 1):
-        dec = weyl_level_decomposition(algebra, trivial, n)
-        dim = graded.level(n).dimension()
+        level = graded.level(n)
+        dec = tensor_decompose(trivial, level)
+        dim = level.dimension()
         check(dim == dec.dimension(),
               "level %d: S(ad) dimension differs from its decomposition", n)
         levels.append(

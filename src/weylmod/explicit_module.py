@@ -106,10 +106,10 @@ def monomials_of_degree(dim_g: int, n: int, max_factor=None):
 class TruncatedWeylModule:
     """Degrees 0..depth of Ind(M)_kappa with its action store.
 
-    Immutable after construction (l0 is computed on first use); use
-    build_truncated to construct.  The action of every x_p eps^m with
-    |m| <= depth is straightened once, here, into column-sparse form, and
-    every operator below reads that store.  scan is the resonance scan of
+    Immutable after construction (l0 and the annihilator levels are
+    computed on first use and held); use build_truncated to construct.  The
+    action of every x_p eps^m with |m| <= depth is straightened once, here,
+    into column-sparse form, and every operator below reads that store.  scan is the resonance scan of
     lambda = m_hw + rho when kappa lies outside the nonnegative reals (where
     candidates apply), else None.
     """
@@ -145,6 +145,7 @@ class TruncatedWeylModule:
             weights.append(w)
         self.weights = tuple(weights)
         self._action = _straighten(self)
+        self._annihilators = {}
 
     # -- layout --------------------------------------------------------------
 
@@ -191,6 +192,12 @@ class TruncatedWeylModule:
     def l0(self) -> "L0Matrix":
         """The Sugawara L0 of sugawara_l0, computed on first use."""
         return sugawara_l0(self)
+
+    def annihilator(self, order: int) -> "AnnihilatorSubspace":
+        """V(order) of annihilator_level, computed on first use and held."""
+        if order not in self._annihilators:
+            self._annihilators[order] = annihilator_level(self, order)
+        return self._annihilators[order]
 
     def generator_index(self, x) -> int:
         if isinstance(x, int):
@@ -667,7 +674,8 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     The middle map is i(v)(x) = (x eps) v.  Checks, all exactly and within
     the degree window of V(order): the kernel of i equals V(1), i lands in
     V(order-1) componentwise, i is a g-map for the adjoint-twisted action on
-    Hom, and V(order) is g-stable.  Returns (ok, diagnostics).
+    Hom, and V(order) is g-stable.  The levels come from module.annihilator,
+    so each is built once per module.  Returns (ok, diagnostics).
     """
     if order < 1:
         raise ValueError("annihilator order must be >= 1")
@@ -675,8 +683,8 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
         raise ValueError(
             "window too small: need depth >= %d for V(%d)" % (order, order)
         )
-    v_top = annihilator_level(module, order)
-    v_one = annihilator_level(module, 1)
+    v_top = module.annihilator(order)
+    v_one = module.annihilator(1)
     window = v_top.window
 
     basis = v_top.vectors
@@ -701,7 +709,7 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     kernel_matches = kernel_inside and kernel_span.rank() == span_v1.rank()
 
     # i lands in V(order-1) when order >= 2 (for order = 1 the map is zero)
-    v_prev = annihilator_level(module, order - 1) if order >= 2 else None
+    v_prev = module.annihilator(order - 1) if order >= 2 else None
     lands = True
     for d, vec in basis:
         for p in range(module.cb.dim):

@@ -5,22 +5,31 @@ cached Weyl-orbit expansion).  Multiplicities come from Freudenthal's
 recursion, dimensions from the Weyl dimension formula, tensor products from
 the signed reflection rule (Brauer-Klimyk), and Casimir eigenvalues from
 c(nu) = |nu+rho|^2 - |rho|^2.
+
+Every character here has dominant integral highest weights, so inside the
+engine weights are tuples of ints in fundamental-weight coordinates: the
+dominant and full maps of a Character, orbit expansion, products, the
+reflections of Brauer-Klimyk, and Freudenthal and the Weyl dimension formula
+(which pair weights in an integer multiple of the invariant form).  Weight
+objects (Fraction coordinates) appear only at the boundary: the arguments of
+the public functions, the keys of Character.dominant and of a
+DecompositionMultiset, and Character.items().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
 
 from .invariant import check
 from .root_system import (
     AlgebraData,
     Weight,
-    dominant_representative,
-    inner_product,
+    dominant_coords,
     norm_sq,
-    reflect_simple,
-    weyl_orbit,
+    orbit_coords,
 )
 
 
@@ -32,66 +41,86 @@ def _require_dominant_integral(hw: Weight):
 
 
 class Character:
-    """A Weyl-group-invariant character with finite support."""
+    """A Weyl-group-invariant character with finite support.
 
-    __slots__ = ("algebra", "dominant", "_full")
+    Built from {dominant integral Weight: multiplicity}, held as
+    {dominant int tuple: multiplicity} plus the cached full map.
+    """
+
+    __slots__ = ("algebra", "_dominant", "_full")
 
     def __init__(self, algebra: AlgebraData, dominant: dict):
-        self.algebra = algebra
-        self.dominant = {w: int(m) for w, m in dominant.items() if m}
-        for w, m in self.dominant.items():
+        dominant = {w: int(m) for w, m in dominant.items() if m}
+        for w, m in dominant.items():
             if m < 0:
                 raise ValueError("negative multiplicity at %r" % (w,))
-            if not w.is_dominant():
-                raise ValueError("non-dominant key %r" % (w,))
+            _require_dominant_integral(w)
+        self.algebra = algebra
+        self._dominant = {tuple(map(int, w.coords)): m for w, m in dominant.items()}
         self._full = None
 
+    @classmethod
+    def _of(cls, algebra: AlgebraData, dominant: dict, full=None) -> "Character":
+        char = cls.__new__(cls)
+        char.algebra, char._dominant, char._full = algebra, dominant, full
+        return char
+
+    @classmethod
+    def from_full_map(cls, algebra: AlgebraData, full: dict) -> "Character":
+        """The character whose full map is {int tuple: positive multiplicity};
+        the map is kept, not copied."""
+        return cls._of(algebra, {c: m for c, m in full.items() if min(c) >= 0}, full)
+
+    @property
+    def dominant(self) -> dict:
+        """Dominant Weight -> multiplicity."""
+        return {Weight(self.algebra, c): m for c, m in self._dominant.items()}
+
     def full_map(self) -> dict:
-        """Weight coords tuple -> multiplicity, over the whole orbit."""
+        """Int tuple -> multiplicity over the whole support (read-only)."""
         if self._full is None:
+            cartan = self.algebra.cartan
             full = {}
-            for w, m in self.dominant.items():
-                for u in weyl_orbit(w):
-                    full[u.coords] = m
+            for c, m in self._dominant.items():
+                for u in orbit_coords(cartan, c):
+                    full[u] = m
             self._full = full
         return self._full
 
     def multiplicity(self, w: Weight) -> int:
-        dom, _ = dominant_representative(w)
-        return self.dominant.get(dom, 0)
+        dom, _ = dominant_coords(self.algebra.cartan, w.coords)
+        return self._dominant.get(dom, 0)
 
     def dimension(self) -> int:
         return sum(self.full_map().values())
 
     def dominant_items(self):
-        return sorted(self.dominant.items(), key=lambda kv: kv[0].coords)
+        alg = self.algebra
+        return [(Weight(alg, c), m) for c, m in sorted(self._dominant.items())]
 
     def items(self):
         alg = self.algebra
-        return sorted(
-            ((Weight(alg, c), m) for c, m in self.full_map().items()),
-            key=lambda kv: kv[0].coords,
-        )
+        return [(Weight(alg, c), m) for c, m in sorted(self.full_map().items())]
 
     def __eq__(self, other):
         return (
             isinstance(other, Character)
             and self.algebra == other.algebra
-            and self.dominant == other.dominant
+            and self._dominant == other._dominant
         )
 
     def __hash__(self):
-        return hash(frozenset(self.dominant.items()))
+        return hash(frozenset(self._dominant.items()))
 
     def __add__(self, other):
         if other == 0:
             return self
         if self.algebra != other.algebra:
             raise ValueError("characters over different algebras")
-        out = dict(self.dominant)
-        for w, m in other.dominant.items():
-            out[w] = out.get(w, 0) + m
-        return Character(self.algebra, out)
+        out = dict(self._dominant)
+        for c, m in other._dominant.items():
+            out[c] = out.get(c, 0) + m
+        return Character._of(self.algebra, out)
 
     __radd__ = __add__
 
@@ -101,27 +130,26 @@ class Character:
             return Character(self.algebra, {w: m * other for w, m in self.dominant.items()})
         if self.algebra != other.algebra:
             raise ValueError("characters over different algebras")
-        a, b = self.full_map(), other.full_map()
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        n = self.algebra.rank
-        for ca, ma in a.items():
-            for cb, mb in b.items():
-                key = tuple(ca[i] + cb[i] for i in range(n))
-                out[key] = out.get(key, 0) + ma * mb
-        dom = {}
-        alg = self.algebra
-        for c, m in out.items():
-            if all(x >= 0 for x in c):
-                dom[Weight(alg, c)] = m
-        return Character(alg, dom)
+        out = add_product({}, self.full_map(), other.full_map())
+        return Character.from_full_map(self.algebra, out)
 
     __rmul__ = __mul__
 
     def __repr__(self):
         parts = ["%r:%d" % (w, m) for w, m in self.dominant_items()]
         return "Character{%s}" % ", ".join(parts)
+
+
+def add_product(acc: dict, a: dict, b: dict) -> dict:
+    """acc += a * b for full maps {int tuple: multiplicity}; returns acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ca, ma in a.items():
+        for cb, mb in b.items():
+            key = tuple(map(add, ca, cb))
+            acc[key] = get(key, 0) + ma * mb
+    return acc
 
 
 class DecompositionMultiset:
@@ -163,43 +191,63 @@ class DecompositionMultiset:
         return "Decomposition{%s}" % ", ".join(parts)
 
 
-def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
-    """dim L(hw) by the Weyl dimension formula."""
-    _require_dominant_integral(hw)
-    rho = algebra.rho
-    num = Fraction(1)
-    lam_rho = hw + rho
-    d = algebra.d
+@lru_cache(maxsize=None)
+def _scaled_form(algebra: AlgebraData):
+    """The invariant form on fundamental-weight coordinates, times the least
+    L > 0 that makes it integral; the positive roots in those coordinates;
+    and for each root alpha the vector form @ alpha, so that
+    (x, alpha) = x . (form @ alpha).
+
+    Freudenthal's recursion and the Weyl dimension formula use only ratios
+    of pairings, which the factor L leaves unchanged.
+    """
     n = algebra.rank
-    for root in algebra.positive_roots:
-        # (w, alpha) = sum_j d_j w_j alpha_j for alpha in root coords
-        top = sum(lam_rho.coords[j] * d[j] * root[j] for j in range(n))
-        bot = sum(rho.coords[j] * d[j] * root[j] for j in range(n))
-        num *= top / bot
-    check(num.denominator == 1, "Weyl dimension formula is not integral")
-    return int(num)
+    # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k
+    form = [[algebra.d[j] * algebra.cartan_inv[j][k] for k in range(n)] for j in range(n)]
+    scale = lcm(*(x.denominator for row in form for x in row))
+    form = tuple(tuple(int(x * scale) for x in row) for row in form)
+    roots = tuple(
+        tuple(map(int, algebra.root_vector(r).to_weight().coords))
+        for r in algebra.positive_roots
+    )
+    pairs = tuple(tuple(sum(map(mul, row, alpha)) for row in form) for alpha in roots)
+    return form, roots, pairs
 
 
-def _weight_closure(hw: Weight):
-    """The saturated weight set of L(hw) via simple root strings."""
-    seen = {hw}
-    stack = [hw]
-    n = hw.algebra.rank
-    simple_roots = [
-        hw.algebra.root_vector([int(i == j) for j in range(n)]).to_weight()
-        for i in range(n)
-    ]
+def _norm_rho(form, w) -> int:
+    """|w + rho|^2 in the scaled form, rho = (1, ..., 1)."""
+    v = [c + 1 for c in w]
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, form))
+
+
+def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
+    """dim L(hw) = prod over alpha > 0 of (hw + rho, alpha) / (rho, alpha)."""
+    _require_dominant_integral(hw)
+    lam_rho = [int(c) + 1 for c in hw.coords]
+    num = den = 1
+    for pair in _scaled_form(algebra)[2]:
+        num *= sum(map(mul, lam_rho, pair))
+        den *= sum(pair)
+    dim, r = divmod(num, den)
+    check(r == 0, "Weyl dimension formula is not integral")
+    return dim
+
+
+def _weight_closure(cartan, top):
+    """The saturated weight set of L(top) via simple root strings."""
+    n = len(top)
+    seen = {top}
+    stack = [top]
     while stack:
         w = stack.pop()
         for i in range(n):
-            k = w.coords[i]
-            if k > 0:
-                cur = w
-                for _ in range(int(k)):
-                    cur = cur - simple_roots[i]
-                    if cur not in seen:
-                        seen.add(cur)
-                        stack.append(cur)
+            cur = w
+            for _ in range(w[i]):
+                # subtract alpha_i, the i-th column of the Cartan matrix
+                cur = tuple(cur[j] - cartan[j][i] for j in range(n))
+                if cur not in seen:
+                    seen.add(cur)
+                    stack.append(cur)
     return seen
 
 
@@ -207,40 +255,35 @@ def _weight_closure(hw: Weight):
 def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     """Character of the irreducible L(hw), multiplicities by Freudenthal."""
     _require_dominant_integral(hw)
-    rho = algebra.rho
-    weights = _weight_closure(hw)
+    form, roots, pairs = _scaled_form(algebra)
+    cartan = algebra.cartan
+    top = tuple(map(int, hw.coords))
+    weights = _weight_closure(cartan, top)
+    # a dominant weight above w has a larger |. + rho|^2, so in this order
+    # every multiplicity the recursion reads is already known
     dominants = sorted(
-        (w for w in weights if w.is_dominant()),
-        key=lambda w: sum((hw - w).to_root_coords()),
+        (w for w in weights if min(w) >= 0),
+        key=lambda w: (-_norm_rho(form, w), w),
     )
-    lam_norm = norm_sq(hw + rho)
-    mults = {hw: 1}
-    alg_roots = [algebra.root_vector(r).to_weight() for r in algebra.positive_roots]
+    lam_norm = _norm_rho(form, top)
+    mults = {top: 1}
     for w in dominants[1:]:
-        acc = Fraction(0)
-        for alpha in alg_roots:
-            k = 1
-            while True:
-                u = w + _scale(alpha, k)
-                if u not in weights:
-                    break
-                dom, _ = dominant_representative(u)
-                m = mults.get(dom, 0)
+        acc = 0
+        for alpha, pair in zip(roots, pairs):
+            u = tuple(map(add, w, alpha))
+            while u in weights:
+                m = mults.get(dominant_coords(cartan, u)[0], 0)
                 if m:
-                    acc += 2 * m * inner_product(u, alpha)
-                k += 1
-        denom = lam_norm - norm_sq(w + rho)
+                    acc += m * sum(map(mul, u, pair))
+                u = tuple(map(add, u, alpha))
+        denom = lam_norm - _norm_rho(form, w)
         check(denom != 0, "Freudenthal denominator vanishes")
-        val = acc / denom
-        check(val.denominator == 1 and val >= 0,
+        val, r = divmod(2 * acc, denom)
+        check(r == 0 and val >= 0,
               "Freudenthal multiplicity is not a nonnegative integer")
         if val:
-            mults[w] = int(val)
-    return Character(algebra, mults)
-
-
-def _scale(w: Weight, k: int) -> Weight:
-    return Weight(w.algebra, tuple(k * c for c in w.coords))
+            mults[w] = val
+    return Character._of(algebra, mults)
 
 
 def adjoint_character(algebra: AlgebraData) -> Character:
@@ -286,45 +329,36 @@ def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
     _require_dominant_integral(nu)
     if algebra != u.algebra:
         raise ValueError("mixed algebras in tensor product")
-    rho = algebra.rho
-    base = nu + rho
+    cartan = algebra.cartan
+    base = [int(c) + 1 for c in nu.coords]  # nu + rho, rho = (1, ..., 1)
     out = {}
-    n = algebra.rank
     for coords, mult in u.full_map().items():
-        t = Weight(algebra, tuple(base.coords[i] + coords[i] for i in range(n)))
-        sign = 1
-        while True:
-            i = next((k for k, c in enumerate(t.coords) if c < 0), None)
-            if i is None:
-                break
-            t = reflect_simple(t, i)
-            sign = -sign
-        if any(c == 0 for c in t.coords):
+        t, count = dominant_coords(cartan, map(add, base, coords))
+        if 0 in t:
             continue
-        w = t - rho
-        out[w] = out.get(w, 0) + sign * mult
-    for w, m in list(out.items()):
-        check(m >= 0, "negative tensor multiplicity at %r", w)
-        if m == 0:
-            del out[w]
-    return DecompositionMultiset(algebra, out)
+        out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
+    mults = {}
+    for t, m in out.items():
+        check(m >= 0, "negative tensor multiplicity at nu + rho = %r", t)
+        if m:
+            mults[Weight(algebra, [c - 1 for c in t])] = m
+    return DecompositionMultiset(algebra, mults)
 
 
 def decompose_character(char: Character) -> DecompositionMultiset:
     """Write a character as a sum of irreducibles by subtracting leaders."""
     algebra = char.algebra
-    remaining = dict(char.dominant)
+    form = _scaled_form(algebra)[0]
+    remaining = dict(char._dominant)
     out = {}
-
-    def _height_key(w):
-        return (sum(w.to_root_coords()), w.coords)
-
     while remaining:
-        w = max(remaining, key=_height_key)
-        m = remaining[w]
+        # no weight lies above one of largest |. + rho|^2: it is a leader
+        c = max(remaining, key=lambda w: (_norm_rho(form, w), w))
+        m = remaining[c]
         check(m > 0, "character is not a non-negative sum of irreducibles")
+        w = Weight(algebra, c)
         out[w] = out.get(w, 0) + m
-        for u, mu in irrep_character(algebra, w).dominant_items():
+        for u, mu in irrep_character(algebra, w)._dominant.items():
             r = remaining.get(u, 0) - m * mu
             if r:
                 remaining[u] = r

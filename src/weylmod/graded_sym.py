@@ -4,17 +4,19 @@ The degree-n level of an induced module Ind(M) is M (x) S(ad)^n as a
 g-module, where S(ad) is the symmetric algebra on one copy of g in each
 positive degree k (the image of g t^{-k}).  Levels are computed as exact
 characters: Sym powers by the Adams/Newton recursion, the degree filtration
-by truncated convolution over k.
+by truncated convolution over k.  As in finite_rep, the recursion runs on
+int-tuple weight keys and int multiplicities; Weight objects appear only in
+the returned Characters' public views.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .finite_rep import (
     Character,
     DecompositionMultiset,
+    add_product,
     adjoint_character,
     irrep_character,
     tensor_decompose,
@@ -57,7 +59,6 @@ class GradedCharacter:
 
 def _adams(char: Character, k: int) -> dict:
     """Full map of the Adams operation psi^k: weight b -> k b."""
-    n = char.algebra.rank
     out = {}
     for coords, m in char.full_map().items():
         key = tuple(k * c for c in coords)
@@ -65,80 +66,66 @@ def _adams(char: Character, k: int) -> dict:
     return out
 
 
-def _full_to_character(algebra: AlgebraData, full: dict) -> Character:
-    dom = {}
-    for c, m in full.items():
-        if all(x >= 0 for x in c):
-            if m:
-                dom[Weight(algebra, c)] = m
-    return Character(algebra, dom)
-
-
 def sym_powers(char: Character, m_max: int):
     """Characters of Sym^m(V) for m = 0..m_max by Newton's identity.
 
     m h_m = sum_{k=1}^{m} psi^k(chi) h_{m-k}, computed on full weight maps
-    with Fraction intermediates; the results are integral.
+    in integers; each sum is checked to be divisible by m.
     """
     algebra = char.algebra
-    n = algebra.rank
     adams = {k: _adams(char, k) for k in range(1, m_max + 1)}
-    h = [{(Fraction(0),) * n: Fraction(1)}]
+    h = [{(0,) * algebra.rank: 1}]
     for m in range(1, m_max + 1):
         acc = {}
         for k in range(1, m + 1):
-            pk = adams[k]
-            hk = h[m - k]
-            for ca, ma in pk.items():
-                for cb, mb in hk.items():
-                    key = tuple(ca[i] + cb[i] for i in range(n))
-                    acc[key] = acc.get(key, 0) + ma * mb
+            add_product(acc, adams[k], h[m - k])
         full = {}
         for c, v in acc.items():
-            x = Fraction(v, m)
-            if x:
-                check(x.denominator == 1, "fractional multiplicity in Sym^%d", m)
-                full[c] = int(x)
+            q, r = divmod(v, m)
+            check(r == 0 and q >= 0, "Sym^%d multiplicity is not a natural number", m)
+            if q:
+                full[c] = q
         h.append(full)
-    return [_full_to_character(algebra, full) for full in h]
+    return [Character.from_full_map(algebra, full) for full in h]
 
 
 def _convolve_graded(levels_a, levels_b, n_max):
+    """Degree-wise product of two graded full maps, truncated at n_max."""
     out = []
-    algebra = levels_a[0].algebra
-    zero = Character(algebra, {})
     for nn in range(n_max + 1):
-        acc = zero
+        acc = {}
         for i in range(nn + 1):
-            j = nn - i
-            if i < len(levels_a) and j < len(levels_b):
-                ca, cb = levels_a[i], levels_b[j]
-                if ca.dominant and cb.dominant:
-                    acc = acc + ca * cb
+            if levels_a[i] and levels_b[nn - i]:
+                add_product(acc, levels_a[i], levels_b[nn - i])
         out.append(acc)
     return out
 
 
 @lru_cache(maxsize=None)
 def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
-    """S(ad) by total degree: tensor over k of Sym(g t^{-k}), truncated."""
+    """S(ad) by total degree: tensor over k of Sym(g t^{-k}), truncated.
+
+    The truncation is prefix-stable: for n <= n_max, level n of
+    sym_ad_graded(algebra, n_max) equals level n of sym_ad_graded(algebra, n).
+    A factor Sym(g t^{-k}) with k > n lives in degrees 0 and >= k > n, so
+    it contributes only its degree-0 unit to the levels up to n, and
+    truncating each convolution at n_max rather than n drops only terms of
+    degree > n.  So a caller that needs several degrees expands S(ad) once,
+    to the largest of them, and reads the others with level(n).
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     ad = adjoint_character(algebra)
-    one = Character(algebra, {Weight(algebra, (0,) * algebra.rank): 1})
-    zero = Character(algebra, {})
-    levels = [one] + [zero] * n_max
+    levels = [{(0,) * algebra.rank: 1}] + [{}] * n_max
     for k in range(1, n_max + 1):
         syms = sym_powers(ad, n_max // k)
         # S(g t^-k) graded by degree: Sym^m sits in degree k*m
-        factor = []
-        for deg in range(n_max + 1):
-            if deg % k == 0:
-                factor.append(syms[deg // k])
-            else:
-                factor.append(zero)
+        factor = [
+            syms[deg // k].full_map() if deg % k == 0 else {}
+            for deg in range(n_max + 1)
+        ]
         levels = _convolve_graded(levels, factor, n_max)
-    return GradedCharacter(algebra, levels)
+    return GradedCharacter(algebra, [Character.from_full_map(algebra, f) for f in levels])
 
 
 def weyl_level_character(algebra: AlgebraData, m_hw: Weight, n: int) -> Character:

@@ -321,32 +321,60 @@ def reflect_simple(w: Weight, i: int) -> Weight:
     )
 
 
+def dominant_coords(cartan, v):
+    """The dominant point of the Weyl orbit of the coordinate tuple v, and
+    the number of simple reflections used to reach it.
+
+    Works on any exact coordinates (int or Fraction); s_i maps v to
+    v - v_i A[., i] and is applied at the first negative coordinate.
+    """
+    v = list(v)
+    n = len(v)
+    count = 0
+    i = 0
+    while i < n:
+        c = v[i]
+        if c < 0:
+            for j in range(n):
+                v[j] -= c * cartan[j][i]
+            count += 1
+            i = 0
+        else:
+            i += 1
+    return tuple(v), count
+
+
+def orbit_coords(cartan, v) -> set:
+    """The Weyl orbit of the coordinate tuple v, as a set of tuples.
+
+    Starts from the dominant point and reflects only at positive
+    coordinates: s_i fixes v when v_i = 0, and every orbit point is reached
+    from the dominant one by lowering steps.
+    """
+    n = len(v)
+    top = dominant_coords(cartan, v)[0]
+    seen = {top}
+    stack = [top]
+    while stack:
+        u = stack.pop()
+        for i, c in enumerate(u):
+            if c > 0:
+                r = tuple(u[j] - c * cartan[j][i] for j in range(n))
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+    return seen
+
+
 def dominant_representative(w: Weight):
     """The dominant Weyl-orbit representative and the reflection count used."""
-    cur = w
-    count = 0
-    while True:
-        i = next((k for k, c in enumerate(cur.coords) if c < 0), None)
-        if i is None:
-            return cur, count
-        cur = reflect_simple(cur, i)
-        count += 1
+    dom, count = dominant_coords(w.algebra.cartan, w.coords)
+    return Weight(w.algebra, dom), count
 
 
 def weyl_orbit(w: Weight):
     """The full Weyl orbit of w, as a deterministic sorted list."""
-    seen = {w}
-    layer = [w]
-    while layer:
-        nxt = []
-        for v in layer:
-            for i in range(w.algebra.rank):
-                u = reflect_simple(v, i)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        layer = nxt
-    return sorted(seen, key=lambda u: u.coords)
+    return [Weight(w.algebra, c) for c in sorted(orbit_coords(w.algebra.cartan, w.coords))]
 
 
 def same_weyl_orbit(x: Weight, y: Weight) -> bool:

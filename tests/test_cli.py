@@ -13,6 +13,7 @@ import weylmod
 from helpers import job_config_from_json_dict
 from weylmod import affine_numerics
 from weylmod import explicit_module as em
+from weylmod.graded_sym import sym_ad_graded
 from weylmod.cli import JobConfig, build_parser, main
 from weylmod.rational import ComplexRational
 
@@ -154,6 +155,40 @@ def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
         code, out, _ = _run(["crossvalidate"] + argv + ["--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"] is True
         assert len(calls) == 1, argv
+
+
+def test_sym_ad_is_expanded_once_per_job(capsys):
+    # symlevels reads every level, and an inconclusive certify every
+    # candidate degree, from one S(ad) expansion
+    for argv, code_expected in (
+        (["symlevels", "B", "3", "--n", "4"], 0),
+        (["certify", "A", "2", "--hw", "2", "0", "--kappa=-1/2"], 2),
+    ):
+        sym_ad_graded.cache_clear()
+        code, out, _ = _run(argv + ["--format", "json"], capsys)
+        assert code == code_expected
+        json.loads(out)
+        assert sym_ad_graded.cache_info().misses == 1, argv
+
+
+def test_kl_check_builds_each_annihilator_level_once(monkeypatch, capsys):
+    built = []
+    build = em.annihilator_level
+
+    def counted(module, order):
+        built.append(order)
+        return build(module, order)
+
+    monkeypatch.setattr(em, "annihilator_level", counted)
+    argv = ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "5",
+            "--format", "json"]
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["checks"]["kl_exact"] is True
+    assert [entry["order"] for entry in report["kl"]] == [1, 2]
+    # V(1) and V(2), each built once and shared by both orders
+    assert sorted(built) == [1, 2]
 
 
 def test_certify_rejects_nonnegative_kappa(capsys):

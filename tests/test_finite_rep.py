@@ -137,3 +137,91 @@ def test_length_of():
     assert length_of(dec.character()) == 6
     with pytest.raises(TypeError):
         length_of([1, 2, 3])
+
+
+_PRODUCT_CASES = {
+    ("A", 1): [(0,), (1,), (3,)],
+    ("A", 2): [(1, 0), (0, 2), (2, 1)],
+    ("A", 3): [(1, 0, 0), (0, 1, 1)],
+    ("B", 2): [(1, 0), (0, 1), (1, 1)],
+    ("C", 3): [(1, 0, 0), (0, 0, 1)],
+    ("G", 2): [(1, 0), (0, 1)],
+}
+
+
+def test_tensor_decompose_matches_decomposed_product():
+    for (series, rank), coords in _PRODUCT_CASES.items():
+        alg = build_algebra(series, rank)
+        for ca in coords:
+            for cb in coords:
+                a, b = alg.weight(ca), alg.weight(cb)
+                dec = tensor_decompose(a, b)
+                product = irrep_character(alg, a) * irrep_character(alg, b)
+                assert dec == decompose_character(product), (series, ca, cb)
+                assert dec.dimension() == product.dimension()
+                # the character form of the rule gives the same multiset
+                assert tensor_decompose(a, irrep_character(alg, b)) == dec
+
+
+def test_character_keys_are_integer_tuples():
+    sl3 = build_algebra("A", 2)
+    adj = irrep_character(sl3, sl3.weight([1, 1]))
+    for key in adj.full_map():
+        assert all(type(c) is int for c in key)
+    # Weight objects at the boundary
+    assert adj.dominant == {sl3.weight([1, 1]): 1, sl3.weight([0, 0]): 2}
+    assert adj.items()[0] == (sl3.weight([-2, 1]), 1)
+    assert adj.multiplicity(sl3.weight([-1, -1])) == 1
+    with pytest.raises(ValueError):
+        Character(sl3, {sl3.weight([Fraction(1, 2), 0]): 1})
+    with pytest.raises(ValueError):
+        Character(sl3, {sl3.weight([-1, 2]): 1})
+    assert Character(sl3, {sl3.weight([-1, 2]): 0}) == Character(sl3, {})
+
+
+def test_tensor_product_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    algebras = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2)]
+
+    @st.composite
+    def weight_pair(draw):
+        series, rank = draw(st.sampled_from(algebras))
+        alg = build_algebra(series, rank)
+        coord = st.integers(min_value=0, max_value=2 if rank <= 2 else 1)
+        a = [draw(coord) for _ in range(rank)]
+        b = [draw(coord) for _ in range(rank)]
+        return alg, alg.weight(a), alg.weight(b)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(weight_pair())
+    def commutes_and_multiplies_dimensions(case):
+        alg, a, b = case
+        dec = tensor_decompose(a, b)
+        assert dec == tensor_decompose(b, a)
+        assert dec.dimension() == weyl_dimension(alg, a) * weyl_dimension(alg, b)
+
+    commutes_and_multiplies_dimensions()
+
+
+# fundamental representation dimensions, sorted (independent of labelling)
+_FUNDAMENTAL_DIMS = {
+    ("B", 3): [7, 8, 21],
+    ("C", 3): [6, 14, 14],
+    ("D", 4): [8, 8, 8, 28],
+    ("G", 2): [7, 14],
+    ("F", 4): [26, 52, 273, 1274],
+    ("E", 6): [27, 27, 78, 351, 351, 2925],
+}
+
+
+def test_freudenthal_and_weyl_dimension_match_known_fundamentals():
+    for (series, rank), dims in _FUNDAMENTAL_DIMS.items():
+        alg = build_algebra(series, rank)
+        fundamentals = [alg.weight([int(i == j) for j in range(rank)])
+                        for i in range(rank)]
+        assert sorted(weyl_dimension(alg, w) for w in fundamentals) == dims
+        for w in fundamentals:
+            char = irrep_character(alg, w)
+            assert char.dimension() == weyl_dimension(alg, w), (series, w)
+            assert char.multiplicity(w) == 1

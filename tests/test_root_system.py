@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import gram_is_positive_definite
+from weylmod.finite_rep import Character
 from weylmod.root_system import (
     build_algebra,
+    dominant_coords,
     dominant_representative,
     enumerate_root_lattice_ball,
     inner_product,
     norm_sq,
+    orbit_coords,
     pair_weight_root,
     reflect_simple,
     root_norm_sq,
@@ -119,6 +122,67 @@ def test_weyl_orbit_sizes_sl2():
     sl2 = build_algebra("A", 1)
     assert len(weyl_orbit(sl2.weight([0]))) == 1
     assert len(weyl_orbit(sl2.weight([3]))) == 2
+
+
+# |W| by type: (n+1)!, 2^n n!, 2^(n-1) n!, and the exceptional orders
+_WEYL_ORDER = {
+    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("B", 2): 8,
+    ("B", 3): 48, ("C", 3): 48, ("D", 4): 192, ("G", 2): 12, ("F", 4): 1152,
+}
+
+
+def _parabolic_order(algebra, support):
+    """|W_J| for the simple reflections J = support, by Macdonald's formula
+    |W_J| = prod over positive roots alpha of Phi_J of (ht alpha + 1)/ht alpha."""
+    order = Fraction(1)
+    for root in algebra.positive_roots:
+        if all(root[j] == 0 for j in range(algebra.rank) if j not in support):
+            order *= Fraction(sum(root) + 1, sum(root))
+    assert order.denominator == 1
+    return int(order)
+
+
+def _reflection_closure(w):
+    """Brute force: close {w} under all simple reflections."""
+    seen = {w.coords}
+    stack = [w]
+    while stack:
+        v = stack.pop()
+        for i in range(v.algebra.rank):
+            u = reflect_simple(v, i)
+            if u.coords not in seen:
+                seen.add(u.coords)
+                stack.append(u)
+    return seen
+
+
+def _test_weights(rank):
+    yield (0,) * rank
+    yield (1,) * rank
+    for i in range(rank):
+        yield tuple(int(i == j) for j in range(rank))
+    yield tuple(j % 3 for j in range(rank))
+    yield tuple(2 * (j % 2) for j in range(rank))
+
+
+@pytest.mark.parametrize("series,rank", sorted(_WEYL_ORDER))
+def test_integer_orbits_match_weyl_orbit_and_orbit_size(series, rank):
+    a = build_algebra(series, rank)
+    order = _WEYL_ORDER[series, rank]
+    assert _parabolic_order(a, set(range(rank))) == order
+    for coords in _test_weights(rank):
+        w = a.weight(coords)
+        stabilizer = _parabolic_order(a, {i for i in range(rank) if coords[i] == 0})
+        full = Character(a, {w: 1}).full_map()
+        assert len(full) == order // stabilizer, coords
+        assert all(type(c) is int for key in full for c in key)
+        assert set(full) == {u.coords for u in weyl_orbit(w)}
+        if order <= 192:
+            assert set(full) == _reflection_closure(w)
+        # the orbit of any of its points is the same orbit
+        some = sorted(full)[len(full) // 2]
+        assert orbit_coords(a.cartan, some) == set(full)
+        assert dominant_coords(a.cartan, some)[0] == coords
 
 
 def test_ball_enumeration_exact():
