@@ -588,9 +588,10 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
 
 class AnnihilatorSubspace:
     """Exact basis of V(order): vectors killed by all monomials in the
-    positive modes of loop degree >= order, reported on degrees <= window."""
+    positive modes of loop degree >= order, reported on degrees <= window.
+    The span of each degree is built on first use and held."""
 
-    __slots__ = ("module", "order", "window", "vectors", "dims_by_degree")
+    __slots__ = ("module", "order", "window", "vectors", "dims_by_degree", "_spans")
 
     def __init__(self, module, order, window, vectors):
         self.module = module
@@ -601,16 +602,19 @@ class AnnihilatorSubspace:
         for d, _ in vectors:
             dims[d] = dims.get(d, 0) + 1
         self.dims_by_degree = dims
+        self._spans = {}
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
     def span_contains(self, degree: int, vec: dict) -> bool:
-        span = SpanBuilder(self.module.dim)
-        for d, v in self.vectors:
-            if d == degree:
-                span.add(v)
+        span = self._spans.get(degree)
+        if span is None:
+            span = self._spans[degree] = SpanBuilder(self.module.dim)
+            for d, v in self.vectors:
+                if d == degree:
+                    span.add(v)
         return span.contains(vec)
 
     def __repr__(self):

@@ -1,110 +1,170 @@
 """Exact linear algebra over Q and Q(i).
 
-Kernels and ranks are computed by fraction-free Gaussian elimination
-(Bareiss): rows are scaled to (Gaussian) integers, the elimination runs in
-integer arithmetic with exact divisions, and only the final back
-substitution for a nullspace basis returns to rationals.  This keeps entry
-growth polynomial and avoids per-operation gcd normalization in the hot
-loop.
+One elimination kernel does all the work: SpanBuilder, a sparse,
+incremental, fraction-free (Bareiss) row reduction on Gaussian integers.
+Every input vector is scaled to Gaussian integers, held as pairs (a, b)
+for a + bi, and augmented by a unit vector naming it, so one reduction
+yields spans, coordinates and linear relations.  nullspace, rank and
+matrix_inverse are thin uses of it.
 
-Scalars accepted everywhere: int, Fraction, ComplexRational.
+Stage k holds a pivot column c_k, the pivot p_k != 0 and its row (with
+the augmentation) as reduced by stages 1..k-1.  A vector v passes stage k
+as v <- (p_k v - v[c_k] row_k) / p_{k-1}, with p_0 = 1.  By Sylvester's
+identity every entry so produced is a minor of the matrix of rows seen so
+far (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968), so each division is exact,
+entries grow only like minors, and the loop takes no gcd.
+
+Stages are skipped lazily.  If v[c_k] = 0, stage k would only multiply v
+by p_k / p_{k-1}; these factors telescope, so a vector skips the stage and
+the next stage it does pass divides by the pivot of the last stage it
+passed instead of by p_{k-1}.  A row that survives every stage is raised
+by p_last / p_passed before it is stored, which puts it back at the exact
+Bareiss scale.
+
+Scalars accepted everywhere: int, Fraction, ComplexRational.  Results are
+Fraction, or ComplexRational when not real; never float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rational import ComplexRational
 
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
-def _row_to_pairs(row):
-    """Scale a row of scalars to Gaussian integers; returns list of (a, b)."""
-    den = 1
-    for x in row:
-        if isinstance(x, ComplexRational):
-            den = _lcm(den, _lcm(x.re.denominator, x.im.denominator))
-        else:
-            den = _lcm(den, Fraction(x).denominator)
-    out = []
-    for x in row:
-        if isinstance(x, ComplexRational):
-            out.append((int(x.re * den), int(x.im * den)))
-        else:
-            f = Fraction(x) * den
-            out.append((int(f), 0))
-    return out
+def _scaled(vec):
+    """({index: (a, b)}, den) with vec[index] = (a + b i) / den; zeros dropped.
 
-
-def _bareiss(rows, ncols):
-    """In-place fraction-free echelon form on Gaussian-integer pair rows.
-
-    Returns the pivot list [(row, col), ...].
+    vec is a list or a sparse {index: value} dict; den is the least common
+    denominator of its entries.
     """
-    m = len(rows)
-    pivots = []
-    r = 0
-    pa, pb = 1, 0  # previous pivot, starts at 1
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != (0, 0):
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        va, vb = rows[r][c]
-        nn = pa * pa + pb * pb
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            wa, wb = row_i[c]
-            row_r = rows[r]
-            for j in range(c + 1, ncols):
-                xa, xb = row_i[j]
-                ya, yb = row_r[j]
-                # t = piv * x - w * y, then exact division by previous pivot
-                ta = va * xa - vb * xb - (wa * ya - wb * yb)
-                tb = va * xb + vb * xa - (wa * yb + wb * ya)
-                if pa == 1 and pb == 0:
-                    row_i[j] = (ta, tb)
-                else:
-                    # (ta + tb i) / (pa + pb i), exact by Sylvester's identity
-                    na = ta * pa + tb * pb
-                    nb = tb * pa - ta * pb
-                    row_i[j] = (na // nn, nb // nn)
-            row_i[c] = (0, 0)
-        pivots.append((r, c))
-        pa, pb = va, vb
-        r += 1
-        if r == m:
-            break
-    return pivots
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    parts = []
+    den = 1
+    for k, x in items:
+        if x:
+            re, im = (x.re, x.im) if isinstance(x, ComplexRational) else (x, 0)
+            den = lcm(den, re.denominator, im.denominator)
+            parts.append((k, re, im))
+    return {
+        k: (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator))
+        for k, re, im in parts
+    }, den
 
 
-def _prepare(rows):
-    return [_row_to_pairs(row) for row in rows]
+def _step(p, u, x, w, q):
+    """(p u - x w) / q on sparse Gaussian-integer rows; the division is exact."""
+    pa, pb = p
+    xa, xb = x
+    out = {k: (pa * a - pb * b, pa * b + pb * a) for k, (a, b) in u.items()}
+    for k, (a, b) in w.items():
+        ta, tb = out.get(k, _ZERO)
+        out[k] = (ta - xa * a + xb * b, tb - xa * b - xb * a)
+    qa, qb = q
+    if qb:
+        n = qa * qa + qb * qb
+        return {k: ((a * qa + b * qb) // n, (b * qa - a * qb) // n)
+                for k, (a, b) in out.items() if a or b}
+    return {k: (a // qa, b // qa) for k, (a, b) in out.items() if a or b}
 
 
-def rank(rows, ncols=None) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    return len(_bareiss(_prepare(rows), ncols))
+def _scalar(re, im):
+    return ComplexRational(re, im) if im else Fraction(re)
 
 
-def _pair_scalar(a, b):
-    if b == 0:
-        return Fraction(a)
-    return ComplexRational(a, b)
+class SpanBuilder:
+    """Incremental exact span of generators, with coordinates and relations.
+
+    add() appends a generator; coords() expresses a vector as an exact
+    combination of the generators added so far, or reports that it lies
+    outside their span.  Vectors may be passed as lists or as sparse
+    {index: value} dicts; all internal work is sparse.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.stages = []  # (pivot column, pivot, row, augmentation)
+        self.n_added = 0
+
+    def _reduce(self, vec, tag):
+        """Reduce vec augmented by its denominator at tag (None: no augmentation).
+
+        Returns (row, aug, q): the reduced row and augmentation, both at the
+        scale of the last stage passed, whose pivot is q.  Throughout,
+        row = sum of aug[k] * (generator k), with tag standing for vec.
+        """
+        row, den = _scaled(vec)
+        aug = None if tag is None else {tag: (den, 0)}
+        q = _ONE
+        for c, p, srow, saug in self.stages:
+            x = row.get(c)
+            if x is not None:
+                row = _step(p, row, x, srow, q)
+                if aug is not None:
+                    aug = _step(p, aug, x, saug, q)
+                q = p
+        return row, aug, q
+
+    def _add(self, vec):
+        """Store vec as generator n_added if it enlarges the span; return None.
+
+        Otherwise return a relation {generator: Gaussian integer} whose
+        combination of generators is zero; the key n_added stands for vec.
+        """
+        row, aug, q = self._reduce(vec, self.n_added)
+        if not row:
+            return aug
+        if self.stages and self.stages[-1][1] != q:
+            p = self.stages[-1][1]
+            row = _step(p, row, _ZERO, {}, q)
+            aug = _step(p, aug, _ZERO, {}, q)
+        c = min(row)
+        self.stages.append((c, row[c], row, aug))
+        self.n_added += 1
+        return None
+
+    def add(self, vec) -> bool:
+        """Add a generator; True if it enlarged the span.
+
+        Dependent vectors are discarded and do not consume a generator
+        index, so coords() keys match the order of successful adds.
+        """
+        return self._add(vec) is None
+
+    def rank(self) -> int:
+        return len(self.stages)
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec, None)[0]
+
+    def coords(self, vec):
+        """Coefficients over added-generator indices, or None if outside."""
+        row, aug, _ = self._reduce(vec, self.n_added)
+        if row:
+            return None
+        c, d = aug.pop(self.n_added)
+        n = c * c + d * d
+        return {
+            k: _scalar(Fraction(-a * c - b * d, n), Fraction(a * d - b * c, n))
+            for k, (a, b) in aug.items()
+        }
+
+
+def _canonical(pairs):
+    """Content 1 and a positive leading entry, as Fraction/ComplexRational."""
+    g = gcd(*(x for pair in pairs for x in pair))
+    if not g:
+        return [Fraction(0)] * len(pairs)
+    a, b = next(pair for pair in pairs if pair != _ZERO)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return [_scalar(a // g, b // g) for a, b in pairs]
 
 
 def normalize_vector(vec):
@@ -114,169 +174,53 @@ def normalize_vector(vec):
     zero real part and positive imaginary part.  Deterministic, so kernel
     bases and JSON dumps are reproducible byte for byte.
     """
-    from math import gcd
+    pairs, _ = _scaled(vec)
+    return _canonical([pairs.get(i, _ZERO) for i in range(len(vec))])
 
-    den = 1
-    for x in vec:
-        if isinstance(x, ComplexRational):
-            den = _lcm(den, _lcm(x.re.denominator, x.im.denominator))
-        else:
-            den = _lcm(den, Fraction(x).denominator)
-    ints = []
-    for x in vec:
-        if isinstance(x, ComplexRational):
-            ints.append((int(x.re * den), int(x.im * den)))
-        else:
-            ints.append((int(Fraction(x) * den), 0))
-    g = 0
-    for a, b in ints:
-        g = gcd(g, gcd(abs(a), abs(b)))
-    if g == 0:
-        return [Fraction(0) for _ in vec]
-    lead = 1
-    for a, b in ints:
-        if (a, b) != (0, 0):
-            if a < 0 or (a == 0 and b < 0):
-                lead = -1
-            break
-    out = []
-    for a, b in ints:
-        a, b = lead * a // g, lead * b // g
-        out.append(_pair_scalar(a, b))
-    return out
+
+def rank(rows, ncols=None) -> int:
+    """Rank of the matrix with the given rows: the number of stages."""
+    span = SpanBuilder(ncols)
+    for row in rows:
+        span.add(row)
+    return span.rank()
 
 
 def nullspace(rows, ncols):
     """Exact right-nullspace basis of the matrix with the given rows.
 
-    Returns normalized basis vectors (length ncols), one per free column,
-    in increasing free-column order.
+    The columns are added to one SpanBuilder from left to right.  A column
+    in the span of those before it is free, and its relation is its kernel
+    vector.  Returns normalized basis vectors (length ncols), one per free
+    column, in increasing free-column order.
     """
-    rows = [r for r in _prepare(rows) if any(x != (0, 0) for x in r)]
-    pivots = _bareiss(rows, ncols)
-    pivot_cols = [c for (_, c) in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    rows = list(rows)
+    span = SpanBuilder(len(rows))
+    pivots = []  # column of each generator
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        vc = [ComplexRational(0)] * ncols  # imaginary parts, if any
-        # back-substitute pivot variables
-        for (i, c) in reversed(pivots):
-            if c > f:
-                continue
-            row = rows[i]
-            s = ComplexRational(0)
-            for j in range(c + 1, ncols):
-                a, b = row[j]
-                if a == 0 and b == 0:
-                    continue
-                xj = vc[j] + v[j]
-                s = s + ComplexRational(a, b) * xj
-            pa, pb = row[c]
-            x = -s / ComplexRational(pa, pb)
-            if x.im == 0:
-                v[c] = x.re
-            else:
-                vc[c] = x
-        vec = []
-        for j in range(ncols):
-            x = vc[j] + v[j]
-            vec.append(x.re if x.im == 0 else x)
-        basis.append(normalize_vector(vec))
+    for c in range(ncols):
+        relation = span._add({i: row[c] for i, row in enumerate(rows) if row[c]})
+        if relation is None:
+            pivots.append(c)
+            continue
+        # times the conjugate of the entry at c, so that entry is rational
+        ta, tb = relation[len(pivots)]
+        vec = [_ZERO] * ncols
+        for k, (a, b) in relation.items():
+            vec[pivots[k] if k < len(pivots) else c] = (a * ta + b * tb, b * ta - a * tb)
+        basis.append(_canonical(vec))
     return basis
 
 
 def matrix_inverse(rows):
-    """Exact inverse of a square rational matrix."""
+    """Exact inverse of a square matrix: row j holds the coords of e_j."""
     n = len(rows)
-    a = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
+    span = SpanBuilder(n)
+    for row in rows:
+        if not span.add(row):
             raise ValueError("matrix is singular")
-        a[c], a[pr] = a[pr], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
-
-
-class SpanBuilder:
-    """Incremental exact row reduction with coordinate tracking.
-
-    Maintains a reduced spanning set of the vectors added so far; coords()
-    expresses a vector as an exact combination of the added generators or
-    reports that it lies outside the span.  Vectors may be passed as lists
-    or as sparse {index: value} dicts; all internal work is sparse.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivot_rows = {}  # pivot index -> (sparse row, combo dict)
-        self.n_added = 0
-
-    @staticmethod
-    def _sparse(vec):
-        if isinstance(vec, dict):
-            return {k: v for k, v in vec.items() if v}
-        return {i: x for i, x in enumerate(vec) if x}
-
-    def _reduce(self, vec, combo):
-        vec = self._sparse(vec)
-        # pivot rows have their leading entry at the pivot index, so one
-        # ascending pass fully reduces
-        for p in sorted(self.pivot_rows):
-            x = vec.get(p)
-            if not x:
-                continue
-            row, rcombo = self.pivot_rows[p]
-            for k, v in row.items():
-                nv = vec.get(k, 0) - x * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, c in rcombo.items():
-                combo[k] = combo.get(k, 0) - x * c
-        return vec, combo
-
-    def add(self, vec) -> bool:
-        """Add a generator; True if it enlarged the span.
-
-        Dependent vectors are discarded and do not consume a generator
-        index, so coords() keys match the order of successful adds.
-        """
-        tag = self.n_added
-        vec, combo = self._reduce(vec, {tag: Fraction(1)})
-        if not vec:
-            return False
-        self.n_added += 1
-        p = min(vec)
-        inv = 1 / vec[p]
-        vec = {k: x * inv for k, x in vec.items()}
-        combo = {k: c * inv for k, c in combo.items() if c}
-        self.pivot_rows[p] = (vec, combo)
-        return True
-
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def contains(self, vec) -> bool:
-        red, _ = self._reduce(vec, {})
-        return not red
-
-    def coords(self, vec):
-        """Coefficients over added-generator indices, or None if outside."""
-        red, combo = self._reduce(vec, {})
-        if red:
-            return None
-        return {k: -c for k, c in combo.items() if c}
+    zero = Fraction(0)
+    return tuple(
+        tuple(coords.get(i, zero) for i in range(n))
+        for coords in (span.coords({j: 1}) for j in range(n))
+    )

@@ -191,6 +191,36 @@ def test_kl_check_builds_each_annihilator_level_once(monkeypatch, capsys):
     assert sorted(built) == [1, 2]
 
 
+def test_kl_check_builds_each_annihilator_span_once(monkeypatch, capsys):
+    # spans created while span_contains runs are charged to its (level, degree)
+    builds = {}
+    asking = []
+    span_contains = em.AnnihilatorSubspace.span_contains
+
+    def traced(self, degree, vec):
+        asking.append((id(self), self.order, degree))
+        try:
+            return span_contains(self, degree, vec)
+        finally:
+            asking.pop()
+
+    class CountedSpan(em.SpanBuilder):
+        def __init__(self, dim):
+            super().__init__(dim)
+            if asking:
+                builds[asking[-1]] = builds.get(asking[-1], 0) + 1
+
+    monkeypatch.setattr(em.AnnihilatorSubspace, "span_contains", traced)
+    monkeypatch.setattr(em, "SpanBuilder", CountedSpan)
+    argv = ["crossvalidate", "A", "1", "--hw", "2", "--kappa=-2", "--depth", "4",
+            "--format", "json"]
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["checks"]["kl_exact"] is True
+    assert builds, "the KL check asked no annihilator span"
+    assert max(builds.values()) == 1, builds
+
+
 def test_certify_rejects_nonnegative_kappa(capsys):
     code, _, err = _run(["certify", "A", "1", "--hw", "0", "--kappa", "1"],
                         capsys)

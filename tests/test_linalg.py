@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import determinant
 from weylmod.linalg import (
     SpanBuilder,
@@ -134,3 +136,186 @@ def test_span_builder_sparse_inputs():
     assert sb.contains({10: Fraction(3), 50: Fraction(6)})
     assert not sb.contains({11: Fraction(1)})
     assert sb.coords({10: Fraction(1)}) == {0: Fraction(1), 1: Fraction(-2)}
+
+
+def test_int_input_gives_exact_scalars_never_float():
+    sb = SpanBuilder(3)
+    assert sb.add([1, 0, 1])
+    assert sb.add([0, 2, 1])
+    coords = sb.coords([3, 4, 5])
+    assert coords == {0: 3, 1: 2}
+    assert all(type(x) is Fraction for x in coords.values())
+    inv = matrix_inverse([[2, 1], [7, 4]])
+    assert all(type(x) is Fraction for row in inv for x in row)
+    i = ComplexRational(0, 1)
+    sb = SpanBuilder(2)
+    assert sb.add([1, i])
+    coords = sb.coords([3, 3 * i])
+    assert coords == {0: 3}
+    assert all(isinstance(x, (Fraction, ComplexRational)) for x in coords.values())
+
+
+# Kernel bases of fixed Q(i) matrices, as the dense back-substitution kernel
+# returned them.  They pin the canonical form (one vector per free column,
+# content 1, positive leading entry) that JSON dumps depend on.
+_I = ComplexRational(0, 1)
+_PINNED_KERNELS = [
+    (
+        [[Fraction(1), _I, Fraction(2)], [Fraction(0), Fraction(1) + _I, Fraction(-1)]],
+        3,
+        [[ComplexRational(5, 1), ComplexRational(-1, 1), Fraction(-2)]],
+    ),
+    (
+        [
+            [Fraction(1, 2), ComplexRational(1, 1), Fraction(0), ComplexRational(0, -2)],
+            [Fraction(1), ComplexRational(2, 2), Fraction(0), ComplexRational(0, -4)],
+            [Fraction(0), Fraction(0), Fraction(3), _I],
+        ],
+        4,
+        [
+            [ComplexRational(2, 2), Fraction(-1), Fraction(0), Fraction(0)],
+            [ComplexRational(0, 12), Fraction(0), ComplexRational(0, -1), Fraction(3)],
+        ],
+    ),
+    (
+        [
+            [ComplexRational(2, 1), Fraction(1), Fraction(0), Fraction(-1), _I],
+            [Fraction(0), ComplexRational(1, -1), Fraction(1, 3), Fraction(0), Fraction(0)],
+            [ComplexRational(2, 1), ComplexRational(2, -1), Fraction(1, 3), Fraction(-1), _I],
+        ],
+        5,
+        [
+            [ComplexRational(3, 1), ComplexRational(-5, -5), Fraction(30), Fraction(0),
+             Fraction(0)],
+            [ComplexRational(2, -1), Fraction(0), Fraction(0), Fraction(5), Fraction(0)],
+            [ComplexRational(1, 2), Fraction(0), Fraction(0), Fraction(0), Fraction(-5)],
+        ],
+    ),
+]
+
+
+def test_pinned_gaussian_kernel_bases():
+    for rows, ncols, expected in _PINNED_KERNELS:
+        got = nullspace(rows, ncols)
+        assert got == expected
+        # real entries come back as Fraction, the others as ComplexRational
+        assert [[type(x) for x in v] for v in got] == [
+            [type(x) for x in v] for v in expected
+        ]
+
+
+def _random_gaussian_matrix(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            return re
+        return ComplexRational(re, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank(rng, m):
+    """Replace some rows by combinations of the others, to force kernels."""
+    for r in range(1, len(m)):
+        if rng.random() < 0.3:
+            a, b = rng.randrange(r), rng.randrange(r)
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            m[r] = [x + k * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def test_kernel_agrees_with_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(rows, ncols):
+        def conv(x):
+            if isinstance(x, ComplexRational):
+                return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * (
+                    sympy.Rational(x.im.numerator, x.im.denominator))
+            x = Fraction(x)
+            return sympy.Rational(x.numerator, x.denominator)
+
+        m = sympy.Matrix(len(rows), ncols, [conv(x) for r in rows for x in r])
+        return DomainMatrix.from_Matrix(m).convert_to(sympy.QQ_I)
+
+    rng = random.Random(5)
+    for trial in range(24):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 2:
+            m = _low_rank(rng, _random_gaussian_matrix(rng, nrows, ncols))
+        else:
+            m = _low_rank(rng, _random_matrix(rng, nrows, ncols))
+        dm = to_sympy(m, ncols)
+        r = dm.rank()
+        assert rank(m, ncols) == r
+        basis = nullspace(m, ncols)
+        assert len(basis) == ncols - r
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+            # the entry at the vector's own free column (its last nonzero
+            # entry) is rational: the basis is canonical up to Q, not Q(i)
+            assert type([x for x in v if x][-1]) is Fraction
+        if basis:
+            assert to_sympy(basis, ncols).rank() == len(basis)
+
+    for trial in range(12):
+        n = rng.randint(1, 12)
+        m = _random_matrix(rng, n, n, density=0.8)
+        dm = to_sympy(m, n)
+        if dm.rank() < n:
+            with pytest.raises(ValueError):
+                matrix_inverse(m)
+            continue
+        inv = matrix_inverse(m)
+        assert to_sympy(inv, n).to_Matrix() == dm.inv().to_Matrix()
+
+
+def test_span_builder_properties_against_nullspace():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    scalar = st.one_of(st.just(Fraction(0)), small, st.builds(ComplexRational, small, small))
+
+    @st.composite
+    def systems(draw):
+        dim = draw(st.integers(1, 5))
+        vec = st.lists(scalar, min_size=dim, max_size=dim)
+        gens = draw(st.lists(vec, max_size=6))
+        # the probe is often a combination of the generators, so that both
+        # branches of contains() occur
+        if gens and draw(st.booleans()):
+            coeffs = draw(st.lists(scalar, min_size=len(gens), max_size=len(gens)))
+            probe = [sum((c * g[k] for c, g in zip(coeffs, gens)), Fraction(0))
+                     for k in range(dim)]
+        else:
+            probe = draw(vec)
+        return dim, gens, probe
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(systems())
+    def span_matches_nullspace(system):
+        dim, gens, probe = system
+        sb = SpanBuilder(dim)
+        kept = [g for g in gens if sb.add(g)]
+        r = sb.rank()
+        assert r == len(kept) == rank(gens, dim)
+        assert len(nullspace(gens, dim)) == dim - r
+        # relations among the generators: the kernel of the transpose
+        transpose = [[g[k] for g in gens] for k in range(dim)]
+        assert len(nullspace(transpose, len(gens))) == len(gens) - r
+        for g in gens + [probe]:
+            coords = sb.coords(g)
+            assert (coords is not None) == sb.contains(g)
+            if coords is not None:
+                rebuilt = [sum((c * kept[j][k] for j, c in coords.items()), Fraction(0))
+                           for k in range(dim)]
+                assert rebuilt == g
+        bigger = SpanBuilder(dim)
+        for g in gens + [probe]:
+            bigger.add(g)
+        assert sb.contains(probe) == (bigger.rank() == r)
+
+    span_matches_nullspace()
