@@ -1,15 +1,16 @@
 """Finite-dimensional representation theory: characters and decompositions.
 
-Characters are stored by their dominant weights (the full weight map is a
-cached Weyl-orbit expansion).  Multiplicities come from Freudenthal's
-recursion, dimensions from the Weyl dimension formula, tensor products from
-the signed reflection rule (Brauer-Klimyk), and Casimir eigenvalues from
-c(nu) = |nu+rho|^2 - |rho|^2.
+Characters are stored by their dominant weights only: the full weight map is
+the Weyl-orbit expansion of those keys, built on request and never stored,
+and Brauer-Klimyk walks the orbits itself.  Multiplicities come from
+Freudenthal's recursion, dimensions from the Weyl dimension formula, tensor
+products from the signed reflection rule (Brauer-Klimyk), and Casimir
+eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
 
 Every character here has dominant integral highest weights, so inside the
 engine weights are tuples of ints in fundamental-weight coordinates: the
-dominant and full maps of a Character, orbit expansion, products, the
-reflections of Brauer-Klimyk, and Freudenthal and the Weyl dimension formula
+dominant map of a Character, orbit expansion, products, the reflections of
+Brauer-Klimyk, and Freudenthal and the Weyl dimension formula
 (which pair weights in an integer multiple of the invariant form).  Weight
 objects (Fraction coordinates) appear only at the boundary: the arguments of
 the public functions, the keys of Character.dominant and of a
@@ -27,6 +28,7 @@ from .invariant import check
 from .root_system import (
     AlgebraData,
     Weight,
+    dominant_below,
     dominant_coords,
     norm_sq,
     orbit_coords,
@@ -40,36 +42,43 @@ def _require_dominant_integral(hw: Weight):
         raise ValueError("highest weight must be dominant: %r" % (hw,))
 
 
+def _natural_mults(mults: dict) -> dict:
+    """The nonzero entries of {key: multiplicity} as ints; ValueError on a
+    negative or non-integral multiplicity."""
+    out = {}
+    for w, m in mults.items():
+        k = int(m)
+        if k != m:
+            raise ValueError("multiplicity %r at %r is not an integer" % (m, w))
+        if k < 0:
+            raise ValueError("negative multiplicity at %r" % (w,))
+        if k:
+            out[w] = k
+    return out
+
+
 class Character:
     """A Weyl-group-invariant character with finite support.
 
     Built from {dominant integral Weight: multiplicity}, held as
-    {dominant int tuple: multiplicity} plus the cached full map.
+    {dominant int tuple: multiplicity}.
     """
 
-    __slots__ = ("algebra", "_dominant", "_full")
+    __slots__ = ("algebra", "_dominant")
 
     def __init__(self, algebra: AlgebraData, dominant: dict):
-        dominant = {w: int(m) for w, m in dominant.items() if m}
-        for w, m in dominant.items():
-            if m < 0:
-                raise ValueError("negative multiplicity at %r" % (w,))
+        dominant = _natural_mults(dominant)
+        for w in dominant:
             _require_dominant_integral(w)
         self.algebra = algebra
         self._dominant = {tuple(map(int, w.coords)): m for w, m in dominant.items()}
-        self._full = None
 
     @classmethod
-    def _of(cls, algebra: AlgebraData, dominant: dict, full=None) -> "Character":
+    def _of(cls, algebra: AlgebraData, dominant: dict) -> "Character":
+        """The character held as {dominant int tuple: positive int}, not copied."""
         char = cls.__new__(cls)
-        char.algebra, char._dominant, char._full = algebra, dominant, full
+        char.algebra, char._dominant = algebra, dominant
         return char
-
-    @classmethod
-    def from_full_map(cls, algebra: AlgebraData, full: dict) -> "Character":
-        """The character whose full map is {int tuple: positive multiplicity};
-        the map is kept, not copied."""
-        return cls._of(algebra, {c: m for c, m in full.items() if min(c) >= 0}, full)
 
     @property
     def dominant(self) -> dict:
@@ -77,22 +86,17 @@ class Character:
         return {Weight(self.algebra, c): m for c, m in self._dominant.items()}
 
     def full_map(self) -> dict:
-        """Int tuple -> multiplicity over the whole support (read-only)."""
-        if self._full is None:
-            cartan = self.algebra.cartan
-            full = {}
-            for c, m in self._dominant.items():
-                for u in orbit_coords(cartan, c):
-                    full[u] = m
-            self._full = full
-        return self._full
+        """Int tuple -> multiplicity over the whole support, built anew."""
+        cartan = self.algebra.cartan
+        return {u: m for c, m in self._dominant.items() for u in orbit_coords(cartan, c)}
 
     def multiplicity(self, w: Weight) -> int:
         dom, _ = dominant_coords(self.algebra.cartan, w.coords)
         return self._dominant.get(dom, 0)
 
     def dimension(self) -> int:
-        return sum(self.full_map().values())
+        cartan = self.algebra.cartan
+        return sum(m * len(orbit_coords(cartan, c)) for c, m in self._dominant.items())
 
     def dominant_items(self):
         alg = self.algebra
@@ -130,26 +134,21 @@ class Character:
             return Character(self.algebra, {w: m * other for w, m in self.dominant.items()})
         if self.algebra != other.algebra:
             raise ValueError("characters over different algebras")
-        out = add_product({}, self.full_map(), other.full_map())
-        return Character.from_full_map(self.algebra, out)
+        b = other.full_map()
+        out = {}
+        get = out.get
+        for ca, ma in self.full_map().items():
+            for cb, mb in b.items():
+                key = tuple(map(add, ca, cb))
+                if min(key) >= 0:
+                    out[key] = get(key, 0) + ma * mb
+        return Character._of(self.algebra, out)
 
     __rmul__ = __mul__
 
     def __repr__(self):
         parts = ["%r:%d" % (w, m) for w, m in self.dominant_items()]
         return "Character{%s}" % ", ".join(parts)
-
-
-def add_product(acc: dict, a: dict, b: dict) -> dict:
-    """acc += a * b for full maps {int tuple: multiplicity}; returns acc."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = acc.get
-    for ca, ma in a.items():
-        for cb, mb in b.items():
-            key = tuple(map(add, ca, cb))
-            acc[key] = get(key, 0) + ma * mb
-    return acc
 
 
 class DecompositionMultiset:
@@ -159,10 +158,7 @@ class DecompositionMultiset:
 
     def __init__(self, algebra: AlgebraData, mults: dict):
         self.algebra = algebra
-        self.mults = {w: int(m) for w, m in mults.items() if m}
-        for w, m in self.mults.items():
-            if m < 0:
-                raise ValueError("negative multiplicity at %r" % (w,))
+        self.mults = _natural_mults(mults)
 
     def items(self):
         return sorted(self.mults.items(), key=lambda kv: kv[0].coords)
@@ -233,24 +229,6 @@ def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
     return dim
 
 
-def _weight_closure(cartan, top):
-    """The saturated weight set of L(top) via simple root strings."""
-    n = len(top)
-    seen = {top}
-    stack = [top]
-    while stack:
-        w = stack.pop()
-        for i in range(n):
-            cur = w
-            for _ in range(w[i]):
-                # subtract alpha_i, the i-th column of the Cartan matrix
-                cur = tuple(cur[j] - cartan[j][i] for j in range(n))
-                if cur not in seen:
-                    seen.add(cur)
-                    stack.append(cur)
-    return seen
-
-
 @lru_cache(maxsize=None)
 def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     """Character of the irreducible L(hw), multiplicities by Freudenthal."""
@@ -258,24 +236,23 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     form, roots, pairs = _scaled_form(algebra)
     cartan = algebra.cartan
     top = tuple(map(int, hw.coords))
-    weights = _weight_closure(cartan, top)
+    # the dominant weights of L(top); the weight set is W-invariant, so u is
+    # a weight exactly when dom(u) is one of them
+    weights = dominant_below(cartan, algebra.positive_roots, top)
     # a dominant weight above w has a larger |. + rho|^2, so in this order
     # every multiplicity the recursion reads is already known
-    dominants = sorted(
-        (w for w in weights if min(w) >= 0),
-        key=lambda w: (-_norm_rho(form, w), w),
-    )
+    dominants = sorted(weights, key=lambda w: (-_norm_rho(form, w), w))
     lam_norm = _norm_rho(form, top)
     mults = {top: 1}
     for w in dominants[1:]:
         acc = 0
         for alpha, pair in zip(roots, pairs):
             u = tuple(map(add, w, alpha))
-            while u in weights:
-                m = mults.get(dominant_coords(cartan, u)[0], 0)
-                if m:
-                    acc += m * sum(map(mul, u, pair))
+            dom = dominant_coords(cartan, u)[0]
+            while dom in weights:
+                acc += mults.get(dom, 0) * sum(map(mul, u, pair))
                 u = tuple(map(add, u, alpha))
+                dom = dominant_coords(cartan, u)[0]
         denom = lam_norm - _norm_rho(form, w)
         check(denom != 0, "Freudenthal denominator vanishes")
         val, r = divmod(2 * acc, denom)
@@ -332,11 +309,12 @@ def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
     cartan = algebra.cartan
     base = [int(c) + 1 for c in nu.coords]  # nu + rho, rho = (1, ..., 1)
     out = {}
-    for coords, mult in u.full_map().items():
-        t, count = dominant_coords(cartan, map(add, base, coords))
-        if 0 in t:
-            continue
-        out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
+    for c, mult in u._dominant.items():
+        for coords in orbit_coords(cartan, c):
+            t, count = dominant_coords(cartan, map(add, base, coords))
+            if 0 in t:
+                continue
+            out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
     mults = {}
     for t, m in out.items():
         check(m >= 0, "negative tensor multiplicity at nu + rho = %r", t)

@@ -1,28 +1,42 @@
 """Graded symmetric algebra of copies of the adjoint representation.
 
-The degree-n level of an induced module Ind(M) is M (x) S(ad)^n as a
+The degree-n level of an induced module Ind(M) is M (x) S(ad)_n as a
 g-module, where S(ad) is the symmetric algebra on one copy of g in each
-positive degree k (the image of g t^{-k}).  Levels are computed as exact
-characters: Sym powers by the Adams/Newton recursion, the degree filtration
-by truncated convolution over k.  As in finite_rep, the recursion runs on
-int-tuple weight keys and int multiplicities; Weight objects appear only in
-the returned Characters' public views.
+positive degree k (the image of g t^{-k}).  Its character is
+H = sum_n H_n q^n = prod_{k>=1} prod_gamma (1 - q^k e^gamma)^{-m_gamma}, gamma
+running over the weights of ad with multiplicities m_gamma, and the levels
+come from one recursion on dominant weights beta:
+
+    n H_n(beta) = sum_{d=1..n} sum_{j|d} (d/j) sum_gamma m_gamma
+                  H_{n-d}(dom(beta - j gamma)).
+
+Proof note.  log H = sum_{k,gamma,j>=1} m_gamma q^{kj} e^{j gamma} / j, so
+q dH/dq = H P with P_d = sum_{j|d} (d/j) sum_gamma m_gamma e^{j gamma} (put
+d = kj); compare the coefficients of q^n e^beta (Newton's identity, in the
+spirit of Moody-Patera, "Fast recursion formula for weight multiplicities",
+Bull. AMS 1982).  Each H_n is a character, hence W-invariant, so the lookup
+at beta - j gamma may be made at its dominant point: the recursion reads and
+writes dominant keys only.  The weights of S(ad)_n are sums of n weights of
+ad, all <= n theta, so beta runs over root_system.dominant_below(n theta).
+As in finite_rep, keys are int tuples and multiplicities ints; Weight
+objects appear only in the returned Characters' public views.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .finite_rep import (
     Character,
     DecompositionMultiset,
-    add_product,
     adjoint_character,
     irrep_character,
     tensor_decompose,
 )
 from .invariant import check
-from .root_system import AlgebraData, Weight
+from .root_system import AlgebraData, Weight, dominant_below, dominant_coords
 
 
 class GradedCharacter:
@@ -57,75 +71,58 @@ class GradedCharacter:
         return "GradedCharacter(dims=%r)" % (self.dims(),)
 
 
-def _adams(char: Character, k: int) -> dict:
-    """Full map of the Adams operation psi^k: weight b -> k b."""
-    out = {}
-    for coords, m in char.full_map().items():
-        key = tuple(k * c for c in coords)
-        out[key] = out.get(key, 0) + m
-    return out
-
-
-def sym_powers(char: Character, m_max: int):
-    """Characters of Sym^m(V) for m = 0..m_max by Newton's identity.
-
-    m h_m = sum_{k=1}^{m} psi^k(chi) h_{m-k}, computed on full weight maps
-    in integers; each sum is checked to be divisible by m.
-    """
-    algebra = char.algebra
-    adams = {k: _adams(char, k) for k in range(1, m_max + 1)}
-    h = [{(0,) * algebra.rank: 1}]
-    for m in range(1, m_max + 1):
-        acc = {}
-        for k in range(1, m + 1):
-            add_product(acc, adams[k], h[m - k])
-        full = {}
-        for c, v in acc.items():
-            q, r = divmod(v, m)
-            check(r == 0 and q >= 0, "Sym^%d multiplicity is not a natural number", m)
-            if q:
-                full[c] = q
-        h.append(full)
-    return [Character.from_full_map(algebra, full) for full in h]
-
-
-def _convolve_graded(levels_a, levels_b, n_max):
-    """Degree-wise product of two graded full maps, truncated at n_max."""
-    out = []
-    for nn in range(n_max + 1):
-        acc = {}
-        for i in range(nn + 1):
-            if levels_a[i] and levels_b[nn - i]:
-                add_product(acc, levels_a[i], levels_b[nn - i])
-        out.append(acc)
-    return out
-
-
 @lru_cache(maxsize=None)
 def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
-    """S(ad) by total degree: tensor over k of Sym(g t^{-k}), truncated.
+    """S(ad) by total degree, levels 0..n_max, by the module's recursion.
 
-    The truncation is prefix-stable: for n <= n_max, level n of
-    sym_ad_graded(algebra, n_max) equals level n of sym_ad_graded(algebra, n).
-    A factor Sym(g t^{-k}) with k > n lives in degrees 0 and >= k > n, so
-    it contributes only its degree-0 unit to the levels up to n, and
-    truncating each convolution at n_max rather than n drops only terms of
-    degree > n.  So a caller that needs several degrees expands S(ad) once,
-    to the largest of them, and reads the others with level(n).
+    The truncation is prefix-stable: level n is computed from levels 0..n-1
+    alone, so for n <= n_max level n of sym_ad_graded(algebra, n_max) equals
+    level n of sym_ad_graded(algebra, n).  A caller that needs several
+    degrees expands S(ad) once, to the largest of them, and reads the others
+    with level(n).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ad = adjoint_character(algebra)
-    levels = [{(0,) * algebra.rank: 1}] + [{}] * n_max
-    for k in range(1, n_max + 1):
-        syms = sym_powers(ad, n_max // k)
-        # S(g t^-k) graded by degree: Sym^m sits in degree k*m
-        factor = [
-            syms[deg // k].full_map() if deg % k == 0 else {}
-            for deg in range(n_max + 1)
-        ]
-        levels = _convolve_graded(levels, factor, n_max)
-    return GradedCharacter(algebra, [Character.from_full_map(algebra, f) for f in levels])
+    cartan = algebra.cartan
+    ad = adjoint_character(algebra).full_map()
+    theta = tuple(map(int, algebra.root_vector(algebra.highest_root).to_weight().coords))
+    # every level lives on the dominant weights <= n_max theta; a lookup
+    # outside them reads 0, and a lookup inside reuses the one key object
+    support = dominant_below(cartan, algebra.positive_roots,
+                             tuple(n_max * t for t in theta))
+    canon = {b: b for b in support}
+    memo = {}  # (beta, j) -> (keys dom(beta - j gamma), summed m_gamma)
+
+    def shifts(beta, j):
+        got = memo.get((beta, j))
+        if got is None:
+            acc = {}
+            for gamma, m in ad.items():
+                key = canon.get(dominant_coords(
+                    cartan, [b - j * g for b, g in zip(beta, gamma)])[0])
+                if key is not None:
+                    acc[key] = acc.get(key, 0) + m
+            got = memo[beta, j] = (tuple(acc), tuple(acc.values()))
+        return got
+
+    levels = [{(0,) * algebra.rank: 1}]
+    for n in range(1, n_max + 1):
+        level = {}
+        for beta in dominant_below(cartan, algebra.positive_roots,
+                                   tuple(n * t for t in theta)):
+            total = 0
+            for j in range(1, n + 1):
+                keys, mults = shifts(beta, j)
+                for t in range(1, n // j + 1):
+                    prev = levels[n - t * j]
+                    total += t * sum(map(mul, mults, map(prev.get, keys, repeat(0))))
+            h, r = divmod(total, n)
+            check(r == 0 and h >= 0,
+                  "S(ad) level %d multiplicity is not a natural number", n)
+            if h:
+                level[canon[beta]] = h
+        levels.append(level)
+    return GradedCharacter(algebra, [Character._of(algebra, lv) for lv in levels])
 
 
 def weyl_level_character(algebra: AlgebraData, m_hw: Weight, n: int) -> Character:

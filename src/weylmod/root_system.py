@@ -366,6 +366,30 @@ def orbit_coords(cartan, v) -> set:
     return seen
 
 
+def dominant_below(cartan, roots, top) -> set:
+    """The dominant int tuples mu <= top (top - mu a sum of positive roots);
+    roots are the positive roots in simple-root coordinates.
+
+    Walks down from top one positive root at a time inside the dominant
+    chamber.  By Stembridge ("The partial order of dominant weights", Adv.
+    Math. 1998), for dominant mu < nu some nu - alpha is dominant and >= mu,
+    so the walk reaches every such mu.
+    """
+    n = len(cartan)
+    steps = [tuple(sum(cartan[i][j] * a[j] for j in range(n)) for i in range(n))
+             for a in roots]
+    seen = {top}
+    stack = [top]
+    while stack:
+        u = stack.pop()
+        for s in steps:
+            v = tuple(x - y for x, y in zip(u, s))
+            if min(v) >= 0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def dominant_representative(w: Weight):
     """The dominant Weyl-orbit representative and the reflection count used."""
     dom, count = dominant_coords(w.algebra.cartan, w.coords)

@@ -1,5 +1,6 @@
 """Constructions that only the tests use: extra representations, the
-Casimir matrix, a determinant, and a JobConfig parser.
+Casimir matrix, a determinant, a JobConfig parser, and the full-weight-map
+oracles for S(ad) and for the weights of an irreducible.
 
 The test modules import this file as ``helpers``; pytest puts the tests
 directory on the import path.
@@ -9,8 +10,9 @@ from fractions import Fraction
 
 from weylmod.chevalley import ChevalleyBasis, Rep, _mat_mul
 from weylmod.cli import JobConfig
+from weylmod.finite_rep import Character, adjoint_character
 from weylmod.rational import parse_scalar
-from weylmod.root_system import AlgebraData
+from weylmod.root_system import AlgebraData, Weight
 
 
 def rep_adjoint(cb: ChevalleyBasis) -> Rep:
@@ -115,3 +117,101 @@ def job_config_from_json_dict(data: dict) -> JobConfig:
         n_max=data.get("n_max"),
         fmt=data.get("format", "text"),
     )
+
+
+# -- full-weight-map oracles ---------------------------------------------------
+# A full map is {int tuple in fundamental coordinates: multiplicity} over the
+# whole support; these multiply full maps weight by weight and never reduce a
+# key to its dominant point.
+
+
+def _add_product(acc: dict, a: dict, b: dict) -> dict:
+    """acc += a * b for full maps; returns acc."""
+    for ca, ma in a.items():
+        for cb, mb in b.items():
+            key = tuple(x + y for x, y in zip(ca, cb))
+            acc[key] = acc.get(key, 0) + ma * mb
+    return acc
+
+
+def _adams(full: dict, k: int) -> dict:
+    """Full map of the Adams operation psi^k: weight b -> k b."""
+    out = {}
+    for coords, m in full.items():
+        key = tuple(k * c for c in coords)
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def _sym_power_maps(full: dict, rank: int, m_max: int):
+    """Full maps of Sym^m(V), m = 0..m_max, by Newton's identity
+    m h_m = sum_{k=1}^{m} psi^k(chi) h_{m-k}."""
+    h = [{(0,) * rank: 1}]
+    for m in range(1, m_max + 1):
+        acc = {}
+        for k in range(1, m + 1):
+            _add_product(acc, _adams(full, k), h[m - k])
+        level = {}
+        for c, v in acc.items():
+            q, r = divmod(v, m)
+            assert r == 0 and q >= 0, (m, c, v)
+            if q:
+                level[c] = q
+        h.append(level)
+    return h
+
+
+def _dominant_character(algebra: AlgebraData, full: dict) -> Character:
+    dominant = {Weight(algebra, c): m for c, m in full.items() if min(c) >= 0}
+    return Character(algebra, dominant)
+
+
+def sym_powers(char: Character, m_max: int):
+    """Characters of Sym^m(V) for m = 0..m_max by Newton's identity."""
+    algebra = char.algebra
+    maps = _sym_power_maps(char.full_map(), algebra.rank, m_max)
+    return [_dominant_character(algebra, f) for f in maps]
+
+
+def sym_ad_full_maps(algebra: AlgebraData, n_max: int):
+    """Full maps of S(ad)_n, n = 0..n_max: the tensor product over k of
+    Sym(g t^{-k}), as a degree-wise convolution truncated at n_max."""
+    ad = adjoint_character(algebra).full_map()
+    levels = [{(0,) * algebra.rank: 1}] + [{}] * n_max
+    for k in range(1, n_max + 1):
+        syms = _sym_power_maps(ad, algebra.rank, n_max // k)
+        # Sym^m(g t^{-k}) sits in degree k m
+        factor = [syms[deg // k] if deg % k == 0 else {} for deg in range(n_max + 1)]
+        levels = _convolve_graded(levels, factor, n_max)
+    return levels
+
+
+def _convolve_graded(levels_a, levels_b, n_max):
+    """Degree-wise product of two graded full maps, truncated at n_max."""
+    out = []
+    for nn in range(n_max + 1):
+        acc = {}
+        for i in range(nn + 1):
+            if levels_a[i] and levels_b[nn - i]:
+                _add_product(acc, levels_a[i], levels_b[nn - i])
+        out.append(acc)
+    return out
+
+
+def weight_closure(cartan, top) -> set:
+    """The saturated weight set of L(top), as int tuples, via simple root
+    strings: from each weight w, w - k alpha_i for k = 1..w_i."""
+    n = len(top)
+    seen = {top}
+    stack = [top]
+    while stack:
+        w = stack.pop()
+        for i in range(n):
+            cur = w
+            for _ in range(w[i]):
+                # subtract alpha_i, the i-th column of the Cartan matrix
+                cur = tuple(cur[j] - cartan[j][i] for j in range(n))
+                if cur not in seen:
+                    seen.add(cur)
+                    stack.append(cur)
+    return seen

@@ -6,6 +6,7 @@ import pytest
 
 from weylmod.finite_rep import (
     Character,
+    DecompositionMultiset,
     adjoint_character,
     casimir_on_irrep,
     decompose_character,
@@ -177,6 +178,42 @@ def test_character_keys_are_integer_tuples():
     with pytest.raises(ValueError):
         Character(sl3, {sl3.weight([-1, 2]): 1})
     assert Character(sl3, {sl3.weight([-1, 2]): 0}) == Character(sl3, {})
+
+
+def test_fractional_multiplicities_are_rejected():
+    sl3 = build_algebra("A", 2)
+    w = sl3.weight([1, 1])
+    for bad in (Fraction(3, 2), Fraction(1, 2), Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            Character(sl3, {w: bad})
+        with pytest.raises(ValueError):
+            DecompositionMultiset(sl3, {w: bad})
+    # an integral Fraction is an integer multiplicity
+    assert Character(sl3, {w: Fraction(2)}) == Character(sl3, {w: 2})
+    assert DecompositionMultiset(sl3, {w: Fraction(2)}).mults == {w: 2}
+    assert type(Character(sl3, {w: Fraction(2)}).dominant[w]) is int
+
+
+def test_irrep_dimension_matches_weyl_formula():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    algebras = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("C", 3), ("D", 4), ("G", 2)]
+
+    @st.composite
+    def dominant_weight(draw):
+        series, rank = draw(st.sampled_from(algebras))
+        alg = build_algebra(series, rank)
+        coord = st.integers(min_value=0, max_value=4 if rank <= 2 else 2)
+        return alg, alg.weight([draw(coord) for _ in range(rank)])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(dominant_weight())
+    def dimension_is_weyl_dimension(case):
+        alg, hw = case
+        assert irrep_character(alg, hw).dimension() == weyl_dimension(alg, hw)
+
+    dimension_is_weyl_dimension()
 
 
 def test_tensor_product_properties():

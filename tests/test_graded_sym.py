@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import sym_ad_full_maps, sym_powers
 from weylmod.finite_rep import irrep_character, length_of, tensor_decompose
 from weylmod.graded_sym import (
     sym_ad_graded,
-    sym_powers,
     weyl_level_character,
     weyl_level_decomposition,
 )
@@ -68,6 +68,27 @@ def test_sym_powers_newton_identity():
     assert sym[3] == irrep_character(sl2, sl2.weight([6])) + irrep_character(
         sl2, sl2.weight([2])
     )
+
+
+@pytest.mark.parametrize("series,rank,n_max", [
+    ("A", 1, 8), ("A", 2, 8),
+    ("A", 3, 4), ("B", 3, 4), ("C", 3, 4),
+    ("B", 2, 6), ("G", 2, 6), ("D", 4, 6),
+    ("F", 4, 2), ("E", 6, 2),
+])
+def test_dominant_recursion_matches_full_map_convolution(series, rank, n_max):
+    """Every level of the dominant-key recursion against the Sym-power and
+    truncated-convolution product on full weight maps."""
+    a = build_algebra(series, rank)
+    graded = sym_ad_graded(a, n_max)
+    oracle = sym_ad_full_maps(a, n_max)
+    assert graded.n_max == n_max
+    for n, full in enumerate(oracle):
+        level = graded.level(n)
+        dominant = {tuple(map(int, w.coords)): m for w, m in level.dominant_items()}
+        assert dominant == {c: m for c, m in full.items() if min(c) >= 0}, n
+        assert level.full_map() == full, n
+        assert level.dimension() == sum(full.values())
 
 
 def test_sl2_level_two_decomposition():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gram_is_positive_definite
+from helpers import gram_is_positive_definite, weight_closure
 from weylmod.finite_rep import Character
 from weylmod.root_system import (
     build_algebra,
+    dominant_below,
     dominant_coords,
     dominant_representative,
     enumerate_root_lattice_ball,
@@ -220,3 +221,15 @@ def test_ball_is_sorted_deterministically():
         for mu in enumerate_root_lattice_ball(sl3, sl3.rho, norm_sq(sl3.rho))
     ]
     assert ball == sorted(ball)
+
+
+@pytest.mark.parametrize("series,rank", sorted(_WEYL_ORDER))
+def test_dominant_below_is_dominant_part_of_weight_closure(series, rank):
+    a = build_algebra(series, rank)
+    theta = tuple(map(int, a.root_vector(a.highest_root).to_weight().coords))
+    tops = list(_test_weights(rank)) + [theta, tuple(2 * t for t in theta)]
+    for top in tops:
+        closure = weight_closure(a.cartan, top)
+        below = dominant_below(a.cartan, a.positive_roots, top)
+        assert below == {w for w in closure if min(w) >= 0}, top
+        assert all(type(c) is int for w in below for c in w)
