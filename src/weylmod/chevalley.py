@@ -1,92 +1,124 @@
-"""Concrete Chevalley bases and exact matrix representations for sl2, sl3.
+"""One Chevalley basis and one construction of the irreducibles, for every
+simple type, driven by the Cartan matrix alone.
 
-Structure constants, the invariant trace form and its dual basis are all
-computed from the defining matrix representation, so they are consistent by
-construction.  Irreducible representations are realized with an explicit
-weight basis: a lowering-operator ladder for sl2, and for sl3 the cyclic
-span of the highest weight line inside (defining)^(x)a (x) (dual)^(x)b for
-hw = a w1 + b w2.  All entries are Fractions.
+rep_from_hw builds L(lambda) with a weight basis, weight space by weight
+space from the top down.  chevalley_basis realises the basis on V, the
+fundamental representation of least dimension (faithful, since g is
+simple), which rep_from_hw itself builds, and reads the structure constants
+and the invariant form off V.  All entries are Fractions.
+
+Proof note (Humphreys, Introduction to Lie Algebras and Representation
+Theory, §20-21 and §25).
+
+* L(lambda) = U(n^-) v_lambda, so L(lambda)_mu = sum_i f_i L(lambda)_{mu+alpha_i}.
+  Below the top, a vector v of L(lambda) is 0 exactly when e_j v = 0 for
+  every j: a nonzero such v would generate a proper submodule.  So a linear
+  relation holds among the candidates f_i b (b a basis vector of weight
+  mu + alpha_i) exactly when it holds among their raising images
+  (e_1 v, ..., e_r v).  These are known from the weight spaces above, by
+  e_j f_i b = f_i e_j b + delta_ij <wt b, alpha_i-check> b.  One SpanBuilder
+  per weight picks independent candidates as the basis of L(lambda)_mu; its
+  coords give the columns of f_i, and the raising images those of e_j.  A
+  new vector f_i b is scaled by 1/(p+1), p the number of steps up the
+  alpha_i-string from wt b (divided powers), so for sl2 the basis is the
+  ladder f v_k = (k+1) v_{k+1}, e v_k = (n-k+1) v_{k-1}.
+* In a Chevalley basis [e_i, e_beta] = +-(q+1) e_{beta+alpha_i}, q the
+  largest integer with beta - q alpha_i a root.  So e_alpha =
+  [e_i, e_beta]/(q+1) is again a Chevalley basis vector up to sign, and
+  f_alpha = [f_beta, f_i]/(q+1) = -omega(e_alpha) for the Chevalley
+  involution omega, whence [e_alpha, f_alpha] = h_alpha.  Here i is the
+  least index with beta = alpha - alpha_i a root.
+* trace_V(xy) is an invariant form, equal to (x, y) times the Dynkin index
+  dim V c(V) / dim g, c(V) the Casimir scalar of V; long roots have
+  (alpha, alpha) = 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finite_rep import weyl_dimension
+from .finite_rep import casimir_on_irrep, weyl_dimension
 from .invariant import check
 from .linalg import SpanBuilder, matrix_inverse
 from .root_system import AlgebraData, Weight
 
-
-def _mat(n, entries):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, v) in entries:
-        m[i][j] = Fraction(v)
-    return tuple(tuple(row) for row in m)
+_EMPTY = {}  # shared empty column; never mutated
 
 
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            row.append(sum(ai[t] * b[t][j] for t in range(k)))
-        out.append(tuple(row))
-    return tuple(out)
+def _bracket(a, b, den=1):
+    """(ab - ba) / den for column-sparse matrices {column: {row: value}}."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for j, col in y.items():
+            acc = out.setdefault(j, {})
+            for k, v in col.items():
+                for i, w in x.get(k, _EMPTY).items():
+                    acc[i] = acc.get(i, 0) + sign * w * v
+    return {
+        j: {i: v / den for i, v in col.items() if v}
+        for j, col in out.items()
+        if any(col.values())
+    }
 
 
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _trace_prod(a, b):
-    n = len(a)
-    return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
+def _trace_product(a, b):
+    """trace(ab) for column-sparse matrices."""
+    return sum(
+        (v * b.get(i, _EMPTY).get(j, 0) for j, col in a.items() for i, v in col.items()),
+        Fraction(0),
+    )
 
 
 class ChevalleyBasis:
-    """A Chevalley basis with exact structure constants and trace form."""
+    """A Chevalley basis with exact structure constants and trace form.
 
-    def __init__(self, algebra: AlgebraData, names, matrices, weights, cartan_slots):
+    Basis order: e_alpha for the positive roots by height (simple roots in
+    index order), then h_1..h_rank, then f_alpha in the order of the e's.
+    A name is e, h or f followed by the simple-root indices with
+    multiplicity ("e12", "e122"), with no index at rank 1.
+    recipe[k] = (i, b, q + 1) defines the root vector of the non-simple
+    root k + rank as the bracket of simple vector i with root vector b,
+    divided by q + 1 (see the module docstring).
+    """
+
+    def __init__(self, algebra: AlgebraData, names, weights, recipe, v_hw, v_mats):
         self.algebra = algebra
         self.names = tuple(names)
-        self.matrices = tuple(matrices)  # defining representation
         self.weights = tuple(weights)  # ad-weights, fundamental coords
-        self.cartan_slots = tuple(cartan_slots)  # indices of h_1..h_rank
-        self.dim = len(names)
-        self.index = {nm: i for i, nm in enumerate(names)}
-        self._compute_structure()
+        self.recipe = tuple(recipe)
+        self.dim = len(self.names)
+        n_pos = (self.dim - algebra.rank) // 2
+        self.cartan_slots = tuple(range(n_pos, n_pos + algebra.rank))
+        self.index = {nm: i for i, nm in enumerate(self.names)}
+        self._compute_structure(v_hw, v_mats)
 
-    def _compute_structure(self):
-        d = len(self.matrices[0])
+    def _compute_structure(self, v_hw, mats):
+        """Brackets and form from the matrices of the basis on V = L(v_hw)."""
+        alg = self.algebra
+        d = weyl_dimension(alg, v_hw)
+
+        def flat(m):
+            return {j * d + i: v for j, col in m.items() for i, v in col.items()}
+
         span = SpanBuilder(d * d)
-        for m in self.matrices:
-            added = span.add([m[i][j] for i in range(d) for j in range(d)])
-            check(added, "basis matrices are dependent")
+        for m in mats:
+            check(span.add(flat(m)), "basis matrices are dependent")
         bracket = {}
         for p in range(self.dim):
-            for q in range(self.dim):
-                if p == q:
-                    continue
-                c = _mat_sub(
-                    _mat_mul(self.matrices[p], self.matrices[q]),
-                    _mat_mul(self.matrices[q], self.matrices[p]),
-                )
-                flat = [c[i][j] for i in range(d) for j in range(d)]
-                coords = span.coords(flat)
+            for q in range(p + 1, self.dim):
+                coords = span.coords(flat(_bracket(mats[p], mats[q])))
                 check(coords is not None, "bracket left the span")
                 entry = {k: v for k, v in coords.items() if v}
                 if entry:
                     bracket[(p, q)] = entry
+                    bracket[(q, p)] = {k: -v for k, v in entry.items()}
         self.bracket = bracket
-        form = [
-            [_trace_prod(self.matrices[p], self.matrices[q]) for q in range(self.dim)]
+        v_index = d * casimir_on_irrep(alg, v_hw) / alg.dim
+        self.form = tuple(
+            tuple(_trace_product(mats[p], mats[q]) / v_index for q in range(self.dim))
             for p in range(self.dim)
-        ]
-        self.form = tuple(tuple(row) for row in form)
-        dual = matrix_inverse(form)
+        )
+        dual = matrix_inverse(self.form)
         pairs = []
         for p in range(self.dim):
             for q in range(self.dim):
@@ -94,8 +126,12 @@ class ChevalleyBasis:
                     pairs.append((p, q, dual[p][q]))
         # sum_p x_p (x) x^p = sum_{(p,q)} dual[p][q] x_p (x) x_q
         self.casimir_pairs = tuple(pairs)
-        # ad-weight consistency: [h_i, x] = <wt(x), a_i-check> x
         for i, hi in enumerate(self.cartan_slots):
+            # (h_i, h_j) = (alpha_i-check, alpha_j-check) = cartan[i][j] / d_j
+            for j, hj in enumerate(self.cartan_slots):
+                check(self.form[hi][hj] == alg.cartan[i][j] / alg.d[j],
+                      "trace form is not the normalized invariant form")
+            # ad-weight consistency: [h_i, x] = <wt(x), a_i-check> x
             for q in range(self.dim):
                 ent = self.bracket.get((hi, q), {})
                 expect = self.weights[q].coords[i]
@@ -112,56 +148,111 @@ class ChevalleyBasis:
         return self.form[p][q]
 
 
-def _zero_weight(algebra):
-    return Weight(algebra, (0,) * algebra.rank)
+def _recipe(roots, rank):
+    """(i, b, q + 1) for each non-simple root, as in ChevalleyBasis."""
+    where = {r: k for k, r in enumerate(roots)}
+
+    def minus(root, i, times):
+        return tuple(c - times * (j == i) for j, c in enumerate(root))
+
+    steps = []
+    for alpha in roots[rank:]:
+        i = next(i for i in range(rank) if minus(alpha, i, 1) in where)
+        beta = minus(alpha, i, 1)
+        q = 0
+        while minus(beta, i, q + 1) in where:
+            q += 1
+        steps.append((i, where[beta], q + 1))
+    return steps
+
+
+def _irrep(algebra: AlgebraData, recipe, top):
+    """Weights (int tuples) and column-sparse matrices of the basis of g on
+    L(top), in basis order; see the module docstring."""
+    cartan = algebra.cartan
+    r = algebra.rank
+    alphas = [tuple(cartan[j][i] for j in range(r)) for i in range(r)]
+
+    def add(w, a, times=1):
+        return tuple(x + times * y for x, y in zip(w, a))
+
+    dim = weyl_dimension(algebra, Weight(algebra, top))
+    weights = [top]
+    space = {top: range(1)}  # weight -> indices of its basis vectors
+    e = [{} for _ in range(r)]
+    f = [{} for _ in range(r)]
+    layer = [top]
+    while layer:
+        # a wrong action would never reach a zero weight space; stop it here
+        check(len(weights) <= dim, "L(lambda) has the wrong dimension")
+        below = dict.fromkeys(add(nu, a, -1) for nu in layer for a in alphas)
+        layer = []
+        for mu in below:
+            start = len(weights)
+            span = SpanBuilder(start)
+            for i, a in enumerate(alphas):
+                nu = add(mu, a)
+                p = 0
+                while add(nu, a, p + 1) in space:
+                    p += 1
+                scale = Fraction(1, p + 1)
+                for b in space.get(nu, ()):
+                    # raising image of f_i b / (p + 1), keyed by basis index
+                    img = {b: nu[i] * scale} if nu[i] else {}
+                    for j in range(r):
+                        for t, c in e[j].get(b, _EMPTY).items():
+                            for s, v in f[i].get(t, _EMPTY).items():
+                                img[s] = img.get(s, 0) + c * v * scale
+                    if span.add(img):
+                        f[i][b] = {len(weights): Fraction(p + 1)}
+                        for j, aj in enumerate(alphas):
+                            up = space.get(add(mu, aj), ())
+                            col = {s: v for s, v in img.items() if s in up and v}
+                            if col:
+                                e[j][len(weights)] = col
+                        weights.append(mu)
+                        continue
+                    col = {start + k: (p + 1) * v
+                           for k, v in span.coords(img).items() if v}
+                    if col:
+                        f[i][b] = col
+            if len(weights) > start:
+                space[mu] = range(start, len(weights))
+                layer.append(mu)
+    check(len(weights) == dim, "L(lambda) has the wrong dimension")
+    h = [
+        {n: {n: Fraction(w[i])} for n, w in enumerate(weights) if w[i]}
+        for i in range(r)
+    ]
+    pos, neg = e[:], f[:]
+    for i, b, den in recipe:
+        pos.append(_bracket(e[i], pos[b], den))
+        neg.append(_bracket(neg[b], f[i], den))
+    return weights, pos + h + neg
 
 
 def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
-    if algebra.series == "A" and algebra.rank == 1:
-        return _sl2_basis(algebra)
-    if algebra.series == "A" and algebra.rank == 2:
-        return _sl3_basis(algebra)
-    raise ValueError(
-        "explicit Chevalley bases are provided for A1 and A2 only (got %s%d)"
-        % (algebra.series, algebra.rank)
-    )
+    """The Chevalley basis of g described in ChevalleyBasis, realised on the
+    fundamental representation of least Weyl dimension."""
+    r = algebra.rank
+    # by height; within a height in decreasing lexicographic order, so the
+    # simple roots come first, in index order
+    roots = sorted(algebra.positive_roots, key=lambda a: (sum(a), [-c for c in a]))
+    recipe = _recipe(roots, r)
 
+    def name(letter, root):
+        return letter + ("".join(str(i + 1) * c for i, c in enumerate(root)) if r > 1 else "")
 
-def _sl2_basis(algebra):
-    e = _mat(2, [(0, 1, 1)])
-    f = _mat(2, [(1, 0, 1)])
-    h = _mat(2, [(0, 0, 1), (1, 1, -1)])
-    alpha = algebra.root_vector((1,)).to_weight()
-    z = _zero_weight(algebra)
-    return ChevalleyBasis(
-        algebra,
-        names=("e", "h", "f"),
-        matrices=(e, h, f),
-        weights=(alpha, z, -alpha),
-        cartan_slots=(1,),
-    )
-
-
-def _sl3_basis(algebra):
-    e1 = _mat(3, [(0, 1, 1)])
-    e2 = _mat(3, [(1, 2, 1)])
-    e12 = _mat(3, [(0, 2, 1)])
-    f1 = _mat(3, [(1, 0, 1)])
-    f2 = _mat(3, [(2, 1, 1)])
-    f12 = _mat(3, [(2, 0, 1)])
-    h1 = _mat(3, [(0, 0, 1), (1, 1, -1)])
-    h2 = _mat(3, [(1, 1, 1), (2, 2, -1)])
-    a1 = algebra.root_vector((1, 0)).to_weight()
-    a2 = algebra.root_vector((0, 1)).to_weight()
-    a12 = algebra.root_vector((1, 1)).to_weight()
-    z = _zero_weight(algebra)
-    return ChevalleyBasis(
-        algebra,
-        names=("e1", "e2", "e12", "h1", "h2", "f1", "f2", "f12"),
-        matrices=(e1, e2, e12, h1, h2, f1, f2, f12),
-        weights=(a1, a2, a12, z, z, -a1, -a2, -a12),
-        cartan_slots=(3, 4),
-    )
+    zero = Weight(algebra, (0,) * r)
+    pos = [algebra.root_vector(a).to_weight() for a in roots]
+    names = ([name("e", a) for a in roots]
+             + (["h"] if r == 1 else ["h%d" % (i + 1) for i in range(r)])
+             + [name("f", a) for a in roots])
+    fundamentals = [Weight(algebra, [int(i == k) for i in range(r)]) for k in range(r)]
+    v_hw = min(fundamentals, key=lambda w: weyl_dimension(algebra, w))
+    _, mats = _irrep(algebra, recipe, tuple(int(c) for c in v_hw.coords))
+    return ChevalleyBasis(algebra, names, pos + [zero] * r + [-w for w in pos],
+                          recipe, v_hw, mats)
 
 
 class Rep:
@@ -179,158 +270,18 @@ class Rep:
         self.dim = len(basis_weights)
 
 
-def rep_trivial(cb: ChevalleyBasis) -> Rep:
-    z = _zero_weight(cb.algebra)
-    zero = ((Fraction(0),),)
-    return Rep(cb, [zero] * cb.dim, [z], z)
-
-
-def _sl2_ladder(cb: ChevalleyBasis, n: int) -> Rep:
-    """V(n) with f v_k = (k+1) v_{k+1}, e v_k = (n-k+1) v_{k-1}."""
-    dim = n + 1
-    e = [[Fraction(0)] * dim for _ in range(dim)]
-    f = [[Fraction(0)] * dim for _ in range(dim)]
-    h = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(dim):
-        h[k][k] = Fraction(n - 2 * k)
-        if k + 1 < dim:
-            f[k + 1][k] = Fraction(k + 1)
-            e[k][k + 1] = Fraction(n - k)
-    alg = cb.algebra
-    weights = [Weight(alg, (n - 2 * k,)) for k in range(dim)]
-    tup = lambda m: tuple(tuple(row) for row in m)
-    return Rep(cb, (tup(e), tup(h), tup(f)), weights, Weight(alg, (n,)))
-
-
-def rep_defining(cb: ChevalleyBasis) -> Rep:
-    alg = cb.algebra
-    ws = [Weight(alg, (1, 0)), Weight(alg, (-1, 1)), Weight(alg, (0, -1))]
-    return Rep(cb, cb.matrices, ws, ws[0])
-
-
-def rep_dual_defining(cb: ChevalleyBasis) -> Rep:
-    alg = cb.algebra
-    mats = []
-    for m in cb.matrices:
-        n = len(m)
-        mats.append(tuple(tuple(-m[j][i] for j in range(n)) for i in range(n)))
-    ws = [Weight(alg, (-1, 0)), Weight(alg, (1, -1)), Weight(alg, (0, 1))]
-    return Rep(cb, mats, ws, ws[2])
-
-
-class _TensorAmbient:
-    """Lazy tensor product of small reps: columns applied on demand."""
-
-    def __init__(self, factors):
-        self.factors = factors
-        self.dims = [f.dim for f in factors]
-        self.dim = 1
-        for d in self.dims:
-            self.dim *= d
-        self.strides = []
-        s = self.dim
-        for d in self.dims:
-            s //= d
-            self.strides.append(s)
-
-    def encode(self, idx):
-        j = 0
-        for t, d in enumerate(self.dims):
-            j = j * d + idx[t]
-        return j
-
-    def decode(self, j):
-        out = []
-        for t in range(len(self.dims) - 1, -1, -1):
-            out.append(j % self.dims[t])
-            j //= self.dims[t]
-        out.reverse()
-        return out
-
-    def weight(self, j):
-        idx = self.decode(j)
-        w = self.factors[0].basis_weights[idx[0]]
-        for t in range(1, len(self.factors)):
-            w = w + self.factors[t].basis_weights[idx[t]]
-        return w
-
-    def apply(self, p, vec: dict) -> dict:
-        """x_p . vec by the Leibniz rule across tensor slots."""
-        out = {}
-        for j, x in vec.items():
-            idx = self.decode(j)
-            for t, f in enumerate(self.factors):
-                m = f.mats[p]
-                jt = idx[t]
-                st = self.strides[t]
-                for i in range(f.dim):
-                    v = m[i][jt]
-                    if v:
-                        key = j + (i - jt) * st
-                        nv = out.get(key, 0) + v * x
-                        if nv:
-                            out[key] = nv
-                        else:
-                            out.pop(key, None)
-        return out
-
-
-_SL3_HW_CAP = 6  # ambient tensor space is 3^(a+b)
-
-
-def build_irrep(cb: ChevalleyBasis, hw: Weight) -> Rep:
+def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:
     """Exact irreducible representation L(hw) with a weight basis."""
-    alg = cb.algebra
     if not (hw.is_integral() and hw.is_dominant()):
         raise ValueError("highest weight must be dominant integral: %r" % (hw,))
-    if alg.rank == 1:
-        return _sl2_ladder(cb, int(hw.coords[0]))
-    a, b = int(hw.coords[0]), int(hw.coords[1])
-    if a + b > _SL3_HW_CAP:
-        raise ValueError(
-            "sl3 highest weight too large for the explicit construction"
-            " (a+b <= %d required)" % _SL3_HW_CAP
-        )
-    if a == 0 and b == 0:
-        return rep_trivial(cb)
-    factors = [rep_defining(cb)] * a + [rep_dual_defining(cb)] * b
-    amb = _TensorAmbient(factors)
-    # highest weight line: top vector of each factor
-    top = [0] * a + [2] * b
-    hw_index = amb.encode(top)
-    check(amb.weight(hw_index) == hw, "top tensor vector is not of weight hw")
-    span = SpanBuilder(amb.dim)
-    v0 = {hw_index: Fraction(1)}
-    span.add(v0)
-    basis = [v0]
-    basis_weights = [hw]
-    lowering = [cb.index[nm] for nm in ("f1", "f2", "f12")]
-    queue = [0]
-    while queue:
-        j = queue.pop(0)
-        vec = basis[j]
-        for p in lowering:
-            img = amb.apply(p, vec)
-            if img and span.add(img):
-                basis.append(img)
-                basis_weights.append(basis_weights[j] + cb.weights[p])
-                queue.append(len(basis) - 1)
-    dim = len(basis)
-    check(dim == weyl_dimension(alg, hw), "cyclic span has wrong dimension")
-    mats = []
-    for p in range(cb.dim):
-        cols = []
-        for j in range(dim):
-            img = amb.apply(p, basis[j])
-            coords = span.coords(img)
-            check(coords is not None, "span is not g-stable")
-            col = [Fraction(0)] * dim
-            for k, v in coords.items():
-                col[k] = v
-            cols.append(col)
-        mats.append(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
-    return Rep(cb, mats, basis_weights, hw)
-
-
-def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:
-    return build_irrep(cb, hw)
+    alg = cb.algebra
+    weights, mats = _irrep(alg, cb.recipe, tuple(int(c) for c in hw.coords))
+    n = len(weights)
+    dense = []
+    for m in mats:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for j, col in m.items():
+            for i, v in col.items():
+                rows[i][j] = v
+        dense.append(tuple(tuple(row) for row in rows))
+    return Rep(cb, dense, [Weight(alg, w) for w in weights], hw)

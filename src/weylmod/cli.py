@@ -248,6 +248,8 @@ def cmd_certify(config: JobConfig, out) -> int:
     kappa = config.kappa
     if kappa is None:
         raise ValueError("--kappa is required")
+    # validates hw before the scan, whose lattice walk can be long
+    casimir = casimir_on_irrep(algebra, hw)
     scan = an.ResonanceScan(hw + algebra.rho)
     verdict = scan.certificate(kappa)
     bound = scan.level_bound(kappa)
@@ -262,9 +264,7 @@ def cmd_certify(config: JobConfig, out) -> int:
         "in_X_lambda": not verdict.certified,
         "in_Y_lambda": an.in_Y_lambda(kappa, scan.lam),
         "delta_upper_bound": {"value": delta.value, "complete": delta.complete},
-        "top_l0_eigenvalue": format_scalar(
-            an.top_l0_eigenvalue(casimir_on_irrep(algebra, hw), kappa)
-        ),
+        "top_l0_eigenvalue": format_scalar(an.top_l0_eigenvalue(casimir, kappa)),
     }
     lines = [
         "Ind(M)_kappa with M = L(%s), kappa = %s"
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
             return cmd_crossvalidate(config, sys.stdout,
                                      dump=getattr(args, "dump", None))
         return _COMMANDS[args.command](config, sys.stdout)
-    except (ValueError, ZeroDivisionError, InvariantError) as exc:
+    except (ValueError, ZeroDivisionError, InvariantError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -1,4 +1,5 @@
-"""Explicit truncated realization of Weyl modules over sl2 / sl3 loop algebras.
+"""Explicit truncated realization of Weyl modules over loop algebras of a
+simple g with dim g <= 64.
 
 The induced module Ind(M)_kappa is, by PBW, free as a module over the
 enveloping algebra of the negative-mode half: a basis of the degree-n layer is
@@ -7,7 +8,7 @@ enveloping algebra of the negative-mode half: a basis of the degree-n layer is
     k_1 >= k_2 >= ... >= k_r >= 1,  sum k_i = n,
 
 with x_p running over a fixed Chevalley basis of g and m_j over a weight basis
-of M.  We materialize all layers up to a depth N and, once at construction,
+of M, both built from the Cartan matrix by the chevalley module.  We materialize all layers up to a depth N and, once at construction,
 straighten the action of every x eps^m with |m| <= N back into this basis using
 
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
@@ -310,13 +311,16 @@ def _straighten(module) -> dict:
 def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylModule:
     """Construct the truncation of Ind(M)_kappa down to the given depth.
 
-    Restricted to sl2 and sl3 (the straightening cost grows quickly with the
-    number of positive roots).  kappa may be any nonzero rational or
-    complex-rational scalar; kappa = 0 is the critical level where the
-    Sugawara normalization fails.
+    Any simple g with dim g <= 64 (generator indices are packed into
+    _SHIFT bits); the straightening cost grows quickly with dim g and the
+    depth.  kappa may be any nonzero rational or complex-rational scalar;
+    kappa = 0 is the critical level where the Sugawara normalization fails.
     """
-    if (algebra.series, algebra.rank) not in (("A", 1), ("A", 2)):
-        raise ValueError("explicit construction supports A1 and A2 only")
+    if algebra.dim > 1 << _SHIFT:
+        raise ValueError(
+            "explicit construction needs dim g <= %d (%s%d has dimension %d)"
+            % (1 << _SHIFT, algebra.series, algebra.rank, algebra.dim)
+        )
     if not isinstance(depth, int) or depth < 1:
         raise ValueError("depth must be a positive integer")
     cap = depth_cap()

@@ -167,17 +167,6 @@ def _canonical(pairs):
     return [_scalar(a // g, b // g) for a, b in pairs]
 
 
-def normalize_vector(vec):
-    """Scale to integral entries with content 1 and positive leading entry.
-
-    Leading sign convention: first nonzero entry has positive real part, or
-    zero real part and positive imaginary part.  Deterministic, so kernel
-    bases and JSON dumps are reproducible byte for byte.
-    """
-    pairs, _ = _scaled(vec)
-    return _canonical([pairs.get(i, _ZERO) for i in range(len(vec))])
-
-
 def rank(rows, ncols=None) -> int:
     """Rank of the matrix with the given rows: the number of stages."""
     span = SpanBuilder(ncols)

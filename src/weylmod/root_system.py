@@ -312,15 +312,6 @@ def root_norm_sq(mu: RootVector) -> Fraction:
     )
 
 
-def reflect_simple(w: Weight, i: int) -> Weight:
-    """Simple reflection s_i in fundamental coordinates."""
-    A = w.algebra.cartan
-    c = w.coords[i]
-    return Weight(
-        w.algebra, tuple(w.coords[j] - c * A[j][i] for j in range(w.algebra.rank))
-    )
-
-
 def dominant_coords(cartan, v):
     """The dominant point of the Weyl orbit of the coordinate tuple v, and
     the number of simple reflections used to reach it.

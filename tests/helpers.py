@@ -1,6 +1,7 @@
 """Constructions that only the tests use: extra representations, the
-Casimir matrix, a determinant, a JobConfig parser, and the full-weight-map
-oracles for S(ad) and for the weights of an irreducible.
+Casimir matrix, dense matrix products, a determinant, a simple reflection,
+vector normalization, a JobConfig parser, and the full-weight-map oracles
+for S(ad) and for the weights of an irreducible.
 
 The test modules import this file as ``helpers``; pytest puts the tests
 directory on the import path.
@@ -8,11 +9,31 @@ directory on the import path.
 
 from fractions import Fraction
 
-from weylmod.chevalley import ChevalleyBasis, Rep, _mat_mul
+from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
 from weylmod.finite_rep import Character, adjoint_character
+from weylmod.linalg import _ZERO, _canonical, _scaled
 from weylmod.rational import parse_scalar
 from weylmod.root_system import AlgebraData, Weight
+
+
+def mat_mul(a, b):
+    """Product of dense matrices given as sequences of rows."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        ai = a[i]
+        for j in range(m):
+            row.append(sum(ai[t] * b[t][j] for t in range(k)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def rep_trivial(cb: ChevalleyBasis) -> Rep:
+    z = Weight(cb.algebra, (0,) * cb.algebra.rank)
+    zero = ((Fraction(0),),)
+    return Rep(cb, [zero] * cb.dim, [z], z)
 
 
 def rep_adjoint(cb: ChevalleyBasis) -> Rep:
@@ -60,7 +81,7 @@ def casimir_matrix(cb: ChevalleyBasis, rep: Rep):
     n = rep.dim
     out = [[Fraction(0)] * n for _ in range(n)]
     for (p, q, c) in cb.casimir_pairs:
-        prod = _mat_mul(rep.mats[p], rep.mats[q])
+        prod = mat_mul(rep.mats[p], rep.mats[q])
         for i in range(n):
             for j in range(n):
                 if prod[i][j]:
@@ -103,6 +124,25 @@ def gram_is_positive_definite(algebra: AlgebraData) -> bool:
         if determinant(sub) <= 0:
             return False
     return True
+
+
+def reflect_simple(w: Weight, i: int) -> Weight:
+    """Simple reflection s_i in fundamental coordinates."""
+    A = w.algebra.cartan
+    c = w.coords[i]
+    return Weight(
+        w.algebra, tuple(w.coords[j] - c * A[j][i] for j in range(w.algebra.rank))
+    )
+
+
+def normalize_vector(vec):
+    """Scale to integral entries with content 1 and positive leading entry.
+
+    Leading sign convention: first nonzero entry has positive real part, or
+    zero real part and positive imaginary part.
+    """
+    pairs, _ = _scaled(vec)
+    return _canonical([pairs.get(i, _ZERO) for i in range(len(vec))])
 
 
 def job_config_from_json_dict(data: dict) -> JobConfig:

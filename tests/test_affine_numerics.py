@@ -12,6 +12,7 @@ from weylmod.affine_numerics import (
     REASON_OUTSIDE_X,
     CandidatePair,
     DeltaBound,
+    ResonanceScan,
     candidate_pairs,
     delta_upper_bound,
     exhaustive_level_bound,
@@ -23,7 +24,7 @@ from weylmod.affine_numerics import (
     top_l0_eigenvalue,
 )
 from weylmod.rational import ComplexRational
-from weylmod.root_system import build_algebra, norm_sq
+from weylmod.root_system import build_algebra, norm_sq, orbit_coords
 
 
 def _lam(algebra, hw_coords):
@@ -261,3 +262,27 @@ def test_certificate_matches_candidate_scan_on_sweep():
                 assert list(v.candidates) == positive
             if kappa == below_c and c < 0:
                 assert v.reason == REASON_KOSTANT
+
+
+@pytest.mark.parametrize("series,rank,coords,kappa", [
+    ("A", 2, [0, 0], Fraction(-1)),
+    ("A", 2, [1, 1], Fraction(-1, 2)),
+    ("B", 2, [1, 0], Fraction(-1)),
+    ("B", 2, [0, 2], Fraction(-1, 2)),
+    ("G", 2, [1, 0], Fraction(-1)),
+    ("A", 3, [1, 0, 1], Fraction(-1)),
+])
+def test_candidate_sets_are_weyl_invariant(series, rank, coords, kappa):
+    # lambda + Q is W-stable, so for each degree n the set of lambda + mu with
+    # |lambda + mu|^2 = |lambda|^2 + 2 kappa n is a union of W-orbits
+    algebra = build_algebra(series, rank)
+    lam = _lam(algebra, coords)
+    scan = ResonanceScan(lam)
+    by_degree = {}
+    for p in scan.pairs(kappa, scan.level_bound(kappa)):
+        nu = tuple(int(a + b) for a, b in zip(lam.coords, p.mu.to_weight().coords))
+        by_degree.setdefault(p.n, set()).add(nu)
+    assert any(n >= 1 for n in by_degree)
+    for n, points in by_degree.items():
+        for nu in points:
+            assert orbit_coords(algebra.cartan, nu) <= points, (n, nu)

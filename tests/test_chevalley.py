@@ -4,17 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import casimir_matrix, rep_adjoint
-from weylmod.chevalley import (
-    chevalley_basis,
-    build_irrep,
-    rep_defining,
-    rep_dual_defining,
-    rep_from_hw,
-    rep_trivial,
-)
-from weylmod.finite_rep import casimir_on_irrep, weyl_dimension
-from weylmod.root_system import build_algebra
+from helpers import casimir_matrix, rep_adjoint, rep_trivial
+from weylmod.chevalley import chevalley_basis, rep_from_hw
+from weylmod.finite_rep import casimir_on_irrep, irrep_character, weyl_dimension
+from weylmod.root_system import build_algebra, norm_sq
 
 
 def _bracket_map(cb, p_name, q_name):
@@ -59,9 +52,19 @@ def test_ad_weights_match_brackets_with_cartan():
             assert got == cb.weights[q].coords[i]
 
 
-def test_unsupported_algebra_rejected():
-    with pytest.raises(ValueError):
-        chevalley_basis(build_algebra("B", 2))
+# every simple algebra that the explicit module's generator packing holds
+_TYPES = [("A", r) for r in range(1, 8)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 2), ("C", 3), ("C", 4),
+    ("C", 5), ("D", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+]
+
+
+def test_every_type_builds():
+    for series, rank in _TYPES:
+        algebra = build_algebra(series, rank)
+        cb = chevalley_basis(algebra)
+        assert cb.dim == algebra.dim <= 64
+        assert len(cb.index) == cb.dim
 
 
 def _check_rep_relations(rep):
@@ -90,17 +93,17 @@ def _check_rep_relations(rep):
 def test_rep_matrices_satisfy_brackets():
     sl2 = chevalley_basis(build_algebra("A", 1))
     sl3 = chevalley_basis(build_algebra("A", 2))
-    _check_rep_relations(build_irrep(sl2, sl2.algebra.weight([3])))
-    _check_rep_relations(rep_defining(sl3))
-    _check_rep_relations(rep_dual_defining(sl3))
+    _check_rep_relations(rep_from_hw(sl2, sl2.algebra.weight([3])))
+    _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([1, 0])))
+    _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([0, 1])))
     _check_rep_relations(rep_adjoint(sl3))
-    _check_rep_relations(build_irrep(sl3, sl3.algebra.weight([1, 1])))
-    _check_rep_relations(build_irrep(sl3, sl3.algebra.weight([2, 0])))
+    _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([1, 1])))
+    _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([2, 0])))
 
 
 def test_basis_weights_are_cartan_eigenvalues():
     cb = chevalley_basis(build_algebra("A", 2))
-    rep = build_irrep(cb, cb.algebra.weight([1, 1]))
+    rep = rep_from_hw(cb, cb.algebra.weight([1, 1]))
     for i, hi in enumerate(cb.cartan_slots):
         m = rep.mats[hi]
         for j in range(rep.dim):
@@ -118,12 +121,12 @@ def test_irrep_dimensions():
         assert rep_from_hw(sl2, sl2.algebra.weight([n])).dim == n + 1
 
 
-def test_sl3_hw_cap_and_dominance():
+def test_irrep_requires_dominant_integral_hw():
     cb = chevalley_basis(build_algebra("A", 2))
     with pytest.raises(ValueError):
-        build_irrep(cb, cb.algebra.weight([4, 3]))
+        rep_from_hw(cb, cb.algebra.weight([-1, 0]))
     with pytest.raises(ValueError):
-        build_irrep(cb, cb.algebra.weight([-1, 0]))
+        rep_from_hw(cb, cb.algebra.weight([Fraction(1, 2), 0]))
 
 
 def _assert_scalar(mat, value):
@@ -171,3 +174,166 @@ def test_casimir_pairs_give_dual_bases():
                 for (p, q, c) in cb.casimir_pairs
             )
             assert total == cb.pairing(y, z)
+
+
+# The A1 and A2 tables of the hand-written bases this construction replaced:
+# names, nonzero brackets {(p, q): {k: c}}, the form, casimir_pairs and the
+# ad-weights.
+_PINNED = {
+    1: (
+        ("e", "h", "f"),
+        {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2},
+         (2, 0): {1: -1}, (2, 1): {2: 2}},
+        ((0, 0, 1), (0, 2, 0), (1, 0, 0)),
+        ((0, 2, 1), (1, 1, Fraction(1, 2)), (2, 0, 1)),
+        ((2,), (0,), (-2,)),
+    ),
+    2: (
+        ("e1", "e2", "e12", "h1", "h2", "f1", "f2", "f12"),
+        {(0, 1): {2: 1}, (0, 3): {0: -2}, (0, 4): {0: 1}, (0, 5): {3: 1},
+         (0, 7): {6: -1}, (1, 0): {2: -1}, (1, 3): {1: 1}, (1, 4): {1: -2},
+         (1, 6): {4: 1}, (1, 7): {5: 1}, (2, 3): {2: -1}, (2, 4): {2: -1},
+         (2, 5): {1: -1}, (2, 6): {0: 1}, (2, 7): {3: 1, 4: 1}, (3, 0): {0: 2},
+         (3, 1): {1: -1}, (3, 2): {2: 1}, (3, 5): {5: -2}, (3, 6): {6: 1},
+         (3, 7): {7: -1}, (4, 0): {0: -1}, (4, 1): {1: 2}, (4, 2): {2: 1},
+         (4, 5): {5: 1}, (4, 6): {6: -2}, (4, 7): {7: -1}, (5, 0): {3: -1},
+         (5, 2): {1: 1}, (5, 3): {5: 2}, (5, 4): {5: -1}, (5, 6): {7: -1},
+         (6, 1): {4: -1}, (6, 2): {0: -1}, (6, 3): {6: -1}, (6, 4): {6: 2},
+         (6, 5): {7: 1}, (7, 0): {6: 1}, (7, 1): {5: -1}, (7, 2): {3: -1, 4: -1},
+         (7, 3): {7: 1}, (7, 4): {7: 1}},
+        ((0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0),
+         (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 2, -1, 0, 0, 0),
+         (0, 0, 0, -1, 2, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0),
+         (0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+        ((0, 5, 1), (1, 6, 1), (2, 7, 1), (3, 3, Fraction(2, 3)),
+         (3, 4, Fraction(1, 3)), (4, 3, Fraction(1, 3)), (4, 4, Fraction(2, 3)),
+         (5, 0, 1), (6, 1, 1), (7, 2, 1)),
+        ((2, -1), (-1, 2), (1, 1), (0, 0), (0, 0), (-2, 1), (1, -2), (-1, -1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a1_a2_tables_are_pinned(rank):
+    names, bracket, form, pairs, weights = _PINNED[rank]
+    cb = chevalley_basis(build_algebra("A", rank))
+    assert cb.names == names
+    assert cb.bracket == bracket
+    assert cb.form == form
+    assert cb.casimir_pairs == pairs
+    assert tuple(w.coords for w in cb.weights) == weights
+
+
+_RELATION_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                   ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+def _ad(cb, p, vec):
+    """[x_p, vec] for a sparse vector {index: coeff}."""
+    out = {}
+    for q, c in vec.items():
+        for k, v in cb.bracket_list(p, q):
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("series,rank", _RELATION_TYPES)
+def test_jacobi_and_chevalley_relations(series, rank):
+    algebra = build_algebra(series, rank)
+    cb = chevalley_basis(algebra)
+    n = cb.dim
+    for p in range(n):
+        for q in range(p + 1, n):
+            xy = dict(cb.bracket_list(p, q))
+            # a Chevalley basis has integral structure constants
+            assert all(c.denominator == 1 for c in xy.values())
+            for s in range(q + 1, n):
+                # [x_p, [x_q, x_s]] + [x_q, [x_s, x_p]] + [x_s, [x_p, x_q]] = 0
+                total = {}
+                for a, b, c in ((p, q, s), (q, s, p), (s, p, q)):
+                    for k, v in _ad(cb, a, dict(cb.bracket_list(b, c))).items():
+                        total[k] = total.get(k, 0) + v
+                assert not any(total.values()), (p, q, s)
+    n_pos = len(algebra.positive_roots)
+    hs = cb.cartan_slots
+    for i in range(rank):
+        for j in range(rank):
+            # [e_i, f_j] = delta_ij h_i and [h_i, e_j] = cartan[i][j] e_j
+            expect = {hs[i]: 1} if i == j else {}
+            assert dict(cb.bracket_list(i, n_pos + rank + j)) == expect
+            a_ij = algebra.cartan[i][j]
+            assert dict(cb.bracket_list(hs[i], j)) == ({j: a_ij} if a_ij else {})
+    # [e_alpha, f_alpha] = h_alpha, the coroot sum_i c_i d_i / d_alpha h_i
+    for k in range(n_pos):
+        c = cb.weights[k].to_root_coords()
+        d_alpha = norm_sq(cb.weights[k]) / 2
+        coroot = {hs[i]: c[i] * algebra.d[i] / d_alpha for i in range(rank) if c[i]}
+        assert dict(cb.bracket_list(k, n_pos + rank + k)) == coroot
+
+
+def _sparse(mat):
+    """A dense matrix as {column: {row: value}} without zeros."""
+    n = len(mat)
+    cols = {j: {i: mat[i][j] for i in range(n) if mat[i][j]} for j in range(n)}
+    return {j: col for j, col in cols.items() if col}
+
+
+def _sparse_mul(a, b):
+    out = {}
+    for j, col in b.items():
+        acc = {}
+        for k, v in col.items():
+            for i, w in a.get(k, {}).items():
+                acc[i] = acc.get(i, 0) + w * v
+        out[j] = acc
+    return out
+
+
+def _sparse_sum(terms):
+    """sum of c * M over (c, M), with zeros dropped."""
+    out = {}
+    for c, m in terms:
+        for j, col in m.items():
+            acc = out.setdefault(j, {})
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + c * v
+    out = {j: {i: v for i, v in col.items() if v} for j, col in out.items()}
+    return {j: col for j, col in out.items() if col}
+
+
+_IRREPS = {
+    ("B", 2): [(1, 0), (0, 1), (1, 1), (2, 1)],
+    ("G", 2): [(1, 0), (0, 1), (1, 1)],
+    ("A", 3): [(1, 0, 1), (0, 1, 0), (1, 1, 0)],
+    ("C", 3): [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("series,rank", list(_IRREPS))
+def test_irreps_satisfy_brackets_and_freudenthal(series, rank):
+    algebra = build_algebra(series, rank)
+    cb = chevalley_basis(algebra)
+    for coords in _IRREPS[series, rank]:
+        hw = algebra.weight(coords)
+        rep = rep_from_hw(cb, hw)
+        mats = [_sparse(m) for m in rep.mats]
+        for p in range(cb.dim):
+            for q in range(p + 1, cb.dim):
+                comm = _sparse_sum([(1, _sparse_mul(mats[p], mats[q])),
+                                    (-1, _sparse_mul(mats[q], mats[p]))])
+                assert comm == _sparse_sum((c, mats[k]) for k, c in cb.bracket_list(p, q))
+        mults = {}
+        for w in rep.basis_weights:
+            key = tuple(int(c) for c in w.coords)
+            mults[key] = mults.get(key, 0) + 1
+        assert mults == irrep_character(algebra, hw).full_map()
+
+
+def test_casimir_is_scalar_beyond_type_a():
+    for series, coords in (("B", (1, 0)), ("B", (0, 1)), ("B", (1, 1)),
+                           ("G", (1, 0)), ("G", (0, 1))):
+        algebra = build_algebra(series, 2)
+        cb = chevalley_basis(algebra)
+        hw = algebra.weight(coords)
+        _assert_scalar(casimir_matrix(cb, rep_from_hw(cb, hw)),
+                       casimir_on_irrep(algebra, hw))

@@ -157,6 +157,19 @@ def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
         assert len(calls) == 1, argv
 
 
+def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("ResonanceScan built before hw was validated")
+
+    monkeypatch.setattr(affine_numerics, "ResonanceScan", no_scan)
+    code, out, err = _run(["certify", "E", "6", "--hw", "0", "0", "0", "0", "0",
+                           "1/2", "--kappa=-1+1i"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: highest weight must be integral")
+
+
 def test_sym_ad_is_expanded_once_per_job(capsys):
     # symlevels reads every level, and an inconclusive certify every
     # candidate degree, from one S(ad) expansion
@@ -305,6 +318,38 @@ def test_crossvalidate_dump_writes_module(tmp_path, capsys):
     assert data["schema"] == "weylmod.truncated_module.v1"
     assert data["depth"] == 1
     assert data["generators"] == ["e", "h", "f"]
+
+
+def test_crossvalidate_dump_to_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = _run(
+        ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "1",
+         "--dump", str(target)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["B", "2", "--hw", "1", "0"],
+    ["G", "2", "--hw", "0", "0"],
+    ["A", "3", "--hw", "0", "0", "0"],
+])
+def test_crossvalidate_beyond_type_a(argv, capsys):
+    code, out, _ = _run(["crossvalidate"] + argv + ["--kappa=-1", "--depth", "2",
+                                                    "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert all(data["checks"].values())
+
+
+def test_crossvalidate_rejects_algebras_over_64_dimensions(capsys):
+    code, out, err = _run(["crossvalidate", "E", "6", "--hw"] + ["0"] * 6
+                          + ["--kappa=-1", "--depth", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_json_output_is_deterministic(capsys):

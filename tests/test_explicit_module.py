@@ -68,9 +68,9 @@ def test_degree_bookkeeping():
 
 
 def test_build_rejections():
+    e6 = build_algebra("E", 6)  # dim 78 > 64 generators
     with pytest.raises(ValueError):
-        build_truncated(build_algebra("B", 2), build_algebra("B", 2).weight([0, 0]),
-                        Fraction(-1), 1)
+        build_truncated(e6, e6.weight([0] * 6), Fraction(-1), 1)
     with pytest.raises(ValueError):
         build_truncated(SL2, SL2.weight([0]), Fraction(-1), 0)
     with pytest.raises(ValueError):

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import determinant
+from helpers import determinant, normalize_vector
 from weylmod.linalg import (
     SpanBuilder,
     matrix_inverse,
-    normalize_vector,
     nullspace,
     rank,
 )

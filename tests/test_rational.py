@@ -109,3 +109,22 @@ def test_scalar_parts():
     assert scalar_im(Fraction(2, 3)) == 0
     assert scalar_re(ComplexRational(1, 5)) == 1
     assert scalar_im(ComplexRational(1, 5)) == 5
+
+
+def test_format_parse_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fractions = st.fractions(max_denominator=10**6)
+    scalars = st.one_of(
+        fractions,
+        st.builds(ComplexRational, fractions, fractions),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(scalars)
+    def check(x):
+        y = parse_scalar(format_scalar(x))
+        assert y == x
+        assert isinstance(y, Fraction) == (scalar_im(x) == 0)
+
+    check()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gram_is_positive_definite, weight_closure
+from helpers import gram_is_positive_definite, reflect_simple, weight_closure
 from weylmod.finite_rep import Character
 from weylmod.root_system import (
     build_algebra,
@@ -16,7 +16,6 @@ from weylmod.root_system import (
     norm_sq,
     orbit_coords,
     pair_weight_root,
-    reflect_simple,
     root_norm_sq,
     same_weyl_orbit,
     weyl_orbit,
