@@ -5,7 +5,8 @@ rep_from_hw builds L(lambda) with a weight basis, weight space by weight
 space from the top down.  chevalley_basis realises the basis on V, the
 fundamental representation of least dimension (faithful, since g is
 simple), which rep_from_hw itself builds, and reads the structure constants
-and the invariant form off V.  All entries are Fractions.
+and the invariant form off V.  Every matrix is column-sparse, {column:
+{row: value}} without zeros (see linalg), and all entries are Fractions.
 
 Proof note (Humphreys, Introduction to Lie Algebras and Representation
 Theory, §20-21 and §25).
@@ -39,34 +40,24 @@ from fractions import Fraction
 
 from .finite_rep import casimir_on_irrep, weyl_dimension
 from .invariant import check
-from .linalg import SpanBuilder, matrix_inverse
+from .linalg import _EMPTY, SpanBuilder, accumulate, apply, matrix_inverse
 from .root_system import AlgebraData, Weight
-
-_EMPTY = {}  # shared empty column; never mutated
 
 
 def _bracket(a, b, den=1):
-    """(ab - ba) / den for column-sparse matrices {column: {row: value}}."""
+    """(ab - ba) / den for column-sparse matrices."""
     out = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         for j, col in y.items():
             acc = out.setdefault(j, {})
-            for k, v in col.items():
-                for i, w in x.get(k, _EMPTY).items():
-                    acc[i] = acc.get(i, 0) + sign * w * v
-    return {
-        j: {i: v / den for i, v in col.items() if v}
-        for j, col in out.items()
-        if any(col.values())
-    }
+            for i, v in apply(x, col).items():
+                accumulate(acc, i, sign * v)
+    return {j: {i: v / den for i, v in col.items()} for j, col in out.items() if col}
 
 
 def _trace_product(a, b):
     """trace(ab) for column-sparse matrices."""
-    return sum(
-        (v * b.get(i, _EMPTY).get(j, 0) for j, col in a.items() for i, v in col.items()),
-        Fraction(0),
-    )
+    return sum((apply(a, col).get(j, 0) for j, col in b.items()), Fraction(0))
 
 
 class ChevalleyBasis:
@@ -197,17 +188,18 @@ def _irrep(algebra: AlgebraData, recipe, top):
                     p += 1
                 scale = Fraction(1, p + 1)
                 for b in space.get(nu, ()):
-                    # raising image of f_i b / (p + 1), keyed by basis index
-                    img = {b: nu[i] * scale} if nu[i] else {}
+                    # raising image of f_i b / (p + 1), keyed by basis index:
+                    # e_j f_i b = f_i e_j b + delta_ij <nu, alpha_i-check> b
+                    img = {b: nu[i]} if nu[i] else {}
                     for j in range(r):
-                        for t, c in e[j].get(b, _EMPTY).items():
-                            for s, v in f[i].get(t, _EMPTY).items():
-                                img[s] = img.get(s, 0) + c * v * scale
+                        for s, v in apply(f[i], e[j].get(b, _EMPTY)).items():
+                            accumulate(img, s, v)
+                    img = {s: v * scale for s, v in img.items()}
                     if span.add(img):
                         f[i][b] = {len(weights): Fraction(p + 1)}
                         for j, aj in enumerate(alphas):
                             up = space.get(add(mu, aj), ())
-                            col = {s: v for s, v in img.items() if s in up and v}
+                            col = {s: v for s, v in img.items() if s in up}
                             if col:
                                 e[j][len(weights)] = col
                         weights.append(mu)
@@ -258,8 +250,8 @@ def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
 class Rep:
     """A finite-dimensional representation with a weight basis.
 
-    mats[p] is the matrix of the p-th Chevalley generator: columns index
-    basis vectors, x_p . b_j = sum_i mats[p][i][j] b_i.
+    mats[p] is the column-sparse matrix of the p-th Chevalley generator,
+    {j: {i: c}} for x_p . b_j = sum_i c b_i, with no zero entries.
     """
 
     def __init__(self, cb: ChevalleyBasis, mats, basis_weights, hw: Weight):
@@ -276,12 +268,4 @@ def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:
         raise ValueError("highest weight must be dominant integral: %r" % (hw,))
     alg = cb.algebra
     weights, mats = _irrep(alg, cb.recipe, tuple(int(c) for c in hw.coords))
-    n = len(weights)
-    dense = []
-    for m in mats:
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j, col in m.items():
-            for i, v in col.items():
-                rows[i][j] = v
-        dense.append(tuple(tuple(row) for row in rows))
-    return Rep(cb, dense, [Weight(alg, w) for w in weights], hw)
+    return Rep(cb, mats, [Weight(alg, w) for w in weights], hw)

@@ -37,7 +37,7 @@ from .chevalley import chevalley_basis, rep_from_hw
 from .finite_rep import casimir_on_irrep
 from .graded_sym import sym_ad_graded
 from .invariant import check
-from .linalg import SpanBuilder, nullspace
+from .linalg import _EMPTY, SpanBuilder, accumulate, apply, nullspace
 from .rational import ComplexRational, format_scalar, scalar_im, scalar_re
 from .root_system import Weight, same_weyl_orbit
 
@@ -49,7 +49,6 @@ _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
 
 _ONE = Fraction(1)
-_EMPTY = {}  # shared empty column; never mutated
 
 
 def depth_cap() -> int:
@@ -64,27 +63,6 @@ def depth_cap() -> int:
     if cap < 1:
         raise ValueError("%s must be >= 1, got %r" % (DEPTH_CAP_ENV, raw))
     return cap
-
-
-def _acc(table, key, value):
-    cur = table.get(key)
-    if cur is None:
-        table[key] = value
-    else:
-        cur = cur + value
-        if cur:
-            table[key] = cur
-        else:
-            del table[key]
-
-
-def _apply(columns, vec):
-    """A column-sparse operator {source: {target: coeff}} on {index: coeff}."""
-    out = {}
-    for idx, c in vec.items():
-        for t, v in columns.get(idx, _EMPTY).items():
-            _acc(out, t, c * v)
-    return out
 
 
 def monomials_of_degree(dim_g: int, n: int, max_factor=None):
@@ -187,7 +165,7 @@ class TruncatedWeylModule:
                     "image of degree %d under mode %d leaves the truncation"
                     % (source, m)
                 )
-        return _apply(self._action.get((p, m), _EMPTY), vec)
+        return apply(self._action.get((p, m), _EMPTY), vec)
 
     @cached_property
     def l0(self) -> "L0Matrix":
@@ -230,13 +208,13 @@ def _straighten(module) -> dict:
             out = {}
             for m2, c in leftmul(f, rest).items():
                 for m3, c3 in leftmul(g, m2).items():
-                    _acc(out, m3, c * c3)
+                    accumulate(out, m3, c * c3)
             # [x_f, x_g] eps^{-(k_f + k_g)}; no cocycle term between
             # two negative modes
             combined = ((f >> _SHIFT) + (g >> _SHIFT)) << _SHIFT
             for q, cq in cb.bracket_list(f & _MASK, g & _MASK):
                 for m3, c3 in leftmul(combined | q, rest).items():
-                    _acc(out, m3, cq * c3)
+                    accumulate(out, m3, cq * c3)
         lmmemo[key] = out
         return out
 
@@ -250,27 +228,24 @@ def _straighten(module) -> dict:
         hit = opmemo.get(key)
         if hit is not None:
             return hit
-        if not mono:
-            if m > 0:
-                out = {}
-            elif m == 0:
-                out = {((), p): _ONE}
-            else:
-                out = {((((-m) << _SHIFT) | p,), None): _ONE}
+        if m < 0:
+            # negative modes span a subalgebra with no central term
+            f = ((-m) << _SHIFT) | p
+            out = {(m3, None): c for m3, c in leftmul(f, mono).items()}
+        elif not mono:
+            out = {((), p): _ONE} if m == 0 else {}
         else:
             g, rest = mono[0], mono[1:]
             k0, p0 = g >> _SHIFT, g & _MASK
             out = {}
             for (m2, tag), c in op(p, m, rest).items():
                 for m3, c3 in leftmul(g, m2).items():
-                    _acc(out, (m3, tag), c * c3)
+                    accumulate(out, (m3, tag), c * c3)
             for q, cq in cb.bracket_list(p, p0):
                 for (m3, tag), c3 in op(q, m - k0, rest).items():
-                    _acc(out, (m3, tag), cq * c3)
+                    accumulate(out, (m3, tag), cq * c3)
             if m == k0:
-                pr = cb.pairing(p, p0)
-                if pr:
-                    _acc(out, (rest, None), m * pr * k_scalar)
+                accumulate(out, (rest, None), m * cb.pairing(p, p0) * k_scalar)
         opmemo[key] = out
         return out
 
@@ -292,13 +267,10 @@ def _straighten(module) -> dict:
                         col = {}
                         for (m2, tag), c in terms.items():
                             if tag is None:
-                                _acc(col, index[(m2, j)], c)
+                                accumulate(col, index[(m2, j)], c)
                                 continue
-                            mat = mats[tag]
-                            for i in range(dim_m):
-                                v = mat[i][j]
-                                if v:
-                                    _acc(col, index[(m2, i)], c * v)
+                            for i, v in mats[tag].get(j, _EMPTY).items():
+                                accumulate(col, index[(m2, i)], c * v)
                         if col:
                             cols[start + j] = col
     # leftmul and op refer to themselves, so only a cycle collection would
@@ -460,7 +432,7 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
                 tmp = module.apply_to_vector(q, 0, start)
                 tmp = module.apply_to_vector(p, 0, tmp)
                 for t, v in tmp.items():
-                    _acc(acc, t, w * v / 2)
+                    accumulate(acc, t, w * v / 2)
             for j in range(1, n + 1):
                 for (p, q, w) in pairs:
                     tmp = module.apply_to_vector(q, j, start)
@@ -468,7 +440,7 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
                         continue
                     tmp = module.apply_to_vector(p, -j, tmp)
                     for t, v in tmp.items():
-                        _acc(acc, t, w * v)
+                        accumulate(acc, t, w * v)
             col = {t: v / kappa for t, v in acc.items()}
             check(col == ({idx: xi} if xi else {}),
                   "Sugawara sum is not the expected scalar at degree %d", n)
@@ -493,9 +465,9 @@ def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bo
             for n in _image_degrees(module.depth, m):
                 for j in module.degree_range(n):
                     aj = cols.get(j, _EMPTY)
-                    lhs = _apply(l0, aj)
-                    for i, v in _apply(cols, l0[j]).items():
-                        _acc(lhs, i, -v)
+                    lhs = apply(l0, aj)
+                    for i, v in apply(cols, l0[j]).items():
+                        accumulate(lhs, i, -v)
                     rhs = {} if m == 0 else {i: -m * v for i, v in aj.items()}
                     if lhs != rhs:
                         return False
@@ -700,7 +672,7 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     kernel = _nullspace_of_columns([_raising_column(module, vec) for _, vec in basis])
     basis_columns = {i: vec for i, (_, vec) in enumerate(basis)}
     kernel_vectors = [
-        _apply(basis_columns, {i: c for i, c in enumerate(combo) if c})
+        apply(basis_columns, {i: c for i, c in enumerate(combo) if c})
         for combo in kernel
     ]
 
@@ -735,7 +707,7 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
                 rhs = module.apply_to_vector(y, 0, module.apply_to_vector(x, 1, vec))
                 for q, cq in module.cb.bracket_list(x, y):
                     for t, v in module.apply_to_vector(q, 1, vec).items():
-                        _acc(rhs, t, cq * v)
+                        accumulate(rhs, t, cq * v)
                 if lhs != rhs:
                     equivariant = False
 

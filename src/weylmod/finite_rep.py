@@ -35,7 +35,10 @@ from .root_system import (
 )
 
 
-def _require_dominant_integral(hw: Weight):
+def _require_dominant_integral(algebra: AlgebraData, hw: Weight):
+    if hw.algebra != algebra:
+        raise ValueError("highest weight %r belongs to %r, not %r"
+                         % (hw, hw.algebra, algebra))
     if not hw.is_integral():
         raise ValueError("highest weight must be integral: %r" % (hw,))
     if not hw.is_dominant():
@@ -69,7 +72,7 @@ class Character:
     def __init__(self, algebra: AlgebraData, dominant: dict):
         dominant = _natural_mults(dominant)
         for w in dominant:
-            _require_dominant_integral(w)
+            _require_dominant_integral(algebra, w)
         self.algebra = algebra
         self._dominant = {tuple(map(int, w.coords)): m for w, m in dominant.items()}
 
@@ -218,7 +221,7 @@ def _norm_rho(form, w) -> int:
 
 def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
     """dim L(hw) = prod over alpha > 0 of (hw + rho, alpha) / (rho, alpha)."""
-    _require_dominant_integral(hw)
+    _require_dominant_integral(algebra, hw)
     lam_rho = [int(c) + 1 for c in hw.coords]
     num = den = 1
     for pair in _scaled_form(algebra)[2]:
@@ -232,7 +235,7 @@ def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
 @lru_cache(maxsize=None)
 def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     """Character of the irreducible L(hw), multiplicities by Freudenthal."""
-    _require_dominant_integral(hw)
+    _require_dominant_integral(algebra, hw)
     form, roots, pairs = _scaled_form(algebra)
     cartan = algebra.cartan
     top = tuple(map(int, hw.coords))
@@ -280,8 +283,8 @@ def tensor_decompose(a, b) -> DecompositionMultiset:
     """Decompose L(a) (x) L(b) (either argument may be a Character)."""
     if isinstance(a, Weight) and isinstance(b, Weight):
         algebra = a.algebra
-        _require_dominant_integral(a)
-        _require_dominant_integral(b)
+        _require_dominant_integral(algebra, a)
+        _require_dominant_integral(algebra, b)
         # run the reflection rule over the smaller weight system
         if weyl_dimension(algebra, a) < weyl_dimension(algebra, b):
             a, b = b, a
@@ -302,10 +305,8 @@ def tensor_decompose(a, b) -> DecompositionMultiset:
 
 def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
     """L(nu) (x) U by signed dominant reflection of nu + rho + mu."""
-    algebra = nu.algebra
-    _require_dominant_integral(nu)
-    if algebra != u.algebra:
-        raise ValueError("mixed algebras in tensor product")
+    algebra = u.algebra
+    _require_dominant_integral(algebra, nu)
     cartan = algebra.cartan
     base = [int(c) + 1 for c in nu.coords]  # nu + rho, rho = (1, ..., 1)
     out = {}
@@ -347,7 +348,7 @@ def decompose_character(char: Character) -> DecompositionMultiset:
 
 def casimir_on_irrep(algebra: AlgebraData, hw: Weight) -> Fraction:
     """Casimir scalar on L(hw): |hw+rho|^2 - |rho|^2."""
-    _require_dominant_integral(hw)
+    _require_dominant_integral(algebra, hw)
     rho = algebra.rho
     return norm_sq(hw + rho) - norm_sq(rho)
 

@@ -24,6 +24,10 @@ Bareiss scale.
 
 Scalars accepted everywhere: int, Fraction, ComplexRational.  Results are
 Fraction, or ComplexRational when not real; never float.
+
+The package's one sparse format lives here too: a vector is {index: value}
+and a matrix is column-sparse, {column: {row: value}}, both holding only
+nonzero entries.  accumulate and apply are the shared helpers on it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,30 @@ from .rational import ComplexRational
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
+_EMPTY = {}  # shared empty column; never mutated
+
+
+def accumulate(table, key, value):
+    """table[key] += value, with no zero ever stored."""
+    cur = table.get(key)
+    if cur is None:
+        if value:
+            table[key] = value
+    else:
+        cur = cur + value
+        if cur:
+            table[key] = cur
+        else:
+            del table[key]
+
+
+def apply(columns, vec):
+    """A column-sparse matrix {column: {row: value}} on a sparse vector."""
+    out = {}
+    for idx, c in vec.items():
+        for t, v in columns.get(idx, _EMPTY).items():
+            accumulate(out, t, c * v)
+    return out
 
 
 def _scaled(vec):

@@ -113,7 +113,7 @@ class AlgebraData:
         return Weight(self, (Fraction(1),) * self.rank)
 
     def weight(self, coords) -> "Weight":
-        return Weight(self, tuple(Fraction(c) for c in coords))
+        return Weight(self, coords)
 
     def root_vector(self, coords) -> "RootVector":
         return RootVector(self, tuple(int(c) for c in coords))
@@ -200,8 +200,12 @@ class Weight:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: AlgebraData, coords):
+        coords = tuple(Fraction(c) for c in coords)
+        if len(coords) != algebra.rank:
+            raise ValueError("%r needs %d weight coordinates, got %d"
+                             % (algebra, algebra.rank, len(coords)))
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, *a):
         raise AttributeError("Weight is immutable")
@@ -219,15 +223,21 @@ class Weight:
     def __repr__(self):
         return "Weight(%s)" % (",".join(str(c) for c in self.coords),)
 
-    def __add__(self, other):
+    def _other_coords(self, other):
         if isinstance(other, RootVector):
             other = other.to_weight()
-        return Weight(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if other.algebra != self.algebra:
+            raise ValueError("weights of %r and %r do not add"
+                             % (self.algebra, other.algebra))
+        return other.coords
+
+    def __add__(self, other):
+        coords = self._other_coords(other)
+        return Weight(self.algebra, tuple(a + b for a, b in zip(self.coords, coords)))
 
     def __sub__(self, other):
-        if isinstance(other, RootVector):
-            other = other.to_weight()
-        return Weight(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        coords = self._other_coords(other)
+        return Weight(self.algebra, tuple(a - b for a, b in zip(self.coords, coords)))
 
     def __neg__(self):
         return Weight(self.algebra, tuple(-a for a in self.coords))

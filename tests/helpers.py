@@ -1,8 +1,11 @@
 """Constructions that only the tests use: extra representations, the
-Casimir matrix, dense matrix products, a determinant, a simple reflection,
-vector normalization, a JobConfig parser, and the full-weight-map oracles
-for S(ad) and for the weights of an irreducible.
+Casimir matrix, products and linear combinations of column-sparse matrices,
+a determinant, a simple reflection, vector normalization, a JobConfig
+parser, and the full-weight-map oracles for S(ad) and for the weights of an
+irreducible.
 
+Matrices are column-sparse, {column: {row: value}} without zeros, as in
+Rep.mats; compose and combine are built on linalg's apply and accumulate.
 The test modules import this file as ``helpers``; pytest puts the tests
 directory on the import path.
 """
@@ -12,81 +15,68 @@ from fractions import Fraction
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
 from weylmod.finite_rep import Character, adjoint_character
-from weylmod.linalg import _ZERO, _canonical, _scaled
+from weylmod.linalg import _ZERO, _canonical, _scaled, accumulate, apply
 from weylmod.rational import parse_scalar
 from weylmod.root_system import AlgebraData, Weight
 
 
-def mat_mul(a, b):
-    """Product of dense matrices given as sequences of rows."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            row.append(sum(ai[t] * b[t][j] for t in range(k)))
-        out.append(tuple(row))
-    return tuple(out)
+def compose(a, b):
+    """The product ab of column-sparse matrices."""
+    out = {}
+    for j, col in b.items():
+        img = apply(a, col)
+        if img:
+            out[j] = img
+    return out
+
+
+def combine(terms):
+    """sum of c * M over the pairs (c, M) of terms."""
+    out = {}
+    for c, m in terms:
+        for j, col in m.items():
+            acc = out.setdefault(j, {})
+            for i, v in col.items():
+                accumulate(acc, i, c * v)
+    return {j: col for j, col in out.items() if col}
 
 
 def rep_trivial(cb: ChevalleyBasis) -> Rep:
     z = Weight(cb.algebra, (0,) * cb.algebra.rank)
-    zero = ((Fraction(0),),)
-    return Rep(cb, [zero] * cb.dim, [z], z)
+    return Rep(cb, [{}] * cb.dim, [z], z)
 
 
 def rep_adjoint(cb: ChevalleyBasis) -> Rep:
-    dim = cb.dim
-    mats = []
-    for p in range(dim):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for q in range(dim):
-            for (k, v) in cb.bracket_list(p, q):
-                m[k][q] = v
-        mats.append(tuple(tuple(row) for row in m))
+    mats = [
+        {q: dict(col) for q in range(cb.dim) if (col := cb.bracket_list(p, q))}
+        for p in range(cb.dim)
+    ]
     theta = cb.algebra.root_vector(cb.algebra.highest_root).to_weight()
     return Rep(cb, mats, cb.weights, theta)
 
 
 def rep_tensor(r1: Rep, r2: Rep) -> Rep:
-    cb = r1.cb
+    """x acts on U (x) W as x (x) 1 + 1 (x) x; basis vector (i, k) is i d2 + k."""
     d1, d2 = r1.dim, r2.dim
-    dim = d1 * d2
     mats = []
-    for p in range(cb.dim):
-        a, b = r1.mats[p], r2.mats[p]
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for i1 in range(d1):
-            for j1 in range(d1):
-                if a[i1][j1]:
-                    for k in range(d2):
-                        m[i1 * d2 + k][j1 * d2 + k] += a[i1][j1]
-        for k in range(d1):
-            for i2 in range(d2):
-                for j2 in range(d2):
-                    if b[i2][j2]:
-                        m[k * d2 + i2][k * d2 + j2] += b[i2][j2]
-        mats.append(tuple(tuple(row) for row in m))
+    for a, b in zip(r1.mats, r2.mats):
+        left = {j * d2 + k: {i * d2 + k: v for i, v in col.items()}
+                for j, col in a.items() for k in range(d2)}
+        right = {k * d2 + j: {k * d2 + i: v for i, v in col.items()}
+                 for k in range(d1) for j, col in b.items()}
+        mats.append(combine([(1, left), (1, right)]))
     weights = [
         r1.basis_weights[i] + r2.basis_weights[j]
         for i in range(d1)
         for j in range(d2)
     ]
-    return Rep(cb, mats, weights, r1.hw + r2.hw)
+    return Rep(r1.cb, mats, weights, r1.hw + r2.hw)
 
 
 def casimir_matrix(cb: ChevalleyBasis, rep: Rep):
-    """Omega = sum_p x_p x^p on the representation, as an exact matrix."""
-    n = rep.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for (p, q, c) in cb.casimir_pairs:
-        prod = mat_mul(rep.mats[p], rep.mats[q])
-        for i in range(n):
-            for j in range(n):
-                if prod[i][j]:
-                    out[i][j] += c * prod[i][j]
-    return tuple(tuple(row) for row in out)
+    """Omega = sum_p x_p x^p on the representation, column-sparse."""
+    mats = rep.mats
+    return combine((c, compose(mats[p], mats[q])) for p, q, c in cb.casimir_pairs)
 
 
 def determinant(rows):

@@ -18,10 +18,11 @@ from weylmod.affine_numerics import (
     irreducibility_certificate,
     kostant_bound_C,
 )
-from helpers import casimir_matrix, rep_adjoint, rep_tensor
+from helpers import casimir_matrix, combine, compose, rep_adjoint, rep_tensor
 from weylmod.chevalley import chevalley_basis, rep_from_hw
 from weylmod.cli import main as cli_main
 from weylmod.explicit_module import (
+    _dense,
     build_truncated,
     check_kl_exact_sequence,
     singular_vectors,
@@ -124,23 +125,14 @@ def _check_kostant_pair(algebra, cb, u_rep, m_rep, u_hw_or_char, m_hw):
     tensor = rep_tensor(u_rep, m_rep)
     omega = casimir_matrix(cb, tensor)
     dim = tensor.dim
+    one = {i: {i: Fraction(1)} for i in range(dim)}
     lam = m_hw + algebra.rho
     spectrum = kostant_spectrum(algebra, u_hw_or_char, lam)
     # annihilation: prod_i (Omega - value_i) = 0 over the weight multiset of U
-    prod = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)]
+    prod = one
     for v in spectrum:
-        shifted = [[omega[i][j] - (v if i == j else 0) for j in range(dim)]
-                   for i in range(dim)]
-        prod = [
-            [
-                sum((prod[i][k] * shifted[k][j] for k in range(dim)),
-                    Fraction(0))
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-    if any(v for row in prod for v in row):
+        prod = compose(prod, combine([(1, omega), (-v, one)]))
+    if prod:
         return False
     # eigenvalue multiset matches the tensor decomposition
     dec = tensor_decompose(u_hw_or_char, m_hw)
@@ -150,8 +142,7 @@ def _check_kostant_pair(algebra, cb, u_rep, m_rep, u_hw_or_char, m_hw):
         expected[v] = expected.get(v, 0) + mult * weyl_dimension(algebra, w)
     total = 0
     for v, want in expected.items():
-        shifted = [[omega[i][j] - (v if i == j else 0) for j in range(dim)]
-                   for i in range(dim)]
+        shifted = _dense(combine([(1, omega), (-v, one)]), range(dim), range(dim))
         got = len(nullspace(shifted, dim))
         if got != want:
             return False

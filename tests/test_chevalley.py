@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import casimir_matrix, rep_adjoint, rep_trivial
+from helpers import (casimir_matrix, combine, compose, rep_adjoint, rep_tensor,
+                     rep_trivial)
 from weylmod.chevalley import chevalley_basis, rep_from_hw
 from weylmod.finite_rep import casimir_on_irrep, irrep_character, weyl_dimension
 from weylmod.root_system import build_algebra, norm_sq
@@ -69,25 +70,13 @@ def test_every_type_builds():
 
 def _check_rep_relations(rep):
     """[R_p, R_q] must equal the structure constants acting on the rep."""
-    cb = rep.cb
-    n = rep.dim
+    cb, mats = rep.cb, rep.mats
     for p in range(cb.dim):
         for q in range(p + 1, cb.dim):
-            mp, mq = rep.mats[p], rep.mats[q]
-            comm = [
-                [
-                    sum(mp[i][k] * mq[k][j] - mq[i][k] * mp[k][j] for k in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            expect = [[Fraction(0)] * n for _ in range(n)]
-            for k, c in cb.bracket_list(p, q):
-                mk = rep.mats[k]
-                for i in range(n):
-                    for j in range(n):
-                        expect[i][j] += c * mk[i][j]
-            assert comm == expect
+            comm = combine([(1, compose(mats[p], mats[q])),
+                            (-1, compose(mats[q], mats[p]))])
+            expect = combine((c, mats[k]) for k, c in cb.bracket_list(p, q))
+            assert comm == expect, (p, q)
 
 
 def test_rep_matrices_satisfy_brackets():
@@ -99,16 +88,23 @@ def test_rep_matrices_satisfy_brackets():
     _check_rep_relations(rep_adjoint(sl3))
     _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([1, 1])))
     _check_rep_relations(rep_from_hw(sl3, sl3.algebra.weight([2, 0])))
+    # the test helpers that A4 relies on
+    for series in ("A", "B"):
+        algebra = build_algebra(series, 2)
+        cb = chevalley_basis(algebra)
+        _check_rep_relations(rep_tensor(rep_from_hw(cb, algebra.weight([1, 0])),
+                                        rep_from_hw(cb, algebra.weight([0, 1]))))
+    for series in ("B", "G"):
+        _check_rep_relations(rep_adjoint(chevalley_basis(build_algebra(series, 2))))
 
 
 def test_basis_weights_are_cartan_eigenvalues():
     cb = chevalley_basis(build_algebra("A", 2))
     rep = rep_from_hw(cb, cb.algebra.weight([1, 1]))
     for i, hi in enumerate(cb.cartan_slots):
-        m = rep.mats[hi]
-        for j in range(rep.dim):
-            assert m[j][j] == rep.basis_weights[j].coords[i]
-            assert all(m[k][j] == 0 for k in range(rep.dim) if k != j)
+        expect = {j: {j: w.coords[i]}
+                  for j, w in enumerate(rep.basis_weights) if w.coords[i]}
+        assert rep.mats[hi] == expect
 
 
 def test_irrep_dimensions():
@@ -129,11 +125,8 @@ def test_irrep_requires_dominant_integral_hw():
         rep_from_hw(cb, cb.algebra.weight([Fraction(1, 2), 0]))
 
 
-def _assert_scalar(mat, value):
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            assert mat[i][j] == (value if i == j else 0)
+def _assert_scalar(mat, value, dim):
+    assert mat == ({i: {i: value} for i in range(dim)} if value else {})
 
 
 def test_casimir_matrix_matches_weight_formula():
@@ -141,7 +134,8 @@ def test_casimir_matrix_matches_weight_formula():
     for n in (0, 1, 2, 3):
         hw = sl2.algebra.weight([n])
         rep = rep_from_hw(sl2, hw)
-        _assert_scalar(casimir_matrix(sl2, rep), casimir_on_irrep(sl2.algebra, hw))
+        _assert_scalar(casimir_matrix(sl2, rep), casimir_on_irrep(sl2.algebra, hw),
+                       rep.dim)
     sl3 = chevalley_basis(build_algebra("A", 2))
     cases = {
         (1, 0): Fraction(8, 3),
@@ -154,14 +148,14 @@ def test_casimir_matrix_matches_weight_formula():
         hw = sl3.algebra.weight(coords)
         assert casimir_on_irrep(sl3.algebra, hw) == value
         rep = rep_from_hw(sl3, hw)
-        _assert_scalar(casimir_matrix(sl3, rep), value)
+        _assert_scalar(casimir_matrix(sl3, rep), value, rep.dim)
 
 
 def test_trivial_rep_is_one_dimensional_zero_action():
     cb = chevalley_basis(build_algebra("A", 2))
     rep = rep_trivial(cb)
     assert rep.dim == 1
-    assert all(m == ((0,),) for m in rep.mats)
+    assert all(m == {} for m in rep.mats)
 
 
 def test_casimir_pairs_give_dual_bases():
@@ -271,36 +265,6 @@ def test_jacobi_and_chevalley_relations(series, rank):
         assert dict(cb.bracket_list(k, n_pos + rank + k)) == coroot
 
 
-def _sparse(mat):
-    """A dense matrix as {column: {row: value}} without zeros."""
-    n = len(mat)
-    cols = {j: {i: mat[i][j] for i in range(n) if mat[i][j]} for j in range(n)}
-    return {j: col for j, col in cols.items() if col}
-
-
-def _sparse_mul(a, b):
-    out = {}
-    for j, col in b.items():
-        acc = {}
-        for k, v in col.items():
-            for i, w in a.get(k, {}).items():
-                acc[i] = acc.get(i, 0) + w * v
-        out[j] = acc
-    return out
-
-
-def _sparse_sum(terms):
-    """sum of c * M over (c, M), with zeros dropped."""
-    out = {}
-    for c, m in terms:
-        for j, col in m.items():
-            acc = out.setdefault(j, {})
-            for i, v in col.items():
-                acc[i] = acc.get(i, 0) + c * v
-    out = {j: {i: v for i, v in col.items() if v} for j, col in out.items()}
-    return {j: col for j, col in out.items() if col}
-
-
 _IRREPS = {
     ("B", 2): [(1, 0), (0, 1), (1, 1), (2, 1)],
     ("G", 2): [(1, 0), (0, 1), (1, 1)],
@@ -316,12 +280,7 @@ def test_irreps_satisfy_brackets_and_freudenthal(series, rank):
     for coords in _IRREPS[series, rank]:
         hw = algebra.weight(coords)
         rep = rep_from_hw(cb, hw)
-        mats = [_sparse(m) for m in rep.mats]
-        for p in range(cb.dim):
-            for q in range(p + 1, cb.dim):
-                comm = _sparse_sum([(1, _sparse_mul(mats[p], mats[q])),
-                                    (-1, _sparse_mul(mats[q], mats[p]))])
-                assert comm == _sparse_sum((c, mats[k]) for k, c in cb.bracket_list(p, q))
+        _check_rep_relations(rep)
         mults = {}
         for w in rep.basis_weights:
             key = tuple(int(c) for c in w.coords)
@@ -335,5 +294,19 @@ def test_casimir_is_scalar_beyond_type_a():
         algebra = build_algebra(series, 2)
         cb = chevalley_basis(algebra)
         hw = algebra.weight(coords)
-        _assert_scalar(casimir_matrix(cb, rep_from_hw(cb, hw)),
-                       casimir_on_irrep(algebra, hw))
+        rep = rep_from_hw(cb, hw)
+        _assert_scalar(casimir_matrix(cb, rep), casimir_on_irrep(algebra, hw),
+                       rep.dim)
+
+
+@pytest.mark.parametrize("series", ["A", "B", "G"])
+def test_irrep_matrices_are_column_sparse(series):
+    algebra = build_algebra(series, 2)
+    cb = chevalley_basis(algebra)
+    for coords in ([1, 0], [0, 1], [1, 1], [2, 1]):
+        rep = rep_from_hw(cb, algebra.weight(coords))
+        assert len(rep.mats) == cb.dim
+        for mat in rep.mats:
+            for j, col in mat.items():
+                assert j in range(rep.dim) and col
+                assert all(i in range(rep.dim) and v for i, v in col.items())

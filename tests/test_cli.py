@@ -308,6 +308,22 @@ def test_crossvalidate_positive_kappa_skips_candidate_checks(capsys):
     assert data["candidates"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["A", "1", "--hw", "0", "--kappa=2"],
+    ["A", "2", "--hw", "0", "0", "--kappa=3"],
+])
+def test_crossvalidate_at_dual_coxeter_level(argv, capsys):
+    # K acts by kappa - h-dual = 0; the candidate checks do not apply (None)
+    code, out, _ = _run(["crossvalidate"] + argv + ["--depth", "2", "--format",
+                                                    "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert all(v is not False for v in data["checks"].values())
+    assert data["checks"]["l0_scalar"] and data["checks"]["virasoro"]
+    assert data["checks"]["kl_exact"]
+
+
 def test_crossvalidate_dump_writes_module(tmp_path, capsys):
     target = tmp_path / "module.json"
     code, _, _ = _run(

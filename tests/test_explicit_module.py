@@ -119,6 +119,18 @@ def test_central_element_action():
         act(m, "K", 1)
 
 
+def test_store_holds_no_zero_at_dual_coxeter_level():
+    # kappa = h-dual: K acts by 0, so every central term vanishes
+    for algebra, hw in ((SL2, [0]), (SL3, [0, 0])):
+        m = build_truncated(algebra, algebra.weight(hw), algebra.dual_coxeter, 2)
+        assert m.k_scalar == 0
+        for p in range(m.cb.dim):
+            for mode in range(-2, 3):
+                for col in m.columns(p, mode).values():
+                    assert col and all(col.values())
+        assert sugawara_l0(m).is_scalar_by_degree()
+
+
 def test_zero_mode_cartan_is_diagonal_with_weights():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
     mat = act(m, "h", 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylmod.affine_numerics import irreducibility_certificate
 from weylmod.finite_rep import (
     Character,
     DecompositionMultiset,
@@ -262,3 +263,23 @@ def test_freudenthal_and_weyl_dimension_match_known_fundamentals():
             char = irrep_character(alg, w)
             assert char.dimension() == weyl_dimension(alg, w), (series, w)
             assert char.multiplicity(w) == 1
+
+
+def test_weights_of_another_algebra_or_rank_are_rejected():
+    a1, a2 = build_algebra("A", 1), build_algebra("A", 2)
+    with pytest.raises(ValueError):
+        a1.weight([1, 2])
+    with pytest.raises(ValueError):
+        a1.weight([1]) + a2.weight([1, 0])
+    with pytest.raises(ValueError):
+        a2.weight([1, 0]) - a1.weight([1])
+    with pytest.raises(ValueError):
+        irrep_character(a2, a1.weight([1]))
+    with pytest.raises(ValueError):
+        tensor_decompose(a2.weight([1, 0]), a1.weight([1]))
+    with pytest.raises(ValueError):
+        weyl_dimension(a2, a1.weight([1]))
+    with pytest.raises(ValueError):
+        casimir_on_irrep(a1, a2.weight([1, 0]))
+    with pytest.raises(ValueError):
+        irreducibility_certificate(a1.weight([1, 0]), -1)
