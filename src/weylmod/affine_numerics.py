@@ -23,6 +23,9 @@ exact: rational kappa stays in Fraction, non-real kappa in ComplexRational.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 
 from .finite_rep import tensor_decompose
 from .graded_sym import sym_ad_graded
@@ -167,15 +170,32 @@ class ResonanceScan:
     part, so every solution lies in this ball whatever kappa and n are.  The
     scan keeps each ball point with its value q, and C = min q, which is <= 0
     because mu = 0 is in the ball.
+
+    q(mu) = sum_ij G_ij mu_i mu_j + sum_j 2 d_j lambda_j mu_j with G the root
+    Gram matrix; G and 2 d_j lambda_j are scaled once by the lcm of their
+    denominators, so each point costs one integer form and one division by
+    that scale, equal to resonance_value(lam, mu).
     """
 
     def __init__(self, lam: Weight):
         self.lam = lam
-        self.points = [
-            (mu, resonance_value(lam, mu))
-            for mu in enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))
-        ]
-        self.c = min(q for _, q in self.points)
+        algebra = lam.algebra
+        gram = algebra.gram_root
+        linear = [2 * d * c for d, c in zip(algebra.d, lam.coords)]
+        scale = lcm(*(x.denominator for x in chain(linear, *gram)))
+        gram = [[int(x * scale) for x in row] for row in gram]
+        linear = [int(x * scale) for x in linear]
+
+        self.points = []
+        low = 0  # q(0) = 0
+        for mu in enumerate_root_lattice_ball(algebra, lam, norm_sq(lam)):
+            m = mu.coords
+            v = sum(mi * (li + sum(map(mul, row, m)))
+                    for mi, li, row in zip(m, linear, gram))
+            if v < low:
+                low = v
+            self.points.append((mu, Fraction(v, scale)))
+        self.c = Fraction(low, scale)
 
     def level_bound(self, kappa) -> int:
         """Largest degree n that can resonate: 0 for non-real kappa, else

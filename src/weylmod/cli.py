@@ -24,7 +24,7 @@ from . import explicit_module as em
 from .finite_rep import casimir_on_irrep, tensor_decompose, weyl_dimension
 from .graded_sym import sym_ad_graded
 from .invariant import InvariantError, check
-from .rational import format_fraction, format_scalar, parse_scalar
+from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
 from .root_system import build_algebra, norm_sq
 
 _FORMATS = ("text", "json")
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> JobConfig:
     weights = []
     if getattr(args, "hw", None) is not None:
-        weights.append([Fraction(c) for c in args.hw])
+        weights.append([parse_fraction(c) for c in args.hw])
     kappa = None
     if getattr(args, "kappa", None) is not None:
         kappa = parse_scalar(args.kappa)

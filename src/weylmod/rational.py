@@ -139,11 +139,16 @@ def format_scalar(x) -> str:
     raise TypeError("cannot format %r" % (x,))
 
 
-def _parse_fraction(tok: str) -> Fraction:
+def parse_fraction(tok: str) -> Fraction:
+    """Parse "p/q"; a malformed token or a zero denominator is a ValueError
+    that names the token."""
     tok = tok.strip()
     if not tok:
         raise ValueError("empty number")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % tok) from None
 
 
 def parse_scalar(text: str):
@@ -156,7 +161,7 @@ def parse_scalar(text: str):
     if not s:
         raise ValueError("empty scalar")
     if not s.endswith("i"):
-        return _parse_fraction(s)
+        return parse_fraction(s)
     body = s[:-1]
     # split off the imaginary summand at the last sign that is not leading
     # and not part of a fraction like "-1/2"
@@ -174,8 +179,8 @@ def parse_scalar(text: str):
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = _parse_fraction(im_part)
-    re = _parse_fraction(re_part) if re_part else Fraction(0)
+        im = parse_fraction(im_part)
+    re = parse_fraction(re_part) if re_part else Fraction(0)
     if im == 0:
         return re
     return ComplexRational(re, im)

@@ -10,7 +10,6 @@ related by fw = C @ root for the Cartan matrix C.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -76,20 +75,17 @@ class AlgebraData:
 
     __slots__ = (
         "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
-        "gram_root_inv", "positive_roots", "highest_root", "dual_coxeter",
-        "dim",
+        "positive_roots", "highest_root", "dual_coxeter", "dim",
     )
 
     def __init__(self, series, rank, cartan, d, cartan_inv, gram_root,
-                 gram_root_inv, positive_roots, highest_root, dual_coxeter,
-                 dim):
+                 positive_roots, highest_root, dual_coxeter, dim):
         self.series = series
         self.rank = rank
         self.cartan = cartan  # cartan[i][j] = <a_j, a_i-check>
         self.d = d  # symmetrizers (a_i, a_i)/2
         self.cartan_inv = cartan_inv
         self.gram_root = gram_root  # (a_i, a_j)
-        self.gram_root_inv = gram_root_inv
         self.positive_roots = positive_roots  # simple-root coords, by height
         self.highest_root = highest_root
         self.dual_coxeter = dual_coxeter
@@ -186,7 +182,6 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
         d=d,
         cartan_inv=matrix_inverse(cartan),
         gram_root=gram_root,
-        gram_root_inv=matrix_inverse(gram_root),
         positive_roots=pos,
         highest_root=theta,
         dual_coxeter=h_dual,
@@ -406,50 +401,69 @@ def same_weyl_orbit(x: Weight, y: Weight) -> bool:
     return dominant_representative(x)[0] == dominant_representative(y)[0]
 
 
-def _floor_sqrt(t: Fraction) -> int:
-    """floor(sqrt(t)) for rational t >= 0."""
-    check(t >= 0, "square root of a negative number")
-    return isqrt(t.numerator * t.denominator) // t.denominator
-
-
 def _floor_plus_sqrt(x: Fraction, t: Fraction) -> int:
-    """floor(x + sqrt(t)) exactly, for rational x and rational t >= 0."""
-    c = (x.numerator // x.denominator) + _floor_sqrt(t) + 2
-    while True:
-        d = c - x
-        if d <= 0 or d * d <= t:
-            return c
-        c -= 1
+    """floor(x + sqrt(t)) exactly, for rational x and rational t >= 0.
+
+    With x = p/q (q > 0), floor(x + sqrt t) = floor((p + sqrt(t q^2)) / q),
+    and since p and q are integers the square root may be floored first.
+    """
+    check(t >= 0, "square root of a negative number")
+    p, q = x.numerator, x.denominator
+    return (p + isqrt(t.numerator * q * q // t.denominator)) // q
+
+
+def _ldl_from_last(gram):
+    """d, u with x^T gram x = sum_i d_i (x_i + sum_{j<i} u[i][j] x_j)^2.
+
+    Completes the square in the last coordinate first, so the i-th square
+    involves only x_0 .. x_i; every d_i > 0 since gram is positive definite.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    d = [None] * n
+    u = [None] * n
+    for i in range(n - 1, -1, -1):
+        d[i] = a[i][i]
+        check(d[i] > 0, "root Gram matrix not positive definite")
+        u[i] = [a[i][j] / d[i] for j in range(i)]
+        for j in range(i):
+            for k in range(i):
+                a[j][k] -= d[i] * u[i][j] * u[i][k]
+    return d, u
 
 
 def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     """All mu in the root lattice with |mu + shift|^2 <= bound, sorted.
 
-    Exact: per-coordinate ranges come from |x_i|^2 <= R (G^-1)_{ii} after
-    completing the square, then every candidate is filtered with the exact
-    quadratic form.  Sorted lexicographically by root coordinates.
+    An exact Fincke-Pohst walk ("Improved methods for calculating vectors of
+    short length in a lattice", Math. Comp. 1985).  With y = mu + shift,
+    |y|^2 = sum_i d_i (y_i + sum_{j<i} u_ij y_j)^2 (_ldl_from_last), so once
+    mu_0 .. mu_{i-1} are fixed the i-th square bounds mu_i to the integers of
+    one interval, whose ends _floor_plus_sqrt finds exactly.  Every integer
+    in that interval keeps the partial sum within bound and nothing outside
+    does, so the leaves are exactly the ball points.  Coordinate 0 is fixed
+    first and each range ascends, so the points come out sorted
+    lexicographically by root coordinates.
     """
     bound = Fraction(bound)
     if bound < 0:
         return []
     n = algebra.rank
     s = shift.to_root_coords()
-    ginv = algebra.gram_root_inv
-    g = algebra.gram_root
-    ranges = []
-    for i in range(n):
-        t = bound * ginv[i][i]
-        hi = _floor_plus_sqrt(-s[i], t)
-        lo = -_floor_plus_sqrt(s[i], t)
-        ranges.append(range(lo, hi + 1))
+    d, u = _ldl_from_last(algebra.gram_root)
     out = []
+    m = [0] * n
 
-    def _norm(vec):
-        return sum(vec[i] * g[i][j] * vec[j] for i in range(n) for j in range(n))
+    def walk(i, rest):
+        # rest: bound minus the squares of coordinates 0 .. i-1
+        x = -s[i] - sum(u[i][j] * (m[j] + s[j]) for j in range(i))
+        t = rest / d[i]
+        for c in range(-_floor_plus_sqrt(-x, t), _floor_plus_sqrt(x, t) + 1):
+            m[i] = c
+            if i + 1 == n:
+                out.append(RootVector(algebra, m))
+            else:
+                walk(i + 1, rest - d[i] * (c - x) ** 2)
 
-    for m in itertools.product(*ranges):
-        x = [m[i] + s[i] for i in range(n)]
-        if _norm(x) <= bound:
-            out.append(RootVector(algebra, m))
-    out.sort(key=lambda rv: rv.coords)
+    walk(0, bound)
     return out

@@ -1,8 +1,8 @@
 """Constructions that only the tests use: extra representations, the
 Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection, vector normalization, a JobConfig
-parser, and the full-weight-map oracles for S(ad) and for the weights of an
-irreducible.
+parser, the full-weight-map oracles for S(ad) and for the weights of an
+irreducible, and the bounding-box oracle for the root-lattice ball.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -10,14 +10,17 @@ The test modules import this file as ``helpers``; pytest puts the tests
 directory on the import path.
 """
 
+import itertools
 from fractions import Fraction
 
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
 from weylmod.finite_rep import Character, adjoint_character
-from weylmod.linalg import _ZERO, _canonical, _scaled, accumulate, apply
+from weylmod.linalg import (
+    _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
+)
 from weylmod.rational import parse_scalar
-from weylmod.root_system import AlgebraData, Weight
+from weylmod.root_system import AlgebraData, RootVector, Weight, _floor_plus_sqrt
 
 
 def compose(a, b):
@@ -245,3 +248,30 @@ def weight_closure(cartan, top) -> set:
                     seen.add(cur)
                     stack.append(cur)
     return seen
+
+
+def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
+    """enumerate_root_lattice_ball by brute force over a bounding box.
+
+    Completing the square bounds coordinate i by |x_i|^2 <= R (G^-1)_{ii};
+    every point of that box is tested with the exact quadratic form, and the
+    survivors are sorted lexicographically.
+    """
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    n = algebra.rank
+    s = shift.to_root_coords()
+    g = algebra.gram_root
+    ginv = matrix_inverse(g)
+    ranges = []
+    for i in range(n):
+        t = bound * ginv[i][i]
+        ranges.append(range(-_floor_plus_sqrt(s[i], t), _floor_plus_sqrt(-s[i], t) + 1))
+    out = []
+    for m in itertools.product(*ranges):
+        x = [m[i] + s[i] for i in range(n)]
+        if sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) <= bound:
+            out.append(RootVector(algebra, m))
+    out.sort(key=lambda rv: rv.coords)
+    return out

@@ -24,7 +24,7 @@ from weylmod.affine_numerics import (
     top_l0_eigenvalue,
 )
 from weylmod.rational import ComplexRational
-from weylmod.root_system import build_algebra, norm_sq, orbit_coords
+from weylmod.root_system import build_algebra, dominant_below, norm_sq, orbit_coords
 
 
 def _lam(algebra, hw_coords):
@@ -61,6 +61,45 @@ def test_kostant_bound_values():
     assert kostant_bound_C(_lam(sl2, [2])) == -4
     assert kostant_bound_C(_lam(sl3, [0, 0])) == -2
     assert kostant_bound_C(_lam(sl3, [1, 0])) == -4
+
+
+def test_scan_values_match_resonance_value():
+    for series, rank in (("A", 2), ("B", 3), ("C", 3), ("G", 2)):
+        algebra = build_algebra(series, rank)
+        for lam in (
+            _lam(algebra, [1] + [0] * (rank - 1)),
+            algebra.rho + algebra.weight([Fraction(1, 3)] * rank),
+            algebra.weight([Fraction(-1, 2)] + [Fraction(5, 7)] * (rank - 1)),
+        ):
+            scan = ResonanceScan(lam)
+            assert scan.points
+            for mu, q in scan.points:
+                assert q == resonance_value(lam, mu), (lam, mu)
+
+
+# all highest weights with coordinates <= 2 at rank <= 2, coordinate sum <= 2
+# at rank 3-4; F4 only at 0, omega_1 and omega_4 to keep its balls small
+_C_HWS = {
+    (series, rank): [hw for hw in itertools.product(range(3), repeat=rank)
+                     if rank <= 2 or sum(hw) <= 2]
+    for series, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                         ("B", 3), ("C", 3), ("D", 4), ("G", 2))
+}
+_C_HWS[("F", 4)] = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("series,rank", sorted(_C_HWS))
+def test_kostant_bound_closed_form(series, rank):
+    # lambda is integral, so the dominant weights of lambda + Q have a unique
+    # minimum, which lies below lambda (Stembridge, Adv. Math. 1998); C is its
+    # norm minus |lambda|^2
+    algebra = build_algebra(series, rank)
+    for hw in _C_HWS[(series, rank)]:
+        lam = _lam(algebra, hw)
+        top = tuple(int(c) for c in lam.coords)
+        below = dominant_below(algebra.cartan, algebra.positive_roots, top)
+        closed = min(norm_sq(algebra.weight(nu)) for nu in below) - norm_sq(lam)
+        assert ResonanceScan(lam).c == closed, hw
 
 
 def test_kostant_bound_is_global_minimum():

@@ -259,6 +259,17 @@ def test_bad_algebra_exits_one(capsys):
     assert "error" in err
 
 
+def test_zero_denominator_names_the_token(capsys):
+    for argv in (
+        ["certify", "A", "1", "--hw", "2", "--kappa=1/0"],
+        ["certify", "A", "1", "--hw", "1/0", "--kappa=-1"],
+    ):
+        code, out, err = _run(argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "error: zero denominator in '1/0'\n", argv
+
+
 def test_wrong_hw_length_exits_one(capsys):
     code, _, err = _run(["certify", "A", "2", "--hw", "2", "--kappa", "-1"],
                         capsys)

@@ -99,7 +99,7 @@ def test_parse_scalar_shorthands():
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ("", "one", "1+2j", "--3"):
+    for bad in ("", "one", "1+2j", "--3", "1/0", "-1+1/0 i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gram_is_positive_definite, reflect_simple, weight_closure
+from helpers import ball_by_box, gram_is_positive_definite, reflect_simple, weight_closure
 from weylmod.finite_rep import Character
 from weylmod.root_system import (
+    _floor_plus_sqrt,
     build_algebra,
     dominant_below,
     dominant_coords,
@@ -220,6 +221,37 @@ def test_ball_is_sorted_deterministically():
         for mu in enumerate_root_lattice_ball(sl3, sl3.rho, norm_sq(sl3.rho))
     ]
     assert ball == sorted(ball)
+
+
+def test_floor_plus_sqrt_is_exact():
+    values = [Fraction(p, q) for p in range(-13, 14) for q in (1, 2, 3, 7)]
+    for x in values:
+        for t in values:
+            if t >= 0:
+                c = _floor_plus_sqrt(x, t)
+                # c - x <= sqrt(t) < c + 1 - x
+                assert c - x <= 0 or (c - x) ** 2 <= t, (x, t)
+                assert c + 1 - x > 0 and (c + 1 - x) ** 2 > t, (x, t)
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+    ("D", 4), ("G", 2),
+])
+def test_ball_walk_matches_box_oracle(series, rank):
+    a = build_algebra(series, rank)
+    for shift in (a.rho, a.rho + a.weight([Fraction(1, 3)] * rank)):
+        r = norm_sq(shift)
+        for bound in (r, r - Fraction(1, 2), 0, -1):
+            walk = enumerate_root_lattice_ball(a, shift, bound)
+            assert walk == ball_by_box(a, shift, bound), (shift, bound)
+
+
+def test_f4_rho_ball_size():
+    f4 = build_algebra("F", 4)
+    ball = enumerate_root_lattice_ball(f4, f4.rho, norm_sq(f4.rho))
+    assert len(ball) == 15793
+    assert [mu.coords for mu in ball] == sorted(mu.coords for mu in ball)
 
 
 @pytest.mark.parametrize("series,rank", sorted(_WEYL_ORDER))
