@@ -6,7 +6,8 @@ space from the top down.  chevalley_basis realises the basis on V, the
 fundamental representation of least dimension (faithful, since g is
 simple), which rep_from_hw itself builds, and reads the structure constants
 and the invariant form off V.  Every matrix is column-sparse, {column:
-{row: value}} without zeros (see linalg), and all entries are Fractions.
+{row: value}} without zeros (see linalg), and every scalar is held as
+rational.exact gives it: an int when integral, else a Fraction.
 
 Proof note (Humphreys, Introduction to Lie Algebras and Representation
 Theory, §20-21 and §25).
@@ -32,6 +33,15 @@ Theory, §20-21 and §25).
 * trace_V(xy) is an invariant form, equal to (x, y) times the Dynkin index
   dim V c(V) / dim g, c(V) the Casimir scalar of V; long roots have
   (alpha, alpha) = 2.
+* Which scalars are ints.  The brackets are, by Chevalley's theorem
+  (Humphreys §25.2), and so is the form, as (e_alpha, f_alpha) =
+  2/(alpha, alpha); only its inverse, the Casimir weights, has
+  denominators.  The matrices of L(lambda) are ints when the basis is a
+  Z-basis of Kostant's lattice U_Z v_lambda (Humphreys §27): on the sl2
+  ladder, and for every minuscule lambda, where each f_i b with
+  <wt b, alpha_i-check> = 1 spans its weight space's lattice since
+  e_i f_i b = b.  Beyond these the basis need not be a Z-basis (the adjoint
+  of sl3 has entries 1/2), and such entries stay Fractions.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from fractions import Fraction
 from .finite_rep import casimir_on_irrep, weyl_dimension
 from .invariant import check
 from .linalg import _EMPTY, SpanBuilder, accumulate, apply, matrix_inverse
+from .rational import exact
 from .root_system import AlgebraData, Weight
 
 
@@ -52,7 +63,8 @@ def _bracket(a, b, den=1):
             acc = out.setdefault(j, {})
             for i, v in apply(x, col).items():
                 accumulate(acc, i, sign * v)
-    return {j: {i: v / den for i, v in col.items()} for j, col in out.items() if col}
+    return {j: {i: exact(Fraction(v, den)) for i, v in col.items()}
+            for j, col in out.items() if col}
 
 
 def _trace_product(a, b):
@@ -99,14 +111,15 @@ class ChevalleyBasis:
             for q in range(p + 1, self.dim):
                 coords = span.coords(flat(_bracket(mats[p], mats[q])))
                 check(coords is not None, "bracket left the span")
-                entry = {k: v for k, v in coords.items() if v}
+                entry = {k: exact(v) for k, v in coords.items() if v}
                 if entry:
                     bracket[(p, q)] = entry
                     bracket[(q, p)] = {k: -v for k, v in entry.items()}
         self.bracket = bracket
         v_index = d * casimir_on_irrep(alg, v_hw) / alg.dim
         self.form = tuple(
-            tuple(_trace_product(mats[p], mats[q]) / v_index for q in range(self.dim))
+            tuple(exact(_trace_product(mats[p], mats[q]) / v_index)
+                  for q in range(self.dim))
             for p in range(self.dim)
         )
         dual = matrix_inverse(self.form)
@@ -114,7 +127,7 @@ class ChevalleyBasis:
         for p in range(self.dim):
             for q in range(self.dim):
                 if dual[p][q]:
-                    pairs.append((p, q, dual[p][q]))
+                    pairs.append((p, q, exact(dual[p][q])))
         # sum_p x_p (x) x^p = sum_{(p,q)} dual[p][q] x_p (x) x_q
         self.casimir_pairs = tuple(pairs)
         for i, hi in enumerate(self.cartan_slots):
@@ -135,7 +148,7 @@ class ChevalleyBasis:
             return []
         return sorted(self.bracket.get((p, q), {}).items())
 
-    def pairing(self, p, q) -> Fraction:
+    def pairing(self, p, q):
         return self.form[p][q]
 
 
@@ -194,9 +207,9 @@ def _irrep(algebra: AlgebraData, recipe, top):
                     for j in range(r):
                         for s, v in apply(f[i], e[j].get(b, _EMPTY)).items():
                             accumulate(img, s, v)
-                    img = {s: v * scale for s, v in img.items()}
+                    img = {s: exact(v * scale) for s, v in img.items()}
                     if span.add(img):
-                        f[i][b] = {len(weights): Fraction(p + 1)}
+                        f[i][b] = {len(weights): p + 1}
                         for j, aj in enumerate(alphas):
                             up = space.get(add(mu, aj), ())
                             col = {s: v for s, v in img.items() if s in up}
@@ -204,7 +217,7 @@ def _irrep(algebra: AlgebraData, recipe, top):
                                 e[j][len(weights)] = col
                         weights.append(mu)
                         continue
-                    col = {start + k: (p + 1) * v
+                    col = {start + k: exact((p + 1) * v)
                            for k, v in span.coords(img).items() if v}
                     if col:
                         f[i][b] = col
@@ -213,7 +226,7 @@ def _irrep(algebra: AlgebraData, recipe, top):
                 layer.append(mu)
     check(len(weights) == dim, "L(lambda) has the wrong dimension")
     h = [
-        {n: {n: Fraction(w[i])} for n, w in enumerate(weights) if w[i]}
+        {n: {n: w[i]} for n, w in enumerate(weights) if w[i]}
         for i in range(r)
     ]
     pos, neg = e[:], f[:]

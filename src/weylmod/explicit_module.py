@@ -15,8 +15,13 @@ straighten the action of every x eps^m with |m| <= N back into this basis using
 
 with K acting by the scalar kappa - h_dual.  The zero modes act through M and
 the positive modes kill it.  The result is one column-sparse action store;
-dense blocks are built only on request.  All coefficients are exact:
-Fraction throughout, ComplexRational once kappa leaves the rationals.
+dense blocks are built only on request.  All coefficients are exact, and the
+store holds each in canonical form: an int when integral, a Fraction when
+rational, a ComplexRational only when its imaginary part is nonzero.  Every
+entry is a sum of products of brackets, matrix entries of M and central
+terms m (x, y) (kappa - h_dual).  The brackets are ints, and so are the
+matrices of M on the sl2 ladder and for minuscule M (see chevalley), so
+there only the central term can bring a denominator or i into the store.
 
 On top of the raw action the module offers the brute-force oracles used to
 cross-check the resonance bookkeeping: the normally-ordered Sugawara L0, the
@@ -31,6 +36,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .affine_numerics import ResonanceScan, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
@@ -38,7 +44,7 @@ from .finite_rep import casimir_on_irrep
 from .graded_sym import sym_ad_graded
 from .invariant import check
 from .linalg import _EMPTY, SpanBuilder, accumulate, apply, nullspace
-from .rational import ComplexRational, format_scalar, scalar_im, scalar_re
+from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
 from .root_system import Weight, same_weyl_orbit
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
@@ -48,7 +54,14 @@ _DEFAULT_DEPTH_CAP = 6
 _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
 
-_ONE = Fraction(1)
+_ONE = 1
+
+
+def _canonical(x):
+    """x as an int when integral, a Fraction when rational, else complex."""
+    if isinstance(x, ComplexRational):
+        return x if x.im else x.re
+    return exact(x)
 
 
 def depth_cap() -> int:
@@ -245,7 +258,8 @@ def _straighten(module) -> dict:
                 for (m3, tag), c3 in op(q, m - k0, rest).items():
                     accumulate(out, (m3, tag), cq * c3)
             if m == k0:
-                accumulate(out, (rest, None), m * cb.pairing(p, p0) * k_scalar)
+                accumulate(out, (rest, None),
+                           _canonical(m * cb.pairing(p, p0) * k_scalar))
         opmemo[key] = out
         return out
 
@@ -272,7 +286,7 @@ def _straighten(module) -> dict:
                             for i, v in mats[tag].get(j, _EMPTY).items():
                                 accumulate(col, index[(m2, i)], c * v)
                         if col:
-                            cols[start + j] = col
+                            cols[start + j] = {t: _canonical(v) for t, v in col.items()}
     # leftmul and op refer to themselves, so only a cycle collection would
     # free the memos; release them now
     lmmemo.clear()
@@ -417,10 +431,18 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
     normal order (positive modes to the right).  The result is checked to be
     the scalar a/(2 kappa) + n on each degree-n layer, a = Casimir of M.
     module.l0 holds the result for reuse.
+
+    The sum runs on the integer weights 2 scale w (zero modes: scale w), with
+    scale the least common denominator of the Casimir weights w, so on an
+    integral store it stays in ints; each column is divided by
+    2 scale kappa once, at the end.
     """
     kappa = module.kappa
     a = casimir_on_irrep(module.algebra, module.m_hw)
-    pairs = module.cb.casimir_pairs
+    scale = lcm(*(Fraction(w).denominator for _, _, w in module.cb.casimir_pairs))
+    pairs = [(p, q, exact(w * scale)) for p, q, w in module.cb.casimir_pairs]
+    doubled = [(p, q, 2 * w) for p, q, w in pairs]
+    inverse = Fraction(1) / (2 * scale * kappa)
     columns = {}
     eigenvalues = {}
     for n in range(module.depth + 1):
@@ -432,16 +454,16 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
                 tmp = module.apply_to_vector(q, 0, start)
                 tmp = module.apply_to_vector(p, 0, tmp)
                 for t, v in tmp.items():
-                    accumulate(acc, t, w * v / 2)
+                    accumulate(acc, t, w * v)
             for j in range(1, n + 1):
-                for (p, q, w) in pairs:
+                for (p, q, w) in doubled:
                     tmp = module.apply_to_vector(q, j, start)
                     if not tmp:
                         continue
                     tmp = module.apply_to_vector(p, -j, tmp)
                     for t, v in tmp.items():
                         accumulate(acc, t, w * v)
-            col = {t: v / kappa for t, v in acc.items()}
+            col = {t: v * inverse for t, v in acc.items()}
             check(col == ({idx: xi} if xi else {}),
                   "Sugawara sum is not the expected scalar at degree %d", n)
             columns[idx] = col

@@ -22,8 +22,11 @@ passed instead of by p_{k-1}.  A row that survives every stage is raised
 by p_last / p_passed before it is stored, which puts it back at the exact
 Bareiss scale.
 
-Scalars accepted everywhere: int, Fraction, ComplexRational.  Results are
-Fraction, or ComplexRational when not real; never float.
+Scalars accepted everywhere: int, Fraction, ComplexRational; ints are the
+fast case, since _scaled then needs no denominator.  nullspace,
+SpanBuilder.coords and matrix_inverse return Fraction, or ComplexRational
+when not real; accumulate and apply return whatever the arithmetic of their
+inputs gives, so ints stay ints.  Never float.
 
 The package's one sparse format lives here too: a vector is {index: value}
 and a matrix is column-sparse, {column: {row: value}}, both holding only

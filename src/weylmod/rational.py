@@ -2,10 +2,14 @@
 
 The central charge kappa may be any nonzero complex number away from the
 critical value; everything downstream (Sugawara eigenvalues, central terms,
-kernels) must stay exact, so we work in Q(i) with fractions.Fraction
-components.  ComplexRational interoperates with int and Fraction operands,
-which lets the module machinery run on plain Fractions whenever kappa is
-real and only promote to Q(i) when an actually complex scalar enters.
+kernels) must stay exact, so we work in Q(i).  A rational is held in its
+canonical form, exact(x): a Python int when it is integral, else a
+fractions.Fraction.  ComplexRational stores its two components that way and
+interoperates with int and Fraction operands, which lets the module
+machinery run on ints while every scalar is integral, on Fractions once a
+denominator appears, and promote to Q(i) only when an actually complex
+scalar enters.  Every division goes through Fraction, so two int operands
+never give a float.
 """
 
 from __future__ import annotations
@@ -13,14 +17,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact(x):
+    """The rational x as an int when it is integral, else as a Fraction.
+
+    A float is a TypeError: it would stand for a value already rounded."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError("not an exact scalar: %r" % x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ComplexRational:
-    """A number re + im*i with re, im in Q."""
+    """A number re + im*i with re, im in Q, each held as exact() gives it."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = exact(re)
+        self.im = exact(im)
 
     # -- helpers -----------------------------------------------------------
 
@@ -28,6 +44,11 @@ class ComplexRational:
     def _coerce(x):
         if isinstance(x, ComplexRational):
             return x
+        if type(x) is int:
+            z = object.__new__(ComplexRational)
+            z.re = x
+            z.im = 0
+            return z
         if isinstance(x, (int, Fraction)):
             return ComplexRational(x, 0)
         return None
@@ -38,7 +59,7 @@ class ComplexRational:
     def as_fraction(self) -> Fraction:
         if self.im != 0:
             raise ValueError("not a real number: %s" % format_scalar(self))
-        return self.re
+        return Fraction(self.re)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -76,7 +97,7 @@ class ComplexRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return ComplexRational(self.re / n, -self.im / n)
+        return ComplexRational(Fraction(self.re, n), Fraction(-self.im, n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -188,11 +209,11 @@ def parse_scalar(text: str):
 
 def scalar_re(x) -> Fraction:
     if isinstance(x, ComplexRational):
-        return x.re
+        return Fraction(x.re)
     return Fraction(x)
 
 
 def scalar_im(x) -> Fraction:
     if isinstance(x, ComplexRational):
-        return x.im
+        return Fraction(x.im)
     return Fraction(0)

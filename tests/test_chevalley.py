@@ -310,3 +310,39 @@ def test_irrep_matrices_are_column_sparse(series):
             for j, col in mat.items():
                 assert j in range(rep.dim) and col
                 assert all(i in range(rep.dim) and v for i, v in col.items())
+
+
+# minuscule highest weights (and the sl2 ladder), where the matrices are ints
+_MINUSCULE = {
+    ("A", 1): [(1,), (2,), (5,)],
+    ("A", 3): [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ("B", 3): [(0, 0, 1)],
+    ("C", 3): [(1, 0, 0)],
+    ("D", 4): [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+}
+
+
+def test_scalars_are_ints_where_integral():
+    def canonical(v):
+        return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+    for series, rank in _TYPES:
+        cb = chevalley_basis(build_algebra(series, rank))
+        # Chevalley's theorem: integral brackets; the form is integral too
+        assert all(type(v) is int for e in cb.bracket.values() for v in e.values())
+        assert all(type(v) is int for row in cb.form for v in row)
+        assert all(canonical(w) for _, _, w in cb.casimir_pairs)
+    for (series, rank), hws in _MINUSCULE.items():
+        algebra = build_algebra(series, rank)
+        cb = chevalley_basis(algebra)
+        for hw in hws:
+            rep = rep_from_hw(cb, algebra.weight(hw))
+            assert all(type(v) is int for m in rep.mats for col in m.values()
+                       for v in col.values()), hw
+    # beyond them the basis need not be a Z-basis: the adjoint of sl3 has
+    # entries 1/2, held as Fractions
+    sl3 = build_algebra("A", 2)
+    rep = rep_from_hw(chevalley_basis(sl3), sl3.weight([1, 1]))
+    entries = [v for m in rep.mats for col in m.values() for v in col.values()]
+    assert all(canonical(v) for v in entries)
+    assert Fraction(1, 2) in entries

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -369,6 +370,24 @@ def test_crossvalidate_beyond_type_a(argv, capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert all(data["checks"].values())
+
+
+# Full stdout sha256 of runs off the simply-laced types, recorded while every
+# scalar was still a Fraction: the int store and the scaled Sugawara sum must
+# reproduce them byte for byte.
+@pytest.mark.parametrize("argv,digest", [
+    ("B 2 --hw 1 0 --kappa=-1/3",
+     "f727551e873475664db7880c3c3c288a5ed5811ed5d19d6d31e015b426a656cf"),
+    ("G 2 --hw 0 0 --kappa=-1+1i",
+     "544d6f5a1e8af110af1e219b5eb2f9f2b5512b2658e1c69550695777412e1654"),
+    ("C 2 --hw 0 1 --kappa=-5/2",
+     "ac0dfec60847071f5cb74f0d68dca2cd483a9843e86844aeeeaa039be1a22238"),
+], ids=["B2", "G2", "C2"])
+def test_crossvalidate_output_is_pinned(argv, digest, capsys):
+    code, out, _ = _run(["crossvalidate"] + argv.split()
+                        + ["--depth", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_crossvalidate_rejects_algebras_over_64_dimensions(capsys):

@@ -21,7 +21,7 @@ from weylmod.explicit_module import (
     virasoro_commutation_check,
 )
 from weylmod.graded_sym import sym_ad_graded
-from weylmod.rational import ComplexRational, parse_scalar
+from weylmod.rational import ComplexRational, parse_scalar, scalar_im, scalar_re
 from weylmod.root_system import build_algebra
 
 SL2 = build_algebra("A", 1)
@@ -460,3 +460,51 @@ def test_complex_kappa_json_scalars():
     d = module_json_dict(m, modes=[0])
     assert d["kappa"] == "-1+1 i"
     assert d["k_scalar"] == "-3+1 i"
+
+
+def _walk(value):
+    """The scalar value, checked to be exact and never float."""
+    assert isinstance(value, (int, Fraction, ComplexRational)), value
+    if isinstance(value, ComplexRational):
+        assert not isinstance(value.re, float) and not isinstance(value.im, float)
+    return value
+
+
+# the explicit benchmark grid, plus kappa = h-dual
+@pytest.mark.parametrize("series,rank,hw,kappa,depth", [
+    ("A", 1, [2], "-2", 4),
+    ("A", 1, [0], "-1", 5),
+    ("A", 2, [1, 0], "-1", 2),
+    ("A", 2, [1, 0], "-1+1i", 2),
+    ("A", 2, [0, 0], "-3/2", 3),
+    ("A", 1, [0], "2", 2),
+])
+def test_scalars_are_exact_and_integral_entries_are_ints(series, rank, hw, kappa,
+                                                         depth):
+    algebra = build_algebra(series, rank)
+    m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
+    store = [v for p in range(m.cb.dim) for mode in range(-depth, depth + 1)
+             for col in m.columns(p, mode).values() for v in col.values()]
+    assert store
+    for v in map(_walk, store):
+        # an integral entry is an int; a complex one has a nonzero i part
+        if isinstance(v, Fraction):
+            assert v.denominator != 1, v
+        if isinstance(v, ComplexRational):
+            assert v.im and all(type(c) is int or c.denominator != 1
+                                for c in (v.re, v.im)), v
+    if scalar_re(m.k_scalar).denominator == 1 == scalar_im(m.k_scalar).denominator:
+        # M is minuscule or g = sl2 here, so only k can bring a denominator
+        assert all(type(c) is int for v in store
+                   for c in ((v.re, v.im) if isinstance(v, ComplexRational) else (v,)))
+    for col in m.l0.columns.values():
+        for v in col.values():
+            _walk(v)
+    for n in range(1, depth + 1):
+        for report in singular_vectors(m, n):
+            for vec in report.basis_of_solutions:
+                for v in vec.values():
+                    _walk(v)
+    for _, vec in m.annihilator(1).vectors:
+        for v in vec.values():
+            _walk(v)

@@ -6,6 +6,7 @@ import pytest
 
 from weylmod.rational import (
     ComplexRational,
+    exact,
     format_fraction,
     format_scalar,
     parse_scalar,
@@ -126,5 +127,88 @@ def test_format_parse_round_trip_property():
         y = parse_scalar(format_scalar(x))
         assert y == x
         assert isinstance(y, Fraction) == (scalar_im(x) == 0)
+
+    check()
+
+
+def test_exact_is_int_when_integral():
+    assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+    assert type(exact(-4)) is int
+    assert exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exact(True)) is int
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        ComplexRational(1, 0.5)
+    z = ComplexRational(Fraction(4, 2), Fraction(1, 3))
+    assert type(z.re) is int and z.im == Fraction(1, 3)
+    # int components never divide to a float
+    w = ComplexRational(1, 1).inverse()
+    assert w == ComplexRational(Fraction(1, 2), Fraction(-1, 2))
+    assert type(w.re) is Fraction and type(w.im) is Fraction
+    assert type(ComplexRational(2, 0).as_fraction()) is Fraction
+    assert type(scalar_re(ComplexRational(2, 1))) is Fraction
+    assert type(scalar_im(ComplexRational(2, 1))) is Fraction
+
+
+def test_arithmetic_on_mixed_operands_against_pair_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    operands = st.one_of(rationals, st.builds(ComplexRational, rationals, rationals))
+
+    def pair(x):
+        """The oracle: x as a (Fraction, Fraction) pair."""
+        if isinstance(x, ComplexRational):
+            return Fraction(x.re), Fraction(x.im)
+        return Fraction(x), Fraction(0)
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def inv(a):
+        n = a[0] * a[0] + a[1] * a[1]
+        return a[0] / n, -a[1] / n
+
+    def no_float(z):
+        assert not isinstance(z, float)
+        if isinstance(z, ComplexRational):
+            assert not isinstance(z.re, float) and not isinstance(z.im, float)
+            # components are held in canonical form
+            for c in (z.re, z.im):
+                assert type(c) is int or c.denominator != 1
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(operands, operands)
+    def check(x, y):
+        if not isinstance(x, ComplexRational) and not isinstance(y, ComplexRational):
+            x = ComplexRational(x)  # at least one side is complex
+        a, b = pair(x), pair(y)
+        expected = {
+            "+": (a[0] + b[0], a[1] + b[1]),
+            "-": (a[0] - b[0], a[1] - b[1]),
+            "*": mul(a, b),
+        }
+        got = {"+": x + y, "-": x - y, "*": x * y}
+        if any(b):
+            expected["/"] = mul(a, inv(b))
+            got["/"] = x / y
+        for name, z, c in (("inverse x", x, a), ("inverse y", y, b)):
+            if isinstance(z, ComplexRational) and any(c):
+                expected[name] = inv(c)
+                got[name] = z.inverse()
+        for op, z in got.items():
+            no_float(z)
+            assert pair(z) == expected[op], op
+        # == and hash agree with the pair, across int/Fraction operands
+        for z, c in ((x, a), (y, b)):
+            twin = ComplexRational(*c)
+            assert twin == z and hash(twin) == hash(z)
+            if c[1] == 0:
+                assert twin == c[0] and hash(twin) == hash(c[0])
+        assert (x == y) == (a == b)
 
     check()
