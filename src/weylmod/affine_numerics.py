@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .finite_rep import tensor_decompose
 from .graded_sym import sym_ad_graded
@@ -46,6 +47,7 @@ __all__ = [
     "IrreducibilityVerdict",
     "ResonanceScan",
     "candidate_pairs",
+    "check_kappa",
     "delta_upper_bound",
     "exhaustive_level_bound",
     "in_X_lambda",
@@ -62,7 +64,7 @@ REASON_KOSTANT = "KostantBound"
 REASON_OUTSIDE_X = "OutsideXLambda"
 
 
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """A solution (mu, n) of q(mu) = 2 kappa n with 0 <= n.
 
     ``xi`` is the L0 eigenvalue (|lambda|^2 - |rho|^2) / (2 kappa) + n of the
@@ -70,26 +72,12 @@ class CandidatePair:
     inhabit.
     """
 
-    __slots__ = ("mu", "n", "xi")
-
-    def __init__(self, mu: RootVector, n: int, xi):
-        self.mu = mu
-        self.n = n
-        self.xi = xi
-
-    def __eq__(self, other):
-        if not isinstance(other, CandidatePair):
-            return NotImplemented
-        return (self.mu, self.n, self.xi) == (other.mu, other.n, other.xi)
-
-    def __hash__(self):
-        return hash((self.mu, self.n, self.xi))
-
-    def __repr__(self):
-        return "CandidatePair(mu=%r, n=%d, xi=%r)" % (self.mu, self.n, self.xi)
+    mu: RootVector
+    n: int
+    xi: object
 
 
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     """Outcome of the certificate check.
 
     status is CERTIFIED or INCONCLUSIVE; reason is REASON_KOSTANT,
@@ -97,52 +85,23 @@ class IrreducibilityVerdict:
     candidate pairs (empty when certified).
     """
 
-    __slots__ = ("status", "reason", "candidates")
-
-    def __init__(self, status: str, reason, candidates=()):
-        self.status = status
-        self.reason = reason
-        self.candidates = tuple(candidates)
+    status: str
+    reason: object
+    candidates: tuple = ()
 
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
 
-    def __repr__(self):
-        return "IrreducibilityVerdict(status=%r, reason=%r, candidates=%r)" % (
-            self.status,
-            self.reason,
-            self.candidates,
-        )
 
-
-class DeltaBound:
+class DeltaBound(NamedTuple):
     """Upper bound for the composition length of Ind(M)."""
 
-    __slots__ = ("value", "complete")
-
-    def __init__(self, value: int, complete: bool):
-        self.value = value
-        self.complete = complete
-
-    def __iter__(self):
-        return iter((self.value, self.complete))
-
-    def __eq__(self, other):
-        if isinstance(other, DeltaBound):
-            return (self.value, self.complete) == (other.value, other.complete)
-        if isinstance(other, tuple):
-            return (self.value, self.complete) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.complete))
-
-    def __repr__(self):
-        return "DeltaBound(value=%d, complete=%r)" % (self.value, self.complete)
+    value: int
+    complete: bool
 
 
-def _check_kappa(kappa) -> None:
+def check_kappa(kappa) -> None:
     """Reject kappa in R_{>=0}; there the Sugawara normalisation degenerates
     (kappa = 0) or the module is in the integrable regime we do not treat."""
     if scalar_im(kappa) == 0 and scalar_re(kappa) >= 0:
@@ -200,7 +159,7 @@ class ResonanceScan:
     def level_bound(self, kappa) -> int:
         """Largest degree n that can resonate: 0 for non-real kappa, else
         floor(C / (2 kappa)), since 2 kappa n = q(mu) >= C."""
-        _check_kappa(kappa)
+        check_kappa(kappa)
         if scalar_im(kappa) != 0:
             return 0
         ratio = self.c / (2 * scalar_re(kappa))
@@ -208,7 +167,7 @@ class ResonanceScan:
 
     def pairs(self, kappa, n_max: int):
         """The candidate pairs with n <= n_max, sorted by (n, mu)."""
-        _check_kappa(kappa)
+        check_kappa(kappa)
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         xi0 = top_l0_eigenvalue(norm_sq(self.lam) - norm_sq(self.lam.algebra.rho), kappa)
@@ -230,7 +189,7 @@ class ResonanceScan:
         OutsideXLambda or Inconclusive by the positive-degree candidates."""
         if scalar_im(kappa) == 0 and scalar_re(kappa) < self.c / 2 < 0:
             return IrreducibilityVerdict(CERTIFIED, REASON_KOSTANT)
-        positive = [p for p in self.pairs(kappa, self.level_bound(kappa)) if p.n >= 1]
+        positive = tuple(p for p in self.pairs(kappa, self.level_bound(kappa)) if p.n >= 1)
         if not positive:
             return IrreducibilityVerdict(CERTIFIED, REASON_OUTSIDE_X)
         return IrreducibilityVerdict(INCONCLUSIVE, None, positive)

@@ -249,7 +249,8 @@ def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
         return letter + ("".join(str(i + 1) * c for i, c in enumerate(root)) if r > 1 else "")
 
     zero = Weight(algebra, (0,) * r)
-    pos = [algebra.root_vector(a).to_weight() for a in roots]
+    fw = dict(zip(algebra.positive_roots, algebra.roots_fw))
+    pos = [Weight(algebra, fw[a]) for a in roots]
     names = ([name("e", a) for a in roots]
              + (["h"] if r == 1 else ["h%d" % (i + 1) for i in range(r)])
              + [name("f", a) for a in roots])

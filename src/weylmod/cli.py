@@ -248,8 +248,9 @@ def cmd_certify(config: JobConfig, out) -> int:
     kappa = config.kappa
     if kappa is None:
         raise ValueError("--kappa is required")
-    # validates hw before the scan, whose lattice walk can be long
+    # validates hw and kappa before the scan, whose lattice walk can be long
     casimir = casimir_on_irrep(algebra, hw)
+    an.check_kappa(kappa)
     scan = an.ResonanceScan(hw + algebra.rho)
     verdict = scan.certificate(kappa)
     bound = scan.level_bound(kappa)

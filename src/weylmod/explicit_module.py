@@ -478,8 +478,18 @@ def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bo
     (default: the full depth), multiplying the columns of module.l0 with the
     stored action columns over their nonzero entries, so the cost scales
     with the sparsity of the action rather than with dense block size.
+
+    The commutator is taken with L0 - xi0 I, xi0 the degree-0 eigenvalue:
+    [L0 - c I, A] = [L0, A] for any operator A and scalar c, and L0 - xi0
+    has the integer entry n on degree n for rational and Gaussian kappa
+    alike, so the products with an integral store stay in ints.
     """
-    l0 = module.l0.columns
+    xi0 = module.l0.eigenvalue(0)
+    l0 = {}
+    for j, col in module.l0.columns.items():
+        col = dict(col)
+        accumulate(col, j, -xi0)
+        l0[j] = {i: _canonical(v) for i, v in col.items()}
     top = module.depth if max_mode is None else max_mode
     for p in range(module.cb.dim):
         for m in range(-top, top + 1):

@@ -10,8 +10,10 @@ eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
 Every character here has dominant integral highest weights, so inside the
 engine weights are tuples of ints in fundamental-weight coordinates: the
 dominant map of a Character, orbit expansion, products, the reflections of
-Brauer-Klimyk, and Freudenthal and the Weyl dimension formula
-(which pair weights in an integer multiple of the invariant form).  Weight
+Brauer-Klimyk, and Freudenthal and the Weyl dimension formula.  These two
+pair weights by the integer root data of AlgebraData (roots_fw, and
+weight_form and root_pairings, the invariant form times form_scale); they
+use only ratios of pairings, which the scale leaves unchanged.  Weight
 objects (Fraction coordinates) appear only at the boundary: the arguments of
 the public functions, the keys of Character.dominant and of a
 DecompositionMultiset, and Character.items().
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, mul
 
 from .invariant import check
@@ -190,31 +191,8 @@ class DecompositionMultiset:
         return "Decomposition{%s}" % ", ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def _scaled_form(algebra: AlgebraData):
-    """The invariant form on fundamental-weight coordinates, times the least
-    L > 0 that makes it integral; the positive roots in those coordinates;
-    and for each root alpha the vector form @ alpha, so that
-    (x, alpha) = x . (form @ alpha).
-
-    Freudenthal's recursion and the Weyl dimension formula use only ratios
-    of pairings, which the factor L leaves unchanged.
-    """
-    n = algebra.rank
-    # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k
-    form = [[algebra.d[j] * algebra.cartan_inv[j][k] for k in range(n)] for j in range(n)]
-    scale = lcm(*(x.denominator for row in form for x in row))
-    form = tuple(tuple(int(x * scale) for x in row) for row in form)
-    roots = tuple(
-        tuple(map(int, algebra.root_vector(r).to_weight().coords))
-        for r in algebra.positive_roots
-    )
-    pairs = tuple(tuple(sum(map(mul, row, alpha)) for row in form) for alpha in roots)
-    return form, roots, pairs
-
-
 def _norm_rho(form, w) -> int:
-    """|w + rho|^2 in the scaled form, rho = (1, ..., 1)."""
+    """|w + rho|^2 in the scaled form AlgebraData.weight_form, rho = (1, ..., 1)."""
     v = [c + 1 for c in w]
     return sum(x * sum(map(mul, row, v)) for x, row in zip(v, form))
 
@@ -224,7 +202,7 @@ def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
     _require_dominant_integral(algebra, hw)
     lam_rho = [int(c) + 1 for c in hw.coords]
     num = den = 1
-    for pair in _scaled_form(algebra)[2]:
+    for pair in algebra.root_pairings:
         num *= sum(map(mul, lam_rho, pair))
         den *= sum(pair)
     dim, r = divmod(num, den)
@@ -236,12 +214,12 @@ def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
 def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     """Character of the irreducible L(hw), multiplicities by Freudenthal."""
     _require_dominant_integral(algebra, hw)
-    form, roots, pairs = _scaled_form(algebra)
+    form = algebra.weight_form
     cartan = algebra.cartan
     top = tuple(map(int, hw.coords))
     # the dominant weights of L(top); the weight set is W-invariant, so u is
     # a weight exactly when dom(u) is one of them
-    weights = dominant_below(cartan, algebra.positive_roots, top)
+    weights = dominant_below(algebra, top)
     # a dominant weight above w has a larger |. + rho|^2, so in this order
     # every multiplicity the recursion reads is already known
     dominants = sorted(weights, key=lambda w: (-_norm_rho(form, w), w))
@@ -249,7 +227,7 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     mults = {top: 1}
     for w in dominants[1:]:
         acc = 0
-        for alpha, pair in zip(roots, pairs):
+        for alpha, pair in zip(algebra.roots_fw, algebra.root_pairings):
             u = tuple(map(add, w, alpha))
             dom = dominant_coords(cartan, u)[0]
             while dom in weights:
@@ -267,8 +245,7 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
 
 
 def adjoint_character(algebra: AlgebraData) -> Character:
-    theta = algebra.root_vector(algebra.highest_root).to_weight()
-    return irrep_character(algebra, theta)
+    return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
 
 
 def _as_character(algebra: AlgebraData, x) -> Character:
@@ -327,7 +304,7 @@ def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
 def decompose_character(char: Character) -> DecompositionMultiset:
     """Write a character as a sum of irreducibles by subtracting leaders."""
     algebra = char.algebra
-    form = _scaled_form(algebra)[0]
+    form = algebra.weight_form
     remaining = dict(char._dominant)
     out = {}
     while remaining:

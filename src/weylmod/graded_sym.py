@@ -85,11 +85,10 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
         raise ValueError("n_max must be >= 0")
     cartan = algebra.cartan
     ad = adjoint_character(algebra).full_map()
-    theta = tuple(map(int, algebra.root_vector(algebra.highest_root).to_weight().coords))
+    theta = algebra.roots_fw[-1]
     # every level lives on the dominant weights <= n_max theta; a lookup
     # outside them reads 0, and a lookup inside reuses the one key object
-    support = dominant_below(cartan, algebra.positive_roots,
-                             tuple(n_max * t for t in theta))
+    support = dominant_below(algebra, tuple(n_max * t for t in theta))
     canon = {b: b for b in support}
     memo = {}  # (beta, j) -> (keys dom(beta - j gamma), summed m_gamma)
 
@@ -108,8 +107,7 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
     levels = [{(0,) * algebra.rank: 1}]
     for n in range(1, n_max + 1):
         level = {}
-        for beta in dominant_below(cartan, algebra.positive_roots,
-                                   tuple(n * t for t in theta)):
+        for beta in dominant_below(algebra, tuple(n * t for t in theta)):
             total = 0
             for j in range(1, n + 1):
                 keys, mults = shifts(beta, j)

@@ -6,13 +6,19 @@ symmetrizers d_i = (a_i, a_i)/2 then satisfy (a_i, a_j) = d_i cartan[i][j].
 Weights carry coordinates in the fundamental weight basis; root lattice
 vectors carry integer coordinates in the simple root basis.  The two are
 related by fw = C @ root for the Cartan matrix C.
+
+Only this module maps roots to weight coordinates and builds the invariant
+form on weights: build_algebra does both once, as the integer fields of
+AlgebraData, using (omega_j, a_i) = d_i delta_ij (Humphreys, Introduction to
+Lie Algebras and Representation Theory, section 13).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul, sub
 
 from .invariant import check
 from .linalg import matrix_inverse
@@ -71,15 +77,26 @@ def _symmetrizers(cartan):
 
 
 class AlgebraData:
-    """Immutable root datum of a simple Lie algebra."""
+    """Immutable root datum of a simple Lie algebra.
+
+    Besides the Cartan data it holds the integer root data that
+    inner_product and the character engines read: roots_fw, the positive
+    roots in fundamental-weight coordinates (in positive_roots order, so
+    theta is roots_fw[-1]); weight_form, the invariant form on fundamental
+    coordinates times form_scale, the least integer that clears its
+    denominators; and root_pairings, one vector per root alpha with
+    x . pairing = form_scale (x, alpha).
+    """
 
     __slots__ = (
         "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
         "positive_roots", "highest_root", "dual_coxeter", "dim",
+        "roots_fw", "weight_form", "form_scale", "root_pairings",
     )
 
     def __init__(self, series, rank, cartan, d, cartan_inv, gram_root,
-                 positive_roots, highest_root, dual_coxeter, dim):
+                 positive_roots, highest_root, dual_coxeter, dim,
+                 roots_fw, weight_form, form_scale, root_pairings):
         self.series = series
         self.rank = rank
         self.cartan = cartan  # cartan[i][j] = <a_j, a_i-check>
@@ -90,6 +107,10 @@ class AlgebraData:
         self.highest_root = highest_root
         self.dual_coxeter = dual_coxeter
         self.dim = dim
+        self.roots_fw = roots_fw
+        self.weight_form = weight_form
+        self.form_scale = form_scale
+        self.root_pairings = root_pairings
 
     def __repr__(self):
         return "AlgebraData(%s%d)" % (self.series, self.rank)
@@ -175,17 +196,30 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
     theta = tops[0]
     h_dual = Fraction(1) + sum(theta[j] * d[j] for j in range(rank))
     check(h_dual.denominator == 1, "dual Coxeter number is not an integer")
+    cartan_inv = matrix_inverse(cartan)
+    # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k on fundamental coordinates
+    form = [[d[j] * cartan_inv[j][k] for k in range(rank)] for j in range(rank)]
+    scale = lcm(*(x.denominator for row in form for x in row))
+    # (omega_j, a_i) = d_i delta_ij, so (x, alpha) = sum_j x_j d_j alpha_j
+    # for alpha in simple-root coordinates
+    pairings = [[d[j] * scale * a[j] for j in range(rank)] for a in pos]
+    check(all(x.denominator == 1 for row in pairings for x in row),
+          "scaled root pairings are not integral")
     return AlgebraData(
         series=series,
         rank=rank,
         cartan=cartan,
         d=d,
-        cartan_inv=matrix_inverse(cartan),
+        cartan_inv=cartan_inv,
         gram_root=gram_root,
         positive_roots=pos,
         highest_root=theta,
         dual_coxeter=h_dual,
         dim=rank + 2 * len(pos),
+        roots_fw=tuple(tuple(sum(map(mul, row, a)) for row in cartan) for a in pos),
+        weight_form=tuple(tuple(int(x * scale) for x in row) for row in form),
+        form_scale=scale,
+        root_pairings=tuple(tuple(map(int, row)) for row in pairings),
     )
 
 
@@ -292,11 +326,9 @@ def inner_product(x: Weight, y: Weight) -> Fraction:
     """Invariant form (x, y), long roots normalized to (a, a) = 2."""
     if x.algebra != y.algebra:
         raise ValueError("weights live in different algebras")
-    n = x.algebra.rank
-    yr = y.to_root_coords()
-    d = x.algebra.d
-    # (x, y) = sum_j x_j d_j yr_j  since (x, a_j) = d_j <x, a_j-check>
-    return sum(x.coords[j] * d[j] * yr[j] for j in range(n))
+    form = x.algebra.weight_form
+    total = sum(a * sum(map(mul, row, y.coords)) for a, row in zip(x.coords, form))
+    return total / x.algebra.form_scale
 
 
 def norm_sq(x: Weight) -> Fraction:
@@ -304,17 +336,12 @@ def norm_sq(x: Weight) -> Fraction:
 
 
 def pair_weight_root(lam: Weight, mu: RootVector) -> Fraction:
-    """(lam, mu) with mu in the root lattice: sum d_j lam_j mu_j."""
-    d = lam.algebra.d
-    return sum(lam.coords[j] * d[j] * mu.coords[j] for j in range(lam.algebra.rank))
+    """(lam, mu) with mu in the root lattice."""
+    return inner_product(lam, mu.to_weight())
 
 
 def root_norm_sq(mu: RootVector) -> Fraction:
-    g = mu.algebra.gram_root
-    n = mu.algebra.rank
-    return sum(
-        mu.coords[i] * g[i][j] * mu.coords[j] for i in range(n) for j in range(n)
-    )
+    return norm_sq(mu.to_weight())
 
 
 def dominant_coords(cartan, v):
@@ -362,24 +389,22 @@ def orbit_coords(cartan, v) -> set:
     return seen
 
 
-def dominant_below(cartan, roots, top) -> set:
-    """The dominant int tuples mu <= top (top - mu a sum of positive roots);
-    roots are the positive roots in simple-root coordinates.
+def dominant_below(algebra: AlgebraData, top) -> set:
+    """The dominant int tuples mu <= top (top - mu a sum of positive roots),
+    in fundamental-weight coordinates.
 
     Walks down from top one positive root at a time inside the dominant
     chamber.  By Stembridge ("The partial order of dominant weights", Adv.
     Math. 1998), for dominant mu < nu some nu - alpha is dominant and >= mu,
     so the walk reaches every such mu.
     """
-    n = len(cartan)
-    steps = [tuple(sum(cartan[i][j] * a[j] for j in range(n)) for i in range(n))
-             for a in roots]
+    steps = algebra.roots_fw
     seen = {top}
     stack = [top]
     while stack:
         u = stack.pop()
         for s in steps:
-            v = tuple(x - y for x, y in zip(u, s))
+            v = tuple(map(sub, u, s))
             if min(v) >= 0 and v not in seen:
                 seen.add(v)
                 stack.append(v)

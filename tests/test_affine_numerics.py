@@ -97,7 +97,7 @@ def test_kostant_bound_closed_form(series, rank):
     for hw in _C_HWS[(series, rank)]:
         lam = _lam(algebra, hw)
         top = tuple(int(c) for c in lam.coords)
-        below = dominant_below(algebra.cartan, algebra.positive_roots, top)
+        below = dominant_below(algebra, top)
         closed = min(norm_sq(algebra.weight(nu)) for nu in below) - norm_sq(lam)
         assert ResonanceScan(lam).c == closed, hw
 

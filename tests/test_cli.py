@@ -163,12 +163,16 @@ def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
         raise AssertionError("ResonanceScan built before hw was validated")
 
     monkeypatch.setattr(affine_numerics, "ResonanceScan", no_scan)
-    code, out, err = _run(["certify", "E", "6", "--hw", "0", "0", "0", "0", "0",
-                           "1/2", "--kappa=-1+1i"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: highest weight must be integral")
+    kappa_error = "error: kappa must lie outside the nonnegative real axis\n"
+    for last, kappa, expected in (
+        ("1/2", "-1+1i", "error: highest weight must be integral: "
+                         "Weight(0,0,0,0,0,1/2)\n"),
+        ("0", "1", kappa_error),
+        ("0", "0", kappa_error),
+    ):
+        code, out, err = _run(["certify", "E", "6", "--hw", "0", "0", "0", "0", "0",
+                               last, "--kappa=" + kappa], capsys)
+        assert (code, out, err) == (1, "", expected), kappa
 
 
 def test_sym_ad_is_expanded_once_per_job(capsys):

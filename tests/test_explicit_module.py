@@ -252,6 +252,21 @@ def test_virasoro_commutation():
     assert virasoro_commutation_check(m3, max_mode=1)
 
 
+def test_virasoro_commutation_detects_a_degree_breaking_entry():
+    # one entry of a mode-0 column moved from degree 1 to degree 2: that
+    # operator no longer commutes with L0, whatever kind of scalar kappa is
+    for kappa in (Fraction(-2), ComplexRational(-1, 1)):
+        m = _sl2(hw=2, kappa=kappa, depth=2)
+        assert m.l0.is_scalar_by_degree()
+        degree_one = m.degree_range(1)
+        cols, j = next((m.columns(p, 0), j) for p in range(m.cb.dim)
+                       for j in degree_one if m.columns(p, 0).get(j))
+        i = next(iter(cols[j]))
+        assert i in degree_one
+        cols[j][m.degree_range(2).start] = cols[j].pop(i)
+        assert not virasoro_commutation_check(m), kappa
+
+
 def test_no_singular_vectors_in_certified_module():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=3)
     for n in (1, 2, 3):

@@ -1,6 +1,8 @@
 """Tests for root data, the invariant form, and Weyl orbits."""
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -88,6 +90,37 @@ def test_rho_and_form():
         for i in range(rank):
             alpha = a.root_vector([1 if j == i else 0 for j in range(rank)])
             assert 2 * pair_weight_root(rho, alpha) == root_norm_sq(alpha)
+
+
+_EVERY_TYPE = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", _EVERY_TYPE)
+def test_integer_root_data(series, rank):
+    a = build_algebra(series, rank)
+    form, scale = a.weight_form, a.form_scale
+
+    def pair(x, y):
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, form))
+
+    for k, root in enumerate(a.positive_roots):
+        assert a.roots_fw[k] == tuple(map(int, a.root_vector(root).to_weight().coords))
+        assert all(type(c) is int for c in a.roots_fw[k] + a.root_pairings[k])
+        assert a.root_pairings[k] == tuple(sum(map(mul, row, a.roots_fw[k])) for row in form)
+    assert a.roots_fw[-1] == tuple(
+        map(int, a.root_vector(a.highest_root).to_weight().coords))
+    # the simple roots in fundamental coordinates are the Cartan columns; the
+    # form on them is the root Gram matrix, with no use of cartan_inv
+    simple = [tuple(a.cartan[i][j] for i in range(rank)) for j in range(rank)]
+    for i in range(rank):
+        for j in range(rank):
+            assert Fraction(pair(simple[i], simple[j]), scale) == a.gram_root[i][j]
+    assert pair(a.roots_fw[-1], a.roots_fw[-1]) == 2 * scale
+    assert gcd(scale, *(x for row in form for x in row)) == 1
 
 
 def test_inner_product_symmetry_and_integrality():
@@ -261,6 +294,6 @@ def test_dominant_below_is_dominant_part_of_weight_closure(series, rank):
     tops = list(_test_weights(rank)) + [theta, tuple(2 * t for t in theta)]
     for top in tops:
         closure = weight_closure(a.cartan, top)
-        below = dominant_below(a.cartan, a.positive_roots, top)
+        below = dominant_below(a, top)
         assert below == {w for w in closure if min(w) >= 0}, top
         assert all(type(c) is int for w in below for c in w)
