@@ -27,6 +27,7 @@ from .explicit_module import (
     build_truncated,
     check_kl_exact_sequence,
     module_json_dict,
+    singular_dimensions,
     singular_vectors,
     sugawara_l0,
     virasoro_commutation_check,
@@ -90,6 +91,7 @@ __all__ = [
     "length_of",
     "module_json_dict",
     "parse_scalar",
+    "singular_dimensions",
     "singular_vectors",
     "sugawara_l0",
     "sym_ad_graded",

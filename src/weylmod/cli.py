@@ -311,27 +311,28 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
 
     virasoro_ok = em.virasoro_commutation_check(module)
 
+    scan = module.scan
+    pairs = [] if scan is None else scan.pairs(kappa, depth)
     findings = []
     finding_degrees = set()
     for n in range(1, depth + 1):
-        for r in em.singular_vectors(module, n):
+        for weight, dim, matched in em.singular_dimensions(
+                module, n, [p for p in pairs if p.n == n]):
             finding_degrees.add(n)
             findings.append(
                 {
                     "degree": n,
-                    "weight": [format_fraction(c) for c in r.weight.coords],
-                    "dimension": len(r.basis_of_solutions),
+                    "weight": [format_fraction(c) for c in weight.coords],
+                    "dimension": dim,
                     "matched_candidate": None
-                    if r.matched_candidate is None
-                    else _candidate_json(r.matched_candidate),
+                    if matched is None
+                    else _candidate_json(matched),
                 }
             )
     necessity = None
     candidates = []
     certificate_consistent = None
-    scan = module.scan
     if scan is not None:
-        pairs = scan.pairs(kappa, depth)
         candidates = [_candidate_json(p) for p in pairs]
         candidate_degrees = {p.n for p in pairs}
         necessity = finding_degrees <= candidate_degrees

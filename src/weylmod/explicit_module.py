@@ -28,6 +28,16 @@ cross-check the resonance bookkeeping: the normally-ordered Sugawara L0, the
 Virasoro commutator identity [L0, x eps^m] = -m x eps^m, exact singular-vector
 kernels, and the nested annihilators V(N') of positive-degree monomials
 together with the exactness check ker(V(N') -> Hom(g, V(N'-1))) = V(1).
+
+Singular vectors come two ways.  singular_vectors solves for full bases in
+every weight space, with all dim g raising modes x eps.  singular_dimensions,
+which the command line uses, gives only the dimensions: the kernel is a
+g-module, so it solves for its highest-weight vectors on the dominant weight
+spaces alone, with the r + 1 operators e_i and f_theta eps, and reads the
+other weights off the characters of the irreducibles they generate.  A mod-p
+rank test (linalg.independent_mod_p) settles most of these blocks; it can
+only prove a kernel zero, and every other block is solved exactly, so the
+dimensions are exact.
 """
 
 from __future__ import annotations
@@ -40,10 +50,18 @@ from math import lcm
 
 from .affine_numerics import ResonanceScan, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
-from .finite_rep import casimir_on_irrep
+from .finite_rep import casimir_on_irrep, irrep_character
 from .graded_sym import sym_ad_graded
 from .invariant import check
-from .linalg import _EMPTY, SpanBuilder, accumulate, apply, nullspace
+from .linalg import (
+    _EMPTY,
+    SpanBuilder,
+    accumulate,
+    apply,
+    independent_mod_p,
+    nullspace,  # noqa: F401  (bound here for tools that wrap it per module)
+    nullspace_of_columns,
+)
 from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
 from .root_system import Weight, same_weyl_orbit
 
@@ -529,21 +547,6 @@ class SingularVectorReport:
         )
 
 
-def _nullspace_of_columns(columns):
-    """Kernel of the map sending unit column c to the sparse vector columns[c].
-
-    columns is a list of {row_key: coeff}.  Returns normalized kernel vectors
-    as coefficient lists over the columns.
-    """
-    row_keys = sorted({k for col in columns for k in col})
-    row_pos = {k: i for i, k in enumerate(row_keys)}
-    rows = [[Fraction(0)] * len(columns) for _ in row_keys]
-    for c, col in enumerate(columns):
-        for k, v in col.items():
-            rows[row_pos[k]][c] = v
-    return nullspace(rows, len(columns))
-
-
 def _raising_column(module, vec):
     """(x_p eps) vec for every generator p, as one {(p, index): coeff}."""
     return {
@@ -560,6 +563,18 @@ def _weight_blocks(module, indices):
     return blocks
 
 
+def _matched(module, weight, candidates):
+    """The candidate with lambda + mu = weight + rho, else the first whose
+    lambda + mu lies in the W-orbit of weight + rho, else None."""
+    lam = module.m_hw + module.algebra.rho
+    target = weight + module.algebra.rho
+    shifted = [(p, lam + p.mu.to_weight()) for p in candidates]
+    matched = next((p for p, w in shifted if w == target), None)
+    if matched is None:
+        matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)
+    return matched
+
+
 def singular_vectors(module: TruncatedWeylModule, n: int):
     """Vectors of degree n killed by every x eps (hence by all of eps g[eps]).
 
@@ -570,7 +585,6 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
-    lam = module.m_hw + module.algebra.rho
     matchable = []
     if module.scan is not None:
         matchable = [p for p in module.scan.pairs(module.kappa, n) if p.n == n]
@@ -578,20 +592,63 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     blocks = _weight_blocks(module, module.degree_range(n))
     for wt_coords in sorted(blocks):
         block = blocks[wt_coords]
-        kernel = _nullspace_of_columns(
+        kernel = nullspace_of_columns(
             [_raising_column(module, {idx: _ONE}) for idx in block]
         )
         if not kernel:
             continue
         weight = module.algebra.weight(wt_coords)
         solutions = [{block[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
-        target = weight + module.algebra.rho
-        shifted = [(p, lam + p.mu.to_weight()) for p in matchable]
-        matched = next((p for p, w in shifted if w == target), None)
-        if matched is None:
-            matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)
-        reports.append(SingularVectorReport(n, weight, solutions, matched))
+        reports.append(SingularVectorReport(
+            n, weight, solutions, _matched(module, weight, matchable)))
     return reports
+
+
+def singular_dimensions(module: TruncatedWeylModule, n: int, candidates=()):
+    """(weight, dimension, matched candidate) for each weight space of degree
+    n where eps g[eps] has a kernel, as singular_vectors reports them.
+
+    candidates are the degree-n candidate pairs to match, as singular_vectors
+    takes them from module.scan; pass none when the scan does not apply.
+
+    The kernel K is a g-module, since (x eps)(y v) = y (x eps) v + ([x, y]
+    eps) v.  The x with (x eps) v = 0 form an ad n+-stable space when e_i v
+    = 0 for all i, and ad U(n+) f_theta = g, so the n+-highest vectors of K
+    are the common kernel of e_1 .. e_r (mode 0) and f_theta eps.  They lie
+    in dominant weight spaces, and dim K_beta = sum over nu of dim K_nu^{n+}
+    mult_{L(nu)}(beta).  Each dominant block first goes through
+    linalg.independent_mod_p; only a block it does not prove kernel-free is
+    solved exactly.
+    """
+    if not 1 <= n <= module.depth:
+        raise ValueError("degree must satisfy 1 <= n <= depth")
+    algebra, cb = module.algebra, module.cb
+    # e_1 .. e_r lead the Chevalley basis; f_theta is its one vector of
+    # weight -theta
+    f_theta = cb.weights.index(-algebra.weight(algebra.roots_fw[-1]))
+    ops = [module.columns(i, 0) for i in range(algebra.rank)]
+    ops.append(module.columns(f_theta, 1))
+    blocks = _weight_blocks(module, module.degree_range(n))
+    tops = []
+    for wt_coords, block in blocks.items():
+        if min(wt_coords) < 0:
+            continue
+        # the images never share a row: e_i moves the weight by alpha_i
+        # within degree n, and f_theta eps lowers the degree
+        columns = [{t: v for op in ops for t, v in op.get(idx, _EMPTY).items()}
+                   for idx in block]
+        if independent_mod_p(columns):
+            continue
+        dim = len(nullspace_of_columns(columns))
+        if dim:
+            tops.append((irrep_character(algebra, algebra.weight(wt_coords)), dim))
+    found = []
+    for wt_coords in sorted(blocks):
+        weight = algebra.weight(wt_coords)
+        dim = sum(d * char.multiplicity(weight) for char, d in tops)
+        if dim:
+            found.append((weight, dim, _matched(module, weight, candidates)))
+    return found
 
 
 class AnnihilatorSubspace:
@@ -672,7 +729,7 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
                     for t, v in vec.items():
                         col[(o_num, t)] = v
                 columns.append(col)
-            kernel = _nullspace_of_columns(columns)
+            kernel = nullspace_of_columns(columns)
             for vec in kernel:
                 vectors.append(
                     (d, {block[i]: c for i, c in enumerate(vec) if c})
@@ -701,7 +758,7 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
 
     basis = v_top.vectors
     # kernel of i inside V(order), solved in V(order) coordinates
-    kernel = _nullspace_of_columns([_raising_column(module, vec) for _, vec in basis])
+    kernel = nullspace_of_columns([_raising_column(module, vec) for _, vec in basis])
     basis_columns = {i: vec for i, (_, vec) in enumerate(basis)}
     kernel_vectors = [
         apply(basis_columns, {i: c for i, c in enumerate(combo) if c})

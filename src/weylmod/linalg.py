@@ -5,7 +5,8 @@ incremental, fraction-free (Bareiss) row reduction on Gaussian integers.
 Every input vector is scaled to Gaussian integers, held as pairs (a, b)
 for a + bi, and augmented by a unit vector naming it, so one reduction
 yields spans, coordinates and linear relations.  nullspace, rank and
-matrix_inverse are thin uses of it.
+matrix_inverse are thin uses of it.  nullspace_of_columns takes the
+columns of a sparse matrix straight, and nullspace is a wrapper over it.
 
 Stage k holds a pivot column c_k, the pivot p_k != 0 and its row (with
 the augmentation) as reduced by stages 1..k-1.  A vector v passes stage k
@@ -28,6 +29,14 @@ SpanBuilder.coords and matrix_inverse return Fraction, or ComplexRational
 when not real; accumulate and apply return whatever the arithmetic of their
 inputs gives, so ints stay ints.  Never float.
 
+independent_mod_p is a filter in front of that kernel: it reduces the
+columns modulo the fixed prime FILTER_PRIME = 1 (mod 4), with i sent to a
+square root FILTER_I of -1.  That is a ring map from the Gaussian rationals
+whose denominators are prime to p onto F_p, so a nonzero maximal minor mod p
+is nonzero over Q(i) (Dixon, "Exact solution of linear equations using
+p-adic expansions", Numer. Math. 1982).  So "independent" is a proof, and
+anything else only sends the columns on to the exact kernel.
+
 The package's one sparse format lives here too: a vector is {index: value}
 and a matrix is column-sparse, {column: {row: value}}, both holding only
 nonzero entries.  accumulate and apply are the shared helpers on it.
@@ -38,7 +47,41 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .invariant import check
 from .rational import ComplexRational
+
+# p = 10^9 + 9 keeps residues below 2^30, one machine digit.  2 is a square
+# mod p, so 2^((p-1)/4) is not a root of -1; 11 is a non-square, and
+# FILTER_I = 11^((p-1)/4) mod p.
+FILTER_PRIME = 1000000009
+FILTER_I = 569522298
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7, which decide every n < 3215031751."""
+    check(1 < n < 3215031751, "no deterministic base set for %d", n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+check(_is_prime(FILTER_PRIME) and FILTER_PRIME % 4 == 1,
+      "FILTER_PRIME must be a prime = 1 (mod 4)")
+check(FILTER_I * FILTER_I % FILTER_PRIME == FILTER_PRIME - 1,
+      "FILTER_I is not a square root of -1 mod FILTER_PRIME")
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -206,30 +249,90 @@ def rank(rows, ncols=None) -> int:
     return span.rank()
 
 
-def nullspace(rows, ncols):
-    """Exact right-nullspace basis of the matrix with the given rows.
+def nullspace_of_columns(columns):
+    """Exact kernel of the map sending unit vector c to the vector columns[c].
 
-    The columns are added to one SpanBuilder from left to right.  A column
-    in the span of those before it is free, and its relation is its kernel
-    vector.  Returns normalized basis vectors (length ncols), one per free
-    column, in increasing free-column order.
+    columns is a sequence of sparse {row key: value} dicts, with mutually
+    comparable row keys.  They are added to one SpanBuilder in order.  A
+    column in the span of those before it is free, and its relation is its
+    kernel vector.  Returns normalized basis vectors (length len(columns)),
+    one per free column, in increasing free-column order.
     """
-    rows = list(rows)
-    span = SpanBuilder(len(rows))
+    span = SpanBuilder(None)
     pivots = []  # column of each generator
     basis = []
-    for c in range(ncols):
-        relation = span._add({i: row[c] for i, row in enumerate(rows) if row[c]})
+    for c, col in enumerate(columns):
+        relation = span._add(col)
         if relation is None:
             pivots.append(c)
             continue
         # times the conjugate of the entry at c, so that entry is rational
         ta, tb = relation[len(pivots)]
-        vec = [_ZERO] * ncols
+        vec = [_ZERO] * len(columns)
         for k, (a, b) in relation.items():
             vec[pivots[k] if k < len(pivots) else c] = (a * ta + b * tb, b * ta - a * tb)
         basis.append(_canonical(vec))
     return basis
+
+
+def nullspace(rows, ncols):
+    """Exact right-nullspace basis of the matrix with the given rows, as
+    nullspace_of_columns gives it for the matrix's columns."""
+    rows = list(rows)
+    return nullspace_of_columns(
+        [{i: row[c] for i, row in enumerate(rows) if row[c]} for c in range(ncols)]
+    )
+
+
+def _mod_p(x):
+    """x in F_p under i -> FILTER_I, or None when p divides a denominator."""
+    p = FILTER_PRIME
+    if type(x) is int:
+        return x % p
+    re, im = (x.re, x.im) if isinstance(x, ComplexRational) else (x, 0)
+    out = 0
+    for part, unit in ((re, 1), (im, FILTER_I)):
+        den = part.denominator
+        if den % p == 0:
+            return None
+        out += part.numerator * unit * pow(den, -1, p)
+    return out % p
+
+
+def independent_mod_p(columns) -> bool:
+    """True only if the sparse columns are linearly independent over Q(i).
+
+    The columns, {row key: value} as in nullspace_of_columns, are reduced
+    mod FILTER_PRIME (see the module docstring).  True means full column rank
+    mod p, which proves independence.  False means "not shown independent":
+    the columns are dependent mod p, or p divides a denominator.  Only the
+    exact kernel can then tell.
+    """
+    p = FILTER_PRIME
+    stages = []  # (pivot key, reduced column scaled to 1 at its pivot)
+    for col in columns:
+        vec = {}
+        for k, x in col.items():
+            r = _mod_p(x)
+            if r is None:
+                return False
+            if r:
+                vec[k] = r
+        for key, row in stages:
+            x = vec.get(key)
+            if x:
+                for k, v in row.items():
+                    r = (vec.get(k, 0) - x * v) % p
+                    if r:
+                        vec[k] = r
+                    else:
+                        del vec[k]
+        if not vec:
+            return False
+        key = min(vec)
+        inv = pow(vec[key], -1, p)
+        stages.append((key, {k: v * inv % p for k, v in vec.items()}))
+    return True
 
 
 def matrix_inverse(rows):

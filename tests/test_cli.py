@@ -394,6 +394,25 @@ def test_crossvalidate_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Full stdout sha256 of two runs whose layers carry singular vectors, and of
+# one whose level has the filter prime p in a denominator, recorded while
+# every weight block was still solved exactly with all dim g raising
+# operators: the highest-weight path must reproduce them byte for byte.
+@pytest.mark.parametrize("argv,digest", [
+    ("A 1 --hw 2 --kappa=-2",
+     "6f586b5918f757f5189352a1dad0783746b7af7d19fa56e83357cb8f02137149"),
+    ("A 1 --hw 0 --kappa=2",
+     "f223a8a0c5681a30e5af3c898b3394291e166e7b5e5f898c8f42ec8d474654a3"),
+    ("A 1 --hw 2 --kappa=-1/1000000009",
+     "ce7272197b77893fb01f95f7d116d6cb7b4b9da64f66ec805c594af5cd3be97d"),
+], ids=["A1-hw2-kernel", "A1-hw0-positive-kappa", "A1-hw2-denominator-p"])
+def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
+    code, out, _ = _run(["crossvalidate"] + argv.split()
+                        + ["--depth", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_crossvalidate_rejects_algebras_over_64_dimensions(capsys):
     code, out, err = _run(["crossvalidate", "E", "6", "--hw"] + ["0"] * 6
                           + ["--kappa=-1", "--depth", "1"], capsys)

@@ -16,11 +16,14 @@ from weylmod.explicit_module import (
     depth_cap,
     module_json_dict,
     monomials_of_degree,
+    singular_dimensions,
     singular_vectors,
     sugawara_l0,
     virasoro_commutation_check,
 )
+from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
+from weylmod.linalg import FILTER_PRIME
 from weylmod.rational import ComplexRational, parse_scalar, scalar_im, scalar_re
 from weylmod.root_system import build_algebra
 
@@ -316,6 +319,68 @@ def test_singular_vector_degree_validation():
         singular_vectors(m, 0)
     with pytest.raises(ValueError):
         singular_vectors(m, 3)
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            singular_dimensions(m, n)
+
+
+def _oracle_dimensions(m, n):
+    """Per-weight kernel dimensions of the full solve with every raising mode."""
+    return [(r.weight, len(r.basis_of_solutions), r.matched_candidate)
+            for r in singular_vectors(m, n)]
+
+
+def _degree_candidates(m, n):
+    if m.scan is None:
+        return []
+    return [p for p in m.scan.pairs(m.kappa, n) if p.n == n]
+
+
+# rational, Gaussian and kappa = h-dual (k = 0) levels; the kernels sit at
+# A1 (2) -2, at kappa = h-dual and at A1 (1) 3/2
+@pytest.mark.parametrize("series,rank,hw,kappa,depth,found", [
+    ("A", 1, [0], "-1/2", 4, 0),
+    ("A", 1, [1], "-3/2", 4, 0),
+    ("A", 1, [2], "-2", 4, 1),
+    ("A", 1, [3], "-1+1i", 3, 0),
+    ("A", 1, [0], "2", 4, 3),
+    ("A", 1, [1], "3/2", 4, 4),
+    ("A", 2, [1, 0], "-1", 3, 0),
+    ("A", 2, [0, 0], "-3/2", 3, 0),
+    ("A", 2, [1, 1], "-1+1i", 2, 0),
+    ("A", 2, [0, 0], "3", 3, 7),
+    ("B", 2, [1, 0], "-1/3", 2, 0),
+    ("B", 2, [0, 0], "3", 2, 9),
+    ("G", 2, [0, 0], "-1+1i", 2, 0),
+    ("G", 2, [0, 1], "-1", 2, 0),
+])
+def test_singular_dimensions_match_the_full_solve(series, rank, hw, kappa, depth, found):
+    algebra = build_algebra(series, rank)
+    m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
+    total = 0
+    for n in range(1, depth + 1):
+        got = singular_dimensions(m, n, _degree_candidates(m, n))
+        assert got == _oracle_dimensions(m, n)
+        total += len(got)
+    assert total == found
+
+
+def test_singular_dimensions_fall_back_when_p_divides_a_denominator(monkeypatch):
+    # k = kappa - 2 = -(2p + 1)/p enters f_theta eps through the central term
+    m = _sl2(hw=2, kappa=Fraction(-1, FILTER_PRIME), depth=3)
+    verdicts = []
+    real = explicit_module.independent_mod_p
+
+    def spy(columns):
+        verdicts.append(real(columns))
+        return verdicts[-1]
+
+    monkeypatch.setattr(explicit_module, "independent_mod_p", spy)
+    for n in (1, 2, 3):
+        assert singular_dimensions(m, n, _degree_candidates(m, n)) \
+            == _oracle_dimensions(m, n) == []
+    # every dominant block meets the central term, so each is solved exactly
+    assert verdicts and not any(verdicts)
 
 
 def test_annihilator_v1_trivial():

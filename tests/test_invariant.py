@@ -1,5 +1,6 @@
 """Tests for the invariant checks that replace bare asserts."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,16 @@ def test_check_survives_optimisation(flags):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "broken at degree 3\n"
+
+
+def test_package_has_no_assert_statement():
+    # asserts vanish under python -O; invariants go through check()
+    src = os.path.dirname(weylmod.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -7,9 +7,13 @@ import pytest
 
 from helpers import determinant, normalize_vector
 from weylmod.linalg import (
+    FILTER_I,
+    FILTER_PRIME,
     SpanBuilder,
+    independent_mod_p,
     matrix_inverse,
     nullspace,
+    nullspace_of_columns,
     rank,
 )
 from weylmod.rational import ComplexRational
@@ -318,3 +322,110 @@ def test_span_builder_properties_against_nullspace():
         assert sb.contains(probe) == (bigger.rank() == r)
 
     span_matches_nullspace()
+
+
+def _columns(rows, ncols, key=lambda i: i):
+    return [{key(i): row[c] for i, row in enumerate(rows) if row[c]} for c in range(ncols)]
+
+
+def test_nullspace_of_columns_is_nullspace_for_any_row_keys_and_order():
+    rng = random.Random(11)
+    for trial in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 2:
+            m = _low_rank(rng, _random_gaussian_matrix(rng, nrows, ncols))
+        else:
+            m = _low_rank(rng, _random_matrix(rng, nrows, ncols))
+        expected = nullspace(m, ncols)
+        assert nullspace_of_columns(_columns(m, ncols)) == expected
+        # the basis depends only on the column order, not on how rows are
+        # keyed or ordered
+        perm = list(range(nrows))
+        rng.shuffle(perm)
+        shuffled = [m[i] for i in perm]
+        assert nullspace(shuffled, ncols) == expected
+        assert nullspace_of_columns(_columns(m, ncols, key=lambda i: ("r", -i))) == expected
+
+
+def test_mod_p_filter_regular_over_q_but_singular_mod_p():
+    p = FILTER_PRIME
+    rows = [[1, 1], [1, 1 + p]]
+    assert rank(rows) == 2 and nullspace(rows, 2) == []
+    assert not independent_mod_p(_columns(rows, 2))
+    assert independent_mod_p(_columns([[1, 1], [1, 2 + p]], 2))
+
+
+def test_mod_p_filter_denominator_divisible_by_p_is_not_a_proof():
+    p = FILTER_PRIME
+    for x in (Fraction(1, p), Fraction(3, 2 * p), ComplexRational(1, Fraction(1, p))):
+        assert not independent_mod_p([{0: x}])
+        assert rank([[x]]) == 1
+    assert independent_mod_p([{0: Fraction(1, p + 1)}, {1: ComplexRational(2, 3)}])
+
+
+def test_mod_p_filter_sends_i_to_a_root_of_minus_one():
+    assert FILTER_I * FILTER_I % FILTER_PRIME == FILTER_PRIME - 1
+    i = ComplexRational(0, 1)
+    # (i, -1) = i (1, i): dependent over Q(i), and mod p only if I^2 = -1
+    assert not independent_mod_p([{0: 1, 1: i}, {0: i, 1: -1}])
+    assert rank([[1, i], [i, -1]]) == 1
+    # (1, i) and (1, -i) are independent: I != -I
+    assert independent_mod_p([{0: 1, 1: i}, {0: 1, 1: -i}])
+    # (1, i) and (1, FILTER_I) are independent over Q(i) but equal mod p
+    assert not independent_mod_p([{0: 1, 1: i}, {0: 1, 1: FILTER_I}])
+    assert rank([[1, 1], [i, FILTER_I]]) == 2
+    assert independent_mod_p([])
+
+
+def test_mod_p_filter_agrees_with_exact_rank_on_small_entries():
+    rng = random.Random(3)
+    shown = 0
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        if trial % 2:
+            m = _low_rank(rng, _random_gaussian_matrix(rng, nrows, ncols))
+        else:
+            m = _low_rank(rng, _random_matrix(rng, nrows, ncols))
+        full = rank(m, ncols) == ncols
+        # entries this small have no minor divisible by p unless it is 0
+        assert independent_mod_p(_columns(m, ncols)) == full
+        shown += full
+    assert 10 < shown < 50
+
+
+def test_mod_p_filter_independent_implies_full_exact_rank():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    p = FILTER_PRIME
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.sampled_from([p, -p, 2 * p + 1, p * p]),
+        small,
+        st.builds(ComplexRational, small, small),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([p, 3 * p])),
+    )
+
+    @st.composite
+    def matrices(draw):
+        nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        # sometimes a column is a combination of the others, off by p
+        if ncols > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+            k, off = draw(entry), draw(st.sampled_from([0, p]))
+            for row in rows:
+                row[-1] = row[a] + k * row[b] + off * row[0]
+        return rows, ncols
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def independent_means_full_rank(matrix):
+        rows, ncols = matrix
+        if independent_mod_p(_columns(rows, ncols)):
+            assert rank(rows, ncols) == ncols
+            assert nullspace(rows, ncols) == []
+
+    independent_means_full_rank()
