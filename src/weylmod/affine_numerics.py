@@ -13,11 +13,11 @@ vector of weight ``m_hw + mu`` at degree n forces the exact resonance
 
     q(mu) := |mu|^2 + 2 (lambda, mu) = 2 kappa n,   mu in the root lattice.
 
-A ResonanceScan enumerates the solutions of that equation (candidate pairs)
-in one walk of the root lattice, derives the Kostant-style lower bound
-C = min q, and turns the two into irreducibility certificates and
-composition-length bounds.  All arithmetic is
-exact: rational kappa stays in Fraction, non-real kappa in ComplexRational.
+A ResonanceScan answers for one (lambda, kappa): one walk of the root lattice
+gives the solutions of that equation (candidate pairs) and the Kostant-style
+lower bound C = min q, which give the irreducibility certificate and the
+composition-length bound.  All arithmetic is exact: rational kappa stays in
+Fraction, non-real kappa in ComplexRational.
 """
 
 from __future__ import annotations
@@ -121,31 +121,37 @@ def resonance_value(lam: Weight, mu: RootVector):
 
 
 class ResonanceScan:
-    """Every solution of q(mu) = 2 kappa n for one lambda, from one ball walk.
+    """Every solution (mu, n) of q(mu) = 2 kappa n for one lambda and kappa.
 
     Since q(mu) = |mu + lambda|^2 - |lambda|^2, the root lattice points of the
     ball |mu + lambda|^2 <= |lambda|^2 are exactly those with q(mu) <= 0.  For
     every admissible kappa and n >= 0, 2 kappa n is 0 or has negative real
-    part, so every solution lies in this ball whatever kappa and n are.  The
-    scan keeps each ball point with its value q, and C = min q, which is <= 0
-    because mu = 0 is in the ball.
+    part, so every solution lies in this ball.  One walk of it gives C = min q
+    (<= 0, as mu = 0 is in the ball), the largest degree level_bound that can
+    resonate, and the candidates, sorted by (n, mu); no other point is kept.
 
     q(mu) = sum_ij G_ij mu_i mu_j + sum_j 2 d_j lambda_j mu_j with G the root
     Gram matrix; G and 2 d_j lambda_j are scaled once by the lcm of their
-    denominators, so each point costs one integer form and one division by
-    that scale, equal to resonance_value(lam, mu).
+    denominators, so each point costs one integer form (resonance_value(lam,
+    mu) times that scale) and, for real kappa, one integer division.
     """
 
-    def __init__(self, lam: Weight):
+    def __init__(self, lam: Weight, kappa):
+        check_kappa(kappa)
         self.lam = lam
+        self.kappa = kappa
         algebra = lam.algebra
         gram = algebra.gram_root
         linear = [2 * d * c for d, c in zip(algebra.d, lam.coords)]
         scale = lcm(*(x.denominator for x in chain(linear, *gram)))
         gram = [[int(x * scale) for x in row] for row in gram]
         linear = [int(x * scale) for x in linear]
+        real = scalar_im(kappa) == 0
+        # for real kappa, n = q / (2 kappa) = v den / step at scaled value v
+        re = Fraction(scalar_re(kappa))
+        den, step = re.denominator, 2 * re.numerator * scale
 
-        self.points = []
+        by_degree = {}  # n -> its mu in walk order, which is lexicographic
         low = 0  # q(0) = 0
         for mu in enumerate_root_lattice_ball(algebra, lam, norm_sq(lam)):
             m = mu.coords
@@ -153,48 +159,37 @@ class ResonanceScan:
                     for mi, li, row in zip(m, linear, gram))
             if v < low:
                 low = v
-            self.points.append((mu, Fraction(v, scale)))
+            # non-real kappa resonates only at n = 0, where q = 0
+            n, r = divmod(v * den, step) if real else (0, v)
+            if not r:
+                by_degree.setdefault(n, []).append(mu)
+        xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(algebra.rho), kappa)
+        candidates = []
+        for n in sorted(by_degree):
+            xi = xi0 + n
+            candidates.extend(CandidatePair(mu, n, xi) for mu in by_degree[n])
+        self.candidates = tuple(candidates)
         self.c = Fraction(low, scale)
+        # for real kappa, 2 kappa n = q(mu) >= C
+        self.level_bound = low * den // step if real else 0
 
-    def level_bound(self, kappa) -> int:
-        """Largest degree n that can resonate: 0 for non-real kappa, else
-        floor(C / (2 kappa)), since 2 kappa n = q(mu) >= C."""
-        check_kappa(kappa)
-        if scalar_im(kappa) != 0:
-            return 0
-        ratio = self.c / (2 * scalar_re(kappa))
-        return ratio.numerator // ratio.denominator
-
-    def pairs(self, kappa, n_max: int):
+    def pairs(self, n_max: int):
         """The candidate pairs with n <= n_max, sorted by (n, mu)."""
-        check_kappa(kappa)
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        xi0 = top_l0_eigenvalue(norm_sq(self.lam) - norm_sq(self.lam.algebra.rho), kappa)
-        if scalar_im(kappa) == 0:
-            two_kappa = 2 * scalar_re(kappa)
-            degrees = ((mu, q / two_kappa) for mu, q in self.points)
-        else:
-            degrees = ((mu, Fraction(0)) for mu, q in self.points if q == 0)
-        pairs = [
-            CandidatePair(mu, int(n), xi0 + int(n))
-            for mu, n in degrees
-            if n.denominator == 1 and n <= n_max
-        ]
-        pairs.sort(key=lambda p: (p.n, p.mu.coords))
-        return pairs
+        return [p for p in self.candidates if p.n <= n_max]
 
-    def certificate(self, kappa) -> IrreducibilityVerdict:
+    def certificate(self) -> IrreducibilityVerdict:
         """KostantBound when kappa is real with re(kappa) < C/2 < 0; otherwise
         OutsideXLambda or Inconclusive by the positive-degree candidates."""
-        if scalar_im(kappa) == 0 and scalar_re(kappa) < self.c / 2 < 0:
+        if scalar_im(self.kappa) == 0 and scalar_re(self.kappa) < self.c / 2 < 0:
             return IrreducibilityVerdict(CERTIFIED, REASON_KOSTANT)
-        positive = tuple(p for p in self.pairs(kappa, self.level_bound(kappa)) if p.n >= 1)
+        positive = tuple(p for p in self.candidates if p.n >= 1)
         if not positive:
             return IrreducibilityVerdict(CERTIFIED, REASON_OUTSIDE_X)
         return IrreducibilityVerdict(INCONCLUSIVE, None, positive)
 
-    def delta(self, kappa, n_max: int) -> DeltaBound:
+    def delta(self, n_max: int) -> DeltaBound:
         """The length bound of delta_upper_bound for M = L(lambda - rho).
 
         S(ad) is expanded once, to the largest candidate degree, and each
@@ -202,10 +197,10 @@ class ResonanceScan:
         """
         algebra = self.lam.algebra
         m_hw = self.lam - algebra.rho
-        levels = sorted({p.n for p in self.pairs(kappa, n_max)})
+        levels = sorted({p.n for p in self.pairs(n_max)})
         graded = sym_ad_graded(algebra, levels[-1])
         total = sum(tensor_decompose(m_hw, graded.level(n)).length() for n in levels)
-        return DeltaBound(total, self.level_bound(kappa) <= n_max)
+        return DeltaBound(total, self.level_bound <= n_max)
 
 
 def kostant_bound_C(lam: Weight) -> Fraction:
@@ -214,7 +209,8 @@ def kostant_bound_C(lam: Weight) -> Fraction:
     Since q(mu) = |mu + lambda|^2 - |lambda|^2 the minimum is attained inside
     the ball |mu + lambda|^2 <= |lambda|^2, which is finite.
     """
-    return ResonanceScan(lam).c
+    ball = enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))
+    return Fraction(min(resonance_value(lam, mu) for mu in ball))
 
 
 def exhaustive_level_bound(lam: Weight, kappa) -> int:
@@ -223,7 +219,7 @@ def exhaustive_level_bound(lam: Weight, kappa) -> int:
     For non-real kappa only n = 0 can occur.  For real negative kappa,
     2 kappa n = q(mu) >= C forces n <= C / (2 kappa).
     """
-    return ResonanceScan(lam).level_bound(kappa)
+    return ResonanceScan(lam, kappa).level_bound
 
 
 def candidate_pairs(lam: Weight, kappa, n_max: int):
@@ -232,13 +228,13 @@ def candidate_pairs(lam: Weight, kappa, n_max: int):
     Returned sorted by (n, lexicographic mu).  mu = 0, n = 0 is always
     present.  Raises for kappa on the nonnegative real axis.
     """
-    return ResonanceScan(lam).pairs(kappa, n_max)
+    return ResonanceScan(lam, kappa).pairs(n_max)
 
 
 def in_X_lambda(kappa, lam: Weight) -> bool:
     """Whether kappa lies in X_lambda = {q(mu) / 2n : mu in Q, n >= 1}."""
     # a positive-degree candidate survives exactly when the certificate fails
-    return not ResonanceScan(lam).certificate(kappa).certified
+    return not ResonanceScan(lam, kappa).certificate().certified
 
 
 def in_Y_lambda(kappa, lam: Weight) -> bool:
@@ -257,7 +253,7 @@ def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:
     is complete when the candidate scan up to n_max is exhaustive (degree 0,
     i.e. M itself, is always a candidate via mu = 0).
     """
-    return ResonanceScan(m_hw + m_hw.algebra.rho).delta(kappa, n_max)
+    return ResonanceScan(m_hw + m_hw.algebra.rho, kappa).delta(n_max)
 
 
 def irreducibility_certificate(m_hw: Weight, kappa) -> IrreducibilityVerdict:
@@ -271,4 +267,4 @@ def irreducibility_certificate(m_hw: Weight, kappa) -> IrreducibilityVerdict:
     singular vector and no proper graded submodule.  Otherwise the verdict is
     Inconclusive and carries the nonzero-degree candidates.
     """
-    return ResonanceScan(m_hw + m_hw.algebra.rho).certificate(kappa)
+    return ResonanceScan(m_hw + m_hw.algebra.rho, kappa).certificate()

@@ -103,7 +103,7 @@ class ChevalleyBasis:
         def flat(m):
             return {j * d + i: v for j, col in m.items() for i, v in col.items()}
 
-        span = SpanBuilder(d * d)
+        span = SpanBuilder()
         for m in mats:
             check(span.add(flat(m)), "basis matrices are dependent")
         bracket = {}
@@ -193,7 +193,7 @@ def _irrep(algebra: AlgebraData, recipe, top):
         layer = []
         for mu in below:
             start = len(weights)
-            span = SpanBuilder(start)
+            span = SpanBuilder()
             for i, a in enumerate(alphas):
                 nu = add(mu, a)
                 p = 0

@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import affine_numerics as an
@@ -251,10 +252,10 @@ def cmd_certify(config: JobConfig, out) -> int:
     # validates hw and kappa before the scan, whose lattice walk can be long
     casimir = casimir_on_irrep(algebra, hw)
     an.check_kappa(kappa)
-    scan = an.ResonanceScan(hw + algebra.rho)
-    verdict = scan.certificate(kappa)
-    bound = scan.level_bound(kappa)
-    delta = scan.delta(kappa, bound)
+    scan = an.ResonanceScan(hw + algebra.rho, kappa)
+    verdict = scan.certificate()
+    bound = scan.level_bound
+    delta = scan.delta(bound)
     report = {
         "config": config.to_json_dict(),
         "status": verdict.status,
@@ -293,12 +294,21 @@ def cmd_certify(config: JobConfig, out) -> int:
 def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     algebra = build_algebra(config.series, config.rank)
     hw = _hw_weight(algebra, config)
-    kappa = config.kappa
-    depth = config.n_max
-    if kappa is None or depth is None:
+    if config.kappa is None or config.n_max is None:
         raise ValueError("--kappa and --depth are required")
-    module = em.build_truncated(algebra, hw, kappa, depth)
+    # the dump file is opened first, so that a bad path fails before the work
+    with open(dump, "w") if dump is not None else nullcontext() as fh:
+        module = em.build_truncated(algebra, hw, config.kappa, config.n_max)
+        ok_all = _crossvalidate_report(config, module, out)
+        if fh is not None:
+            json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    return 0 if ok_all else 1
 
+
+def _crossvalidate_report(config: JobConfig, module, out) -> bool:
+    """Run and report every check of crossvalidate; True when all pass."""
+    algebra, hw, kappa, depth = module.algebra, module.m_hw, module.kappa, module.depth
     dims = [module.degree_dim(n) for n in range(depth + 1)]
     expected_dims = [
         d * module.rep.dim for d in sym_ad_graded(algebra, depth).dims()
@@ -312,12 +322,11 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     virasoro_ok = em.virasoro_commutation_check(module)
 
     scan = module.scan
-    pairs = [] if scan is None else scan.pairs(kappa, depth)
+    pairs = [] if scan is None else scan.pairs(depth)
     findings = []
     finding_degrees = set()
     for n in range(1, depth + 1):
-        for weight, dim, matched in em.singular_dimensions(
-                module, n, [p for p in pairs if p.n == n]):
+        for weight, dim, matched in em.singular_dimensions(module, n):
             finding_degrees.add(n)
             findings.append(
                 {
@@ -336,7 +345,7 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
         candidates = [_candidate_json(p) for p in pairs]
         candidate_degrees = {p.n for p in pairs}
         necessity = finding_degrees <= candidate_degrees
-        verdict = scan.certificate(kappa)
+        verdict = scan.certificate()
         certificate_consistent = not (verdict.certified and findings)
 
     kl = []
@@ -399,11 +408,7 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
         )
     lines.append("all checks passed: %s" % ok_all)
     _emit(report, lines, config.fmt, out)
-    if dump is not None:
-        with open(dump, "w") as fh:
-            json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return 0 if ok_all else 1
+    return ok_all
 
 
 _COMMANDS = {

@@ -119,9 +119,9 @@ class TruncatedWeylModule:
     Immutable after construction (l0 and the annihilator levels are
     computed on first use and held); use build_truncated to construct.  The
     action of every x_p eps^m with |m| <= depth is straightened once, here,
-    into column-sparse form, and every operator below reads that store.  scan is the resonance scan of
-    lambda = m_hw + rho when kappa lies outside the nonnegative reals (where
-    candidates apply), else None.
+    into column-sparse form, and every operator below reads that store.
+    scan is the resonance scan of lambda = m_hw + rho at kappa when kappa
+    lies outside the nonnegative reals (where candidates apply), else None.
     """
 
     def __init__(self, algebra, m_hw: Weight, kappa, depth: int):
@@ -134,7 +134,7 @@ class TruncatedWeylModule:
         self.k_scalar = kappa - algebra.dual_coxeter
         self.scan = None
         if scalar_im(kappa) != 0 or scalar_re(kappa) < 0:
-            self.scan = ResonanceScan(m_hw + algebra.rho)
+            self.scan = ResonanceScan(m_hw + algebra.rho, kappa)
 
         sym_dims = sym_ad_graded(algebra, depth).dims()
         keys = []
@@ -563,12 +563,15 @@ def _weight_blocks(module, indices):
     return blocks
 
 
-def _matched(module, weight, candidates):
-    """The candidate with lambda + mu = weight + rho, else the first whose
-    lambda + mu lies in the W-orbit of weight + rho, else None."""
+def _matched(module, weight, n):
+    """The degree-n candidate of module.scan with lambda + mu = weight + rho,
+    else the first whose lambda + mu lies in the W-orbit of weight + rho,
+    else None."""
+    if module.scan is None:
+        return None
     lam = module.m_hw + module.algebra.rho
     target = weight + module.algebra.rho
-    shifted = [(p, lam + p.mu.to_weight()) for p in candidates]
+    shifted = [(p, lam + p.mu.to_weight()) for p in module.scan.candidates if p.n == n]
     matched = next((p for p, w in shifted if w == target), None)
     if matched is None:
         matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)
@@ -585,9 +588,6 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
-    matchable = []
-    if module.scan is not None:
-        matchable = [p for p in module.scan.pairs(module.kappa, n) if p.n == n]
     reports = []
     blocks = _weight_blocks(module, module.degree_range(n))
     for wt_coords in sorted(blocks):
@@ -600,16 +600,14 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
         weight = module.algebra.weight(wt_coords)
         solutions = [{block[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
         reports.append(SingularVectorReport(
-            n, weight, solutions, _matched(module, weight, matchable)))
+            n, weight, solutions, _matched(module, weight, n)))
     return reports
 
 
-def singular_dimensions(module: TruncatedWeylModule, n: int, candidates=()):
+def singular_dimensions(module: TruncatedWeylModule, n: int):
     """(weight, dimension, matched candidate) for each weight space of degree
-    n where eps g[eps] has a kernel, as singular_vectors reports them.
-
-    candidates are the degree-n candidate pairs to match, as singular_vectors
-    takes them from module.scan; pass none when the scan does not apply.
+    n where eps g[eps] has a kernel, as singular_vectors reports them, with
+    the candidates of module.scan.
 
     The kernel K is a g-module, since (x eps)(y v) = y (x eps) v + ([x, y]
     eps) v.  The x with (x eps) v = 0 form an ad n+-stable space when e_i v
@@ -647,7 +645,7 @@ def singular_dimensions(module: TruncatedWeylModule, n: int, candidates=()):
         weight = algebra.weight(wt_coords)
         dim = sum(d * char.multiplicity(weight) for char, d in tops)
         if dim:
-            found.append((weight, dim, _matched(module, weight, candidates)))
+            found.append((weight, dim, _matched(module, weight, n)))
     return found
 
 
@@ -676,7 +674,7 @@ class AnnihilatorSubspace:
     def span_contains(self, degree: int, vec: dict) -> bool:
         span = self._spans.get(degree)
         if span is None:
-            span = self._spans[degree] = SpanBuilder(self.module.dim)
+            span = self._spans[degree] = SpanBuilder()
             for d, v in self.vectors:
                 if d == degree:
                     span.add(v)
@@ -766,10 +764,10 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     ]
 
     v_one_window = [(d, v) for (d, v) in v_one.vectors if d <= window]
-    span_v1 = SpanBuilder(module.dim)
+    span_v1 = SpanBuilder()
     for _, v in v_one_window:
         span_v1.add(v)
-    kernel_span = SpanBuilder(module.dim)
+    kernel_span = SpanBuilder()
     kernel_inside = True
     for v in kernel_vectors:
         kernel_span.add(v)

@@ -161,8 +161,7 @@ class SpanBuilder:
     {index: value} dicts; all internal work is sparse.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.stages = []  # (pivot column, pivot, row, augmentation)
         self.n_added = 0
 
@@ -241,9 +240,9 @@ def _canonical(pairs):
     return [_scalar(a // g, b // g) for a, b in pairs]
 
 
-def rank(rows, ncols=None) -> int:
+def rank(rows) -> int:
     """Rank of the matrix with the given rows: the number of stages."""
-    span = SpanBuilder(ncols)
+    span = SpanBuilder()
     for row in rows:
         span.add(row)
     return span.rank()
@@ -258,7 +257,7 @@ def nullspace_of_columns(columns):
     kernel vector.  Returns normalized basis vectors (length len(columns)),
     one per free column, in increasing free-column order.
     """
-    span = SpanBuilder(None)
+    span = SpanBuilder()
     pivots = []  # column of each generator
     basis = []
     for c, col in enumerate(columns):
@@ -338,7 +337,7 @@ def independent_mod_p(columns) -> bool:
 def matrix_inverse(rows):
     """Exact inverse of a square matrix: row j holds the coords of e_j."""
     n = len(rows)
-    span = SpanBuilder(n)
+    span = SpanBuilder()
     for row in rows:
         if not span.add(row):
             raise ValueError("matrix is singular")

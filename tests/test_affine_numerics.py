@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ball_by_box
 from weylmod.affine_numerics import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -63,7 +64,22 @@ def test_kostant_bound_values():
     assert kostant_bound_C(_lam(sl3, [1, 0])) == -4
 
 
+def _oracle_scan(values, kappa):
+    """(candidates, C, level bound) of the scan from the ball's values
+    [(mu coords, q(mu))]: the (mu, n) with q(mu) = 2 kappa n and n >= 0 sorted
+    by (n, mu), the minimum of q, and the largest n with 2 kappa n >= C."""
+    c = min(q for _, q in values)
+    bound = 0
+    if isinstance(kappa, Fraction):
+        while 2 * kappa * (bound + 1) >= c:
+            bound += 1
+    found = [(coords, n) for n in range(bound + 1)
+             for coords, q in values if q == 2 * kappa * n]
+    return sorted(found, key=lambda t: (t[1], t[0])), c, bound
+
+
 def test_scan_values_match_resonance_value():
+    # the box walk and resonance_value as the oracle of every scan field
     for series, rank in (("A", 2), ("B", 3), ("C", 3), ("G", 2)):
         algebra = build_algebra(series, rank)
         for lam in (
@@ -71,10 +87,18 @@ def test_scan_values_match_resonance_value():
             algebra.rho + algebra.weight([Fraction(1, 3)] * rank),
             algebra.weight([Fraction(-1, 2)] + [Fraction(5, 7)] * (rank - 1)),
         ):
-            scan = ResonanceScan(lam)
-            assert scan.points
-            for mu, q in scan.points:
-                assert q == resonance_value(lam, mu), (lam, mu)
+            values = [(mu.coords, resonance_value(lam, mu))
+                      for mu in ball_by_box(algebra, lam, norm_sq(lam))]
+            casimir = norm_sq(lam) - norm_sq(algebra.rho)
+            c = min(q for _, q in values)
+            for kappa in (Fraction(-1), Fraction(-1, 3), Fraction(-9, 7),
+                          ComplexRational(-1, 1), c / 2 - Fraction(1, 3)):
+                scan = ResonanceScan(lam, kappa)
+                found, oracle_c, bound = _oracle_scan(values, kappa)
+                assert [(p.mu.coords, p.n) for p in scan.candidates] == found, (lam, kappa)
+                assert (scan.c, scan.level_bound) == (oracle_c, bound), (lam, kappa)
+                xi0 = top_l0_eigenvalue(casimir, kappa)
+                assert all(p.xi == xi0 + p.n for p in scan.candidates)
 
 
 # all highest weights with coordinates <= 2 at rank <= 2, coordinate sum <= 2
@@ -99,7 +123,7 @@ def test_kostant_bound_closed_form(series, rank):
         top = tuple(int(c) for c in lam.coords)
         below = dominant_below(algebra, top)
         closed = min(norm_sq(algebra.weight(nu)) for nu in below) - norm_sq(lam)
-        assert ResonanceScan(lam).c == closed, hw
+        assert ResonanceScan(lam, ComplexRational(-1, 1)).c == closed, hw
 
 
 def test_kostant_bound_is_global_minimum():
@@ -316,9 +340,8 @@ def test_candidate_sets_are_weyl_invariant(series, rank, coords, kappa):
     # |lambda + mu|^2 = |lambda|^2 + 2 kappa n is a union of W-orbits
     algebra = build_algebra(series, rank)
     lam = _lam(algebra, coords)
-    scan = ResonanceScan(lam)
     by_degree = {}
-    for p in scan.pairs(kappa, scan.level_bound(kappa)):
+    for p in ResonanceScan(lam, kappa).candidates:
         nu = tuple(int(a + b) for a, b in zip(lam.coords, p.mu.to_weight().coords))
         by_degree.setdefault(p.n, set()).add(nu)
     assert any(n >= 1 for n in by_degree)

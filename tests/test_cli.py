@@ -147,15 +147,53 @@ def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
         assert json.loads(out)["reason"] == expected
         assert code == (2 if expected is None else 0)
         assert len(calls) == 1, argv
-    # crossvalidate: one scan per module, shared by every degree
+
+
+def test_crossvalidate_builds_one_scan_and_walks_the_ball_once(monkeypatch, capsys):
+    # one scan per module, shared by every degree and the certificate
+    scans, walks = [], []
+    scan_class = em.ResonanceScan
+    walk = affine_numerics.enumerate_root_lattice_ball
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args)
+        return scan_class(*args, **kwargs)
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(em, "ResonanceScan", counted_scan)
+    monkeypatch.setattr(affine_numerics, "enumerate_root_lattice_ball", counted_walk)
     for argv in (
         ["A", "1", "--hw", "2", "--kappa=-2", "--depth", "4"],
+        ["A", "2", "--hw", "1", "0", "--kappa=-3/2", "--depth", "2"],
         ["A", "1", "--hw", "0", "--kappa=-1+1i", "--depth", "2"],
     ):
-        calls.clear()
+        scans.clear()
+        walks.clear()
         code, out, _ = _run(["crossvalidate"] + argv + ["--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"] is True
-        assert len(calls) == 1, argv
+        assert (len(scans), len(walks)) == (1, 1), argv
+
+
+def test_certify_builds_its_candidate_list_once(monkeypatch, capsys):
+    # the certificate and the length bound read the candidates of one scan
+    made = []
+    pair = affine_numerics.CandidatePair
+
+    def counted(*args):
+        made.append(args)
+        return pair(*args)
+
+    hw = weylmod.build_algebra("A", 2).weight([2, 0])
+    expected = len(affine_numerics.candidate_pairs(
+        hw + hw.algebra.rho, Fraction(-1, 2), 99))
+    monkeypatch.setattr(affine_numerics, "CandidatePair", counted)
+    code, out, _ = _run(["certify", "A", "2", "--hw", "2", "0", "--kappa=-1/2",
+                         "--format", "json"], capsys)
+    assert code == 2 and json.loads(out)["candidates"]
+    assert len(made) == expected
 
 
 def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
@@ -223,8 +261,8 @@ def test_kl_check_builds_each_annihilator_span_once(monkeypatch, capsys):
             asking.pop()
 
     class CountedSpan(em.SpanBuilder):
-        def __init__(self, dim):
-            super().__init__(dim)
+        def __init__(self):
+            super().__init__()
             if asking:
                 builds[asking[-1]] = builds.get(asking[-1], 0) + 1
 
@@ -354,10 +392,10 @@ def test_crossvalidate_dump_writes_module(tmp_path, capsys):
 
 def test_crossvalidate_dump_to_missing_directory_exits_one(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
-    code, _, err = _run(
+    code, out, err = _run(
         ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "1",
          "--dump", str(target)], capsys)
-    assert code == 1
+    assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 

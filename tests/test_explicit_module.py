@@ -330,12 +330,6 @@ def _oracle_dimensions(m, n):
             for r in singular_vectors(m, n)]
 
 
-def _degree_candidates(m, n):
-    if m.scan is None:
-        return []
-    return [p for p in m.scan.pairs(m.kappa, n) if p.n == n]
-
-
 # rational, Gaussian and kappa = h-dual (k = 0) levels; the kernels sit at
 # A1 (2) -2, at kappa = h-dual and at A1 (1) 3/2
 @pytest.mark.parametrize("series,rank,hw,kappa,depth,found", [
@@ -359,7 +353,7 @@ def test_singular_dimensions_match_the_full_solve(series, rank, hw, kappa, depth
     m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
     total = 0
     for n in range(1, depth + 1):
-        got = singular_dimensions(m, n, _degree_candidates(m, n))
+        got = singular_dimensions(m, n)
         assert got == _oracle_dimensions(m, n)
         total += len(got)
     assert total == found
@@ -377,7 +371,7 @@ def test_singular_dimensions_fall_back_when_p_divides_a_denominator(monkeypatch)
 
     monkeypatch.setattr(explicit_module, "independent_mod_p", spy)
     for n in (1, 2, 3):
-        assert singular_dimensions(m, n, _degree_candidates(m, n)) \
+        assert singular_dimensions(m, n) \
             == _oracle_dimensions(m, n) == []
     # every dominant block meets the central term, so each is solved exactly
     assert verdicts and not any(verdicts)
