@@ -116,6 +116,9 @@ class ChevalleyBasis:
                     bracket[(p, q)] = entry
                     bracket[(q, p)] = {k: -v for k, v in entry.items()}
         self.bracket = bracket
+        self._bracket_lists = {
+            key: tuple(sorted(entry.items())) for key, entry in bracket.items()
+        }
         v_index = d * casimir_on_irrep(alg, v_hw) / alg.dim
         self.form = tuple(
             tuple(exact(_trace_product(mats[p], mats[q]) / v_index)
@@ -143,10 +146,8 @@ class ChevalleyBasis:
                 check(got == expect and all(k == q for k in ent), "not a weight basis")
 
     def bracket_list(self, p, q):
-        """[x_p, x_q] as a sparse list of (index, coeff)."""
-        if p == q:
-            return []
-        return sorted(self.bracket.get((p, q), {}).items())
+        """[x_p, x_q] as a sorted tuple of (index, coeff), built once."""
+        return self._bracket_lists.get((p, q), ())
 
     def pairing(self, p, q):
         return self.form[p][q]

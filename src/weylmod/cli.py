@@ -296,9 +296,12 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     hw = _hw_weight(algebra, config)
     if config.kappa is None or config.n_max is None:
         raise ValueError("--kappa and --depth are required")
-    # the dump file is opened first, so that a bad path fails before the work
+    # the inputs are checked before the dump file is opened, so a rejected
+    # input leaves no file, and the file is opened before the work, so a
+    # bad path fails first
+    kappa = em.check_truncation(algebra, hw, config.kappa, config.n_max)
     with open(dump, "w") if dump is not None else nullcontext() as fh:
-        module = em.build_truncated(algebra, hw, config.kappa, config.n_max)
+        module = em.build_truncated(algebra, hw, kappa, config.n_max)
         ok_all = _crossvalidate_report(config, module, out)
         if fh is not None:
             json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2)

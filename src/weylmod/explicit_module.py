@@ -319,7 +319,16 @@ def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylMo
     _SHIFT bits); the straightening cost grows quickly with dim g and the
     depth.  kappa may be any nonzero rational or complex-rational scalar;
     kappa = 0 is the critical level where the Sugawara normalization fails.
+    The inputs go through check_truncation first.
     """
+    kappa = check_truncation(algebra, m_hw, kappa, depth)
+    return TruncatedWeylModule(algebra, m_hw, kappa, depth)
+
+
+def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
+    """Reject what build_truncated cannot build, with a ValueError; return
+    kappa as a Fraction, or a ComplexRational when not real.  Builds
+    nothing, so callers can check their inputs before any other step."""
     if algebra.dim > 1 << _SHIFT:
         raise ValueError(
             "explicit construction needs dim g <= %d (%s%d has dimension %d)"
@@ -345,7 +354,7 @@ def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylMo
         raise ValueError("highest weight belongs to a different algebra")
     if not (m_hw.is_integral() and m_hw.is_dominant()):
         raise ValueError("M must have a dominant integral highest weight")
-    return TruncatedWeylModule(algebra, m_hw, kappa, depth)
+    return kappa
 
 
 def _image_degrees(depth: int, m: int) -> range:
@@ -453,35 +462,33 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
     The sum runs on the integer weights 2 scale w (zero modes: scale w), with
     scale the least common denominator of the Casimir weights w, so on an
     integral store it stays in ints; each column is divided by
-    2 scale kappa once, at the end.
+    2 scale kappa once, at the end.  The terms of each degree are read
+    straight from the action store: on degree n only modes |j| <= n act, so
+    no image leaves the truncation.
     """
     kappa = module.kappa
     a = casimir_on_irrep(module.algebra, module.m_hw)
     scale = lcm(*(Fraction(w).denominator for _, _, w in module.cb.casimir_pairs))
     pairs = [(p, q, exact(w * scale)) for p, q, w in module.cb.casimir_pairs]
-    doubled = [(p, q, 2 * w) for p, q, w in pairs]
     inverse = Fraction(1) / (2 * scale * kappa)
+    store = module._action
     columns = {}
     eigenvalues = {}
     for n in range(module.depth + 1):
         xi = top_l0_eigenvalue(a, kappa) + n
+        # (lo, hi, w): the term w lo hi, raising half hi applied first; on
+        # degree n only modes j <= n can act, and x eps^{-j} returns to n
+        terms = [(store[p, 0], store[q, 0], w) for p, q, w in pairs]
+        terms.extend((store[p, -j], store[q, j], 2 * w)
+                     for j in range(1, n + 1) for p, q, w in pairs)
         for idx in module.degree_range(n):
             acc = {}
-            start = {idx: _ONE}
-            for (p, q, w) in pairs:
-                tmp = module.apply_to_vector(q, 0, start)
-                tmp = module.apply_to_vector(p, 0, tmp)
-                for t, v in tmp.items():
-                    accumulate(acc, t, w * v)
-            for j in range(1, n + 1):
-                for (p, q, w) in doubled:
-                    tmp = module.apply_to_vector(q, j, start)
-                    if not tmp:
-                        continue
-                    tmp = module.apply_to_vector(p, -j, tmp)
-                    for t, v in tmp.items():
-                        accumulate(acc, t, w * v)
-            col = {t: v * inverse for t, v in acc.items()}
+            for lo, hi, w in terms:
+                for mid, u in hi.get(idx, _EMPTY).items():
+                    wu = w * u
+                    for t, v in lo.get(mid, _EMPTY).items():
+                        acc[t] = acc.get(t, 0) + wu * v
+            col = {t: v * inverse for t, v in acc.items() if v}
             check(col == ({idx: xi} if xi else {}),
                   "Sugawara sum is not the expected scalar at degree %d", n)
             columns[idx] = col
@@ -548,11 +555,16 @@ class SingularVectorReport:
 
 
 def _raising_column(module, vec):
-    """(x_p eps) vec for every generator p, as one {(p, index): coeff}."""
+    """(x_p eps) vec for every generator p, as one {(p, index): coeff}.
+
+    Mode 1 lowers the degree, so the image never leaves the truncation and
+    the store is read without apply_to_vector's degree check.
+    """
+    store = module._action
     return {
         (p, t): v
         for p in range(module.cb.dim)
-        for t, v in module.apply_to_vector(p, 1, vec).items()
+        for t, v in apply(store[p, 1], vec).items()
     }
 
 
@@ -688,13 +700,34 @@ class AnnihilatorSubspace:
         )
 
 
+def _image(store, images, op):
+    """The raising monomial op on the vector images[()], holding the image
+    of every suffix of op in images: image(op) = x_{op[0]} image(op[1:])."""
+    hit = images.get(op)
+    if hit is None:
+        rest = _image(store, images, op[1:])
+        f = op[0]
+        hit = images[op] = apply(store[f & _MASK, f >> _SHIFT], rest) if rest else _EMPTY
+    return hit
+
+
 def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSubspace:
     """V(order) within the truncation, degrees 0..depth-order.
 
-    A degree-d vector lies in V(order) iff it is killed by every PBW monomial
-    in the raising modes of total loop degree e with order <= e <= d; larger e
-    lowers past degree zero and acts by zero automatically, and degrees
-    d < order are contained entirely.
+    A vector lies in V(order) iff it is killed by every element of U+_e,
+    e >= order, where U+_e is the loop-degree-e part of the enveloping
+    algebra U+ of the positive modes g eps C[eps].  Monomials of degree
+    exactly order suffice.  Since g is simple, [g, g] = g, so
+    [g eps^a, g eps^b] = g eps^(a+b) and g eps generates the positive loop
+    algebra; hence U+_e = (U+_1)^e = U+_(e-order) U+_order, and U+_order
+    kills whatever kills U+_e for every e >= order.  So V(order) =
+    Ann(U+_order), and on each weight block of degree d >= order it is the
+    common kernel of the PBW monomials of degree order, which span U+_order.
+    Degrees d < order are contained entirely.
+
+    For each basis vector v, image(op) = x_{op[0]} image(op[1:]) is held per
+    monomial suffix, so a suffix shared by several monomials is applied to v
+    once.  Positive modes lower the degree, so the store is read directly.
     """
     if order < 1:
         raise ValueError("annihilator order must be >= 1")
@@ -704,29 +737,22 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
             % (order, order)
         )
     window = module.depth - order
+    store = module._action
+    ops = monomials_of_degree(module.cb.dim, order)
     vectors = []
     for d in range(window + 1):
         rng = module.degree_range(d)
         if d < order:
             vectors.extend((d, {idx: _ONE}) for idx in rng)
             continue
-        ops = [op for e in range(order, d + 1)
-               for op in monomials_of_degree(module.cb.dim, e)]
         blocks = _weight_blocks(module, rng)
         for wt_coords in sorted(blocks):
             block = blocks[wt_coords]
             columns = []
             for idx in block:
-                col = {}
-                for o_num, op in enumerate(ops):
-                    vec = {idx: _ONE}
-                    for f in reversed(op):
-                        vec = module.apply_to_vector(f & _MASK, f >> _SHIFT, vec)
-                        if not vec:
-                            break
-                    for t, v in vec.items():
-                        col[(o_num, t)] = v
-                columns.append(col)
+                images = {(): {idx: _ONE}}
+                columns.append({(o_num, t): v for o_num, op in enumerate(ops)
+                                for t, v in _image(store, images, op).items()})
             kernel = nullspace_of_columns(columns)
             for vec in kernel:
                 vectors.append(
@@ -775,25 +801,31 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
             kernel_inside = False
     kernel_matches = kernel_inside and kernel_span.rank() == span_v1.rank()
 
+    # (x_p eps) v for each basis vector v and generator p; only modes 0 and
+    # 1 act from here on, so the store is read directly
+    store = module._action
+    dim_g = module.cb.dim
+    raised = [[apply(store[p, 1], vec) for p in range(dim_g)] for _, vec in basis]
+
     # i lands in V(order-1) when order >= 2 (for order = 1 the map is zero)
     v_prev = module.annihilator(order - 1) if order >= 2 else None
     lands = True
-    for d, vec in basis:
-        for p in range(module.cb.dim):
-            img = module.apply_to_vector(p, 1, vec)
+    for (d, _), images in zip(basis, raised):
+        for img in images:
             if img and (v_prev is None or not v_prev.span_contains(d - 1, img)):
                 lands = False
 
     # equivariance: (x eps)(y v) = y ((x eps) v) + ([x, y] eps) v
     equivariant = True
-    for d, vec in basis:
-        for y in range(module.cb.dim):
-            yv = module.apply_to_vector(y, 0, vec)
-            for x in range(module.cb.dim):
-                lhs = module.apply_to_vector(x, 1, yv)
-                rhs = module.apply_to_vector(y, 0, module.apply_to_vector(x, 1, vec))
+    for (_, vec), images in zip(basis, raised):
+        for y in range(dim_g):
+            lower = store[y, 0]
+            yv = apply(lower, vec)
+            for x in range(dim_g):
+                lhs = apply(store[x, 1], yv)
+                rhs = apply(lower, images[x])
                 for q, cq in module.cb.bracket_list(x, y):
-                    for t, v in module.apply_to_vector(q, 1, vec).items():
+                    for t, v in images[q].items():
                         accumulate(rhs, t, cq * v)
                 if lhs != rhs:
                     equivariant = False
@@ -801,8 +833,8 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     # g-stability of V(order) degree by degree
     stable = True
     for d, vec in basis:
-        for y in range(module.cb.dim):
-            img = module.apply_to_vector(y, 0, vec)
+        for y in range(dim_g):
+            img = apply(store[y, 0], vec)
             if img and not v_top.span_contains(d, img):
                 stable = False
 

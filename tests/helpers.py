@@ -2,7 +2,9 @@
 Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection, vector normalization, a JobConfig
 parser, the full-weight-map oracles for S(ad) and for the weights of an
-irreducible, and the bounding-box oracle for the root-lattice ball.
+irreducible, the bounding-box oracle for the root-lattice ball, and the
+per-vector oracles for the Sugawara L0 and the annihilator levels of a
+truncated module.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -15,9 +17,13 @@ from fractions import Fraction
 
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
+from weylmod.explicit_module import (
+    _MASK, _SHIFT, _weight_blocks, monomials_of_degree,
+)
 from weylmod.finite_rep import Character, adjoint_character
 from weylmod.linalg import (
     _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
+    nullspace_of_columns,
 )
 from weylmod.rational import parse_scalar
 from weylmod.root_system import AlgebraData, RootVector, Weight, _floor_plus_sqrt
@@ -187,7 +193,8 @@ def _sym_power_maps(full: dict, rank: int, m_max: int):
         level = {}
         for c, v in acc.items():
             q, r = divmod(v, m)
-            assert r == 0 and q >= 0, (m, c, v)
+            if r or q < 0:  # an explicit raise, so python -O keeps the check
+                raise AssertionError((m, c, v))
             if q:
                 level[c] = q
         h.append(level)
@@ -274,4 +281,56 @@ def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
         if sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) <= bound:
             out.append(RootVector(algebra, m))
     out.sort(key=lambda rv: rv.coords)
+    return out
+
+
+# -- truncated-module oracles --------------------------------------------------
+# Both go through TruncatedWeylModule.apply_to_vector one operator at a time,
+# with its degree check, as the package did before it read the store directly.
+
+
+def sugawara_columns(module):
+    """The columns of the Sugawara L0, each basis vector pushed through every
+    term (x_p x^p and (x_p eps^-j)(x^p eps^j)) by apply_to_vector."""
+    kappa = module.kappa
+    columns = {}
+    for n in range(module.depth + 1):
+        for idx in module.degree_range(n):
+            acc = {}
+            start = {idx: 1}
+            for p, q, w in module.cb.casimir_pairs:
+                for j in range(n + 1):
+                    tmp = module.apply_to_vector(p, -j, module.apply_to_vector(q, j, start))
+                    for t, v in tmp.items():
+                        accumulate(acc, t, (w if j == 0 else 2 * w) * v)
+            columns[idx] = {t: v / (2 * kappa) for t, v in acc.items()}
+    return columns
+
+
+def annihilator_all_degrees(module, order):
+    """V(order) on degrees 0..depth-order as {degree: [vector, ...]}: each
+    weight block of degree d >= order solved against the monomials of every
+    degree order..d, each applied factor by factor."""
+    out = {}
+    for d in range(module.depth - order + 1):
+        rng = module.degree_range(d)
+        if d < order:
+            out[d] = [{idx: 1} for idx in rng]
+            continue
+        ops = [op for e in range(order, d + 1)
+               for op in monomials_of_degree(module.cb.dim, e)]
+        vectors = out[d] = []
+        for block in _weight_blocks(module, rng).values():
+            columns = []
+            for idx in block:
+                col = {}
+                for o_num, op in enumerate(ops):
+                    vec = {idx: 1}
+                    for f in reversed(op):
+                        vec = module.apply_to_vector(f & _MASK, f >> _SHIFT, vec)
+                    for t, v in vec.items():
+                        col[(o_num, t)] = v
+                columns.append(col)
+            for vec in nullspace_of_columns(columns):
+                vectors.append({block[i]: c for i, c in enumerate(vec) if c})
     return out

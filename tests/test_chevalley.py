@@ -265,6 +265,18 @@ def test_jacobi_and_chevalley_relations(series, rank):
         assert dict(cb.bracket_list(k, n_pos + rank + k)) == coroot
 
 
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_bracket_list_is_the_held_sorted_bracket(series, rank):
+    cb = chevalley_basis(build_algebra(series, rank))
+    for p in range(cb.dim):
+        for q in range(cb.dim):
+            got = cb.bracket_list(p, q)
+            assert got == tuple(sorted(cb.bracket.get((p, q), {}).items()))
+            # built once in the basis, not sorted again on each call
+            assert cb.bracket_list(p, q) is got
+    assert all(cb.bracket_list(p, p) == () for p in range(cb.dim))
+
+
 _IRREPS = {
     ("B", 2): [(1, 0), (0, 1), (1, 1), (2, 1)],
     ("G", 2): [(1, 0), (0, 1), (1, 1)],

@@ -390,7 +390,12 @@ def test_crossvalidate_dump_writes_module(tmp_path, capsys):
     assert data["generators"] == ["e", "h", "f"]
 
 
-def test_crossvalidate_dump_to_missing_directory_exits_one(tmp_path, capsys):
+def test_crossvalidate_dump_to_missing_directory_exits_one(tmp_path, capsys,
+                                                           monkeypatch):
+    built = []
+    real = em.build_truncated
+    monkeypatch.setattr(em, "build_truncated",
+                        lambda *args: built.append(args) or real(*args))
     target = tmp_path / "missing" / "x.json"
     code, out, err = _run(
         ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "1",
@@ -398,6 +403,23 @@ def test_crossvalidate_dump_to_missing_directory_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    # the bad path fails before any work
+    assert built == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--hw", "0", "--kappa=-1", "--depth", "9"],   # beyond the depth cap
+    ["--hw", "0", "--kappa=0", "--depth", "1"],    # critical level
+    ["--hw", "-1", "--kappa=-1", "--depth", "1"],  # not dominant
+    ["--hw", "1/2", "--kappa=-1", "--depth", "1"],  # not integral
+])
+def test_crossvalidate_rejected_input_leaves_no_dump_file(tmp_path, capsys, args):
+    target = tmp_path / "d.json"
+    code, out, err = _run(["crossvalidate", "A", "1"] + args
+                          + ["--dump", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from weylmod.affine_numerics import candidate_pairs
+import helpers
 from weylmod.explicit_module import (
     DEPTH_CAP_ENV,
+    TruncatedWeylModule,
     ActionMatrix,
     act,
     annihilator_level,
@@ -23,7 +25,7 @@ from weylmod.explicit_module import (
 )
 from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
-from weylmod.linalg import FILTER_PRIME
+from weylmod.linalg import FILTER_PRIME, SpanBuilder
 from weylmod.rational import ComplexRational, parse_scalar, scalar_im, scalar_re
 from weylmod.root_system import build_algebra
 
@@ -248,6 +250,19 @@ def test_sugawara_sl3():
     assert l0.eigenvalue(1) == Fraction(-1, 3)
 
 
+@pytest.mark.parametrize("series, rank, hw, kappa, depth", [
+    ("A", 1, [2], "-1", 3),
+    ("A", 1, [1], "-1+1i", 3),
+    ("A", 2, [1, 0], "-1", 2),
+    ("A", 2, [0, 1], "-1+1i", 2),
+    ("B", 2, [1, 0], "-1", 2),
+])
+def test_sugawara_matches_the_per_vector_oracle(series, rank, hw, kappa, depth):
+    alg = build_algebra(series, rank)
+    m = build_truncated(alg, alg.weight(hw), parse_scalar(kappa), depth)
+    assert sugawara_l0(m).columns == helpers.sugawara_columns(m)
+
+
 def test_virasoro_commutation():
     assert virasoro_commutation_check(_sl2(hw=0, kappa=Fraction(-1), depth=2))
     assert virasoro_commutation_check(_sl2(hw=2, kappa=Fraction(-2), depth=2))
@@ -457,6 +472,55 @@ def test_kl_sequence_window_validation():
         check_kl_exact_sequence(m, 3)
     with pytest.raises(ValueError):
         check_kl_exact_sequence(m, 0)
+
+
+def _same_span(vectors_a, vectors_b):
+    span_a, span_b = SpanBuilder(), SpanBuilder()
+    for v in vectors_a:
+        span_a.add(v)
+    for v in vectors_b:
+        span_b.add(v)
+    return (span_a.rank() == span_b.rank()
+            and all(span_a.contains(v) for v in vectors_b))
+
+
+@pytest.mark.parametrize("series, rank, hw, kappa, depth, orders", [
+    ("A", 1, [0], "-1", 5, (1, 2, 3)),
+    ("A", 1, [2], "-2", 4, (1, 2, 3)),
+    ("A", 1, [2], "-2", 5, (1, 2)),
+    ("A", 2, [1, 0], "-1", 3, (1, 2)),
+    ("B", 2, [1, 0], "-1", 2, (1, 2)),
+    ("G", 2, [0, 1], "-1", 2, (1, 2)),
+])
+def test_annihilator_matches_the_all_degrees_solve(series, rank, hw, kappa,
+                                                   depth, orders):
+    # U+_order generates every U+_e with e >= order, so the degree-order
+    # monomials cut out the same V(order) as those of every degree
+    alg = build_algebra(series, rank)
+    m = build_truncated(alg, alg.weight(hw), parse_scalar(kappa), depth)
+    for order in orders:
+        level = annihilator_level(m, order)
+        oracle = helpers.annihilator_all_degrees(m, order)
+        assert level.dims_by_degree == {d: len(vs) for d, vs in oracle.items() if vs}
+        for d, vectors in oracle.items():
+            assert _same_span([v for e, v in level.vectors if e == d], vectors)
+
+
+def test_l0_and_kl_read_the_store_without_apply_to_vector(monkeypatch):
+    calls = []
+    real = TruncatedWeylModule.apply_to_vector
+    monkeypatch.setattr(TruncatedWeylModule, "apply_to_vector",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    m = build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 3)
+    sugawara_l0(m)
+    annihilator_level(m, 1)
+    annihilator_level(m, 2)
+    for order in (1, 2):
+        assert check_kl_exact_sequence(m, order)[0]
+    assert calls == []
+    # the spy itself is live
+    m.apply_generator(0, 0, 0)
+    assert len(calls) == 1
 
 
 def test_module_json_shape_and_determinism():
