@@ -37,7 +37,8 @@ spaces alone, with the r + 1 operators e_i and f_theta eps, and reads the
 other weights off the characters of the irreducibles they generate.  A mod-p
 rank test (linalg.independent_mod_p) settles most of these blocks; it can
 only prove a kernel zero, and every other block is solved exactly, so the
-dimensions are exact.
+dimensions are exact.  The same test sits in front of the exact solve of
+each weight block of the annihilators V(order).
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ class TruncatedWeylModule:
         return apply(self._action.get((p, m), _EMPTY), vec)
 
     @cached_property
-    def l0(self) -> "L0Matrix":
-        """The Sugawara L0 of sugawara_l0, computed on first use."""
+    def l0(self) -> tuple:
+        """The Sugawara L0 eigenvalue of each degree, from sugawara_l0,
+        computed on first use."""
         return sugawara_l0(self)
 
     def annihilator(self, order: int) -> "AnnihilatorSubspace":
@@ -420,44 +422,16 @@ def act(module: TruncatedWeylModule, x, m: int) -> ActionMatrix:
     return ActionMatrix(module, module.cb.names[p], m, module.columns(p, m))
 
 
-class L0Matrix:
-    """Block-diagonal Sugawara L0, computed from the normally-ordered sum.
-
-    columns[i] is the image of basis vector #i as {target index: coeff}.
-    """
-
-    def __init__(self, module, columns, eigenvalues):
-        self.module = module
-        self.columns = columns
-        self._eigenvalues = eigenvalues
-
-    def block(self, n: int):
-        if n not in self._eigenvalues:
-            raise ValueError("degree %d outside truncation" % n)
-        rng = self.module.degree_range(n)
-        return _dense(self.columns, rng, rng)
-
-    def eigenvalue(self, n: int):
-        if n not in self._eigenvalues:
-            raise ValueError("degree %d outside truncation" % n)
-        return self._eigenvalues[n]
-
-    def is_scalar_by_degree(self) -> bool:
-        for n, xi in self._eigenvalues.items():
-            for idx in self.module.degree_range(n):
-                if self.columns[idx] != ({idx: xi} if xi else {}):
-                    return False
-        return True
-
-
-def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
-    """The zero Sugawara mode, evaluated literally and exactly.
+def sugawara_l0(module: TruncatedWeylModule) -> tuple:
+    """The zero Sugawara mode, evaluated literally and exactly; returns its
+    eigenvalue on each degree, as a tuple indexed by degree.
 
     L0 = (1/kappa) sum_p [ x_p x^p / 2 + sum_{j>=1} (x_p eps^{-j})(x^p eps^j) ]
     with {x_p}, {x^p} dual bases of g under the normalized form, written in
-    normal order (positive modes to the right).  The result is checked to be
-    the scalar a/(2 kappa) + n on each degree-n layer, a = Casimir of M.
-    module.l0 holds the result for reuse.
+    normal order (positive modes to the right).  Every column of the sum is
+    checked to be xi_n e_idx on each degree-n layer, xi_n = a/(2 kappa) + n
+    with a the Casimir of M, and an InvariantError is raised otherwise; only
+    the xi_n are kept.  module.l0 holds the result for reuse.
 
     The sum runs on the integer weights 2 scale w (zero modes: scale w), with
     scale the least common denominator of the Casimir weights w, so on an
@@ -472,8 +446,7 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
     pairs = [(p, q, exact(w * scale)) for p, q, w in module.cb.casimir_pairs]
     inverse = Fraction(1) / (2 * scale * kappa)
     store = module._action
-    columns = {}
-    eigenvalues = {}
+    eigenvalues = []
     for n in range(module.depth + 1):
         xi = top_l0_eigenvalue(a, kappa) + n
         # (lo, hi, w): the term w lo hi, raising half hi applied first; on
@@ -491,42 +464,36 @@ def sugawara_l0(module: TruncatedWeylModule) -> L0Matrix:
             col = {t: v * inverse for t, v in acc.items() if v}
             check(col == ({idx: xi} if xi else {}),
                   "Sugawara sum is not the expected scalar at degree %d", n)
-            columns[idx] = col
-        eigenvalues[n] = xi
-    return L0Matrix(module, columns, eigenvalues)
+        eigenvalues.append(xi)
+    return tuple(eigenvalues)
 
 
 def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bool:
     """Exact check of [L0, x eps^m] = -m (x eps^m) on the valid window.
 
     Runs over every Chevalley generator and every mode |m| <= max_mode
-    (default: the full depth), multiplying the columns of module.l0 with the
-    stored action columns over their nonzero entries, so the cost scales
-    with the sparsity of the action rather than with dense block size.
+    (default: the full depth; ValueError unless 0 <= max_mode <= depth).
 
-    The commutator is taken with L0 - xi0 I, xi0 the degree-0 eigenvalue:
-    [L0 - c I, A] = [L0, A] for any operator A and scalar c, and L0 - xi0
-    has the integer entry n on degree n for rational and Gaussian kappa
-    alike, so the products with an integral store stay in ints.
+    module.l0 is read first, so sugawara_l0 has proved L0 to be the scalar
+    xi_k on each degree-k layer, xi_k = xi_0 + k.  For A = x eps^m and a
+    basis vector v of degree n, [L0, A] v = sum_i (xi_{deg i} - xi_n)
+    (A v)_i e_i = sum_i (deg i - n) (A v)_i e_i, while -m A v = sum_i -m
+    (A v)_i e_i.  The store holds no zero entry, so the two agree exactly
+    when every stored image of a degree-n basis vector lies in degree
+    n - m; that containment is what is checked, and no product is formed.
     """
-    xi0 = module.l0.eigenvalue(0)
-    l0 = {}
-    for j, col in module.l0.columns.items():
-        col = dict(col)
-        accumulate(col, j, -xi0)
-        l0[j] = {i: _canonical(v) for i, v in col.items()}
     top = module.depth if max_mode is None else max_mode
+    if not 0 <= top <= module.depth:
+        raise ValueError("max_mode must satisfy 0 <= max_mode <= depth (%d)"
+                         % module.depth)
+    module.l0  # sugawara_l0 raises unless L0 is scalar on every layer
     for p in range(module.cb.dim):
         for m in range(-top, top + 1):
             cols = module.columns(p, m)
             for n in _image_degrees(module.depth, m):
+                target = module.degree_range(n - m)
                 for j in module.degree_range(n):
-                    aj = cols.get(j, _EMPTY)
-                    lhs = apply(l0, aj)
-                    for i, v in apply(cols, l0[j]).items():
-                        accumulate(lhs, i, -v)
-                    rhs = {} if m == 0 else {i: -m * v for i, v in aj.items()}
-                    if lhs != rhs:
+                    if not all(i in target for i in cols.get(j, _EMPTY)):
                         return False
     return True
 
@@ -728,6 +695,8 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
     For each basis vector v, image(op) = x_{op[0]} image(op[1:]) is held per
     monomial suffix, so a suffix shared by several monomials is applied to v
     once.  Positive modes lower the degree, so the store is read directly.
+    A block that linalg.independent_mod_p proves kernel-free adds no vector
+    and is not solved exactly.
     """
     if order < 1:
         raise ValueError("annihilator order must be >= 1")
@@ -753,8 +722,9 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
                 images = {(): {idx: _ONE}}
                 columns.append({(o_num, t): v for o_num, op in enumerate(ops)
                                 for t, v in _image(store, images, op).items()})
-            kernel = nullspace_of_columns(columns)
-            for vec in kernel:
+            if independent_mod_p(columns):
+                continue
+            for vec in nullspace_of_columns(columns):
                 vectors.append(
                     (d, {block[i]: c for i, c in enumerate(vec) if c})
                 )

@@ -3,8 +3,8 @@ Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection, vector normalization, a JobConfig
 parser, the full-weight-map oracles for S(ad) and for the weights of an
 irreducible, the bounding-box oracle for the root-lattice ball, and the
-per-vector oracles for the Sugawara L0 and the annihilator levels of a
-truncated module.
+per-vector oracles for the Sugawara L0, its closed form, the Virasoro
+commutator and the annihilator levels of a truncated module.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -20,7 +20,7 @@ from weylmod.cli import JobConfig
 from weylmod.explicit_module import (
     _MASK, _SHIFT, _weight_blocks, monomials_of_degree,
 )
-from weylmod.finite_rep import Character, adjoint_character
+from weylmod.finite_rep import Character, adjoint_character, casimir_on_irrep
 from weylmod.linalg import (
     _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
     nullspace_of_columns,
@@ -285,8 +285,9 @@ def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
 
 
 # -- truncated-module oracles --------------------------------------------------
-# Both go through TruncatedWeylModule.apply_to_vector one operator at a time,
-# with its degree check, as the package did before it read the store directly.
+# The per-vector oracles go through TruncatedWeylModule.apply_to_vector one
+# operator at a time, with its degree check, as the package did before it
+# read the store directly.
 
 
 def sugawara_columns(module):
@@ -305,6 +306,40 @@ def sugawara_columns(module):
                         accumulate(acc, t, (w if j == 0 else 2 * w) * v)
             columns[idx] = {t: v / (2 * kappa) for t, v in acc.items()}
     return columns
+
+
+def l0_eigenvalues(module):
+    """The closed form a/(2 kappa) + n of the L0 eigenvalue on each degree n,
+    a the Casimir of M, as a tuple indexed by degree."""
+    a = Fraction(casimir_on_irrep(module.algebra, module.m_hw))
+    return tuple(a / (2 * module.kappa) + n for n in range(module.depth + 1))
+
+
+def layer_scalar_columns(module, eigenvalues):
+    """{idx: {idx: xi_n}} for every basis vector idx of degree n, with an
+    empty column where xi_n = 0: the columns of the layer-scalar L0."""
+    return {idx: ({idx: xi} if xi else {})
+            for n, xi in enumerate(eigenvalues)
+            for idx in module.degree_range(n)}
+
+
+def virasoro_commutator_holds(module, l0_columns):
+    """[L0, x eps^m] = -m x eps^m, evaluated literally: both products of the
+    given L0 columns with the stored columns of every x eps^m, |m| <=
+    depth, on every source degree the truncation keeps the image of."""
+    depth = module.depth
+    for p in range(module.cb.dim):
+        for m in range(-depth, depth + 1):
+            cols = module.columns(p, m)
+            for n in range(max(m, 0), depth + min(m, 0) + 1):
+                for j in module.degree_range(n):
+                    aj = cols.get(j, {})
+                    lhs = apply(l0_columns, aj)
+                    for i, v in apply(cols, l0_columns[j]).items():
+                        accumulate(lhs, i, -v)
+                    if lhs != {i: -m * v for i, v in aj.items() if m}:
+                        return False
+    return True
 
 
 def annihilator_all_degrees(module, order):

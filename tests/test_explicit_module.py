@@ -133,7 +133,7 @@ def test_store_holds_no_zero_at_dual_coxeter_level():
             for mode in range(-2, 3):
                 for col in m.columns(p, mode).values():
                     assert col and all(col.values())
-        assert sugawara_l0(m).is_scalar_by_degree()
+        _assert_l0_is_the_closed_form(m)
 
 
 def test_zero_mode_cartan_is_diagonal_with_weights():
@@ -217,37 +217,44 @@ def test_affine_commutation_relations_complex_kappa():
     _commutator_check(m, [(-1, 1), (0, 1), (1, 1)])
 
 
+def _assert_l0_is_the_closed_form(m):
+    """sugawara_l0, module.l0 and the per-vector oracle's columns all give
+    the scalar a/(2 kappa) + n on each degree-n layer."""
+    eigenvalues = helpers.l0_eigenvalues(m)
+    assert sugawara_l0(m) == m.l0 == eigenvalues
+    assert helpers.sugawara_columns(m) == helpers.layer_scalar_columns(m, eigenvalues)
+
+
 def test_sugawara_eigenvalues_trivial():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=2)
-    l0 = sugawara_l0(m)
-    assert [l0.eigenvalue(n) for n in range(3)] == [0, 1, 2]
-    assert l0.is_scalar_by_degree()
+    assert sugawara_l0(m) == (0, 1, 2)
+    _assert_l0_is_the_closed_form(m)
 
 
 def test_sugawara_eigenvalues_hw2():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
     l0 = sugawara_l0(m)
-    assert l0.eigenvalue(0) == -1
-    assert l0.eigenvalue(1) == 0
-    block = l0.block(1)
-    for i in range(9):
-        for j in range(9):
-            assert block[i][j] == 0
+    assert l0[0] == -1
+    assert l0[1] == 0
+    columns = helpers.sugawara_columns(m)
+    assert len(m.degree_range(1)) == 9
+    for idx in m.degree_range(1):
+        assert columns[idx] == {}
 
 
 def test_sugawara_complex_kappa():
     m = _sl2(hw=2, kappa=ComplexRational(-1, 1), depth=1)
     l0 = sugawara_l0(m)
-    assert l0.eigenvalue(0) == ComplexRational(-1, -1)
-    assert l0.eigenvalue(1) == ComplexRational(0, -1)
-    assert l0.is_scalar_by_degree()
+    assert l0[0] == ComplexRational(-1, -1)
+    assert l0[1] == ComplexRational(0, -1)
+    _assert_l0_is_the_closed_form(m)
 
 
 def test_sugawara_sl3():
     m = build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 1)
     l0 = sugawara_l0(m)
-    assert l0.eigenvalue(0) == Fraction(-4, 3)
-    assert l0.eigenvalue(1) == Fraction(-1, 3)
+    assert l0[0] == Fraction(-4, 3)
+    assert l0[1] == Fraction(-1, 3)
 
 
 @pytest.mark.parametrize("series, rank, hw, kappa, depth", [
@@ -260,7 +267,7 @@ def test_sugawara_sl3():
 def test_sugawara_matches_the_per_vector_oracle(series, rank, hw, kappa, depth):
     alg = build_algebra(series, rank)
     m = build_truncated(alg, alg.weight(hw), parse_scalar(kappa), depth)
-    assert sugawara_l0(m).columns == helpers.sugawara_columns(m)
+    _assert_l0_is_the_closed_form(m)
 
 
 def test_virasoro_commutation():
@@ -270,12 +277,38 @@ def test_virasoro_commutation():
     assert virasoro_commutation_check(m3, max_mode=1)
 
 
+# the explicit benchmark grid
+@pytest.mark.parametrize("series,rank,hw,kappa,depth", [
+    ("A", 1, [2], "-2", 4),
+    ("A", 1, [0], "-1", 5),
+    ("A", 2, [1, 0], "-1", 2),
+    ("A", 2, [1, 0], "-1+1i", 2),
+    ("A", 2, [0, 0], "-3/2", 3),
+])
+def test_virasoro_check_matches_the_literal_commutator(series, rank, hw, kappa,
+                                                       depth):
+    algebra = build_algebra(series, rank)
+    m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
+    literal = helpers.virasoro_commutator_holds(m, helpers.sugawara_columns(m))
+    assert virasoro_commutation_check(m) is literal is True
+
+
+def test_virasoro_check_rejects_an_empty_mode_range():
+    m = _sl2(hw=2, kappa=Fraction(-2), depth=2)
+    for max_mode in (-1, 3):
+        with pytest.raises(ValueError):
+            virasoro_commutation_check(m, max_mode=max_mode)
+    assert virasoro_commutation_check(m, max_mode=0)
+    assert virasoro_commutation_check(m, max_mode=2)
+
+
 def test_virasoro_commutation_detects_a_degree_breaking_entry():
     # one entry of a mode-0 column moved from degree 1 to degree 2: that
     # operator no longer commutes with L0, whatever kind of scalar kappa is
     for kappa in (Fraction(-2), ComplexRational(-1, 1)):
         m = _sl2(hw=2, kappa=kappa, depth=2)
-        assert m.l0.is_scalar_by_degree()
+        _assert_l0_is_the_closed_form(m)
+        l0_columns = helpers.sugawara_columns(m)
         degree_one = m.degree_range(1)
         cols, j = next((m.columns(p, 0), j) for p in range(m.cb.dim)
                        for j in degree_one if m.columns(p, 0).get(j))
@@ -283,6 +316,9 @@ def test_virasoro_commutation_detects_a_degree_breaking_entry():
         assert i in degree_one
         cols[j][m.degree_range(2).start] = cols[j].pop(i)
         assert not virasoro_commutation_check(m), kappa
+        assert not helpers.virasoro_commutator_holds(m, l0_columns), kappa
+        # the mode-0 operators are all that max_mode = 0 checks
+        assert not virasoro_commutation_check(m, max_mode=0), kappa
 
 
 def test_no_singular_vectors_in_certified_module():
@@ -491,6 +527,8 @@ def _same_span(vectors_a, vectors_b):
     ("A", 2, [1, 0], "-1", 3, (1, 2)),
     ("B", 2, [1, 0], "-1", 2, (1, 2)),
     ("G", 2, [0, 1], "-1", 2, (1, 2)),
+    # p = FILTER_PRIME divides a denominator: every block is solved exactly
+    ("A", 1, [2], "-1/1000000009", 4, (1, 2, 3)),
 ])
 def test_annihilator_matches_the_all_degrees_solve(series, rank, hw, kappa,
                                                    depth, orders):
@@ -504,6 +542,35 @@ def test_annihilator_matches_the_all_degrees_solve(series, rank, hw, kappa,
         assert level.dims_by_degree == {d: len(vs) for d, vs in oracle.items() if vs}
         for d, vectors in oracle.items():
             assert _same_span([v for e, v in level.vectors if e == d], vectors)
+
+
+def test_annihilator_solves_only_blocks_the_filter_leaves(monkeypatch):
+    filtered, proved, solved = [], [], []
+    real_filter = explicit_module.independent_mod_p
+    real_solve = explicit_module.nullspace_of_columns
+
+    def filter_spy(columns):
+        filtered.append(columns)
+        if real_filter(columns):
+            proved.append(columns)
+            return True
+        return False
+
+    def solve_spy(columns):
+        solved.append(columns)
+        return real_solve(columns)
+
+    monkeypatch.setattr(explicit_module, "independent_mod_p", filter_spy)
+    monkeypatch.setattr(explicit_module, "nullspace_of_columns", solve_spy)
+    m = build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 3)
+    for order in (1, 2):
+        annihilator_level(m, order)
+    # every block meets the filter first, and only the blocks it does not
+    # prove kernel-free reach the exact solve
+    assert proved
+    assert len(filtered) == len(proved) + len(solved)
+    assert not any(c is p for c in solved for p in proved)
+    assert all(real_solve(c) == [] for c in proved)
 
 
 def test_l0_and_kl_read_the_store_without_apply_to_vector(monkeypatch):
@@ -635,9 +702,9 @@ def test_scalars_are_exact_and_integral_entries_are_ints(series, rank, hw, kappa
         # M is minuscule or g = sl2 here, so only k can bring a denominator
         assert all(type(c) is int for v in store
                    for c in ((v.re, v.im) if isinstance(v, ComplexRational) else (v,)))
-    for col in m.l0.columns.values():
-        for v in col.values():
-            _walk(v)
+    for xi in m.l0:
+        _walk(xi)
+    _assert_l0_is_the_closed_form(m)
     for n in range(1, depth + 1):
         for report in singular_vectors(m, n):
             for vec in report.basis_of_solutions:
