@@ -25,7 +25,7 @@ def exact(x):
         return x
     if isinstance(x, float):
         raise TypeError("not an exact scalar: %r" % x)
-    x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -142,16 +142,15 @@ class ComplexRational:
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
+        return "%d" % x.numerator
     return "%d/%d" % (x.numerator, x.denominator)
 
 
 def format_scalar(x) -> str:
     """Canonical string form: "p/q" for rationals, "a/b+c/d i" otherwise."""
     if isinstance(x, (int, Fraction)):
-        return format_fraction(Fraction(x))
+        return format_fraction(x)
     if isinstance(x, ComplexRational):
         if x.im == 0:
             return format_fraction(x.re)

@@ -426,17 +426,6 @@ def same_weyl_orbit(x: Weight, y: Weight) -> bool:
     return dominant_representative(x)[0] == dominant_representative(y)[0]
 
 
-def _floor_plus_sqrt(x: Fraction, t: Fraction) -> int:
-    """floor(x + sqrt(t)) exactly, for rational x and rational t >= 0.
-
-    With x = p/q (q > 0), floor(x + sqrt t) = floor((p + sqrt(t q^2)) / q),
-    and since p and q are integers the square root may be floored first.
-    """
-    check(t >= 0, "square root of a negative number")
-    p, q = x.numerator, x.denominator
-    return (p + isqrt(t.numerator * q * q // t.denominator)) // q
-
-
 def _ldl_from_last(gram):
     """d, u with x^T gram x = sum_i d_i (x_i + sum_{j<i} u[i][j] x_j)^2.
 
@@ -461,14 +450,16 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     """All mu in the root lattice with |mu + shift|^2 <= bound, sorted.
 
     An exact Fincke-Pohst walk ("Improved methods for calculating vectors of
-    short length in a lattice", Math. Comp. 1985).  With y = mu + shift,
-    |y|^2 = sum_i d_i (y_i + sum_{j<i} u_ij y_j)^2 (_ldl_from_last), so once
-    mu_0 .. mu_{i-1} are fixed the i-th square bounds mu_i to the integers of
-    one interval, whose ends _floor_plus_sqrt finds exactly.  Every integer
-    in that interval keeps the partial sum within bound and nothing outside
-    does, so the leaves are exactly the ball points.  Coordinate 0 is fixed
-    first and each range ascends, so the points come out sorted
-    lexicographically by root coordinates.
+    short length in a lattice", Math. Comp. 1985), on integers.  With
+    y = mu + shift, |y|^2 = sum_i d_i (L_i / W_i)^2 (_ldl_from_last), where
+    W_i clears the denominators of L_i = W_i (y_i + sum_{j<i} u_ij y_j), affine
+    in mu_0 .. mu_i.  If E clears each d_i / W_i^2, then A_i = E d_i / W_i^2
+    and E |y|^2 are integers.  With mu_0 .. mu_{i-1} fixed and rest =
+    floor(E bound) - sum_{j<i} A_j L_j^2 >= 0, A_i L_i^2 <= rest exactly when
+    |L_i| <= isqrt(rest // A_i), as L_i^2 is an integer: mu_i runs over one
+    interval, no child's rest is negative, and the leaves are exactly the
+    ball points, in lexicographic order (coordinate 0 is fixed first and
+    each range ascends).
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -476,19 +467,27 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     n = algebra.rank
     s = shift.to_root_coords()
     d, u = _ldl_from_last(algebra.gram_root)
+    t = [s[i] + sum(map(mul, u[i], s)) for i in range(n)]
+    w = [lcm(t[i].denominator, *(x.denominator for x in u[i])) for i in range(n)]
+    rows = [[int(x * wi) for x in row] for row, wi in zip(u, w)]
+    offsets = [int(ti * wi) for ti, wi in zip(t, w)]
+    terms = [di / (wi * wi) for di, wi in zip(d, w)]
+    scale = lcm(*(x.denominator for x in terms))
+    a = [int(x * scale) for x in terms]
     out = []
     m = [0] * n
 
     def walk(i, rest):
-        # rest: bound minus the squares of coordinates 0 .. i-1
-        x = -s[i] - sum(u[i][j] * (m[j] + s[j]) for j in range(i))
-        t = rest / d[i]
-        for c in range(-_floor_plus_sqrt(-x, t), _floor_plus_sqrt(x, t) + 1):
+        # rest: floor(scale * bound) minus a_j L_j^2 over coordinates 0 .. i-1
+        base = offsets[i] + sum(map(mul, rows[i], m))
+        r = isqrt(rest // a[i])
+        for c in range(-((r + base) // w[i]), (r - base) // w[i] + 1):
             m[i] = c
             if i + 1 == n:
                 out.append(RootVector(algebra, m))
             else:
-                walk(i + 1, rest - d[i] * (c - x) ** 2)
+                lin = w[i] * c + base
+                walk(i + 1, rest - a[i] * lin * lin)
 
-    walk(0, bound)
+    walk(0, bound * scale // 1)
     return out

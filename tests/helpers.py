@@ -2,9 +2,10 @@
 Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection, vector normalization, a JobConfig
 parser, the full-weight-map oracles for S(ad) and for the weights of an
-irreducible, the bounding-box oracle for the root-lattice ball, and the
-per-vector oracles for the Sugawara L0, its closed form, the Virasoro
-commutator and the annihilator levels of a truncated module.
+irreducible, the bounding-box oracle for the root-lattice ball with its
+exact floor(x + sqrt t), and the per-vector oracles for the Sugawara L0, its
+closed form, the Virasoro commutator and the annihilator levels of a
+truncated module.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -14,6 +15,7 @@ directory on the import path.
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
@@ -21,12 +23,13 @@ from weylmod.explicit_module import (
     _MASK, _SHIFT, _weight_blocks, monomials_of_degree,
 )
 from weylmod.finite_rep import Character, adjoint_character, casimir_on_irrep
+from weylmod.invariant import check
 from weylmod.linalg import (
     _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
     nullspace_of_columns,
 )
 from weylmod.rational import parse_scalar
-from weylmod.root_system import AlgebraData, RootVector, Weight, _floor_plus_sqrt
+from weylmod.root_system import AlgebraData, RootVector, Weight
 
 
 def compose(a, b):
@@ -257,6 +260,17 @@ def weight_closure(cartan, top) -> set:
     return seen
 
 
+def floor_plus_sqrt(x: Fraction, t: Fraction) -> int:
+    """floor(x + sqrt(t)) exactly, for rational x and rational t >= 0.
+
+    With x = p/q (q > 0), floor(x + sqrt t) = floor((p + sqrt(t q^2)) / q),
+    and since p and q are integers the square root may be floored first.
+    """
+    check(t >= 0, "square root of a negative number")
+    p, q = x.numerator, x.denominator
+    return (p + isqrt(t.numerator * q * q // t.denominator)) // q
+
+
 def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
     """enumerate_root_lattice_ball by brute force over a bounding box.
 
@@ -274,7 +288,7 @@ def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
     ranges = []
     for i in range(n):
         t = bound * ginv[i][i]
-        ranges.append(range(-_floor_plus_sqrt(s[i], t), _floor_plus_sqrt(-s[i], t) + 1))
+        ranges.append(range(-floor_plus_sqrt(s[i], t), floor_plus_sqrt(-s[i], t) + 1))
     out = []
     for m in itertools.product(*ranges):
         x = [m[i] + s[i] for i in range(n)]

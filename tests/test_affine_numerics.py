@@ -25,7 +25,10 @@ from weylmod.affine_numerics import (
     top_l0_eigenvalue,
 )
 from weylmod.rational import ComplexRational
-from weylmod.root_system import build_algebra, dominant_below, norm_sq, orbit_coords
+from weylmod.root_system import (
+    build_algebra, dominant_below, enumerate_root_lattice_ball, norm_sq,
+    orbit_coords,
+)
 
 
 def _lam(algebra, hw_coords):
@@ -99,6 +102,34 @@ def test_scan_values_match_resonance_value():
                 assert (scan.c, scan.level_bound) == (oracle_c, bound), (lam, kappa)
                 xi0 = top_l0_eigenvalue(casimir, kappa)
                 assert all(p.xi == xi0 + p.n for p in scan.candidates)
+
+
+# the certify jobs of the benchmark's lattice workload: every ball point and
+# every candidate is checked on the Fraction path of resonance_value
+_LATTICE_CASES = [
+    ("D", 4, (0, 0, 0, 0), ComplexRational(-1, 1)),
+    ("A", 4, (1, 0, 0, 0), ComplexRational(-1, 1)),
+    ("B", 3, (1, 0, 0), Fraction(-200)),
+    ("A", 3, (2, 2, 2), ComplexRational(-1, 1)),
+    ("G", 2, (5, 5), ComplexRational(-1, 1)),
+]
+
+
+@pytest.mark.parametrize("series,rank,hw,kappa", _LATTICE_CASES)
+def test_lattice_workload_candidates_resonate(series, rank, hw, kappa):
+    lam = _lam(build_algebra(series, rank), hw)
+    scan = ResonanceScan(lam, kappa)
+    values = {mu: resonance_value(lam, mu)
+              for mu in enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))}
+    # the ball |mu + lambda|^2 <= |lambda|^2 is where q(mu) <= 0
+    assert all(q <= 0 for q in values.values())
+    assert scan.c == min(values.values())
+    assert scan.candidates
+    for p in scan.candidates:
+        assert resonance_value(lam, p.mu) == 2 * kappa * p.n, p
+    resonant = sorted((n, mu.coords) for mu, q in values.items()
+                      for n in range(scan.level_bound + 1) if q == 2 * kappa * n)
+    assert [(p.n, p.mu.coords) for p in scan.candidates] == resonant
 
 
 # all highest weights with coordinates <= 2 at rank <= 2, coordinate sum <= 2

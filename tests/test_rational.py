@@ -131,6 +131,33 @@ def test_format_parse_round_trip_property():
     check()
 
 
+def test_exact_and_formats_build_no_fraction(monkeypatch):
+    third = Fraction(-3, 4)
+    exact_cases = [(7, 7), (True, 1), (Fraction(6, 3), 2), (third, third)]
+    string_cases = [(7, "7"), (-12, "-12"), (True, "1"), (False, "0"),
+                    (Fraction(4, 2), "2"), (third, "-3/4"), (Fraction(5, 3), "5/3")]
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: built.append(a) or real_new(cls, *a, **k))
+    exacts = [exact(x) for x, _ in exact_cases]
+    fractions = [format_fraction(x) for x, _ in string_cases]
+    scalars = [format_scalar(x) for x, _ in string_cases]
+    monkeypatch.undo()
+    assert built == []
+    assert exacts == [v for _, v in exact_cases]
+    assert [type(v) for v in exacts] == [int, int, int, Fraction]
+    assert exacts[-1] is third
+    assert fractions == scalars == [t for _, t in string_cases]
+    assert format_scalar(ComplexRational(3, 0)) == "3"
+    assert format_scalar(ComplexRational(Fraction(1, 2), -2)) == "1/2-2 i"
+    assert format_scalar(ComplexRational(True, Fraction(2, 3))) == "1+2/3 i"
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        format_scalar(0.5)
+
+
 def test_exact_is_int_when_integral():
     assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
     assert type(exact(-4)) is int

@@ -6,10 +6,12 @@ from operator import mul
 
 import pytest
 
-from helpers import ball_by_box, gram_is_positive_definite, reflect_simple, weight_closure
+from helpers import (
+    ball_by_box, floor_plus_sqrt, gram_is_positive_definite, reflect_simple,
+    weight_closure,
+)
 from weylmod.finite_rep import Character
 from weylmod.root_system import (
-    _floor_plus_sqrt,
     build_algebra,
     dominant_below,
     dominant_coords,
@@ -261,7 +263,7 @@ def test_floor_plus_sqrt_is_exact():
     for x in values:
         for t in values:
             if t >= 0:
-                c = _floor_plus_sqrt(x, t)
+                c = floor_plus_sqrt(x, t)
                 # c - x <= sqrt(t) < c + 1 - x
                 assert c - x <= 0 or (c - x) ** 2 <= t, (x, t)
                 assert c + 1 - x > 0 and (c + 1 - x) ** 2 > t, (x, t)
@@ -273,11 +275,37 @@ def test_floor_plus_sqrt_is_exact():
 ])
 def test_ball_walk_matches_box_oracle(series, rank):
     a = build_algebra(series, rank)
-    for shift in (a.rho, a.rho + a.weight([Fraction(1, 3)] * rank)):
+    # coordinates with unequal denominators, and bounds whose denominator is
+    # prime to the shift's, exercise each integer scale of the walk
+    mixed = a.weight([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                      Fraction(3, 7)][:rank])
+    for shift in (a.rho, a.rho + a.weight([Fraction(1, 3)] * rank), mixed):
         r = norm_sq(shift)
-        for bound in (r, r - Fraction(1, 2), 0, -1):
+        for bound in (r, r - Fraction(1, 2), r - Fraction(1, 7), 0, -1):
             walk = enumerate_root_lattice_ball(a, shift, bound)
             assert walk == ball_by_box(a, shift, bound), (shift, bound)
+
+
+def test_ball_walk_matches_box_oracle_on_random_shifts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    algebras = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=11)
+
+    @st.composite
+    def shifted_ball(draw):
+        a = build_algebra(*draw(st.sampled_from(algebras)))
+        shift = a.weight([draw(small) for _ in range(a.rank)])
+        bound = draw(st.fractions(min_value=-1, max_value=10, max_denominator=13))
+        return a, shift, bound
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(shifted_ball())
+    def walk_is_box(case):
+        a, shift, bound = case
+        assert enumerate_root_lattice_ball(a, shift, bound) == ball_by_box(a, shift, bound)
+
+    walk_is_box()
 
 
 def test_f4_rho_ball_size():
