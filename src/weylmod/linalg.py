@@ -31,12 +31,11 @@ inputs gives, so ints stay ints.  Never float.
 
 independent_mod_p is a filter in front of that kernel: it reduces the
 columns modulo the fixed prime FILTER_PRIME = 1 (mod 4), with i sent to a
-square root FILTER_I of -1, or modulo SECOND_PRIME (root SECOND_I) when
-FILTER_PRIME divides a denominator.  That is a ring map from the Gaussian
-rationals whose denominators are prime to p onto F_p, so a nonzero maximal
-minor mod p is nonzero over Q(i) (Dixon, "Exact solution of linear equations
-using p-adic expansions", Numer. Math. 1982).  So "independent" is a proof,
-and anything else only sends the columns on to the exact kernel.
+square root FILTER_I of -1.  That is a ring map from the Gaussian rationals
+whose denominators are prime to p onto F_p, so a nonzero maximal minor mod p
+is nonzero over Q(i) (Dixon, "Exact solution of linear equations using
+p-adic expansions", Numer. Math. 1982).  So "independent" is a proof, and
+anything else only sends the columns on to the exact kernel.
 
 The package's one sparse format lives here too: a vector is {index: value}
 and a matrix is column-sparse, {column: {row: value}}, both holding only
@@ -53,12 +52,9 @@ from .rational import ComplexRational
 
 # p = 10^9 + 9 keeps residues below 2^30, one machine digit.  2 is a square
 # mod p, so 2^((p-1)/4) is not a root of -1; 11 is a non-square, and
-# FILTER_I = 11^((p-1)/4) mod p.  For SECOND_PRIME = 10^9 + 21 = 5 (mod 8),
-# 2 is a non-square and SECOND_I = 2^((p-1)/4) mod p.
+# FILTER_I = 11^((p-1)/4) mod p.
 FILTER_PRIME = 1000000009
 FILTER_I = 569522298
-SECOND_PRIME = 1000000021
-SECOND_I = 515436210
 
 
 def _is_prime(n: int) -> bool:
@@ -82,9 +78,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-for _p, _i in ((FILTER_PRIME, FILTER_I), (SECOND_PRIME, SECOND_I)):
-    check(_is_prime(_p) and _p % 4 == 1, "%d must be a prime = 1 (mod 4)", _p)
-    check(_i * _i % _p == _p - 1, "%d is not a square root of -1 mod %d", _i, _p)
+check(_is_prime(FILTER_PRIME) and FILTER_PRIME % 4 == 1,
+      "FILTER_PRIME must be a prime = 1 (mod 4)")
+check(FILTER_I * FILTER_I % FILTER_PRIME == FILTER_PRIME - 1,
+      "FILTER_I is not a square root of -1 mod FILTER_PRIME")
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -286,39 +283,40 @@ def nullspace(rows, ncols):
     )
 
 
-def _mod_p(x, p, unit):
-    """x in F_p under i -> unit, or None when p divides a denominator."""
+def _mod_p(x):
+    """x in F_p under i -> FILTER_I, or None when p divides a denominator."""
+    p = FILTER_PRIME
     if type(x) is int:
         return x % p
     re, im = (x.re, x.im) if isinstance(x, ComplexRational) else (x, 0)
     out = 0
-    for part, u in ((re, 1), (im, unit)):
+    for part, unit in ((re, 1), (im, FILTER_I)):
         den = part.denominator
         if den % p == 0:
             return None
-        out += part.numerator * u * pow(den, -1, p)
+        out += part.numerator * unit * pow(den, -1, p)
     return out % p
 
 
 def independent_mod_p(columns) -> bool:
     """True only if the sparse columns are linearly independent over Q(i).
 
-    The columns, a list of {row key: value} as in nullspace_of_columns, are
-    reduced mod FILTER_PRIME, or mod SECOND_PRIME when FILTER_PRIME divides a
-    denominator (see the module docstring).  True means full column rank mod
-    p, which proves independence.  False means "not shown independent": the
-    columns are dependent mod p, or both primes divide denominators.  Only
-    the exact kernel can then tell.
+    The columns, {row key: value} as in nullspace_of_columns, are reduced
+    mod FILTER_PRIME (see the module docstring).  True means full column rank
+    mod p, which proves independence.  False means "not shown independent":
+    the columns are dependent mod p, or p divides a denominator.  Only the
+    exact kernel can then tell.
     """
-    for p, unit in ((FILTER_PRIME, FILTER_I), (SECOND_PRIME, SECOND_I)):
-        reduced = [{k: _mod_p(x, p, unit) for k, x in col.items()} for col in columns]
-        if not any(None in col.values() for col in reduced):
-            break
-    else:
-        return False
+    p = FILTER_PRIME
     stages = []  # (pivot key, reduced column scaled to 1 at its pivot)
-    for vec in reduced:
-        vec = {k: r for k, r in vec.items() if r}
+    for col in columns:
+        vec = {}
+        for k, x in col.items():
+            r = _mod_p(x)
+            if r is None:
+                return False
+            if r:
+                vec[k] = r
         for key, row in stages:
             x = vec.get(key)
             if x:

@@ -24,11 +24,8 @@ from weylmod.affine_numerics import (
     resonance_value,
     top_l0_eigenvalue,
 )
-from weylmod.rational import ComplexRational
-from weylmod.root_system import (
-    build_algebra, dominant_below, enumerate_root_lattice_ball, norm_sq,
-    orbit_coords,
-)
+from weylmod.rational import ComplexRational, parse_scalar
+from weylmod.root_system import build_algebra, dominant_below, norm_sq, orbit_coords
 
 
 def _lam(algebra, hw_coords):
@@ -81,8 +78,20 @@ def _oracle_scan(values, kappa):
     return sorted(found, key=lambda t: (t[1], t[0])), c, bound
 
 
+# (series, rank, highest weights, kappas) of the certify jobs in the lattice
+# workload of perfbench/cases.py
+_LATTICE_JOBS = [
+    ("D", 4, [(0, 0, 0, 0)], ("-1+1i", "-1-1i", "-2+1i")),
+    ("A", 4, [(1, 0, 0, 0), (0, 0, 0, 1)], ("-1+1i", "-1-1i")),
+    ("B", 3, [(1, 0, 0)], ("-200", "-300", "-1000")),
+    ("A", 3, [(2, 2, 2)], ("-1+1i", "-1-1i", "-2+1i")),
+    ("G", 2, [(5, 5)], ("-1+1i", "-1-1i", "-2+1i")),
+]
+
+
 def test_scan_values_match_resonance_value():
     # the box walk and resonance_value as the oracle of every scan field
+    cases = []
     for series, rank in (("A", 2), ("B", 3), ("C", 3), ("G", 2)):
         algebra = build_algebra(series, rank)
         for lam in (
@@ -90,46 +99,24 @@ def test_scan_values_match_resonance_value():
             algebra.rho + algebra.weight([Fraction(1, 3)] * rank),
             algebra.weight([Fraction(-1, 2)] + [Fraction(5, 7)] * (rank - 1)),
         ):
-            values = [(mu.coords, resonance_value(lam, mu))
-                      for mu in ball_by_box(algebra, lam, norm_sq(lam))]
-            casimir = norm_sq(lam) - norm_sq(algebra.rho)
-            c = min(q for _, q in values)
-            for kappa in (Fraction(-1), Fraction(-1, 3), Fraction(-9, 7),
-                          ComplexRational(-1, 1), c / 2 - Fraction(1, 3)):
-                scan = ResonanceScan(lam, kappa)
-                found, oracle_c, bound = _oracle_scan(values, kappa)
-                assert [(p.mu.coords, p.n) for p in scan.candidates] == found, (lam, kappa)
-                assert (scan.c, scan.level_bound) == (oracle_c, bound), (lam, kappa)
-                xi0 = top_l0_eigenvalue(casimir, kappa)
-                assert all(p.xi == xi0 + p.n for p in scan.candidates)
-
-
-# the certify jobs of the benchmark's lattice workload: every ball point and
-# every candidate is checked on the Fraction path of resonance_value
-_LATTICE_CASES = [
-    ("D", 4, (0, 0, 0, 0), ComplexRational(-1, 1)),
-    ("A", 4, (1, 0, 0, 0), ComplexRational(-1, 1)),
-    ("B", 3, (1, 0, 0), Fraction(-200)),
-    ("A", 3, (2, 2, 2), ComplexRational(-1, 1)),
-    ("G", 2, (5, 5), ComplexRational(-1, 1)),
-]
-
-
-@pytest.mark.parametrize("series,rank,hw,kappa", _LATTICE_CASES)
-def test_lattice_workload_candidates_resonate(series, rank, hw, kappa):
-    lam = _lam(build_algebra(series, rank), hw)
-    scan = ResonanceScan(lam, kappa)
-    values = {mu: resonance_value(lam, mu)
-              for mu in enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))}
-    # the ball |mu + lambda|^2 <= |lambda|^2 is where q(mu) <= 0
-    assert all(q <= 0 for q in values.values())
-    assert scan.c == min(values.values())
-    assert scan.candidates
-    for p in scan.candidates:
-        assert resonance_value(lam, p.mu) == 2 * kappa * p.n, p
-    resonant = sorted((n, mu.coords) for mu, q in values.items()
-                      for n in range(scan.level_bound + 1) if q == 2 * kappa * n)
-    assert [(p.n, p.mu.coords) for p in scan.candidates] == resonant
+            cases.append((lam, (Fraction(-1), Fraction(-1, 3), Fraction(-9, 7),
+                                ComplexRational(-1, 1))))
+    for series, rank, hws, kappas in _LATTICE_JOBS:
+        algebra = build_algebra(series, rank)
+        for hw in hws:
+            cases.append((_lam(algebra, hw), tuple(map(parse_scalar, kappas))))
+    for lam, kappas in cases:
+        values = [(mu.coords, resonance_value(lam, mu))
+                  for mu in ball_by_box(lam.algebra, lam, norm_sq(lam))]
+        casimir = norm_sq(lam) - norm_sq(lam.algebra.rho)
+        c = min(q for _, q in values)
+        for kappa in kappas + (c / 2 - Fraction(1, 3),):
+            scan = ResonanceScan(lam, kappa)
+            found, oracle_c, bound = _oracle_scan(values, kappa)
+            assert [(p.mu.coords, p.n) for p in scan.candidates] == found, (lam, kappa)
+            assert (scan.c, scan.level_bound) == (oracle_c, bound), (lam, kappa)
+            xi0 = top_l0_eigenvalue(casimir, kappa)
+            assert all(p.xi == xi0 + p.n for p in scan.candidates)
 
 
 # all highest weights with coordinates <= 2 at rank <= 2, coordinate sum <= 2

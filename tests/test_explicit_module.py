@@ -25,7 +25,7 @@ from weylmod.explicit_module import (
 )
 from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
-from weylmod.linalg import FILTER_PRIME, SECOND_PRIME, SpanBuilder
+from weylmod.linalg import FILTER_PRIME, SpanBuilder
 from weylmod.rational import ComplexRational, parse_scalar, scalar_im, scalar_re
 from weylmod.root_system import build_algebra
 
@@ -410,9 +410,9 @@ def test_singular_dimensions_match_the_full_solve(series, rank, hw, kappa, depth
     assert total == found
 
 
-def _filter_verdicts(monkeypatch, m):
-    """singular_dimensions at degrees 1..3, checked against the full solve,
-    with the verdict of independent_mod_p on each dominant block."""
+def test_singular_dimensions_fall_back_when_p_divides_a_denominator(monkeypatch):
+    # k = kappa - 2 = -(2p + 1)/p enters f_theta eps through the central term
+    m = _sl2(hw=2, kappa=Fraction(-1, FILTER_PRIME), depth=3)
     verdicts = []
     real = explicit_module.independent_mod_p
 
@@ -424,23 +424,7 @@ def _filter_verdicts(monkeypatch, m):
     for n in (1, 2, 3):
         assert singular_dimensions(m, n) \
             == _oracle_dimensions(m, n) == []
-    return verdicts
-
-
-def test_singular_dimensions_fall_back_when_p_divides_a_denominator(monkeypatch):
-    # k = kappa - 2 = -(2p + 1)/p enters f_theta eps through the central term;
-    # every dominant block meets it, and the second prime proves each one
-    # kernel-free, so none is solved exactly
-    m = _sl2(hw=2, kappa=Fraction(-1, FILTER_PRIME), depth=3)
-    verdicts = _filter_verdicts(monkeypatch, m)
-    assert verdicts and all(verdicts)
-
-
-def test_singular_dimensions_fall_back_when_both_primes_divide_a_denominator(monkeypatch):
-    # with p q in the denominator neither prime decides: each block is
-    # solved exactly
-    m = _sl2(hw=2, kappa=Fraction(-1, FILTER_PRIME * SECOND_PRIME), depth=3)
-    verdicts = _filter_verdicts(monkeypatch, m)
+    # every dominant block meets the central term, so each is solved exactly
     assert verdicts and not any(verdicts)
 
 
@@ -543,10 +527,8 @@ def _same_span(vectors_a, vectors_b):
     ("A", 2, [1, 0], "-1", 3, (1, 2)),
     ("B", 2, [1, 0], "-1", 2, (1, 2)),
     ("G", 2, [0, 1], "-1", 2, (1, 2)),
-    # p = FILTER_PRIME divides a denominator; then both p and SECOND_PRIME
-    # do (1000000030000000189 = FILTER_PRIME * SECOND_PRIME)
+    # p = FILTER_PRIME divides a denominator: every block is solved exactly
     ("A", 1, [2], "-1/1000000009", 4, (1, 2, 3)),
-    ("A", 1, [2], "-1/1000000030000000189", 4, (1, 2, 3)),
 ])
 def test_annihilator_matches_the_all_degrees_solve(series, rank, hw, kappa,
                                                    depth, orders):
