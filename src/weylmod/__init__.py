@@ -51,7 +51,6 @@ from .graded_sym import (
 from .rational import ComplexRational, format_scalar, parse_scalar
 from .root_system import (
     AlgebraData,
-    RootVector,
     Weight,
     build_algebra,
     enumerate_root_lattice_ball,
@@ -67,7 +66,6 @@ __all__ = [
     "DeltaBound",
     "GradedCharacter",
     "IrreducibilityVerdict",
-    "RootVector",
     "SingularVectorReport",
     "TruncatedWeylModule",
     "Weight",

@@ -31,14 +31,7 @@ from typing import NamedTuple
 from .finite_rep import tensor_decompose
 from .graded_sym import sym_ad_graded
 from .rational import ComplexRational, scalar_im, scalar_re
-from .root_system import (
-    RootVector,
-    Weight,
-    enumerate_root_lattice_ball,
-    norm_sq,
-    pair_weight_root,
-    root_norm_sq,
-)
+from .root_system import Weight, enumerate_root_lattice_ball, norm_sq
 
 __all__ = [
     "CandidatePair",
@@ -54,7 +47,6 @@ __all__ = [
     "in_Y_lambda",
     "irreducibility_certificate",
     "kostant_bound_C",
-    "resonance_value",
     "top_l0_eigenvalue",
 ]
 
@@ -65,14 +57,15 @@ REASON_OUTSIDE_X = "OutsideXLambda"
 
 
 class CandidatePair(NamedTuple):
-    """A solution (mu, n) of q(mu) = 2 kappa n with 0 <= n.
+    """A solution (mu, n) of q(mu) = 2 kappa n with 0 <= n; mu is a tuple of
+    ints, its coordinates in the simple root basis.
 
     ``xi`` is the L0 eigenvalue (|lambda|^2 - |rho|^2) / (2 kappa) + n of the
     degree-n layer that a singular vector of weight lambda - rho + mu would
     inhabit.
     """
 
-    mu: RootVector
+    mu: tuple
     n: int
     xi: object
 
@@ -115,55 +108,59 @@ def top_l0_eigenvalue(a, kappa):
     return Fraction(a) / (2 * kappa)
 
 
-def resonance_value(lam: Weight, mu: RootVector):
-    """q(mu) = |mu|^2 + 2 (lambda, mu), exact."""
-    return root_norm_sq(mu) + 2 * pair_weight_root(lam, mu)
+def _scaled_resonances(lam: Weight):
+    """(ball, values, scale): the root lattice points of the ball
+    |mu + lambda|^2 <= |lambda|^2 in lexicographic order, and the integers
+    scale q(mu) at those points.
+
+    Since q(mu) = |mu + lambda|^2 - |lambda|^2, the ball holds exactly the mu
+    with q(mu) <= 0, among them mu = 0, so min q over the whole lattice is
+    min(values) / scale.  q(mu) = sum_ij G_ij mu_i mu_j + sum_j 2 d_j
+    lambda_j mu_j with G the root Gram matrix; G and 2 d_j lambda_j are
+    scaled once by the lcm of their denominators, so each point costs one
+    integer form.
+    """
+    algebra = lam.algebra
+    gram = algebra.gram_root
+    linear = [2 * d * c for d, c in zip(algebra.d, lam.coords)]
+    scale = lcm(*(x.denominator for x in chain(linear, *gram)))
+    gram = [[int(x * scale) for x in row] for row in gram]
+    linear = [int(x * scale) for x in linear]
+    ball = enumerate_root_lattice_ball(algebra, lam, norm_sq(lam))
+    values = [sum(mi * (li + sum(map(mul, row, m)))
+                  for mi, li, row in zip(m, linear, gram)) for m in ball]
+    return ball, values, scale
 
 
 class ResonanceScan:
     """Every solution (mu, n) of q(mu) = 2 kappa n for one lambda and kappa.
 
-    Since q(mu) = |mu + lambda|^2 - |lambda|^2, the root lattice points of the
-    ball |mu + lambda|^2 <= |lambda|^2 are exactly those with q(mu) <= 0.  For
-    every admissible kappa and n >= 0, 2 kappa n is 0 or has negative real
-    part, so every solution lies in this ball.  One walk of it gives C = min q
-    (<= 0, as mu = 0 is in the ball), the largest degree level_bound that can
-    resonate, and the candidates, sorted by (n, mu); no other point is kept.
-
-    q(mu) = sum_ij G_ij mu_i mu_j + sum_j 2 d_j lambda_j mu_j with G the root
-    Gram matrix; G and 2 d_j lambda_j are scaled once by the lcm of their
-    denominators, so each point costs one integer form (resonance_value(lam,
-    mu) times that scale) and, for real kappa, one integer division.
+    For every admissible kappa and n >= 0, 2 kappa n is 0 or has negative
+    real part, so every solution has q(mu) <= 0 and lies in the ball of
+    _scaled_resonances.  One walk of it gives C = min q (<= 0), the largest
+    degree level_bound that can resonate, and the candidates, sorted by
+    (n, mu); no other point is kept.  Each point costs the one integer form
+    of _scaled_resonances and, for real kappa, one integer division.
     """
 
     def __init__(self, lam: Weight, kappa):
         check_kappa(kappa)
         self.lam = lam
         self.kappa = kappa
-        algebra = lam.algebra
-        gram = algebra.gram_root
-        linear = [2 * d * c for d, c in zip(algebra.d, lam.coords)]
-        scale = lcm(*(x.denominator for x in chain(linear, *gram)))
-        gram = [[int(x * scale) for x in row] for row in gram]
-        linear = [int(x * scale) for x in linear]
+        ball, values, scale = _scaled_resonances(lam)
         real = scalar_im(kappa) == 0
         # for real kappa, n = q / (2 kappa) = v den / step at scaled value v
         re = Fraction(scalar_re(kappa))
         den, step = re.denominator, 2 * re.numerator * scale
 
         by_degree = {}  # n -> its mu in walk order, which is lexicographic
-        low = 0  # q(0) = 0
-        for mu in enumerate_root_lattice_ball(algebra, lam, norm_sq(lam)):
-            m = mu.coords
-            v = sum(mi * (li + sum(map(mul, row, m)))
-                    for mi, li, row in zip(m, linear, gram))
-            if v < low:
-                low = v
+        for mu, v in zip(ball, values):
             # non-real kappa resonates only at n = 0, where q = 0
             n, r = divmod(v * den, step) if real else (0, v)
             if not r:
                 by_degree.setdefault(n, []).append(mu)
-        xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(algebra.rho), kappa)
+        low = min(values)
+        xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(lam.algebra.rho), kappa)
         candidates = []
         for n in sorted(by_degree):
             xi = xi0 + n
@@ -204,13 +201,9 @@ class ResonanceScan:
 
 
 def kostant_bound_C(lam: Weight) -> Fraction:
-    """min over the root lattice of q(mu); always <= 0 because q(0) = 0.
-
-    Since q(mu) = |mu + lambda|^2 - |lambda|^2 the minimum is attained inside
-    the ball |mu + lambda|^2 <= |lambda|^2, which is finite.
-    """
-    ball = enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))
-    return Fraction(min(resonance_value(lam, mu) for mu in ball))
+    """min over the root lattice of q(mu); always <= 0 because q(0) = 0."""
+    _, values, scale = _scaled_resonances(lam)
+    return Fraction(min(values), scale)
 
 
 def exhaustive_level_bound(lam: Weight, kappa) -> int:

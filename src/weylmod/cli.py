@@ -237,7 +237,7 @@ def cmd_symlevels(config: JobConfig, out) -> int:
 
 def _candidate_json(pair) -> dict:
     return {
-        "mu": [int(c) for c in pair.mu.coords],
+        "mu": list(pair.mu),
         "n": pair.n,
         "xi": format_scalar(pair.xi),
     }
@@ -284,7 +284,7 @@ def cmd_certify(config: JobConfig, out) -> int:
         for p in verdict.candidates:
             lines.append(
                 "  mu=(%s) n=%d xi=%s"
-                % (", ".join(str(int(c)) for c in p.mu.coords), p.n,
+                % (", ".join(map(str, p.mu)), p.n,
                    format_scalar(p.xi))
             )
     _emit(report, lines, config.fmt, out)

@@ -64,7 +64,7 @@ from .linalg import (
     nullspace_of_columns,
 )
 from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
-from .root_system import Weight, same_weyl_orbit
+from .root_system import Weight, root_to_fw, same_weyl_orbit
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
 _DEFAULT_DEPTH_CAP = 6
@@ -548,9 +548,11 @@ def _matched(module, weight, n):
     else None."""
     if module.scan is None:
         return None
-    lam = module.m_hw + module.algebra.rho
-    target = weight + module.algebra.rho
-    shifted = [(p, lam + p.mu.to_weight()) for p in module.scan.candidates if p.n == n]
+    algebra = module.algebra
+    lam = module.m_hw + algebra.rho
+    target = weight + algebra.rho
+    shifted = [(p, lam + algebra.weight(root_to_fw(algebra.cartan, p.mu)))
+               for p in module.scan.candidates if p.n == n]
     matched = next((p for p, w in shifted if w == target), None)
     if matched is None:
         matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)

@@ -159,16 +159,21 @@ def format_scalar(x) -> str:
     raise TypeError("cannot format %r" % (x,))
 
 
-def parse_fraction(tok: str) -> Fraction:
+def parse_fraction(tok: str, typed=None) -> Fraction:
     """Parse "p/q"; a malformed token or a zero denominator is a ValueError
-    that names the token."""
+    that names typed, the whole text the token was cut from (default: the
+    token itself)."""
     tok = tok.strip()
     if not tok:
         raise ValueError("empty number")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % tok) from None
+        raise ValueError("zero denominator in %r" % (typed or tok)) from None
+    except ValueError:
+        if typed is None:
+            raise
+        raise ValueError("invalid scalar %r" % typed) from None
 
 
 def parse_scalar(text: str):
@@ -199,8 +204,8 @@ def parse_scalar(text: str):
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = parse_fraction(im_part)
-    re = parse_fraction(re_part) if re_part else Fraction(0)
+        im = parse_fraction(im_part, text)
+    re = parse_fraction(re_part, text) if re_part else Fraction(0)
     if im == 0:
         return re
     return ComplexRational(re, im)

@@ -3,9 +3,9 @@
 Conventions.  cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) = <a_j, a_i-check>,
 and the invariant form is normalized so long roots have (a, a) = 2.  The
 symmetrizers d_i = (a_i, a_i)/2 then satisfy (a_i, a_j) = d_i cartan[i][j].
-Weights carry coordinates in the fundamental weight basis; root lattice
-vectors carry integer coordinates in the simple root basis.  The two are
-related by fw = C @ root for the Cartan matrix C.
+Weights carry coordinates in the fundamental weight basis; a root lattice
+vector is a tuple of ints, its coordinates in the simple root basis.  The
+two are related by fw = C @ root for the Cartan matrix C (root_to_fw).
 
 Only this module maps roots to weight coordinates and builds the invariant
 form on weights: build_algebra does both once, as the integer fields of
@@ -132,9 +132,6 @@ class AlgebraData:
     def weight(self, coords) -> "Weight":
         return Weight(self, coords)
 
-    def root_vector(self, coords) -> "RootVector":
-        return RootVector(self, tuple(int(c) for c in coords))
-
 
 def _positive_roots(cartan):
     n = len(cartan)
@@ -167,6 +164,11 @@ def _positive_roots(cartan):
         layer = nxt
     all_roots.sort(key=lambda r: (sum(r), r))
     return tuple(all_roots)
+
+
+def root_to_fw(cartan, mu):
+    """The fundamental-weight coordinates C @ mu of the root lattice vector mu."""
+    return tuple(sum(map(mul, row, mu)) for row in cartan)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +218,7 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
         highest_root=theta,
         dual_coxeter=h_dual,
         dim=rank + 2 * len(pos),
-        roots_fw=tuple(tuple(sum(map(mul, row, a)) for row in cartan) for a in pos),
+        roots_fw=tuple(root_to_fw(cartan, a) for a in pos),
         weight_form=tuple(tuple(int(x * scale) for x in row) for row in form),
         form_scale=scale,
         root_pairings=tuple(tuple(map(int, row)) for row in pairings),
@@ -253,8 +255,6 @@ class Weight:
         return "Weight(%s)" % (",".join(str(c) for c in self.coords),)
 
     def _other_coords(self, other):
-        if isinstance(other, RootVector):
-            other = other.to_weight()
         if other.algebra != self.algebra:
             raise ValueError("weights of %r and %r do not add"
                              % (self.algebra, other.algebra))
@@ -285,43 +285,6 @@ class Weight:
         )
 
 
-class RootVector:
-    """An element of the root lattice in simple-root coordinates."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: AlgebraData, coords):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RootVector is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootVector)
-            and self.algebra == other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "RootVector(%s)" % (",".join(str(c) for c in self.coords),)
-
-    def __neg__(self):
-        return RootVector(self.algebra, tuple(-c for c in self.coords))
-
-    def to_weight(self) -> Weight:
-        A = self.algebra.cartan
-        n = self.algebra.rank
-        return Weight(
-            self.algebra,
-            tuple(sum(A[i][j] * self.coords[j] for j in range(n)) for i in range(n)),
-        )
-
-
 def inner_product(x: Weight, y: Weight) -> Fraction:
     """Invariant form (x, y), long roots normalized to (a, a) = 2."""
     if x.algebra != y.algebra:
@@ -333,15 +296,6 @@ def inner_product(x: Weight, y: Weight) -> Fraction:
 
 def norm_sq(x: Weight) -> Fraction:
     return inner_product(x, x)
-
-
-def pair_weight_root(lam: Weight, mu: RootVector) -> Fraction:
-    """(lam, mu) with mu in the root lattice."""
-    return inner_product(lam, mu.to_weight())
-
-
-def root_norm_sq(mu: RootVector) -> Fraction:
-    return norm_sq(mu.to_weight())
 
 
 def dominant_coords(cartan, v):
@@ -447,7 +401,8 @@ def _ldl_from_last(gram):
 
 
 def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
-    """All mu in the root lattice with |mu + shift|^2 <= bound, sorted.
+    """All mu in the root lattice with |mu + shift|^2 <= bound, as int tuples
+    in simple-root coordinates, sorted.
 
     An exact Fincke-Pohst walk ("Improved methods for calculating vectors of
     short length in a lattice", Math. Comp. 1985), on integers.  With
@@ -484,7 +439,7 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
         for c in range(-((r + base) // w[i]), (r - base) // w[i] + 1):
             m[i] = c
             if i + 1 == n:
-                out.append(RootVector(algebra, m))
+                out.append(tuple(m))
             else:
                 lin = w[i] * c + base
                 walk(i + 1, rest - a[i] * lin * lin)

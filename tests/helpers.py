@@ -3,7 +3,8 @@ Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection, vector normalization, a JobConfig
 parser, the full-weight-map oracles for S(ad) and for the weights of an
 irreducible, the bounding-box oracle for the root-lattice ball with its
-exact floor(x + sqrt t), and the per-vector oracles for the Sugawara L0, its
+exact floor(x + sqrt t), the resonance value q(mu) through the invariant
+form on weights, and the per-vector oracles for the Sugawara L0, its
 closed form, the Virasoro commutator and the annihilator levels of a
 truncated module.
 
@@ -29,7 +30,7 @@ from weylmod.linalg import (
     nullspace_of_columns,
 )
 from weylmod.rational import parse_scalar
-from weylmod.root_system import AlgebraData, RootVector, Weight
+from weylmod.root_system import AlgebraData, Weight, inner_product, norm_sq
 
 
 def compose(a, b):
@@ -63,7 +64,7 @@ def rep_adjoint(cb: ChevalleyBasis) -> Rep:
         {q: dict(col) for q in range(cb.dim) if (col := cb.bracket_list(p, q))}
         for p in range(cb.dim)
     ]
-    theta = cb.algebra.root_vector(cb.algebra.highest_root).to_weight()
+    theta = root_weight(cb.algebra, cb.algebra.highest_root)
     return Rep(cb, mats, cb.weights, theta)
 
 
@@ -293,9 +294,23 @@ def ball_by_box(algebra: AlgebraData, shift: Weight, bound):
     for m in itertools.product(*ranges):
         x = [m[i] + s[i] for i in range(n)]
         if sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) <= bound:
-            out.append(RootVector(algebra, m))
-    out.sort(key=lambda rv: rv.coords)
+            out.append(m)
+    out.sort()
     return out
+
+
+def root_weight(algebra: AlgebraData, mu) -> Weight:
+    """The root lattice vector mu, given in simple-root coordinates, as a
+    weight: coordinate i is <mu, a_i-check> = sum_j cartan[i][j] mu_j."""
+    return Weight(algebra, [sum(c * m for c, m in zip(row, mu))
+                            for row in algebra.cartan])
+
+
+def resonance_value(lam: Weight, mu) -> Fraction:
+    """q(mu) = |mu|^2 + 2 (lambda, mu), exact, by the invariant form on
+    weights: the oracle of the package's scaled integer form."""
+    w = root_weight(lam.algebra, mu)
+    return norm_sq(w) + 2 * inner_product(lam, w)
 
 
 # -- truncated-module oracles --------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ball_by_box
+from helpers import ball_by_box, resonance_value, root_weight
 from weylmod.affine_numerics import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -21,11 +21,12 @@ from weylmod.affine_numerics import (
     in_Y_lambda,
     irreducibility_certificate,
     kostant_bound_C,
-    resonance_value,
     top_l0_eigenvalue,
 )
 from weylmod.rational import ComplexRational, parse_scalar
-from weylmod.root_system import build_algebra, dominant_below, norm_sq, orbit_coords
+from weylmod.root_system import (
+    build_algebra, dominant_below, enumerate_root_lattice_ball, norm_sq, orbit_coords,
+)
 
 
 def _lam(algebra, hw_coords):
@@ -37,8 +38,7 @@ def _brute_candidates(lam, kappa, n_max, box=8):
     algebra = lam.algebra
     found = []
     for coords in itertools.product(range(-box, box + 1), repeat=algebra.rank):
-        mu = algebra.root_vector(coords)
-        q = resonance_value(lam, mu)
+        q = resonance_value(lam, coords)
         for n in range(n_max + 1):
             if q == 2 * kappa * n:
                 found.append((coords, n))
@@ -48,11 +48,10 @@ def _brute_candidates(lam, kappa, n_max, box=8):
 def test_resonance_value_by_hand():
     sl2 = build_algebra("A", 1)
     lam = _lam(sl2, [2])  # 3 omega
-    alpha = sl2.root_vector([1])
     # q(c alpha) = 2 c^2 + 6 c
-    assert resonance_value(lam, alpha) == 8
-    assert resonance_value(lam, -alpha) == -4
-    assert resonance_value(lam, sl2.root_vector([-3])) == 0
+    assert resonance_value(lam, (1,)) == 8
+    assert resonance_value(lam, (-1,)) == -4
+    assert resonance_value(lam, (-3,)) == 0
 
 
 def test_kostant_bound_values():
@@ -89,8 +88,13 @@ _LATTICE_JOBS = [
 ]
 
 
+def _is_int_tuple(mu):
+    return type(mu) is tuple and all(type(x) is int for x in mu)
+
+
 def test_scan_values_match_resonance_value():
-    # the box walk and resonance_value as the oracle of every scan field
+    # the box walk and resonance_value as the oracle of the walk, of
+    # kostant_bound_C and of every scan field
     cases = []
     for series, rank in (("A", 2), ("B", 3), ("C", 3), ("G", 2)):
         algebra = build_algebra(series, rank)
@@ -106,15 +110,20 @@ def test_scan_values_match_resonance_value():
         for hw in hws:
             cases.append((_lam(algebra, hw), tuple(map(parse_scalar, kappas))))
     for lam, kappas in cases:
-        values = [(mu.coords, resonance_value(lam, mu))
-                  for mu in ball_by_box(lam.algebra, lam, norm_sq(lam))]
+        ball = ball_by_box(lam.algebra, lam, norm_sq(lam))
+        walk = enumerate_root_lattice_ball(lam.algebra, lam, norm_sq(lam))
+        assert walk == ball and all(map(_is_int_tuple, walk))
+        values = [(mu, resonance_value(lam, mu)) for mu in ball]
         casimir = norm_sq(lam) - norm_sq(lam.algebra.rho)
         c = min(q for _, q in values)
+        kostant_c = kostant_bound_C(lam)
         for kappa in kappas + (c / 2 - Fraction(1, 3),):
             scan = ResonanceScan(lam, kappa)
             found, oracle_c, bound = _oracle_scan(values, kappa)
-            assert [(p.mu.coords, p.n) for p in scan.candidates] == found, (lam, kappa)
+            assert [(p.mu, p.n) for p in scan.candidates] == found, (lam, kappa)
+            assert all(_is_int_tuple(p.mu) for p in scan.candidates)
             assert (scan.c, scan.level_bound) == (oracle_c, bound), (lam, kappa)
+            assert scan.c == kostant_c
             xi0 = top_l0_eigenvalue(casimir, kappa)
             assert all(p.xi == xi0 + p.n for p in scan.candidates)
 
@@ -149,7 +158,7 @@ def test_kostant_bound_is_global_minimum():
     lam = _lam(sl3, [1, 1])
     c = kostant_bound_C(lam)
     values = [
-        resonance_value(lam, sl3.root_vector(coords))
+        resonance_value(lam, coords)
         for coords in itertools.product(range(-8, 9), repeat=2)
     ]
     assert c == min(values)
@@ -170,7 +179,7 @@ def test_candidate_pairs_sl2_frozen():
     sl2 = build_algebra("A", 1)
     lam = _lam(sl2, [2])
     pairs = candidate_pairs(lam, Fraction(-2), 1)
-    got = [(p.mu.coords, p.n, p.xi) for p in pairs]
+    got = [(p.mu, p.n, p.xi) for p in pairs]
     assert got == [
         ((-3,), 0, Fraction(-1)),
         ((0,), 0, Fraction(-1)),
@@ -189,7 +198,7 @@ def test_candidate_pairs_match_brute_force():
         (_lam(sl3, [1, 0]), Fraction(-2), 2),
     ]
     for lam, kappa, n_max in cases:
-        got = [(p.mu.coords, p.n) for p in candidate_pairs(lam, kappa, n_max)]
+        got = [(p.mu, p.n) for p in candidate_pairs(lam, kappa, n_max)]
         assert got == _brute_candidates(lam, kappa, n_max)
 
 
@@ -197,7 +206,7 @@ def test_candidate_pairs_complex_kappa_only_degree_zero():
     sl2 = build_algebra("A", 1)
     lam = _lam(sl2, [2])
     pairs = candidate_pairs(lam, ComplexRational(-2, 1), 5)
-    assert [(p.mu.coords, p.n) for p in pairs] == [((-3,), 0), ((0,), 0)]
+    assert [(p.mu, p.n) for p in pairs] == [((-3,), 0), ((0,), 0)]
     assert all(p.n == 0 for p in pairs)
 
 
@@ -205,7 +214,7 @@ def test_candidate_pairs_always_contain_origin():
     sl3 = build_algebra("A", 2)
     lam = _lam(sl3, [2, 1])
     pairs = candidate_pairs(lam, Fraction(-3, 2), 0)
-    assert any(p.mu.coords == (0, 0) and p.n == 0 for p in pairs)
+    assert any(p.mu == (0, 0) and p.n == 0 for p in pairs)
 
 
 def test_top_l0_eigenvalue():
@@ -269,7 +278,7 @@ def test_certificate_inconclusive_with_candidates():
     assert not v.certified
     assert v.status == INCONCLUSIVE
     assert v.reason is None
-    assert [(p.mu.coords, p.n) for p in v.candidates] == [((-2,), 1), ((-1,), 1)]
+    assert [(p.mu, p.n) for p in v.candidates] == [((-2,), 1), ((-1,), 1)]
 
 
 def test_kostant_bound_region_implies_no_positive_candidates():
@@ -301,10 +310,9 @@ def test_delta_bound_object_protocol():
 
 
 def test_candidate_pair_equality_and_hash():
-    sl2 = build_algebra("A", 1)
-    mu = sl2.root_vector([-1])
+    mu = (-1,)
     a = CandidatePair(mu, 1, Fraction(0))
-    b = CandidatePair(sl2.root_vector([-1]), 1, Fraction(0))
+    b = CandidatePair((-1,), 1, Fraction(0))
     assert a == b
     assert hash(a) == hash(b)
     assert a != CandidatePair(mu, 2, Fraction(1))
@@ -360,7 +368,7 @@ def test_candidate_sets_are_weyl_invariant(series, rank, coords, kappa):
     lam = _lam(algebra, coords)
     by_degree = {}
     for p in ResonanceScan(lam, kappa).candidates:
-        nu = tuple(int(a + b) for a, b in zip(lam.coords, p.mu.to_weight().coords))
+        nu = tuple(int(a + b) for a, b in zip(lam.coords, root_weight(algebra, p.mu).coords))
         by_degree.setdefault(p.n, set()).add(nu)
     assert any(n >= 1 for n in by_degree)
     for n, points in by_degree.items():

@@ -1,12 +1,16 @@
 """Tests for the command line interface."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -303,14 +307,17 @@ def test_bad_algebra_exits_one(capsys):
 
 
 def test_zero_denominator_names_the_token(capsys):
-    for argv in (
-        ["certify", "A", "1", "--hw", "2", "--kappa=1/0"],
-        ["certify", "A", "1", "--hw", "1/0", "--kappa=-1"],
+    # a complex scalar's error names the whole scalar, not the summand
+    for argv, message in (
+        (["certify", "A", "1", "--hw", "2", "--kappa=1/0"], "zero denominator in '1/0'"),
+        (["certify", "A", "1", "--hw", "1/0", "--kappa=-1"], "zero denominator in '1/0'"),
+        (["certify", "A", "1", "--hw", "1", "--kappa=1/0i"], "zero denominator in '1/0i'"),
+        (["certify", "A", "1", "--hw", "1", "--kappa=1+-1i"], "invalid scalar '1+-1i'"),
     ):
         code, out, err = _run(argv, capsys)
         assert code == 1, argv
         assert out == ""
-        assert err == "error: zero denominator in '1/0'\n", argv
+        assert err == "error: %s\n" % message, argv
 
 
 def test_wrong_hw_length_exits_one(capsys):
@@ -486,6 +493,38 @@ def test_crossvalidate_rejects_algebras_over_64_dimensions(capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_golden_case_replays_in_process(tmp_path, capsys):
+    # the benchmark's CI step runs one case per slot for two seeds; this runs
+    # every case of its golden file against the recorded exit and hashes
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", _PERFBENCH / "cases.py")
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    with open(_PERFBENCH / "golden.json") as fh:
+        golden = json.load(fh)
+    dump = tmp_path / "dump.json"
+    for case, gold in sorted(golden.items()):
+        code, out, _ = _run(cases.argv_of(case, str(dump)), capsys)
+        assert code == gold["exit"], case
+        assert hashlib.sha256(out.encode()).hexdigest() == gold["stdout_sha256"], case
+        if "dump_sha256" in gold:
+            digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+            assert digest == gold["dump_sha256"], case
+            dump.unlink()
+
+
+def test_every_all_name_resolves():
+    # a stale __all__ entry fails only under import *, which no test runs
+    modules = [weylmod] + [importlib.import_module("weylmod." + info.name)
+                           for info in pkgutil.iter_modules(weylmod.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
 
 
 def test_json_output_is_deterministic(capsys):

@@ -340,7 +340,7 @@ def test_singular_vector_hw2_level_minus2():
     assert sol == {5: 2, 7: 1, 9: -2}
     assert rep.matched_candidate is not None
     assert rep.matched_candidate.n == 1
-    assert rep.matched_candidate.mu.coords == (-1,)
+    assert rep.matched_candidate.mu == (-1,)
     # found vectors really are killed by the raising modes
     for p in range(m.cb.dim):
         assert m.apply_to_vector(p, 1, dict(sol)) == {}
@@ -349,7 +349,7 @@ def test_singular_vector_hw2_level_minus2():
 def test_singular_vectors_cover_only_candidate_weights():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
     lam = SL2.weight([2]) + SL2.rho
-    degree_one = {p.mu.coords for p in candidate_pairs(lam, Fraction(-2), 1)
+    degree_one = {p.mu for p in candidate_pairs(lam, Fraction(-2), 1)
                   if p.n == 1}
     assert degree_one == {(-1,), (-2,)}
     reports = singular_vectors(m, 1)
