@@ -7,18 +7,21 @@ builds the truncated module and checks the resonance bookkeeping against the
 brute-force oracles.  All output is deterministic; ``--format json`` emits a
 stable schema with every scalar as an exact string.
 
+``parse_argv`` reads argv from one table, ``_COMMANDS``, which also gives the
+``-h`` text; an option name never matches by prefix, and a value may start
+with "-" (``--kappa -3/2``).  Every error is one ``error:`` line on stderr.
+
 Exit codes: 0 success (or certified), 1 usage or precondition error,
 2 mathematically valid but inconclusive certificate.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import takewhile
 
 from . import affine_numerics as an
 from . import explicit_module as em
@@ -27,22 +30,6 @@ from .graded_sym import sym_ad_graded
 from .invariant import InvariantError, check
 from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
 from .root_system import build_algebra, norm_sq
-
-_FORMATS = ("text", "json")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract reserves 2 for
-    inconclusive certificates, so remap usage errors to 1."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # take "-3/2" or "-1+1i" after a space as a value, not as an option
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
 
 class JobConfig:
     """A fully parsed CLI job; round-trips through the JSON emitter."""
@@ -76,57 +63,6 @@ class JobConfig:
             "n_max": self.n_max,
             "format": self.fmt,
         }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="weylmod", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(sp):
-        sp.add_argument("series", help="algebra series letter, e.g. A")
-        sp.add_argument("rank", type=int, help="algebra rank")
-        sp.add_argument("--format", choices=_FORMATS, default="text",
-                        dest="fmt", help="output format")
-
-    sp = sub.add_parser("algebra", help="print root data of a simple algebra")
-    common(sp)
-
-    sp = sub.add_parser("symlevels",
-                        help="decompose the levels of the symmetric algebra of g")
-    common(sp)
-    sp.add_argument("--n", type=int, required=True, help="largest level")
-
-    sp = sub.add_parser("certify",
-                        help="irreducibility certificate for Ind(M)_kappa")
-    common(sp)
-    sp.add_argument("--hw", nargs="+", required=True,
-                    help="highest weight of M, fundamental coordinates")
-    sp.add_argument("--kappa", required=True, help='central parameter, e.g. "-3/2"')
-
-    sp = sub.add_parser("crossvalidate",
-                        help="brute-force oracle checks on the truncated module")
-    common(sp)
-    sp.add_argument("--hw", nargs="+", required=True,
-                    help="highest weight of M, fundamental coordinates")
-    sp.add_argument("--kappa", required=True, help="central parameter")
-    sp.add_argument("--depth", type=int, required=True, help="truncation depth")
-    sp.add_argument("--dump", metavar="FILE",
-                    help="also write the module basis/actions as JSON")
-    return p
-
-
-def _config_from_args(args) -> JobConfig:
-    weights = []
-    if getattr(args, "hw", None) is not None:
-        weights.append([parse_fraction(c) for c in args.hw])
-    kappa = None
-    if getattr(args, "kappa", None) is not None:
-        kappa = parse_scalar(args.kappa)
-    n_max = getattr(args, "n", None)
-    if n_max is None:
-        n_max = getattr(args, "depth", None)
-    return JobConfig(args.command, args.series, args.rank,
-                     weights=weights, kappa=kappa, n_max=n_max, fmt=args.fmt)
 
 
 def _emit(report: dict, lines, fmt: str, out) -> None:
@@ -414,26 +350,118 @@ def _crossvalidate_report(config: JobConfig, module, out) -> bool:
     return ok_all
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("invalid integer %r" % tok) from None
+
+
+def _format(tok: str) -> str:
+    if tok not in ("text", "json"):
+        raise ValueError("invalid format %r: choose text or json" % tok)
+    return tok
+
+
+# The one table parse_argv and the -h text read: for each command its function,
+# help line and options as (flag, type, required, several values, help); a type
+# turns one token into a value or raises ValueError.
+_FORMAT = ("--format", _format, False, False, "output format: text (default) or json")
+_HW = ("--hw", parse_fraction, True, True, "highest weight of M, fundamental coords")
+_KAPPA = ("--kappa", parse_scalar, True, False, 'central parameter, e.g. "-3/2"')
 _COMMANDS = {
-    "algebra": cmd_algebra,
-    "symlevels": cmd_symlevels,
-    "certify": cmd_certify,
-    "crossvalidate": cmd_crossvalidate,
+    "algebra": (cmd_algebra, "print root data of a simple algebra", (_FORMAT,)),
+    "symlevels": (cmd_symlevels, "decompose the levels of the symmetric algebra of g",
+                  (("--n", _int, True, False, "largest level"), _FORMAT)),
+    "certify": (cmd_certify, "irreducibility certificate for Ind(M)_kappa",
+                (_HW, _KAPPA, _FORMAT)),
+    "crossvalidate": (
+        cmd_crossvalidate, "brute-force oracle checks on the truncated module",
+        (_HW, _KAPPA, ("--depth", _int, True, False, "truncation depth"),
+         ("--dump", str, False, False, "also write the module as JSON"), _FORMAT)),
 }
 
 
+def parse_argv(argv) -> tuple:
+    """Read argv into (JobConfig, dump path or None); a usage error is a
+    ValueError.  The command comes first; options come before or after
+    SERIES RANK as --name value or --name=value, and the last of a repeated
+    option counts.  A value is any token that does not start with "--", and
+    --hw takes every such token up to the next option."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("expected a command (%s), got %r"
+                         % (", ".join(_COMMANDS), " ".join(argv[:1])))
+    command = argv[0]
+    options = {opt[0]: opt for opt in _COMMANDS[command][2]}
+    positionals, raw = [], {}
+    k = 1
+    while k < len(argv):
+        tok = argv[k]
+        k += 1
+        if not tok.startswith("--"):
+            positionals.append(tok)
+            continue
+        flag, eq, value = tok.partition("=")
+        if flag not in options:
+            raise ValueError("%s has no option %s" % (command, flag))
+        if eq:
+            values = [value]
+        else:
+            values = list(takewhile(lambda t: not t.startswith("--"), argv[k:]))
+            values = values if options[flag][3] else values[:1]
+            k += len(values)
+        if not values:
+            raise ValueError("%s expects a value" % flag)
+        raw[flag] = values
+    if len(positionals) != 2:
+        raise ValueError("%s expects SERIES RANK, got %r"
+                         % (command, " ".join(positionals)))
+    for flag, _, required, _, _ in options.values():
+        if required and flag not in raw:
+            raise ValueError("%s requires %s" % (command, flag))
+    got = {flag[2:]: [kind(t) for t in raw[flag]] if several else kind(raw[flag][0])
+           for flag, kind, _, several, _ in options.values() if flag in raw}
+    config = JobConfig(command, positionals[0], _int(positionals[1]),
+                       weights=[got["hw"]] if "hw" in got else [],
+                       kappa=got.get("kappa"), n_max=got.get("n", got.get("depth")),
+                       fmt=got.get("format", "text"))
+    return config, got.get("dump")
+
+
+def _help(argv):
+    """The text -h or --help asks for: the program's when it comes first, a
+    command's when it comes anywhere after the command; None otherwise."""
+    asks = {"-h", "--help"}
+    command = argv[0] if argv else None
+    if command in asks:
+        lines = ["usage: weylmod COMMAND SERIES RANK [options]", "", "commands:"]
+        lines += ["  %-14s %s" % (name, entry[1]) for name, entry in _COMMANDS.items()]
+        lines += ["", "weylmod COMMAND -h lists the options of COMMAND."]
+    elif command in _COMMANDS and asks.intersection(argv):
+        _, text, options = _COMMANDS[command]
+        rows = [("SERIES", "algebra series letter, e.g. A"), ("RANK", "algebra rank")]
+        for flag, _, required, several, help_ in options:
+            arg = "%s %s%s" % (flag, flag[2:].upper(), " ..." if several else "")
+            rows.append((arg if required else "[%s]" % arg, help_))
+        usage = "usage: weylmod %s %s" % (command, " ".join(row[0] for row in rows))
+        rows.append(("-h, --help", "print this help"))
+        lines = [usage, "", text, ""] + ["  %-18s %s" % row for row in rows]
+    else:
+        return None
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    text = _help(argv)
+    if text is not None:
+        sys.stdout.write(text)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
-        config = _config_from_args(args)
-        if args.command == "crossvalidate":
-            return cmd_crossvalidate(config, sys.stdout,
-                                     dump=getattr(args, "dump", None))
-        return _COMMANDS[args.command](config, sys.stdout)
+        config, dump = parse_argv(argv)
+        if config.command == "crossvalidate":
+            return cmd_crossvalidate(config, sys.stdout, dump=dump)
+        return _COMMANDS[config.command][0](config, sys.stdout)
     except (ValueError, ZeroDivisionError, InvariantError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -163,17 +163,12 @@ def parse_fraction(tok: str, typed=None) -> Fraction:
     """Parse "p/q"; a malformed token or a zero denominator is a ValueError
     that names typed, the whole text the token was cut from (default: the
     token itself)."""
-    tok = tok.strip()
-    if not tok:
-        raise ValueError("empty number")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (typed or tok)) from None
     except ValueError:
-        if typed is None:
-            raise
-        raise ValueError("invalid scalar %r" % typed) from None
+        raise ValueError("invalid scalar %r" % (typed or tok)) from None
 
 
 def parse_scalar(text: str):

@@ -19,7 +19,7 @@ from helpers import job_config_from_json_dict
 from weylmod import affine_numerics
 from weylmod import explicit_module as em
 from weylmod.graded_sym import sym_ad_graded
-from weylmod.cli import JobConfig, build_parser, main
+from weylmod.cli import _COMMANDS, JobConfig, main, parse_argv
 from weylmod.rational import ComplexRational
 
 
@@ -39,14 +39,23 @@ def test_job_config_round_trip():
 
 
 def test_parser_routes_subcommands():
-    p = build_parser()
-    args = p.parse_args(["certify", "A", "1", "--hw", "2", "--kappa", "-2"])
-    assert args.command == "certify"
-    assert args.hw == ["2"]
-    args = p.parse_args(["certify", "A", "1", "--hw", "2", "--kappa", "-1+1i"])
-    assert args.kappa == "-1+1i"
-    args = p.parse_args(["symlevels", "B", "2", "--n", "3", "--format", "json"])
-    assert args.n == 3 and args.fmt == "json"
+    config, dump = parse_argv(["certify", "A", "1", "--hw", "2", "--kappa", "-2"])
+    assert config.command == "certify" and dump is None
+    assert config.weights == ((2,),)
+    config, _ = parse_argv(["certify", "A", "1", "--hw", "2", "--kappa", "-1+1i"])
+    assert config.kappa == ComplexRational(-1, 1)
+    config, _ = parse_argv(["symlevels", "B", "2", "--n", "3", "--format", "json"])
+    assert config.n_max == 3 and config.fmt == "json"
+    config, _ = parse_argv(["certify", "A", "1", "--hw", "2", "--kappa", "-3/2"])
+    assert config.kappa == Fraction(-3, 2)
+    config, _ = parse_argv(["certify", "--format", "json", "A", "1", "--hw", "2",
+                            "--kappa=-2"])
+    assert config == JobConfig("certify", "A", 1, weights=[[2]], kappa=Fraction(-2),
+                               fmt="json")
+    config, dump = parse_argv(["crossvalidate", "A", "2", "--hw", "1", "-1",
+                               "--kappa=-1", "--depth", "1", "--depth", "2",
+                               "--dump", "m.json"])
+    assert config.weights == ((1, -1),) and config.n_max == 2 and dump == "m.json"
 
 
 def test_algebra_text_and_json(capsys):
@@ -295,9 +304,31 @@ def test_usage_errors_exit_one(capsys):
         ["certify", "A", "1", "--hw", "2"],
         ["symlevels", "A", "1"],
         ["crossvalidate", "A", "1", "--hw", "0", "--kappa", "-1"],
+        ["algebra", "A", "1", "--verbose"],
+        ["certify", "A", "1", "--hw", "2", "--kap=-1"],  # no prefix matching
+        ["algebra", "A", "1", "--format", "xml"],
+        ["symlevels", "A", "1", "--n", "x"],
+        ["algebra", "A", "one"],
+        ["certify", "A", "1", "--hw", "2", "--kappa"],
+        ["certify", "A", "1", "--hw", "--kappa=-1"],
+        ["algebra", "A", "1", "extra"],
+        ["certify", "A", "1", "--hw", "2", "--kappa=-1", "--depth", "2"],
     ):
-        code, _, _ = _run(argv, capsys)
+        code, out, err = _run(argv, capsys)
         assert code == 1, argv
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    # the help text and the parser read one table
+    code, out, err = _run(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert all(name in out for name in _COMMANDS)
+    for name, (_, _, options) in _COMMANDS.items():
+        code, out, err = _run([name, "-h"], capsys)
+        assert (code, err) == (0, ""), name
+        assert all(option[0] in out for option in options), name
 
 
 def test_bad_algebra_exits_one(capsys):
@@ -313,6 +344,8 @@ def test_zero_denominator_names_the_token(capsys):
         (["certify", "A", "1", "--hw", "1/0", "--kappa=-1"], "zero denominator in '1/0'"),
         (["certify", "A", "1", "--hw", "1", "--kappa=1/0i"], "zero denominator in '1/0i'"),
         (["certify", "A", "1", "--hw", "1", "--kappa=1+-1i"], "invalid scalar '1+-1i'"),
+        (["certify", "A", "1", "--hw", "1", "--kappa=nan"], "invalid scalar 'nan'"),
+        (["certify", "A", "1", "--hw", "x", "--kappa=-1"], "invalid scalar 'x'"),
     ):
         code, out, err = _run(argv, capsys)
         assert code == 1, argv
@@ -543,7 +576,28 @@ def test_json_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def _python(*args):
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(weylmod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_loads_no_argparse():
+    # building an argparse parser took longer than a lattice job's scan
+    proc = _python("-c", "import sys, weylmod.cli\n"
+                   "weylmod.cli.main(['algebra', 'A', '1', '--format', 'json'])\n"
+                   "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_console_script_installed():
+    # python -m reads sys.argv in every environment; the script only when installed
+    proc = _python("-m", "weylmod.cli", "algebra", "A", "1")
+    assert proc.returncode == 0
+    assert "dimension 3" in proc.stdout
     exe = shutil.which("weylmod")
     if exe is None:
         pytest.skip("console script not on PATH in this environment")
@@ -564,12 +618,7 @@ def test_invariant_failure_exits_one_without_traceback(monkeypatch, capsys):
 
 
 def test_module_entry_point():
-    # the child finds the package where this process imported it from
-    src = os.path.dirname(os.path.dirname(weylmod.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weylmod.cli", "certify", "A", "1", "--hw", "2",
-         "--kappa", "-2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = _python("-m", "weylmod.cli", "certify", "A", "1", "--hw", "2", "--kappa",
+                   "-2")
     assert proc.returncode == 2
     assert "Inconclusive" in proc.stdout
