@@ -23,9 +23,6 @@ Fraction, non-real kappa in ComplexRational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
-from operator import mul
 from typing import NamedTuple
 
 from .finite_rep import tensor_decompose
@@ -96,7 +93,11 @@ class DeltaBound(NamedTuple):
 
 def check_kappa(kappa) -> None:
     """Reject kappa in R_{>=0}; there the Sugawara normalisation degenerates
-    (kappa = 0) or the module is in the integrable regime we do not treat."""
+    (kappa = 0) or the module is in the integrable regime we do not treat.
+
+    A float kappa is a TypeError: it would stand for a value already rounded."""
+    if isinstance(kappa, float):
+        raise TypeError("not an exact scalar: %r" % kappa)
     if scalar_im(kappa) == 0 and scalar_re(kappa) >= 0:
         raise ValueError("kappa must lie outside the nonnegative real axis")
 
@@ -109,27 +110,23 @@ def top_l0_eigenvalue(a, kappa):
 
 
 def _scaled_resonances(lam: Weight):
-    """(ball, values, scale): the root lattice points of the ball
-    |mu + lambda|^2 <= |lambda|^2 in lexicographic order, and the integers
-    scale q(mu) at those points.
+    """(ball, values, low, scale): the root lattice points of the ball
+    |mu + lambda|^2 <= |lambda|^2 in lexicographic order, an iterator over the
+    integers scale q(mu) at those points, and their minimum low.
 
     Since q(mu) = |mu + lambda|^2 - |lambda|^2, the ball holds exactly the mu
     with q(mu) <= 0, among them mu = 0, so min q over the whole lattice is
-    min(values) / scale.  q(mu) = sum_ij G_ij mu_i mu_j + sum_j 2 d_j
-    lambda_j mu_j with G the root Gram matrix; G and 2 d_j lambda_j are
-    scaled once by the lcm of their denominators, so each point costs one
-    integer form.
+    low / scale.  The walk hands back each point's integer E |mu + lambda|^2
+    (ball.norms, E = ball.scale); with |lambda|^2 = num / den,
+    scale q(mu) = den E |mu + lambda|^2 - E num at scale = E den, one
+    multiply-subtract per point, taken lazily so that no second per-point
+    list is kept.
     """
-    algebra = lam.algebra
-    gram = algebra.gram_root
-    linear = [2 * d * c for d, c in zip(algebra.d, lam.coords)]
-    scale = lcm(*(x.denominator for x in chain(linear, *gram)))
-    gram = [[int(x * scale) for x in row] for row in gram]
-    linear = [int(x * scale) for x in linear]
-    ball = enumerate_root_lattice_ball(algebra, lam, norm_sq(lam))
-    values = [sum(mi * (li + sum(map(mul, row, m)))
-                  for mi, li, row in zip(m, linear, gram)) for m in ball]
-    return ball, values, scale
+    lam_sq = norm_sq(lam)
+    ball = enumerate_root_lattice_ball(lam.algebra, lam, lam_sq)
+    den, offset = lam_sq.denominator, ball.scale * lam_sq.numerator
+    values = (den * x - offset for x in ball.norms)
+    return ball, values, den * min(ball.norms) - offset, den * ball.scale
 
 
 class ResonanceScan:
@@ -140,14 +137,15 @@ class ResonanceScan:
     _scaled_resonances.  One walk of it gives C = min q (<= 0), the largest
     degree level_bound that can resonate, and the candidates, sorted by
     (n, mu); no other point is kept.  Each point costs the one integer form
-    of _scaled_resonances and, for real kappa, one integer division.
+    of _scaled_resonances, a multiply-subtract on the norm the walk already
+    holds, and, for real kappa, one integer division.
     """
 
     def __init__(self, lam: Weight, kappa):
         check_kappa(kappa)
         self.lam = lam
         self.kappa = kappa
-        ball, values, scale = _scaled_resonances(lam)
+        ball, values, low, scale = _scaled_resonances(lam)
         real = scalar_im(kappa) == 0
         # for real kappa, n = q / (2 kappa) = v den / step at scaled value v
         re = Fraction(scalar_re(kappa))
@@ -159,7 +157,6 @@ class ResonanceScan:
             n, r = divmod(v * den, step) if real else (0, v)
             if not r:
                 by_degree.setdefault(n, []).append(mu)
-        low = min(values)
         xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(lam.algebra.rho), kappa)
         candidates = []
         for n in sorted(by_degree):
@@ -202,8 +199,8 @@ class ResonanceScan:
 
 def kostant_bound_C(lam: Weight) -> Fraction:
     """min over the root lattice of q(mu); always <= 0 because q(0) = 0."""
-    _, values, scale = _scaled_resonances(lam)
-    return Fraction(min(values), scale)
+    _, _, low, scale = _scaled_resonances(lam)
+    return Fraction(low, scale)
 
 
 def exhaustive_level_bound(lam: Weight, kappa) -> int:

@@ -113,7 +113,8 @@ def cmd_algebra(config: JobConfig, out) -> int:
         "dual Coxeter number: %s" % a["dual_coxeter"],
         "cartan matrix: %s" % (a["cartan_matrix"],),
         "symmetrizers d_i: %s" % ", ".join(a["symmetrizers"]),
-        "gram (alpha_i, alpha_j): %s" % (a["gram_simple_roots"],),
+        "gram (alpha_i, alpha_j): [%s]"
+        % ", ".join("[%s]" % ", ".join(row) for row in a["gram_simple_roots"]),
         "rho: (%s)   |rho|^2 = %s" % (", ".join(a["rho"]), a["rho_norm_sq"]),
         "positive roots (root coordinates): %s"
         % "; ".join("(%s)" % ", ".join(map(str, r)) for r in a["positive_roots"]),

@@ -22,6 +22,7 @@ from operator import mul, sub
 
 from .invariant import check
 from .linalg import matrix_inverse
+from .rational import exact
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -400,9 +401,18 @@ def _ldl_from_last(gram):
     return d, u
 
 
+class LatticeBall(list):
+    """The points of a root-lattice ball as a list of int tuples, plus
+    norms[k] = scale |self[k] + shift|^2 as ints (enumerate_root_lattice_ball).
+    """
+
+    __slots__ = ("norms", "scale")
+
+
 def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     """All mu in the root lattice with |mu + shift|^2 <= bound, as int tuples
-    in simple-root coordinates, sorted.
+    in simple-root coordinates, sorted, in a LatticeBall that also holds each
+    point's E |mu + shift|^2 (norms) and E (scale).
 
     An exact Fincke-Pohst walk ("Improved methods for calculating vectors of
     short length in a lattice", Math. Comp. 1985), on integers.  With
@@ -414,11 +424,13 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     |L_i| <= isqrt(rest // A_i), as L_i^2 is an integer: mu_i runs over one
     interval, no child's rest is negative, and the leaves are exactly the
     ball points, in lexicographic order (coordinate 0 is fixed first and
-    each range ascends).
+    each range ascends).  At a leaf, rest = floor(E bound) - sum_j A_j L_j^2
+    and the sum is E |y|^2, an integer, so the norm floor(E bound) - rest is
+    E |y|^2 exactly: the floor decides which points are kept, never a norm.
+
+    A float bound is a TypeError: it would stand for a value already rounded.
     """
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
+    bound = Fraction(exact(bound))
     n = algebra.rank
     s = shift.to_root_coords()
     d, u = _ldl_from_last(algebra.gram_root)
@@ -429,20 +441,31 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     terms = [di / (wi * wi) for di, wi in zip(d, w)]
     scale = lcm(*(x.denominator for x in terms))
     a = [int(x * scale) for x in terms]
-    out = []
+    out = LatticeBall()
+    out.norms = norms = []
+    out.scale = scale
+    top = bound * scale // 1
     m = [0] * n
 
     def walk(i, rest):
         # rest: floor(scale * bound) minus a_j L_j^2 over coordinates 0 .. i-1
         base = offsets[i] + sum(map(mul, rows[i], m))
         r = isqrt(rest // a[i])
-        for c in range(-((r + base) // w[i]), (r - base) // w[i] + 1):
-            m[i] = c
-            if i + 1 == n:
-                out.append(tuple(m))
-            else:
+        cs = range(-((r + base) // w[i]), (r - base) // w[i] + 1)
+        if i + 1 < n:
+            for c in cs:
+                m[i] = c
                 lin = w[i] * c + base
                 walk(i + 1, rest - a[i] * lin * lin)
+            return
+        # at the last coordinate, E |y|^2 = (top - rest) + a_i L_i^2
+        done, ai, wi = top - rest, a[i], w[i]
+        for c in cs:
+            m[i] = c
+            lin = wi * c + base
+            out.append(tuple(m))
+            norms.append(done + ai * lin * lin)
 
-    walk(0, bound * scale // 1)
+    if top >= 0:
+        walk(0, top)
     return out

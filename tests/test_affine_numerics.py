@@ -15,6 +15,7 @@ from weylmod.affine_numerics import (
     DeltaBound,
     ResonanceScan,
     candidate_pairs,
+    check_kappa,
     delta_upper_bound,
     exhaustive_level_bound,
     in_X_lambda,
@@ -234,6 +235,12 @@ def test_kappa_on_nonnegative_axis_rejected():
             irreducibility_certificate(sl2.weight([0]), bad)
         with pytest.raises(ValueError):
             delta_upper_bound(sl2.weight([0]), bad, 1)
+    # a float kappa stands for a value already rounded
+    for bad in (-0.1, -2.0):
+        with pytest.raises(TypeError):
+            check_kappa(bad)
+        with pytest.raises(TypeError):
+            ResonanceScan(lam, bad)
 
 
 def test_membership_in_X_and_Y():

@@ -63,6 +63,10 @@ def test_algebra_text_and_json(capsys):
     assert code == 0
     assert "algebra A1: dimension 3" in out
     assert "dual Coxeter number: 2" in out
+    code, out, _ = _run(["algebra", "G", "2"], capsys)
+    assert code == 0
+    assert "cartan matrix: [[2, -1], [-3, 2]]" in out
+    assert "gram (alpha_i, alpha_j): [[2, -1], [-1, 2/3]]" in out
     code, out, _ = _run(["algebra", "A", "1", "--format", "json"], capsys)
     assert code == 0
     data = json.loads(out)

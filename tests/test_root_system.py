@@ -225,6 +225,10 @@ def test_ball_enumeration_exact():
     assert ball == [(-3,), (-2,), (-1,), (0,)]
     for mu in ball:
         assert resonance_value(lam, mu) <= 0
+    # a float bound stands for a value already rounded
+    for bad in (0.1, 4.5):
+        with pytest.raises(TypeError):
+            enumerate_root_lattice_ball(sl2, lam, bad)
 
 
 def test_ball_enumeration_sl3_membership():
@@ -258,6 +262,18 @@ def test_floor_plus_sqrt_is_exact():
                 assert c + 1 - x > 0 and (c + 1 - x) ** 2 > t, (x, t)
 
 
+def _assert_walk_is_box(a, shift, bound):
+    """The walk gives the box oracle's points, and at each one its norm over
+    its scale is the exact |mu + shift|^2."""
+    walk = enumerate_root_lattice_ball(a, shift, bound)
+    box = ball_by_box(a, shift, bound)
+    assert walk == box, (shift, bound)
+    assert len(walk.norms) == len(box), (shift, bound)
+    for mu, norm in zip(box, walk.norms):
+        assert Fraction(norm, walk.scale) == norm_sq(root_weight(a, mu) + shift), (
+            shift, bound, mu)
+
+
 @pytest.mark.parametrize("series,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
     ("D", 4), ("G", 2),
@@ -265,14 +281,14 @@ def test_floor_plus_sqrt_is_exact():
 def test_ball_walk_matches_box_oracle(series, rank):
     a = build_algebra(series, rank)
     # coordinates with unequal denominators, and bounds whose denominator is
-    # prime to the shift's, exercise each integer scale of the walk
+    # prime to the shift's, exercise each integer scale of the walk and the
+    # floor of E bound that its norms must not carry
     mixed = a.weight([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
                       Fraction(3, 7)][:rank])
     for shift in (a.rho, a.rho + a.weight([Fraction(1, 3)] * rank), mixed):
         r = norm_sq(shift)
         for bound in (r, r - Fraction(1, 2), r - Fraction(1, 7), 0, -1):
-            walk = enumerate_root_lattice_ball(a, shift, bound)
-            assert walk == ball_by_box(a, shift, bound), (shift, bound)
+            _assert_walk_is_box(a, shift, bound)
 
 
 def test_ball_walk_matches_box_oracle_on_random_shifts():
@@ -291,8 +307,7 @@ def test_ball_walk_matches_box_oracle_on_random_shifts():
     @hypothesis.settings(max_examples=80, deadline=None, database=None)
     @hypothesis.given(shifted_ball())
     def walk_is_box(case):
-        a, shift, bound = case
-        assert enumerate_root_lattice_ball(a, shift, bound) == ball_by_box(a, shift, bound)
+        _assert_walk_is_box(*case)
 
     walk_is_box()
 
