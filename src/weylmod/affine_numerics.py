@@ -109,10 +109,11 @@ def top_l0_eigenvalue(a, kappa):
     return Fraction(a) / (2 * kappa)
 
 
-def _scaled_resonances(lam: Weight):
+def _scaled_resonances(lam: Weight, lam_sq: Fraction):
     """(ball, values, low, scale): the root lattice points of the ball
-    |mu + lambda|^2 <= |lambda|^2 in lexicographic order, an iterator over the
-    integers scale q(mu) at those points, and their minimum low.
+    |mu + lambda|^2 <= lam_sq = |lambda|^2 in lexicographic order, an
+    iterator over the integers scale q(mu) at those points, and their
+    minimum low.
 
     Since q(mu) = |mu + lambda|^2 - |lambda|^2, the ball holds exactly the mu
     with q(mu) <= 0, among them mu = 0, so min q over the whole lattice is
@@ -122,7 +123,6 @@ def _scaled_resonances(lam: Weight):
     multiply-subtract per point, taken lazily so that no second per-point
     list is kept.
     """
-    lam_sq = norm_sq(lam)
     ball = enumerate_root_lattice_ball(lam.algebra, lam, lam_sq)
     den, offset = lam_sq.denominator, ball.scale * lam_sq.numerator
     values = (den * x - offset for x in ball.norms)
@@ -135,17 +135,20 @@ class ResonanceScan:
     For every admissible kappa and n >= 0, 2 kappa n is 0 or has negative
     real part, so every solution has q(mu) <= 0 and lies in the ball of
     _scaled_resonances.  One walk of it gives C = min q (<= 0), the largest
-    degree level_bound that can resonate, and the candidates, sorted by
-    (n, mu); no other point is kept.  Each point costs the one integer form
-    of _scaled_resonances, a multiply-subtract on the norm the walk already
-    holds, and, for real kappa, one integer division.
+    degree level_bound that can resonate, the candidates, sorted by (n, mu),
+    and the degree-0 L0 eigenvalue xi0 = (|lambda|^2 - |rho|^2) / (2 kappa);
+    no other point is kept, and |lambda|^2 is evaluated once.  Each point
+    costs the one integer form of _scaled_resonances, a multiply-subtract on
+    the norm the walk already holds, and, for real kappa, one integer
+    division.
     """
 
     def __init__(self, lam: Weight, kappa):
         check_kappa(kappa)
         self.lam = lam
         self.kappa = kappa
-        ball, values, low, scale = _scaled_resonances(lam)
+        lam_sq = norm_sq(lam)
+        ball, values, low, scale = _scaled_resonances(lam, lam_sq)
         real = scalar_im(kappa) == 0
         # for real kappa, n = q / (2 kappa) = v den / step at scaled value v
         re = Fraction(scalar_re(kappa))
@@ -157,10 +160,10 @@ class ResonanceScan:
             n, r = divmod(v * den, step) if real else (0, v)
             if not r:
                 by_degree.setdefault(n, []).append(mu)
-        xi0 = top_l0_eigenvalue(norm_sq(lam) - norm_sq(lam.algebra.rho), kappa)
+        self.xi0 = top_l0_eigenvalue(lam_sq - norm_sq(lam.algebra.rho), kappa)
         candidates = []
         for n in sorted(by_degree):
-            xi = xi0 + n
+            xi = self.xi0 + n
             candidates.extend(CandidatePair(mu, n, xi) for mu in by_degree[n])
         self.candidates = tuple(candidates)
         self.c = Fraction(low, scale)
@@ -199,7 +202,7 @@ class ResonanceScan:
 
 def kostant_bound_C(lam: Weight) -> Fraction:
     """min over the root lattice of q(mu); always <= 0 because q(0) = 0."""
-    _, _, low, scale = _scaled_resonances(lam)
+    _, _, low, scale = _scaled_resonances(lam, norm_sq(lam))
     return Fraction(low, scale)
 
 

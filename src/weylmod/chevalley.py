@@ -87,7 +87,7 @@ class ChevalleyBasis:
     def __init__(self, algebra: AlgebraData, names, weights, recipe, v_hw, v_mats):
         self.algebra = algebra
         self.names = tuple(names)
-        self.weights = tuple(weights)  # ad-weights, fundamental coords
+        self.weights = tuple(weights)  # ad-weights: int tuples, fundamental coords
         self.recipe = tuple(recipe)
         self.dim = len(self.names)
         n_pos = (self.dim - algebra.rank) // 2
@@ -141,7 +141,7 @@ class ChevalleyBasis:
             # ad-weight consistency: [h_i, x] = <wt(x), a_i-check> x
             for q in range(self.dim):
                 ent = self.bracket.get((hi, q), {})
-                expect = self.weights[q].coords[i]
+                expect = self.weights[q][i]
                 got = ent.get(q, Fraction(0))
                 check(got == expect and all(k == q for k in ent), "not a weight basis")
 
@@ -249,24 +249,24 @@ def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
     def name(letter, root):
         return letter + ("".join(str(i + 1) * c for i, c in enumerate(root)) if r > 1 else "")
 
-    zero = Weight(algebra, (0,) * r)
     fw = dict(zip(algebra.positive_roots, algebra.roots_fw))
-    pos = [Weight(algebra, fw[a]) for a in roots]
+    pos = [fw[a] for a in roots]
     names = ([name("e", a) for a in roots]
              + (["h"] if r == 1 else ["h%d" % (i + 1) for i in range(r)])
              + [name("f", a) for a in roots])
     fundamentals = [Weight(algebra, [int(i == k) for i in range(r)]) for k in range(r)]
     v_hw = min(fundamentals, key=lambda w: weyl_dimension(algebra, w))
     _, mats = _irrep(algebra, recipe, tuple(int(c) for c in v_hw.coords))
-    return ChevalleyBasis(algebra, names, pos + [zero] * r + [-w for w in pos],
-                          recipe, v_hw, mats)
+    weights = pos + [(0,) * r] * r + [tuple(-c for c in w) for w in pos]
+    return ChevalleyBasis(algebra, names, weights, recipe, v_hw, mats)
 
 
 class Rep:
     """A finite-dimensional representation with a weight basis.
 
     mats[p] is the column-sparse matrix of the p-th Chevalley generator,
-    {j: {i: c}} for x_p . b_j = sum_i c b_i, with no zero entries.
+    {j: {i: c}} for x_p . b_j = sum_i c b_i, with no zero entries; the
+    weight of b_j is basis_weights[j], an int tuple (fundamental coords).
     """
 
     def __init__(self, cb: ChevalleyBasis, mats, basis_weights, hw: Weight):
@@ -281,6 +281,5 @@ def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:
     """Exact irreducible representation L(hw) with a weight basis."""
     if not (hw.is_integral() and hw.is_dominant()):
         raise ValueError("highest weight must be dominant integral: %r" % (hw,))
-    alg = cb.algebra
-    weights, mats = _irrep(alg, cb.recipe, tuple(int(c) for c in hw.coords))
-    return Rep(cb, mats, [Weight(alg, w) for w in weights], hw)
+    weights, mats = _irrep(cb.algebra, cb.recipe, tuple(int(c) for c in hw.coords))
+    return Rep(cb, mats, weights, hw)

@@ -25,7 +25,7 @@ from itertools import takewhile
 
 from . import affine_numerics as an
 from . import explicit_module as em
-from .finite_rep import casimir_on_irrep, tensor_decompose, weyl_dimension
+from .finite_rep import _require_dominant_integral, tensor_decompose, weyl_dimension
 from .graded_sym import sym_ad_graded
 from .invariant import InvariantError, check
 from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
@@ -187,7 +187,7 @@ def cmd_certify(config: JobConfig, out) -> int:
     if kappa is None:
         raise ValueError("--kappa is required")
     # validates hw and kappa before the scan, whose lattice walk can be long
-    casimir = casimir_on_irrep(algebra, hw)
+    _require_dominant_integral(algebra, hw)
     an.check_kappa(kappa)
     scan = an.ResonanceScan(hw + algebra.rho, kappa)
     verdict = scan.certificate()
@@ -203,7 +203,7 @@ def cmd_certify(config: JobConfig, out) -> int:
         "in_X_lambda": not verdict.certified,
         "in_Y_lambda": an.in_Y_lambda(kappa, scan.lam),
         "delta_upper_bound": {"value": delta.value, "complete": delta.complete},
-        "top_l0_eigenvalue": format_scalar(an.top_l0_eigenvalue(casimir, kappa)),
+        "top_l0_eigenvalue": format_scalar(scan.xi0),
     }
     lines = [
         "Ind(M)_kappa with M = L(%s), kappa = %s"

@@ -8,14 +8,15 @@ enveloping algebra of the negative-mode half: a basis of the degree-n layer is
     k_1 >= k_2 >= ... >= k_r >= 1,  sum k_i = n,
 
 with x_p running over a fixed Chevalley basis of g and m_j over a weight basis
-of M, both built from the Cartan matrix by the chevalley module.  We materialize all layers up to a depth N and, once at construction,
-straighten the action of every x eps^m with |m| <= N back into this basis using
+of M, both built from the Cartan matrix by the chevalley module.  We
+materialize all layers up to a depth N and, once at construction, straighten
+the action of every x eps^m with |m| <= N back into this basis using
 
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
 
 with K acting by the scalar kappa - h_dual.  The zero modes act through M and
-the positive modes kill it.  The result is one column-sparse action store;
-dense blocks are built only on request.  All coefficients are exact, and the
+the positive modes kill it.  The result is one column-sparse action store,
+and every operator below reads it.  All coefficients are exact, and the
 store holds each in canonical form: an int when integral, a Fraction when
 rational, a ComplexRational only when its imaginary part is nonzero.  Every
 entry is a sum of products of brackets, matrix entries of M and central
@@ -48,6 +49,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .affine_numerics import ResonanceScan, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
@@ -72,8 +74,6 @@ _DEFAULT_DEPTH_CAP = 6
 # monomial factors are packed as (mode << _SHIFT) | generator_index
 _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
-
-_ONE = 1
 
 
 def _canonical(x):
@@ -121,8 +121,10 @@ class TruncatedWeylModule:
     computed on first use and held); use build_truncated to construct.  The
     action of every x_p eps^m with |m| <= depth is straightened once, here,
     into column-sparse form, and every operator below reads that store.
-    scan is the resonance scan of lambda = m_hw + rho at kappa when kappa
-    lies outside the nonnegative reals (where candidates apply), else None.
+    weights[i] is the weight of basis vector #i, an int tuple in fundamental
+    coordinates.  scan is the resonance scan of lambda = m_hw + rho at kappa
+    when kappa lies outside the nonnegative reals (where candidates apply),
+    else None.
     """
 
     def __init__(self, algebra, m_hw: Weight, kappa, depth: int):
@@ -139,21 +141,21 @@ class TruncatedWeylModule:
 
         sym_dims = sym_ad_graded(algebra, depth).dims()
         keys = []
+        weights = []
         bounds = [0]
         for n in range(depth + 1):
             monos = sorted(monomials_of_degree(self.cb.dim, n))
             check(len(monos) == sym_dims[n], "PBW layer does not match S(ad)")
-            keys.extend((mono, j) for mono in monos for j in range(self.rep.dim))
+            for mono in monos:
+                w = (0,) * algebra.rank
+                for f in mono:
+                    w = tuple(map(add, w, self.cb.weights[f & _MASK]))
+                keys.extend((mono, j) for j in range(self.rep.dim))
+                weights.extend(tuple(map(add, w, u)) for u in self.rep.basis_weights)
             bounds.append(len(keys))
         self.keys = tuple(keys)
         self._bounds = tuple(bounds)
         self.index = {key: i for i, key in enumerate(keys)}
-        weights = []
-        for mono, j in keys:
-            w = self.rep.basis_weights[j]
-            for f in mono:
-                w = w + self.cb.weights[f & _MASK]
-            weights.append(w)
         self.weights = tuple(weights)
         self._action = _straighten(self)
         self._annihilators = {}
@@ -178,25 +180,24 @@ class TruncatedWeylModule:
     # -- the action store ------------------------------------------------------
 
     def columns(self, p, m: int) -> dict:
-        """The nonzero columns of x_p eps^m, {source: {target: coeff}}; the
-        store is shared, so treat the result as read-only."""
+        """The nonzero columns of x_p eps^m, {source: {target: coeff}}, p a
+        generator name or index; the store is shared, so treat it as read-only."""
+        p = self.generator_index(p)
         if not isinstance(m, int) or abs(m) > self.depth:
             raise ValueError("mode must be an integer with |m| <= depth")
         return self._action[p, m]
 
-    def apply_generator(self, p, m: int, index: int) -> dict:
-        """x_p eps^m on basis vector #index, as {target index: coeff}."""
-        return self.apply_to_vector(p, m, {index: _ONE})
-
     def apply_to_vector(self, p, m: int, vec: dict) -> dict:
-        """x_p eps^m on a sparse vector {index: coeff}."""
+        """x_p eps^m on a sparse vector {index: coeff}; ValueError on an
+        unknown generator or basis index, or an image outside the truncation."""
+        p = self.generator_index(p)
         for idx in vec:
+            if not 0 <= idx < self.dim:
+                raise ValueError("basis index %r outside 0..%d" % (idx, self.dim - 1))
             source = self.degree_of(idx)
             if source - m > self.depth:
-                raise ValueError(
-                    "image of degree %d under mode %d leaves the truncation"
-                    % (source, m)
-                )
+                raise ValueError("image of degree %d under mode %d leaves the "
+                                 "truncation" % (source, m))
         return apply(self._action.get((p, m), _EMPTY), vec)
 
     @cached_property
@@ -235,7 +236,7 @@ def _straighten(module) -> dict:
         if hit is not None:
             return hit
         if not mono or f >= mono[0]:
-            out = {(f,) + mono: _ONE}
+            out = {(f,) + mono: 1}
         else:
             g, rest = mono[0], mono[1:]
             out = {}
@@ -266,7 +267,7 @@ def _straighten(module) -> dict:
             f = ((-m) << _SHIFT) | p
             out = {(m3, None): c for m3, c in leftmul(f, mono).items()}
         elif not mono:
-            out = {((), p): _ONE} if m == 0 else {}
+            out = {((), p): 1} if m == 0 else {}
         else:
             g, rest = mono[0], mono[1:]
             k0, p0 = g >> _SHIFT, g & _MASK
@@ -365,61 +366,19 @@ def _image_degrees(depth: int, m: int) -> range:
     return range(max(m, 0), depth + min(m, 0) + 1)
 
 
-def _dense(columns, sources: range, targets: range):
-    """The block of a column-sparse operator from sources to targets."""
-    mat = [[Fraction(0)] * len(sources) for _ in targets]
-    for c, idx in enumerate(sources):
-        for i, v in columns.get(idx, _EMPTY).items():
-            mat[i - targets.start][c] = v
-    return mat
+def act(module: TruncatedWeylModule, x, m: int) -> dict:
+    """The exact action of x eps^m, column-sparse: {source: {target: coeff}}.
 
-
-class ActionMatrix:
-    """Degree-graded exact matrix of x eps^m (or of K when generator = "K").
-
-    block(n) builds the dense block mapping coordinates of degree n to
-    coordinates of degree n - m from the column-sparse store.  Source degrees
-    whose image would exceed the truncation are omitted and the matrix is
-    marked partial.
-    """
-
-    def __init__(self, module, generator, mode, columns):
-        self.module = module
-        self.generator = generator
-        self.mode = mode
-        self.columns = columns
-        self.source_degrees = tuple(range(module.depth + min(mode, 0) + 1))
-        self.partial = mode < 0
-
-    def block(self, n: int):
-        if n not in self.source_degrees:
-            raise ValueError(
-                "mode %d is not defined on degree %d within depth %d"
-                % (self.mode, n, self.module.depth)
-            )
-        if n < self.mode:
-            return []  # the image vanishes identically
-        return _dense(
-            self.columns,
-            self.module.degree_range(n),
-            self.module.degree_range(n - self.mode),
-        )
-
-
-def act(module: TruncatedWeylModule, x, m: int) -> ActionMatrix:
-    """Exact matrix of x eps^m, degree block by degree block.
-
-    x is a Chevalley generator (name or index) or "K" for the central
-    element, which acts by (kappa - h_dual) id in every degree (mode 0).
+    x is a Chevalley generator (name or index), read from module.columns,
+    or "K" for the central element, which acts by (kappa - h_dual) id in
+    every degree (mode 0).
     """
     if x == "K":
         if m != 0:
             raise ValueError("K carries no modes")
         k = module.k_scalar
-        columns = {i: {i: k} for i in range(module.dim)} if k else {}
-        return ActionMatrix(module, "K", 0, columns)
-    p = module.generator_index(x)
-    return ActionMatrix(module, module.cb.names[p], m, module.columns(p, m))
+        return {i: {i: k} for i in range(module.dim)} if k else {}
+    return module.columns(x, m)
 
 
 def sugawara_l0(module: TruncatedWeylModule) -> tuple:
@@ -538,7 +497,7 @@ def _raising_column(module, vec):
 def _weight_blocks(module, indices):
     blocks = {}
     for idx in indices:
-        blocks.setdefault(module.weights[idx].coords, []).append(idx)
+        blocks.setdefault(module.weights[idx], []).append(idx)
     return blocks
 
 
@@ -574,7 +533,7 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     for wt_coords in sorted(blocks):
         block = blocks[wt_coords]
         kernel = nullspace_of_columns(
-            [_raising_column(module, {idx: _ONE}) for idx in block]
+            [_raising_column(module, {idx: 1}) for idx in block]
         )
         if not kernel:
             continue
@@ -604,7 +563,7 @@ def singular_dimensions(module: TruncatedWeylModule, n: int):
     algebra, cb = module.algebra, module.cb
     # e_1 .. e_r lead the Chevalley basis; f_theta is its one vector of
     # weight -theta
-    f_theta = cb.weights.index(-algebra.weight(algebra.roots_fw[-1]))
+    f_theta = cb.weights.index(tuple(-c for c in algebra.roots_fw[-1]))
     ops = [module.columns(i, 0) for i in range(algebra.rank)]
     ops.append(module.columns(f_theta, 1))
     blocks = _weight_blocks(module, module.degree_range(n))
@@ -620,12 +579,13 @@ def singular_dimensions(module: TruncatedWeylModule, n: int):
             continue
         dim = len(nullspace_of_columns(columns))
         if dim:
-            tops.append((irrep_character(algebra, algebra.weight(wt_coords)), dim))
+            char = irrep_character(algebra, algebra.weight(wt_coords))
+            tops.append((char.full_map(), dim))
     found = []
     for wt_coords in sorted(blocks):
-        weight = algebra.weight(wt_coords)
-        dim = sum(d * char.multiplicity(weight) for char, d in tops)
+        dim = sum(d * mults.get(wt_coords, 0) for mults, d in tops)
         if dim:
+            weight = algebra.weight(wt_coords)
             found.append((weight, dim, _matched(module, weight, n)))
     return found
 
@@ -714,14 +674,14 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
     for d in range(window + 1):
         rng = module.degree_range(d)
         if d < order:
-            vectors.extend((d, {idx: _ONE}) for idx in rng)
+            vectors.extend((d, {idx: 1}) for idx in rng)
             continue
         blocks = _weight_blocks(module, rng)
         for wt_coords in sorted(blocks):
             block = blocks[wt_coords]
             columns = []
             for idx in block:
-                images = {(): {idx: _ONE}}
+                images = {(): {idx: 1}}
                 columns.append({(o_num, t): v for o_num, op in enumerate(ops)
                                 for t, v in _image(store, images, op).items()})
             if independent_mod_p(columns):
@@ -853,7 +813,7 @@ def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
                         [f >> _SHIFT, module.cb.names[f & _MASK]] for f in mono
                     ],
                     "m_index": j,
-                    "weight": [format_scalar(c) for c in module.weights[idx].coords],
+                    "weight": [format_scalar(c) for c in module.weights[idx]],
                 }
             )
         degrees.append({"degree": n, "dimension": len(rng), "basis": basis})

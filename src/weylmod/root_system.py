@@ -269,9 +269,6 @@ class Weight:
         coords = self._other_coords(other)
         return Weight(self.algebra, tuple(a - b for a, b in zip(self.coords, coords)))
 
-    def __neg__(self):
-        return Weight(self.algebra, tuple(-a for a in self.coords))
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 

@@ -17,6 +17,7 @@ directory on the import path.
 import itertools
 from fractions import Fraction
 from math import isqrt
+from operator import add
 
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
@@ -55,8 +56,8 @@ def combine(terms):
 
 
 def rep_trivial(cb: ChevalleyBasis) -> Rep:
-    z = Weight(cb.algebra, (0,) * cb.algebra.rank)
-    return Rep(cb, [{}] * cb.dim, [z], z)
+    z = (0,) * cb.algebra.rank
+    return Rep(cb, [{}] * cb.dim, [z], Weight(cb.algebra, z))
 
 
 def rep_adjoint(cb: ChevalleyBasis) -> Rep:
@@ -78,8 +79,9 @@ def rep_tensor(r1: Rep, r2: Rep) -> Rep:
         right = {k * d2 + j: {k * d2 + i: v for i, v in col.items()}
                  for k in range(d1) for j, col in b.items()}
         mats.append(combine([(1, left), (1, right)]))
+    # int tuples: + would concatenate, so add coordinatewise
     weights = [
-        r1.basis_weights[i] + r2.basis_weights[j]
+        tuple(map(add, r1.basis_weights[i], r2.basis_weights[j]))
         for i in range(d1)
         for j in range(d2)
     ]

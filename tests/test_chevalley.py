@@ -50,7 +50,7 @@ def test_ad_weights_match_brackets_with_cartan():
     for i, hi in enumerate(cb.cartan_slots):
         for q in range(cb.dim):
             got = dict(cb.bracket_list(hi, q)).get(q, Fraction(0))
-            assert got == cb.weights[q].coords[i]
+            assert got == cb.weights[q][i]
 
 
 # every simple algebra that the explicit module's generator packing holds
@@ -101,9 +101,11 @@ def test_rep_matrices_satisfy_brackets():
 def test_basis_weights_are_cartan_eigenvalues():
     cb = chevalley_basis(build_algebra("A", 2))
     rep = rep_from_hw(cb, cb.algebra.weight([1, 1]))
+    # weights are int tuples in fundamental coordinates
+    assert all(type(w) is tuple and len(w) == 2 and all(type(c) is int for c in w)
+               for w in rep.basis_weights)
     for i, hi in enumerate(cb.cartan_slots):
-        expect = {j: {j: w.coords[i]}
-                  for j, w in enumerate(rep.basis_weights) if w.coords[i]}
+        expect = {j: {j: w[i]} for j, w in enumerate(rep.basis_weights) if w[i]}
         assert rep.mats[hi] == expect
 
 
@@ -215,7 +217,8 @@ def test_a1_a2_tables_are_pinned(rank):
     assert cb.bracket == bracket
     assert cb.form == form
     assert cb.casimir_pairs == pairs
-    assert tuple(w.coords for w in cb.weights) == weights
+    assert cb.weights == weights
+    assert all(type(c) is int for w in cb.weights for c in w)
 
 
 _RELATION_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -259,8 +262,9 @@ def test_jacobi_and_chevalley_relations(series, rank):
             assert dict(cb.bracket_list(hs[i], j)) == ({j: a_ij} if a_ij else {})
     # [e_alpha, f_alpha] = h_alpha, the coroot sum_i c_i d_i / d_alpha h_i
     for k in range(n_pos):
-        c = cb.weights[k].to_root_coords()
-        d_alpha = norm_sq(cb.weights[k]) / 2
+        alpha = algebra.weight(cb.weights[k])
+        c = alpha.to_root_coords()
+        d_alpha = norm_sq(alpha) / 2
         coroot = {hs[i]: c[i] * algebra.d[i] / d_alpha for i in range(rank) if c[i]}
         assert dict(cb.bracket_list(k, n_pos + rank + k)) == coroot
 
@@ -295,8 +299,7 @@ def test_irreps_satisfy_brackets_and_freudenthal(series, rank):
         _check_rep_relations(rep)
         mults = {}
         for w in rep.basis_weights:
-            key = tuple(int(c) for c in w.coords)
-            mults[key] = mults.get(key, 0) + 1
+            mults[w] = mults.get(w, 0) + 1
         assert mults == irrep_character(algebra, hw).full_map()
 
 

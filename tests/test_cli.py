@@ -16,11 +16,12 @@ import pytest
 
 import weylmod
 from helpers import job_config_from_json_dict
-from weylmod import affine_numerics
+from weylmod import affine_numerics, cli, finite_rep, root_system
 from weylmod import explicit_module as em
 from weylmod.graded_sym import sym_ad_graded
 from weylmod.cli import _COMMANDS, JobConfig, main, parse_argv
-from weylmod.rational import ComplexRational
+from weylmod.rational import ComplexRational, format_scalar, parse_scalar
+from weylmod.root_system import Weight, build_algebra
 
 
 def _run(argv, capsys):
@@ -228,6 +229,45 @@ def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
         code, out, err = _run(["certify", "E", "6", "--hw", "0", "0", "0", "0", "0",
                                last, "--kappa=" + kappa], capsys)
         assert (code, out, err) == (1, "", expected), kappa
+
+
+def test_certify_evaluates_each_norm_once(monkeypatch, capsys):
+    # |lambda|^2 and |rho|^2, each once, inside the one ResonanceScan; the
+    # reported top L0 eigenvalue is the scan's xi0
+    calls = []
+    real = root_system.norm_sq
+    for module in (root_system, affine_numerics, finite_rep, cli):
+        monkeypatch.setattr(module, "norm_sq", lambda x: calls.append(x) or real(x))
+    for series, rank, hw, kappa, code_expected in (
+        ("A", 2, ["1", "0"], "-1", 2),
+        ("B", 2, ["1", "1"], "-3/2", 2),
+        ("A", 1, ["2"], "-1+1i", 0),
+    ):
+        calls.clear()
+        code, out, _ = _run(["certify", series, str(rank), "--hw", *hw,
+                             "--kappa=" + kappa, "--format", "json"], capsys)
+        assert code == code_expected, (series, hw, kappa)
+        algebra = build_algebra(series, rank)
+        lam = algebra.weight([Fraction(c) for c in hw]) + algebra.rho
+        assert calls == [lam, algebra.rho], (series, hw, kappa)
+        xi0 = affine_numerics.top_l0_eigenvalue(
+            real(lam) - real(algebra.rho), parse_scalar(kappa))
+        assert json.loads(out)["top_l0_eigenvalue"] == format_scalar(xi0)
+
+
+def test_crossvalidate_builds_no_weight_per_basis_vector(monkeypatch, capsys):
+    # the truncated module keeps its weights as int tuples, and a Weight is
+    # built only at the API boundary; with one Weight per PBW key this job
+    # built 329 for its 159 basis vectors
+    built = []
+    real = Weight.__init__
+    monkeypatch.setattr(Weight, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    code, out, _ = _run(["crossvalidate", "A", "2", "--hw", "1", "0", "--kappa=-1",
+                         "--depth", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert sum(json.loads(out)["dims"]) == 159
+    assert 0 < len(built) <= 60
 
 
 def test_sym_ad_is_expanded_once_per_job(capsys):

@@ -10,7 +10,6 @@ import helpers
 from weylmod.explicit_module import (
     DEPTH_CAP_ENV,
     TruncatedWeylModule,
-    ActionMatrix,
     act,
     annihilator_level,
     build_truncated,
@@ -26,7 +25,9 @@ from weylmod.explicit_module import (
 from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
 from weylmod.linalg import FILTER_PRIME, SpanBuilder
-from weylmod.rational import ComplexRational, parse_scalar, scalar_im, scalar_re
+from weylmod.rational import (
+    ComplexRational, format_scalar, parse_scalar, scalar_im, scalar_re,
+)
 from weylmod.root_system import build_algebra
 
 SL2 = build_algebra("A", 1)
@@ -111,17 +112,14 @@ def test_depth_cap_env_override(monkeypatch):
 
 def test_central_element_action():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=1)
-    mat = act(m, "K", 0)
-    assert isinstance(mat, ActionMatrix)
-    assert not mat.partial
-    for n in (0, 1):
-        block = mat.block(n)
-        d = m.degree_dim(n)
-        for i in range(d):
-            for j in range(d):
-                assert block[i][j] == (m.k_scalar if i == j else 0)
+    # K acts by (kappa - h_dual) id on every degree: a sparse diagonal
+    assert m.k_scalar == -3
+    assert act(m, "K", 0) == {i: {i: -3} for i in range(m.dim)}
     with pytest.raises(ValueError):
         act(m, "K", 1)
+    # at kappa = h_dual, K acts by 0 and has no nonzero column
+    at_h_dual = build_truncated(SL2, SL2.weight([0]), SL2.dual_coxeter, 1)
+    assert act(at_h_dual, "K", 0) == {}
 
 
 def test_store_holds_no_zero_at_dual_coxeter_level():
@@ -137,36 +135,50 @@ def test_store_holds_no_zero_at_dual_coxeter_level():
 
 
 def test_zero_mode_cartan_is_diagonal_with_weights():
-    m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
-    mat = act(m, "h", 0)
-    for n in (0, 1):
-        block = mat.block(n)
-        rng = m.degree_range(n)
-        for c, idx in enumerate(rng):
-            for r in range(len(rng)):
-                want = m.weights[idx].coords[0] if r == c else 0
-                assert block[r][c] == want
+    for m in (_sl2(hw=2, kappa=Fraction(-2), depth=1),
+              build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 1)):
+        rank = m.algebra.rank
+        # one weight per basis vector, an int tuple in fundamental coordinates
+        assert len(m.weights) == m.dim
+        assert all(type(w) is tuple and len(w) == rank
+                   and all(type(c) is int for c in w) for w in m.weights)
+        # h_i eps^0 is the diagonal of the i-th weight coordinate
+        for i, h in enumerate(m.cb.cartan_slots):
+            assert act(m, h, 0) == {idx: {idx: w[i]}
+                                    for idx, w in enumerate(m.weights) if w[i]}
 
 
 def test_negative_mode_is_partial_positive_is_not():
     m = _sl2(hw=0, depth=2)
-    lower = act(m, "e", -1)
-    assert lower.partial
-    assert 2 not in lower.source_degrees
-    raise_ = act(m, "f", 1)
-    assert not raise_.partial
-    assert list(raise_.source_degrees) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        lower.block(2)
+    assert m.dim == 13
+    by_mode = {(a["generator"], a["mode"]): a for a in module_json_dict(m)["actions"]}
+    lower, raise_ = by_mode["e", -1], by_mode["f", 1]
+    assert lower["partial"] is True and raise_["partial"] is False
+    # a lowering mode acts only where its image stays inside the truncation;
+    # a raising mode kills degree 0
+    assert [b["source_degree"] for b in lower["blocks"]] == [0, 1]
+    assert [b["source_degree"] for b in raise_["blocks"]] == [1, 2]
+    assert not any(m.degree_of(idx) == 2 for idx in act(m, "e", -1))
+    assert not any(m.degree_of(idx) == 0 for idx in act(m, "f", 1))
     with pytest.raises(ValueError):
         act(m, "e", 3)
     # the image of a top-degree vector under a lowering mode leaves the truncation
     top = m.degree_range(2).start
     with pytest.raises(ValueError):
-        m.apply_generator(0, -1, top)
-    with pytest.raises(ValueError):
         m.apply_to_vector(0, -1, {top: Fraction(1)})
-    assert m.apply_generator(0, 3, top) == {}
+    assert m.apply_to_vector(0, 3, {top: 1}) == {}
+    # an unknown generator or basis index is a ValueError, never a KeyError
+    # or a silent zero
+    for bad in (lambda: m.columns(3, 0),
+                lambda: act(m, 3, 0),
+                lambda: act(m, "x", 0),
+                lambda: m.apply_to_vector(3, 0, {0: 1}),
+                lambda: m.apply_to_vector(0, 1, {99: 1}),
+                lambda: m.apply_to_vector(0, 1, {13: 1}),
+                lambda: m.apply_to_vector(0, 0, {-1: 1})):
+        with pytest.raises(ValueError):
+            bad()
+    assert m.apply_to_vector("e", 1, {12: 1}) == m.columns(0, 1).get(12, {})
 
 
 def _commutator_check(m, pairs_of_modes):
@@ -586,7 +598,7 @@ def test_l0_and_kl_read_the_store_without_apply_to_vector(monkeypatch):
         assert check_kl_exact_sequence(m, order)[0]
     assert calls == []
     # the spy itself is live
-    m.apply_generator(0, 0, 0)
+    m.apply_to_vector(0, 0, {0: 1})
     assert len(calls) == 1
 
 
@@ -613,15 +625,14 @@ def test_module_json_entries_match_action():
     (action,) = [a for a in d["actions"] if a["generator"] == "e"]
     assert action["mode"] == 1 and action["partial"] is False
     (block,) = [b for b in action["blocks"] if b["source_degree"] == 1]
-    mat = act(m, "e", 1).block(1)
-    expect = []
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if v:
-                expect.append([i, j, str(v)])
+    src, tgt = m.degree_range(1), m.degree_range(0)
+    expect = sorted([i - tgt.start, j - src.start, format_scalar(v)]
+                    for j, col in act(m, "e", 1).items() if j in src
+                    for i, v in col.items())
+    assert expect
     assert block["entries"] == expect
     assert block["target_degree"] == 0
-    # act(...).block, apply_generator and the JSON entries read one store
+    # act, apply_to_vector and the JSON entries read one store
     for m in (
         _sl2(hw=2, kappa=Fraction(-2), depth=2),
         _sl2(hw=1, kappa=ComplexRational(-1, 1), depth=2),
@@ -634,22 +645,25 @@ def test_module_json_entries_match_action():
 def _assert_action_forms_agree(m):
     d = module_json_dict(m)
     for action in d["actions"]:
-        mat = act(m, action["generator"], action["mode"])
+        mode = action["mode"]
+        cols = act(m, action["generator"], mode)
         p = m.generator_index(action["generator"])
-        assert action["partial"] is mat.partial
+        assert action["partial"] is (mode < 0)
         sources = [b["source_degree"] for b in action["blocks"]]
-        assert sources == [n for n in mat.source_degrees if n >= mat.mode]
+        assert sources == [n for n in range(m.depth + 1) if 0 <= n - mode <= m.depth]
+        # the entries, parsed back to {source: {target: coeff}}, are act's columns
+        parsed = {}
         for b in action["blocks"]:
             n, t = b["source_degree"], b["target_degree"]
-            block = mat.block(n)
+            assert t == n - mode
             src, tgt = m.degree_range(n), m.degree_range(t)
-            dense = [[0] * len(src) for _ in tgt]
             for i, j, v in b["entries"]:
-                dense[i][j] = parse_scalar(v)
-            assert block == dense
-            for j, idx in enumerate(src):
-                column = {tgt.start + i: row[j] for i, row in enumerate(block) if row[j]}
-                assert m.apply_generator(p, mat.mode, idx) == column
+                parsed.setdefault(src.start + j, {})[tgt.start + i] = parse_scalar(v)
+        assert parsed == cols
+        # and apply_to_vector on each unit vector gives its column
+        for n in sources:
+            for idx in m.degree_range(n):
+                assert m.apply_to_vector(p, mode, {idx: 1}) == cols.get(idx, {})
 
 
 def test_module_json_marks_partial_modes():
