@@ -20,7 +20,6 @@ from .affine_numerics import (
     top_l0_eigenvalue,
 )
 from .explicit_module import (
-    SingularVectorReport,
     TruncatedWeylModule,
     act,
     annihilator_level,
@@ -37,15 +36,12 @@ from .finite_rep import (
     DecompositionMultiset,
     casimir_on_irrep,
     irrep_character,
-    kostant_spectrum,
-    length_of,
     tensor_decompose,
     weyl_dimension,
 )
 from .graded_sym import (
     GradedCharacter,
     sym_ad_graded,
-    weyl_level_character,
     weyl_level_decomposition,
 )
 from .rational import ComplexRational, format_scalar, parse_scalar
@@ -66,7 +62,6 @@ __all__ = [
     "DeltaBound",
     "GradedCharacter",
     "IrreducibilityVerdict",
-    "SingularVectorReport",
     "TruncatedWeylModule",
     "Weight",
     "act",
@@ -85,8 +80,6 @@ __all__ = [
     "irreducibility_certificate",
     "irrep_character",
     "kostant_bound_C",
-    "kostant_spectrum",
-    "length_of",
     "module_json_dict",
     "parse_scalar",
     "singular_dimensions",
@@ -97,7 +90,6 @@ __all__ = [
     "top_l0_eigenvalue",
     "virasoro_commutation_check",
     "weyl_dimension",
-    "weyl_level_character",
     "weyl_level_decomposition",
 ]
 

@@ -241,10 +241,10 @@ def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:
 
     Every subquotient is generated by a singular vector sitting in some
     candidate degree n, and the degree-n layer is the finite g-module
-    S(ad)_n tensor M.  Summing length_of over the distinct candidate degrees
-    n <= n_max therefore bounds the composition length from above.  The bound
-    is complete when the candidate scan up to n_max is exhaustive (degree 0,
-    i.e. M itself, is always a candidate via mu = 0).
+    S(ad)_n tensor M.  Summing the lengths of these layers over the distinct
+    candidate degrees n <= n_max therefore bounds the composition length from
+    above.  The bound is complete when the candidate scan up to n_max is
+    exhaustive (degree 0, i.e. M itself, is always a candidate via mu = 0).
     """
     return ResonanceScan(m_hw + m_hw.algebra.rho, kappa).delta(n_max)
 

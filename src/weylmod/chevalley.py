@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .finite_rep import casimir_on_irrep, weyl_dimension
+from .finite_rep import _require_dominant_integral, casimir_on_irrep, weyl_dimension
 from .invariant import check
 from .linalg import _EMPTY, SpanBuilder, accumulate, apply, matrix_inverse
 from .rational import exact
@@ -279,7 +279,6 @@ class Rep:
 
 def rep_from_hw(cb: ChevalleyBasis, hw: Weight) -> Rep:
     """Exact irreducible representation L(hw) with a weight basis."""
-    if not (hw.is_integral() and hw.is_dominant()):
-        raise ValueError("highest weight must be dominant integral: %r" % (hw,))
+    _require_dominant_integral(cb.algebra, hw)
     weights, mats = _irrep(cb.algebra, cb.recipe, tuple(int(c) for c in hw.coords))
     return Rep(cb, mats, weights, hw)

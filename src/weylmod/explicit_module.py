@@ -45,7 +45,6 @@ each weight block of the annihilators V(order).
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -53,7 +52,7 @@ from operator import add
 
 from .affine_numerics import ResonanceScan, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
-from .finite_rep import casimir_on_irrep, irrep_character
+from .finite_rep import _require_dominant_integral, casimir_on_irrep, irrep_character
 from .graded_sym import sym_ad_graded
 from .invariant import check
 from .linalg import (
@@ -66,7 +65,7 @@ from .linalg import (
     nullspace_of_columns,
 )
 from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
-from .root_system import Weight, root_to_fw, same_weyl_orbit
+from .root_system import Weight, dominant_coords, root_to_fw
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
 _DEFAULT_DEPTH_CAP = 6
@@ -174,9 +173,6 @@ class TruncatedWeylModule:
     def degree_dim(self, n: int) -> int:
         return len(self.degree_range(n))
 
-    def degree_of(self, index: int) -> int:
-        return bisect_right(self._bounds, index) - 1
-
     # -- the action store ------------------------------------------------------
 
     def columns(self, p, m: int) -> dict:
@@ -186,19 +182,6 @@ class TruncatedWeylModule:
         if not isinstance(m, int) or abs(m) > self.depth:
             raise ValueError("mode must be an integer with |m| <= depth")
         return self._action[p, m]
-
-    def apply_to_vector(self, p, m: int, vec: dict) -> dict:
-        """x_p eps^m on a sparse vector {index: coeff}; ValueError on an
-        unknown generator or basis index, or an image outside the truncation."""
-        p = self.generator_index(p)
-        for idx in vec:
-            if not 0 <= idx < self.dim:
-                raise ValueError("basis index %r outside 0..%d" % (idx, self.dim - 1))
-            source = self.degree_of(idx)
-            if source - m > self.depth:
-                raise ValueError("image of degree %d under mode %d leaves the "
-                                 "truncation" % (source, m))
-        return apply(self._action.get((p, m), _EMPTY), vec)
 
     @cached_property
     def l0(self) -> tuple:
@@ -353,10 +336,7 @@ def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
         raise ValueError("kappa must be rational or complex rational")
     if not kappa:
         raise ValueError("kappa = 0 is the critical level; rejected")
-    if m_hw.algebra != algebra:
-        raise ValueError("highest weight belongs to a different algebra")
-    if not (m_hw.is_integral() and m_hw.is_dominant()):
-        raise ValueError("M must have a dominant integral highest weight")
+    _require_dominant_integral(algebra, m_hw)
     return kappa
 
 
@@ -457,34 +437,11 @@ def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bo
     return True
 
 
-class SingularVectorReport:
-    """Exact kernel of the raising modes inside one weight space of a layer."""
-
-    __slots__ = ("degree", "weight", "basis_of_solutions", "matched_candidate")
-
-    def __init__(self, degree, weight, basis_of_solutions, matched_candidate):
-        self.degree = degree
-        self.weight = weight
-        self.basis_of_solutions = tuple(basis_of_solutions)
-        self.matched_candidate = matched_candidate
-
-    def __repr__(self):
-        return (
-            "SingularVectorReport(degree=%d, weight=%r, solutions=%d, "
-            "matched=%r)" % (
-                self.degree,
-                self.weight,
-                len(self.basis_of_solutions),
-                self.matched_candidate,
-            )
-        )
-
-
 def _raising_column(module, vec):
     """(x_p eps) vec for every generator p, as one {(p, index): coeff}.
 
     Mode 1 lowers the degree, so the image never leaves the truncation and
-    the store is read without apply_to_vector's degree check.
+    the store is read directly.
     """
     store = module._action
     return {
@@ -504,50 +461,51 @@ def _weight_blocks(module, indices):
 def _matched(module, weight, n):
     """The degree-n candidate of module.scan with lambda + mu = weight + rho,
     else the first whose lambda + mu lies in the W-orbit of weight + rho,
-    else None."""
+    else None; weight is an int tuple."""
     if module.scan is None:
         return None
-    algebra = module.algebra
-    lam = module.m_hw + algebra.rho
-    target = weight + algebra.rho
-    shifted = [(p, lam + algebra.weight(root_to_fw(algebra.cartan, p.mu)))
+    cartan = module.algebra.cartan
+    lam = [int(c) + 1 for c in module.m_hw.coords]  # m_hw + rho
+    target = tuple(c + 1 for c in weight)
+    shifted = [(p, tuple(map(add, lam, root_to_fw(cartan, p.mu))))
                for p in module.scan.candidates if p.n == n]
     matched = next((p for p, w in shifted if w == target), None)
     if matched is None:
-        matched = next((p for p, w in shifted if same_weyl_orbit(w, target)), None)
+        top = dominant_coords(cartan, target)[0]
+        matched = next((p for p, w in shifted
+                        if dominant_coords(cartan, w)[0] == top), None)
     return matched
 
 
 def singular_vectors(module: TruncatedWeylModule, n: int):
     """Vectors of degree n killed by every x eps (hence by all of eps g[eps]).
 
-    The kernel is solved exactly inside each weight space of the layer; one
-    report is returned per weight carrying solutions, with the matching
-    resonance candidate of module.scan attached when the candidate machinery
-    applies to kappa (outside the nonnegative reals).
+    The kernel is solved exactly inside each weight space of the layer.
+    Returns (weight, solutions, matched candidate) for each weight where it
+    is nonzero, solutions a basis of sparse vectors {index: coeff}, in the
+    shape of singular_dimensions; the candidate is that of module.scan, None
+    when kappa lies on the nonnegative reals.
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
-    reports = []
+    found = []
     blocks = _weight_blocks(module, module.degree_range(n))
     for wt_coords in sorted(blocks):
         block = blocks[wt_coords]
         kernel = nullspace_of_columns(
             [_raising_column(module, {idx: 1}) for idx in block]
         )
-        if not kernel:
-            continue
-        weight = module.algebra.weight(wt_coords)
-        solutions = [{block[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
-        reports.append(SingularVectorReport(
-            n, weight, solutions, _matched(module, weight, n)))
-    return reports
+        if kernel:
+            solutions = [{block[i]: c for i, c in enumerate(vec) if c}
+                         for vec in kernel]
+            found.append((module.algebra.weight(wt_coords), solutions,
+                          _matched(module, wt_coords, n)))
+    return found
 
 
 def singular_dimensions(module: TruncatedWeylModule, n: int):
     """(weight, dimension, matched candidate) for each weight space of degree
-    n where eps g[eps] has a kernel, as singular_vectors reports them, with
-    the candidates of module.scan.
+    n where eps g[eps] has a kernel, in the shape of singular_vectors.
 
     The kernel K is a g-module, since (x eps)(y v) = y (x eps) v + ([x, y]
     eps) v.  The x with (x eps) v = 0 form an ad n+-stable space when e_i v
@@ -585,8 +543,8 @@ def singular_dimensions(module: TruncatedWeylModule, n: int):
     for wt_coords in sorted(blocks):
         dim = sum(d * mults.get(wt_coords, 0) for mults, d in tops)
         if dim:
-            weight = algebra.weight(wt_coords)
-            found.append((weight, dim, _matched(module, weight, n)))
+            found.append((algebra.weight(wt_coords), dim,
+                          _matched(module, wt_coords, n)))
     return found
 
 

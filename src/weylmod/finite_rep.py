@@ -94,10 +94,6 @@ class Character:
         cartan = self.algebra.cartan
         return {u: m for c, m in self._dominant.items() for u in orbit_coords(cartan, c)}
 
-    def multiplicity(self, w: Weight) -> int:
-        dom, _ = dominant_coords(self.algebra.cartan, w.coords)
-        return self._dominant.get(dom, 0)
-
     def dimension(self) -> int:
         cartan = self.algebra.cartan
         return sum(m * len(orbit_coords(cartan, c)) for c, m in self._dominant.items())
@@ -173,12 +169,6 @@ class DecompositionMultiset:
     def dimension(self) -> int:
         return sum(m * weyl_dimension(self.algebra, w) for w, m in self.mults.items())
 
-    def character(self) -> Character:
-        return sum(
-            (m * irrep_character(self.algebra, w) for w, m in self.items()),
-            Character(self.algebra, {}),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, DecompositionMultiset)
@@ -246,14 +236,6 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
 
 def adjoint_character(algebra: AlgebraData) -> Character:
     return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
-
-
-def _as_character(algebra: AlgebraData, x) -> Character:
-    if isinstance(x, Character):
-        return x
-    if isinstance(x, Weight):
-        return irrep_character(algebra, x)
-    raise TypeError("expected Character or Weight, got %r" % (x,))
 
 
 def tensor_decompose(a, b) -> DecompositionMultiset:
@@ -328,30 +310,3 @@ def casimir_on_irrep(algebra: AlgebraData, hw: Weight) -> Fraction:
     _require_dominant_integral(algebra, hw)
     rho = algebra.rho
     return norm_sq(hw + rho) - norm_sq(rho)
-
-
-def kostant_spectrum(algebra: AlgebraData, u, lam: Weight):
-    """The multiset {|lam + mu_i|^2 - |rho|^2 : mu_i weight of U}.
-
-    By Kostant's theorem the product of (Omega - value) over this multiset
-    annihilates U (x) M whenever M has infinitesimal character chi_lam.
-    Returned sorted in decreasing order, with multiplicity.
-    """
-    uc = _as_character(algebra, u)
-    rho2 = norm_sq(algebra.rho)
-    vals = []
-    for coords, mult in uc.full_map().items():
-        mu = Weight(algebra, coords)
-        v = norm_sq(lam + mu) - rho2
-        vals.extend([v] * mult)
-    vals.sort(reverse=True)
-    return vals
-
-
-def length_of(x) -> int:
-    """Number of irreducible constituents, with multiplicity."""
-    if isinstance(x, DecompositionMultiset):
-        return x.length()
-    if isinstance(x, Character):
-        return decompose_character(x).length()
-    raise TypeError("expected Character or DecompositionMultiset")

@@ -32,7 +32,6 @@ from .finite_rep import (
     Character,
     DecompositionMultiset,
     adjoint_character,
-    irrep_character,
     tensor_decompose,
 )
 from .invariant import check
@@ -121,15 +120,6 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
                 level[canon[beta]] = h
         levels.append(level)
     return GradedCharacter(algebra, [Character._of(algebra, lv) for lv in levels])
-
-
-def weyl_level_character(algebra: AlgebraData, m_hw: Weight, n: int) -> Character:
-    """Character of the degree-n level M (x) S(ad)^n of Ind(L(m_hw))."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    s = sym_ad_graded(algebra, n).level(n)
-    m_char = irrep_character(algebra, m_hw)
-    return m_char * s
 
 
 def weyl_level_decomposition(

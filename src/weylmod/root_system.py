@@ -85,19 +85,20 @@ class AlgebraData:
     roots in fundamental-weight coordinates (in positive_roots order, so
     theta is roots_fw[-1]); weight_form, the invariant form on fundamental
     coordinates times form_scale, the least integer that clears its
-    denominators; and root_pairings, one vector per root alpha with
-    x . pairing = form_scale (x, alpha).
+    denominators; root_pairings, one vector per root alpha with
+    x . pairing = form_scale (x, alpha); and ldl, the factors (d, u) of
+    _ldl_from_last(gram_root) that enumerate_root_lattice_ball walks on.
     """
 
     __slots__ = (
         "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
         "positive_roots", "highest_root", "dual_coxeter", "dim",
-        "roots_fw", "weight_form", "form_scale", "root_pairings",
+        "roots_fw", "weight_form", "form_scale", "root_pairings", "ldl",
     )
 
     def __init__(self, series, rank, cartan, d, cartan_inv, gram_root,
                  positive_roots, highest_root, dual_coxeter, dim,
-                 roots_fw, weight_form, form_scale, root_pairings):
+                 roots_fw, weight_form, form_scale, root_pairings, ldl):
         self.series = series
         self.rank = rank
         self.cartan = cartan  # cartan[i][j] = <a_j, a_i-check>
@@ -112,6 +113,7 @@ class AlgebraData:
         self.weight_form = weight_form
         self.form_scale = form_scale
         self.root_pairings = root_pairings
+        self.ldl = ldl
 
     def __repr__(self):
         return "AlgebraData(%s%d)" % (self.series, self.rank)
@@ -188,7 +190,7 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
     gram_root = tuple(
         tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
     )
-    # sanity: symmetric positive definite
+    # sanity: symmetric, and positive definite (checked by _ldl_from_last)
     for i in range(rank):
         for j in range(rank):
             check(gram_root[i][j] == gram_root[j][i], "root Gram matrix not symmetric")
@@ -223,6 +225,7 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
         weight_form=tuple(tuple(int(x * scale) for x in row) for row in form),
         form_scale=scale,
         root_pairings=tuple(tuple(map(int, row)) for row in pairings),
+        ldl=_ldl_from_last(gram_root),
     )
 
 
@@ -363,21 +366,6 @@ def dominant_below(algebra: AlgebraData, top) -> set:
     return seen
 
 
-def dominant_representative(w: Weight):
-    """The dominant Weyl-orbit representative and the reflection count used."""
-    dom, count = dominant_coords(w.algebra.cartan, w.coords)
-    return Weight(w.algebra, dom), count
-
-
-def weyl_orbit(w: Weight):
-    """The full Weyl orbit of w, as a deterministic sorted list."""
-    return [Weight(w.algebra, c) for c in sorted(orbit_coords(w.algebra.cartan, w.coords))]
-
-
-def same_weyl_orbit(x: Weight, y: Weight) -> bool:
-    return dominant_representative(x)[0] == dominant_representative(y)[0]
-
-
 def _ldl_from_last(gram):
     """d, u with x^T gram x = sum_i d_i (x_i + sum_{j<i} u[i][j] x_j)^2.
 
@@ -395,7 +383,7 @@ def _ldl_from_last(gram):
         for j in range(i):
             for k in range(i):
                 a[j][k] -= d[i] * u[i][j] * u[i][k]
-    return d, u
+    return tuple(d), tuple(map(tuple, u))
 
 
 class LatticeBall(list):
@@ -413,7 +401,7 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
 
     An exact Fincke-Pohst walk ("Improved methods for calculating vectors of
     short length in a lattice", Math. Comp. 1985), on integers.  With
-    y = mu + shift, |y|^2 = sum_i d_i (L_i / W_i)^2 (_ldl_from_last), where
+    y = mu + shift, |y|^2 = sum_i d_i (L_i / W_i)^2 (AlgebraData.ldl), where
     W_i clears the denominators of L_i = W_i (y_i + sum_{j<i} u_ij y_j), affine
     in mu_0 .. mu_i.  If E clears each d_i / W_i^2, then A_i = E d_i / W_i^2
     and E |y|^2 are integers.  With mu_0 .. mu_{i-1} fixed and rest =
@@ -430,7 +418,7 @@ def enumerate_root_lattice_ball(algebra: AlgebraData, shift: Weight, bound):
     bound = Fraction(exact(bound))
     n = algebra.rank
     s = shift.to_root_coords()
-    d, u = _ldl_from_last(algebra.gram_root)
+    d, u = algebra.ldl
     t = [s[i] + sum(map(mul, u[i], s)) for i in range(n)]
     w = [lcm(t[i].denominator, *(x.denominator for x in u[i])) for i in range(n)]
     rows = [[int(x * wi) for x in row] for row, wi in zip(u, w)]

@@ -1,12 +1,14 @@
 """Constructions that only the tests use: extra representations, the
 Casimir matrix, products and linear combinations of column-sparse matrices,
-a determinant, a simple reflection, vector normalization, a JobConfig
-parser, the full-weight-map oracles for S(ad) and for the weights of an
-irreducible, the bounding-box oracle for the root-lattice ball with its
-exact floor(x + sqrt t), the resonance value q(mu) through the invariant
-form on weights, and the per-vector oracles for the Sugawara L0, its
-closed form, the Virasoro commutator and the annihilator levels of a
-truncated module.
+a determinant, a simple reflection and the dominant weight it leads to,
+vector normalization, a JobConfig parser, the character of a decomposition,
+the Kostant spectrum, the full-weight-map oracles for S(ad) and for the
+weights of an irreducible, the bounding-box oracle for the root-lattice ball
+with its exact floor(x + sqrt t), the resonance value q(mu) through the
+invariant form on weights, and for a truncated module the degree of a basis
+vector, the action on one sparse vector with its checks, the candidate
+matched to a weight, and the per-vector oracles for the Sugawara L0, its
+closed form, the Virasoro commutator and the annihilator levels.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -15,6 +17,7 @@ directory on the import path.
 """
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 from operator import add
@@ -24,10 +27,12 @@ from weylmod.cli import JobConfig
 from weylmod.explicit_module import (
     _MASK, _SHIFT, _weight_blocks, monomials_of_degree,
 )
-from weylmod.finite_rep import Character, adjoint_character, casimir_on_irrep
+from weylmod.finite_rep import (
+    Character, adjoint_character, casimir_on_irrep, irrep_character,
+)
 from weylmod.invariant import check
 from weylmod.linalg import (
-    _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
+    _EMPTY, _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
     nullspace_of_columns,
 )
 from weylmod.rational import parse_scalar
@@ -140,6 +145,14 @@ def reflect_simple(w: Weight, i: int) -> Weight:
     )
 
 
+def dominant_weight(w: Weight) -> Weight:
+    """The dominant point of the Weyl orbit of w, by reflect_simple at a
+    negative coordinate until there is none."""
+    while not w.is_dominant():
+        w = reflect_simple(w, min(i for i, c in enumerate(w.coords) if c < 0))
+    return w
+
+
 def normalize_vector(vec):
     """Scale to integral entries with content 1 and positive leading entry.
 
@@ -162,6 +175,30 @@ def job_config_from_json_dict(data: dict) -> JobConfig:
         n_max=data.get("n_max"),
         fmt=data.get("format", "text"),
     )
+
+
+def decomposition_character(dec) -> Character:
+    """The character sum of m ch L(w) over the constituents of dec."""
+    return sum(
+        (m * irrep_character(dec.algebra, w) for w, m in dec.items()),
+        Character(dec.algebra, {}),
+    )
+
+
+def kostant_spectrum(algebra: AlgebraData, u_hw: Weight, lam: Weight):
+    """The multiset {|lam + mu_i|^2 - |rho|^2 : mu_i weight of L(u_hw)}.
+
+    By Kostant's theorem the product of (Omega - value) over this multiset
+    annihilates U (x) M whenever M has infinitesimal character chi_lam.
+    Returned sorted in decreasing order, with multiplicity.
+    """
+    rho2 = norm_sq(algebra.rho)
+    vals = []
+    for coords, mult in irrep_character(algebra, u_hw).full_map().items():
+        v = norm_sq(lam + Weight(algebra, coords)) - rho2
+        vals.extend([v] * mult)
+    vals.sort(reverse=True)
+    return vals
 
 
 # -- full-weight-map oracles ---------------------------------------------------
@@ -316,9 +353,45 @@ def resonance_value(lam: Weight, mu) -> Fraction:
 
 
 # -- truncated-module oracles --------------------------------------------------
-# The per-vector oracles go through TruncatedWeylModule.apply_to_vector one
-# operator at a time, with its degree check, as the package did before it
-# read the store directly.
+# The per-vector oracles go through apply_to_vector one operator at a time,
+# with its degree check, as the package did before it read the store directly.
+
+
+def degree_of(module, idx: int) -> int:
+    """The degree of basis vector idx of a truncated module."""
+    return bisect_right(module._bounds, idx) - 1
+
+
+def apply_to_vector(module, p, m: int, vec: dict) -> dict:
+    """x_p eps^m on a sparse vector {index: coeff}; ValueError on an
+    unknown generator or basis index, or an image outside the truncation."""
+    p = module.generator_index(p)
+    for idx in vec:
+        if not 0 <= idx < module.dim:
+            raise ValueError("basis index %r outside 0..%d" % (idx, module.dim - 1))
+        source = degree_of(module, idx)
+        if source - m > module.depth:
+            raise ValueError("image of degree %d under mode %d leaves the "
+                             "truncation" % (source, m))
+    return apply(module._action.get((p, m), _EMPTY), vec)
+
+
+def matched_candidate(module, weight: Weight, n: int):
+    """explicit_module._matched on Weight objects: the degree-n candidate
+    with lambda + mu = weight + rho, else the first whose lambda + mu has the
+    dominant_weight of weight + rho, else None."""
+    if module.scan is None:
+        return None
+    algebra = module.algebra
+    lam = module.m_hw + algebra.rho
+    target = weight + algebra.rho
+    shifted = [(p, lam + root_weight(algebra, p.mu))
+               for p in module.scan.candidates if p.n == n]
+    matched = next((p for p, w in shifted if w == target), None)
+    if matched is None:
+        top = dominant_weight(target)
+        matched = next((p for p, w in shifted if dominant_weight(w) == top), None)
+    return matched
 
 
 def sugawara_columns(module):
@@ -332,7 +405,8 @@ def sugawara_columns(module):
             start = {idx: 1}
             for p, q, w in module.cb.casimir_pairs:
                 for j in range(n + 1):
-                    tmp = module.apply_to_vector(p, -j, module.apply_to_vector(q, j, start))
+                    tmp = apply_to_vector(module, p, -j,
+                                          apply_to_vector(module, q, j, start))
                     for t, v in tmp.items():
                         accumulate(acc, t, (w if j == 0 else 2 * w) * v)
             columns[idx] = {t: v / (2 * kappa) for t, v in acc.items()}
@@ -393,7 +467,7 @@ def annihilator_all_degrees(module, order):
                 for o_num, op in enumerate(ops):
                     vec = {idx: 1}
                     for f in reversed(op):
-                        vec = module.apply_to_vector(f & _MASK, f >> _SHIFT, vec)
+                        vec = apply_to_vector(module, f & _MASK, f >> _SHIFT, vec)
                     for t, v in vec.items():
                         col[(o_num, t)] = v
                 columns.append(col)

@@ -19,8 +19,8 @@ from weylmod.affine_numerics import (
     kostant_bound_C,
 )
 from helpers import (
-    casimir_matrix, combine, compose, layer_scalar_columns, rep_adjoint,
-    rep_tensor, sugawara_columns,
+    casimir_matrix, combine, compose, kostant_spectrum, layer_scalar_columns,
+    rep_adjoint, rep_tensor, sugawara_columns,
 )
 from weylmod.chevalley import chevalley_basis, rep_from_hw
 from weylmod.cli import main as cli_main
@@ -33,7 +33,6 @@ from weylmod.explicit_module import (
 )
 from weylmod.finite_rep import (
     casimir_on_irrep,
-    kostant_spectrum,
     tensor_decompose,
     weyl_dimension,
 )

@@ -127,6 +127,13 @@ def test_irrep_requires_dominant_integral_hw():
         rep_from_hw(cb, cb.algebra.weight([Fraction(1, 2), 0]))
 
 
+def test_irrep_rejects_a_weight_of_another_algebra():
+    # an A2 weight has B2's rank and is dominant integral, but is not B2's
+    cb = chevalley_basis(build_algebra("B", 2))
+    with pytest.raises(ValueError, match=r"belongs to AlgebraData\(A2\)"):
+        rep_from_hw(cb, build_algebra("A", 2).weight([1, 0]))
+
+
 def _assert_scalar(mat, value, dim):
     assert mat == ({i: {i: value} for i in range(dim)} if value else {})
 

@@ -231,6 +231,17 @@ def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
         assert (code, out, err) == (1, "", expected), kappa
 
 
+def test_certify_and_crossvalidate_word_a_bad_highest_weight_alike(capsys):
+    for hw, expected in (
+        ("-1", "error: highest weight must be dominant: Weight(-1)\n"),
+        ("1/2", "error: highest weight must be integral: Weight(1/2)\n"),
+    ):
+        for argv in (["certify", "A", "1", "--hw", hw, "--kappa=-1"],
+                     ["crossvalidate", "A", "1", "--hw", hw, "--kappa=-1",
+                      "--depth", "2"]):
+            assert _run(argv, capsys) == (1, "", expected), argv
+
+
 def test_certify_evaluates_each_norm_once(monkeypatch, capsys):
     # |lambda|^2 and |rho|^2, each once, inside the one ResonanceScan; the
     # reported top L0 eigenvalue is the scan's xi0

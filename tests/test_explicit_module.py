@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,6 @@ from weylmod.affine_numerics import candidate_pairs
 import helpers
 from weylmod.explicit_module import (
     DEPTH_CAP_ENV,
-    TruncatedWeylModule,
     act,
     annihilator_level,
     build_truncated,
@@ -68,7 +68,7 @@ def test_degree_bookkeeping():
     assert not hasattr(m, "_opmemo") and not hasattr(m, "_lmmemo")
     for n in range(3):
         for idx in m.degree_range(n):
-            assert m.degree_of(idx) == n
+            assert helpers.degree_of(m, idx) == n
     with pytest.raises(ValueError):
         m.degree_range(3)
 
@@ -158,32 +158,36 @@ def test_negative_mode_is_partial_positive_is_not():
     # a raising mode kills degree 0
     assert [b["source_degree"] for b in lower["blocks"]] == [0, 1]
     assert [b["source_degree"] for b in raise_["blocks"]] == [1, 2]
-    assert not any(m.degree_of(idx) == 2 for idx in act(m, "e", -1))
-    assert not any(m.degree_of(idx) == 0 for idx in act(m, "f", 1))
+    assert not any(helpers.degree_of(m, idx) == 2 for idx in act(m, "e", -1))
+    assert not any(helpers.degree_of(m, idx) == 0 for idx in act(m, "f", 1))
     with pytest.raises(ValueError):
         act(m, "e", 3)
     # the image of a top-degree vector under a lowering mode leaves the truncation
     top = m.degree_range(2).start
     with pytest.raises(ValueError):
-        m.apply_to_vector(0, -1, {top: Fraction(1)})
-    assert m.apply_to_vector(0, 3, {top: 1}) == {}
+        helpers.apply_to_vector(m, 0, -1, {top: Fraction(1)})
+    assert helpers.apply_to_vector(m, 0, 3, {top: 1}) == {}
     # an unknown generator or basis index is a ValueError, never a KeyError
     # or a silent zero
     for bad in (lambda: m.columns(3, 0),
                 lambda: act(m, 3, 0),
                 lambda: act(m, "x", 0),
-                lambda: m.apply_to_vector(3, 0, {0: 1}),
-                lambda: m.apply_to_vector(0, 1, {99: 1}),
-                lambda: m.apply_to_vector(0, 1, {13: 1}),
-                lambda: m.apply_to_vector(0, 0, {-1: 1})):
+                lambda: helpers.apply_to_vector(m, 3, 0, {0: 1}),
+                lambda: helpers.apply_to_vector(m, 0, 1, {99: 1}),
+                lambda: helpers.apply_to_vector(m, 0, 1, {13: 1}),
+                lambda: helpers.apply_to_vector(m, 0, 0, {-1: 1})):
         with pytest.raises(ValueError):
             bad()
-    assert m.apply_to_vector("e", 1, {12: 1}) == m.columns(0, 1).get(12, {})
+    assert helpers.apply_to_vector(m, "e", 1, {12: 1}) == m.columns(0, 1).get(12, {})
 
 
 def _commutator_check(m, pairs_of_modes):
     """[x eps^a, y eps^b] == [x,y] eps^{a+b} + a delta_{a,-b} (x,y) K."""
     cb = m.cb
+
+    def on(p, mode, vec):
+        return helpers.apply_to_vector(m, p, mode, vec)
+
     for a, b in pairs_of_modes:
         for n in range(m.depth + 1):
             if max(n - a, n - b, n - a - b) > m.depth:
@@ -192,14 +196,12 @@ def _commutator_check(m, pairs_of_modes):
                 v = {idx: Fraction(1)}
                 for p in range(cb.dim):
                     for q in range(cb.dim):
-                        lhs = m.apply_to_vector(p, a, m.apply_to_vector(q, b, v))
-                        for t, c in m.apply_to_vector(
-                            q, b, m.apply_to_vector(p, a, v)
-                        ).items():
+                        lhs = on(p, a, on(q, b, v))
+                        for t, c in on(q, b, on(p, a, v)).items():
                             lhs[t] = lhs.get(t, Fraction(0)) - c
                         rhs = {}
                         for k, ck in cb.bracket_list(p, q):
-                            for t, c in m.apply_to_vector(k, a + b, v).items():
+                            for t, c in on(k, a + b, v).items():
                                 rhs[t] = rhs.get(t, Fraction(0)) + ck * c
                         if a + b == 0:
                             pr = cb.pairing(p, q)
@@ -341,21 +343,17 @@ def test_no_singular_vectors_in_certified_module():
 
 def test_singular_vector_hw2_level_minus2():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
-    reports = singular_vectors(m, 1)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.degree == 1
-    assert rep.weight.coords == (0,)
-    assert len(rep.basis_of_solutions) == 1
-    sol = rep.basis_of_solutions[0]
+    [(weight, solutions, matched)] = singular_vectors(m, 1)
+    assert weight == SL2.weight([0])
     # one line: 2 (e eps^-1) m_2 + (h eps^-1) m_1 - 2 (f eps^-1) m_0
+    [sol] = solutions
     assert sol == {5: 2, 7: 1, 9: -2}
-    assert rep.matched_candidate is not None
-    assert rep.matched_candidate.n == 1
-    assert rep.matched_candidate.mu == (-1,)
+    assert matched is not None
+    assert matched.n == 1
+    assert matched.mu == (-1,)
     # found vectors really are killed by the raising modes
     for p in range(m.cb.dim):
-        assert m.apply_to_vector(p, 1, dict(sol)) == {}
+        assert helpers.apply_to_vector(m, p, 1, dict(sol)) == {}
 
 
 def test_singular_vectors_cover_only_candidate_weights():
@@ -364,9 +362,8 @@ def test_singular_vectors_cover_only_candidate_weights():
     degree_one = {p.mu for p in candidate_pairs(lam, Fraction(-2), 1)
                   if p.n == 1}
     assert degree_one == {(-1,), (-2,)}
-    reports = singular_vectors(m, 1)
     # the candidate at mu = -2 alpha (weight -2) carries no actual vector
-    assert [r.weight.coords for r in reports] == [(0,)]
+    assert [w.coords for w, _, _ in singular_vectors(m, 1)] == [(0,)]
 
 
 def test_candidate_without_singular_vector_sl3():
@@ -389,8 +386,8 @@ def test_singular_vector_degree_validation():
 
 def _oracle_dimensions(m, n):
     """Per-weight kernel dimensions of the full solve with every raising mode."""
-    return [(r.weight, len(r.basis_of_solutions), r.matched_candidate)
-            for r in singular_vectors(m, n)]
+    return [(w, len(solutions), matched)
+            for w, solutions, matched in singular_vectors(m, n)]
 
 
 # rational, Gaussian and kappa = h-dual (k = 0) levels; the kernels sit at
@@ -440,6 +437,44 @@ def test_singular_dimensions_fall_back_when_p_divides_a_denominator(monkeypatch)
     assert verdicts and not any(verdicts)
 
 
+# the modules of the explicit benchmark workload
+_EXPLICIT_WORKLOAD = [
+    ("A", 1, [2], "-2", 4),
+    ("A", 1, [0], "-1", 5),
+    ("A", 2, [1, 0], "-1", 2),
+    ("A", 2, [0, 1], "-1", 2),
+    ("A", 2, [1, 0], "-1+1i", 2),
+    ("A", 2, [0, 1], "-1+1i", 2),
+    ("A", 2, [0, 0], "-3/2", 3),
+]
+
+
+def test_matched_agrees_with_the_weight_level_oracle():
+    # every weight of every degree, so the W-orbit fallback runs wherever a
+    # degree has candidates but none with lambda + mu = weight + rho
+    fallbacks = 0
+    for series, rank, hw, kappa, depth in _EXPLICIT_WORKLOAD:
+        algebra = build_algebra(series, rank)
+        m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
+        lam = m.m_hw + algebra.rho
+        for n in range(1, depth + 1):
+            shifted = {lam + helpers.root_weight(algebra, p.mu)
+                       for p in m.scan.candidates if p.n == n}
+            for w in sorted({m.weights[idx] for idx in m.degree_range(n)}):
+                weight = algebra.weight(w)
+                got = explicit_module._matched(m, w, n)
+                assert got == helpers.matched_candidate(m, weight, n), (hw, kappa, n, w)
+                fallbacks += bool(shifted) and weight + algebra.rho not in shifted
+    assert fallbacks > 0
+    # with the exact match left out of the candidates, only the orbit matches:
+    # lambda + mu = 3 - 2 is -(-2 + rho)
+    m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
+    [p] = [p for p in m.scan.candidates if p.mu == (-1,)]
+    m.scan = SimpleNamespace(candidates=[p])
+    assert explicit_module._matched(m, (-2,), 1) \
+        == helpers.matched_candidate(m, SL2.weight([-2]), 1) == p
+
+
 def test_annihilator_v1_trivial():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=4)
     v1 = annihilator_level(m, 1)
@@ -461,7 +496,7 @@ def test_annihilator_v1_contains_singular_vector():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=3)
     v1 = annihilator_level(m, 1)
     assert v1.dims_by_degree == {0: 3, 1: 1}
-    sol = singular_vectors(m, 1)[0].basis_of_solutions[0]
+    sol = singular_vectors(m, 1)[0][1][0]
     assert v1.span_contains(1, dict(sol))
     assert not v1.span_contains(1, {m.degree_range(1).start: Fraction(1)})
 
@@ -585,23 +620,6 @@ def test_annihilator_solves_only_blocks_the_filter_leaves(monkeypatch):
     assert all(real_solve(c) == [] for c in proved)
 
 
-def test_l0_and_kl_read_the_store_without_apply_to_vector(monkeypatch):
-    calls = []
-    real = TruncatedWeylModule.apply_to_vector
-    monkeypatch.setattr(TruncatedWeylModule, "apply_to_vector",
-                        lambda self, *args: calls.append(args) or real(self, *args))
-    m = build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 3)
-    sugawara_l0(m)
-    annihilator_level(m, 1)
-    annihilator_level(m, 2)
-    for order in (1, 2):
-        assert check_kl_exact_sequence(m, order)[0]
-    assert calls == []
-    # the spy itself is live
-    m.apply_to_vector(0, 0, {0: 1})
-    assert len(calls) == 1
-
-
 def test_module_json_shape_and_determinism():
     m = _sl2(hw=2, kappa=Fraction(-2), depth=1)
     d = module_json_dict(m)
@@ -663,7 +681,8 @@ def _assert_action_forms_agree(m):
         # and apply_to_vector on each unit vector gives its column
         for n in sources:
             for idx in m.degree_range(n):
-                assert m.apply_to_vector(p, mode, {idx: 1}) == cols.get(idx, {})
+                assert helpers.apply_to_vector(m, p, mode, {idx: 1}) \
+                    == cols.get(idx, {})
 
 
 def test_module_json_marks_partial_modes():
@@ -720,8 +739,8 @@ def test_scalars_are_exact_and_integral_entries_are_ints(series, rank, hw, kappa
         _walk(xi)
     _assert_l0_is_the_closed_form(m)
     for n in range(1, depth + 1):
-        for report in singular_vectors(m, n):
-            for vec in report.basis_of_solutions:
+        for _, solutions, _ in singular_vectors(m, n):
+            for vec in solutions:
                 for v in vec.values():
                     _walk(v)
     for _, vec in m.annihilator(1).vectors:

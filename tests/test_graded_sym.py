@@ -4,13 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import sym_ad_full_maps, sym_powers
-from weylmod.finite_rep import irrep_character, length_of, tensor_decompose
-from weylmod.graded_sym import (
-    sym_ad_graded,
-    weyl_level_character,
-    weyl_level_decomposition,
-)
+from helpers import decomposition_character, sym_ad_full_maps, sym_powers
+from weylmod.finite_rep import irrep_character, tensor_decompose
+from weylmod.graded_sym import sym_ad_graded, weyl_level_decomposition
 from weylmod.root_system import build_algebra
 
 
@@ -97,16 +93,16 @@ def test_sl2_level_two_decomposition():
     mults = {int(w.coords[0]): m for w, m in dec.items()}
     assert mults == {0: 1, 2: 1, 4: 1}
     assert dec.dimension() == 9
-    assert length_of(dec) == 3
+    assert dec.length() == 3
 
 
 def test_level_character_is_product():
     sl2 = build_algebra("A", 1)
     hw = sl2.weight([2])
-    lvl = weyl_level_character(sl2, hw, 2)
+    lvl = irrep_character(sl2, hw) * sym_ad_graded(sl2, 2).level(2)
     assert lvl.dimension() == 27
     dec = weyl_level_decomposition(sl2, hw, 2)
-    assert dec.character() == lvl
+    assert decomposition_character(dec) == lvl
     # tensoring with M preserves total dimension
     assert dec.dimension() == 27
 
@@ -130,4 +126,4 @@ def test_level_zero_is_m_itself():
 def test_negative_degree_rejected():
     sl2 = build_algebra("A", 1)
     with pytest.raises(ValueError):
-        weyl_level_character(sl2, sl2.weight([0]), -1)
+        weyl_level_decomposition(sl2, sl2.weight([0]), -1)

@@ -7,21 +7,18 @@ from operator import mul
 import pytest
 
 from helpers import (
-    ball_by_box, floor_plus_sqrt, gram_is_positive_definite, reflect_simple,
-    resonance_value, root_weight, weight_closure,
+    ball_by_box, dominant_weight, floor_plus_sqrt, gram_is_positive_definite,
+    reflect_simple, resonance_value, root_weight, weight_closure,
 )
 from weylmod.finite_rep import Character
 from weylmod.root_system import (
     build_algebra,
     dominant_below,
     dominant_coords,
-    dominant_representative,
     enumerate_root_lattice_ball,
     inner_product,
     norm_sq,
     orbit_coords,
-    same_weyl_orbit,
-    weyl_orbit,
 )
 
 # (series, rank) -> (#positive roots, dual Coxeter number, dimension)
@@ -139,21 +136,20 @@ def test_reflections_preserve_norm():
 
 def test_dominant_representative_and_orbit():
     a = build_algebra("A", 2)
-    w = a.weight([-1, -1])
-    dom, _ = dominant_representative(w)
-    assert dom.is_dominant()
-    orb = weyl_orbit(a.weight([1, 0]))
-    assert len(orb) == 3
-    assert same_weyl_orbit(a.weight([1, 0]), a.weight([-1, 1]))
-    assert not same_weyl_orbit(a.weight([1, 0]), a.weight([0, 1]))
+    dom, count = dominant_coords(a.cartan, (-1, -1))
+    assert dom == (1, 1) and count == 3
+    assert a.weight(dom) == dominant_weight(a.weight([-1, -1]))
+    assert orbit_coords(a.cartan, (1, 0)) == {(1, 0), (-1, 1), (0, -1)}
+    assert dominant_coords(a.cartan, (-1, 1))[0] == (1, 0)
+    assert dominant_coords(a.cartan, (0, 1))[0] != (1, 0)
     # |W| orbit of a regular weight: A2 has Weyl group of order 6
-    assert len(weyl_orbit(a.rho)) == 6
+    assert len(orbit_coords(a.cartan, (1, 1))) == 6
 
 
 def test_weyl_orbit_sizes_sl2():
     sl2 = build_algebra("A", 1)
-    assert len(weyl_orbit(sl2.weight([0]))) == 1
-    assert len(weyl_orbit(sl2.weight([3]))) == 2
+    assert orbit_coords(sl2.cartan, (0,)) == {(0,)}
+    assert orbit_coords(sl2.cartan, (3,)) == {(3,), (-3,)}
 
 
 # |W| by type: (n+1)!, 2^n n!, 2^(n-1) n!, and the exceptional orders
@@ -208,7 +204,6 @@ def test_integer_orbits_match_weyl_orbit_and_orbit_size(series, rank):
         full = Character(a, {w: 1}).full_map()
         assert len(full) == order // stabilizer, coords
         assert all(type(c) is int for key in full for c in key)
-        assert set(full) == {u.coords for u in weyl_orbit(w)}
         if order <= 192:
             assert set(full) == _reflection_closure(w)
         # the orbit of any of its points is the same orbit
