@@ -75,8 +75,6 @@ def _emit(report: dict, lines, fmt: str, out) -> None:
 
 
 def _hw_weight(algebra, config: JobConfig):
-    if not config.weights:
-        raise ValueError("a highest weight is required")
     coords = config.weights[0]
     if len(coords) != algebra.rank:
         raise ValueError(
@@ -146,7 +144,7 @@ def _decomposition_text(dec) -> str:
 def cmd_symlevels(config: JobConfig, out) -> int:
     algebra = build_algebra(config.series, config.rank)
     n_max = config.n_max
-    if n_max is None or n_max < 0:
+    if n_max < 0:
         raise ValueError("--n must be >= 0")
     graded = sym_ad_graded(algebra, n_max)
     trivial = algebra.weight([0] * algebra.rank)
@@ -184,8 +182,6 @@ def cmd_certify(config: JobConfig, out) -> int:
     algebra = build_algebra(config.series, config.rank)
     hw = _hw_weight(algebra, config)
     kappa = config.kappa
-    if kappa is None:
-        raise ValueError("--kappa is required")
     # validates hw and kappa before the scan, whose lattice walk can be long
     _require_dominant_integral(algebra, hw)
     an.check_kappa(kappa)
@@ -231,8 +227,6 @@ def cmd_certify(config: JobConfig, out) -> int:
 def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
     algebra = build_algebra(config.series, config.rank)
     hw = _hw_weight(algebra, config)
-    if config.kappa is None or config.n_max is None:
-        raise ValueError("--kappa and --depth are required")
     # the inputs are checked before the dump file is opened, so a rejected
     # input leaves no file, and the file is opened before the work, so a
     # bad path fails first

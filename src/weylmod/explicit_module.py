@@ -65,7 +65,7 @@ from .linalg import (
     nullspace_of_columns,
 )
 from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
-from .root_system import Weight, dominant_coords, root_to_fw
+from .root_system import Weight, root_to_fw
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
 _DEFAULT_DEPTH_CAP = 6
@@ -209,46 +209,26 @@ def _straighten(module) -> dict:
     """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth."""
     cb = module.cb
     k_scalar = module.k_scalar
-    lmmemo = {}
-    opmemo = {}
-
-    def leftmul(f, mono):
-        """x_p eps^{-k} times a PBW monomial, as {monomial: coeff}."""
-        key = (f, mono)
-        hit = lmmemo.get(key)
-        if hit is not None:
-            return hit
-        if not mono or f >= mono[0]:
-            out = {(f,) + mono: 1}
-        else:
-            g, rest = mono[0], mono[1:]
-            out = {}
-            for m2, c in leftmul(f, rest).items():
-                for m3, c3 in leftmul(g, m2).items():
-                    accumulate(out, m3, c * c3)
-            # [x_f, x_g] eps^{-(k_f + k_g)}; no cocycle term between
-            # two negative modes
-            combined = ((f >> _SHIFT) + (g >> _SHIFT)) << _SHIFT
-            for q, cq in cb.bracket_list(f & _MASK, g & _MASK):
-                for m3, c3 in leftmul(combined | q, rest).items():
-                    accumulate(out, m3, cq * c3)
-        lmmemo[key] = out
-        return out
+    memo = {}
 
     def op(p, m, mono):
         """x_p eps^m on mono (x) -, with the M tensor slot left symbolic.
 
         Returns {(monomial, tag): coeff} where tag None means the identity on
-        M and tag q means a single factor x_q acting on M.
+        M and tag q means a single factor x_q acting on M.  A negative mode
+        that does not sort below mono[0] is prepended; every other case
+        commutes x_p eps^m past the first factor g.  Negative modes span a
+        subalgebra with no central term, so their images carry tag None
+        only, and left multiplication by g is op on g's own generator and
+        mode.
         """
         key = (p, m, mono)
-        hit = opmemo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if m < 0:
-            # negative modes span a subalgebra with no central term
-            f = ((-m) << _SHIFT) | p
-            out = {(m3, None): c for m3, c in leftmul(f, mono).items()}
+        f = ((-m) << _SHIFT) | p
+        if m < 0 and (not mono or f >= mono[0]):
+            out = {((f,) + mono, None): 1}
         elif not mono:
             out = {((), p): 1} if m == 0 else {}
         else:
@@ -256,7 +236,7 @@ def _straighten(module) -> dict:
             k0, p0 = g >> _SHIFT, g & _MASK
             out = {}
             for (m2, tag), c in op(p, m, rest).items():
-                for m3, c3 in leftmul(g, m2).items():
+                for (m3, _), c3 in op(p0, -k0, m2).items():
                     accumulate(out, (m3, tag), c * c3)
             for q, cq in cb.bracket_list(p, p0):
                 for (m3, tag), c3 in op(q, m - k0, rest).items():
@@ -264,7 +244,7 @@ def _straighten(module) -> dict:
             if m == k0:
                 accumulate(out, (rest, None),
                            _canonical(m * cb.pairing(p, p0) * k_scalar))
-        opmemo[key] = out
+        memo[key] = out
         return out
 
     depth = module.depth
@@ -291,10 +271,9 @@ def _straighten(module) -> dict:
                                 accumulate(col, index[(m2, i)], c * v)
                         if col:
                             cols[start + j] = {t: _canonical(v) for t, v in col.items()}
-    # leftmul and op refer to themselves, so only a cycle collection would
-    # free the memos; release them now
-    lmmemo.clear()
-    opmemo.clear()
+    # op refers to itself, so only a cycle collection would free the memo;
+    # release it now
+    memo.clear()
     return store
 
 
@@ -314,7 +293,9 @@ def build_truncated(algebra, m_hw: Weight, kappa, depth: int) -> TruncatedWeylMo
 def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
     """Reject what build_truncated cannot build, with a ValueError; return
     kappa as a Fraction, or a ComplexRational when not real.  Builds
-    nothing, so callers can check their inputs before any other step."""
+    nothing, so callers can check their inputs before any other step.  The
+    highest weight is checked first, as certify checks it."""
+    _require_dominant_integral(algebra, m_hw)
     if algebra.dim > 1 << _SHIFT:
         raise ValueError(
             "explicit construction needs dim g <= %d (%s%d has dimension %d)"
@@ -336,7 +317,6 @@ def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
         raise ValueError("kappa must be rational or complex rational")
     if not kappa:
         raise ValueError("kappa = 0 is the critical level; rejected")
-    _require_dominant_integral(algebra, m_hw)
     return kappa
 
 
@@ -407,11 +387,10 @@ def sugawara_l0(module: TruncatedWeylModule) -> tuple:
     return tuple(eigenvalues)
 
 
-def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bool:
+def virasoro_commutation_check(module: TruncatedWeylModule) -> bool:
     """Exact check of [L0, x eps^m] = -m (x eps^m) on the valid window.
 
-    Runs over every Chevalley generator and every mode |m| <= max_mode
-    (default: the full depth; ValueError unless 0 <= max_mode <= depth).
+    Runs over every Chevalley generator and every mode |m| <= depth.
 
     module.l0 is read first, so sugawara_l0 has proved L0 to be the scalar
     xi_k on each degree-k layer, xi_k = xi_0 + k.  For A = x eps^m and a
@@ -421,34 +400,17 @@ def virasoro_commutation_check(module: TruncatedWeylModule, max_mode=None) -> bo
     when every stored image of a degree-n basis vector lies in degree
     n - m; that containment is what is checked, and no product is formed.
     """
-    top = module.depth if max_mode is None else max_mode
-    if not 0 <= top <= module.depth:
-        raise ValueError("max_mode must satisfy 0 <= max_mode <= depth (%d)"
-                         % module.depth)
+    depth = module.depth
     module.l0  # sugawara_l0 raises unless L0 is scalar on every layer
     for p in range(module.cb.dim):
-        for m in range(-top, top + 1):
+        for m in range(-depth, depth + 1):
             cols = module.columns(p, m)
-            for n in _image_degrees(module.depth, m):
+            for n in _image_degrees(depth, m):
                 target = module.degree_range(n - m)
                 for j in module.degree_range(n):
                     if not all(i in target for i in cols.get(j, _EMPTY)):
                         return False
     return True
-
-
-def _raising_column(module, vec):
-    """(x_p eps) vec for every generator p, as one {(p, index): coeff}.
-
-    Mode 1 lowers the degree, so the image never leaves the truncation and
-    the store is read directly.
-    """
-    store = module._action
-    return {
-        (p, t): v
-        for p in range(module.cb.dim)
-        for t, v in apply(store[p, 1], vec).items()
-    }
 
 
 def _weight_blocks(module, indices):
@@ -458,23 +420,44 @@ def _weight_blocks(module, indices):
     return blocks
 
 
+def _block_kernels(module, n, column, dominant=False):
+    """(weight, kernel) for each weight block of degree n whose columns
+    column(idx) have a common kernel, in weight order; kernel is a basis of
+    sparse vectors {index: coeff}.  With dominant, only dominant weights are
+    solved.  Each block first goes through linalg.independent_mod_p, and only
+    a block it does not prove kernel-free is solved exactly."""
+    blocks = _weight_blocks(module, module.degree_range(n))
+    for wt_coords in sorted(blocks):
+        if dominant and min(wt_coords) < 0:
+            continue
+        block = blocks[wt_coords]
+        columns = [column(idx) for idx in block]
+        if independent_mod_p(columns):
+            continue
+        kernel = nullspace_of_columns(columns)
+        if kernel:
+            yield wt_coords, [{block[i]: c for i, c in enumerate(vec) if c}
+                              for vec in kernel]
+
+
 def _matched(module, weight, n):
     """The degree-n candidate of module.scan with lambda + mu = weight + rho,
-    else the first whose lambda + mu lies in the W-orbit of weight + rho,
-    else None; weight is an int tuple."""
+    else None; weight is an int tuple.
+
+    No candidate matches only up to the Weyl group: if weight + rho =
+    w(lambda + mu) for a degree-n candidate mu, then mu' = weight - m_hw
+    lies in the root lattice (every weight of the module differs from m_hw
+    by roots) and |lambda + mu'| = |lambda + mu|, so q(mu') = q(mu) and mu'
+    is itself a degree-n candidate, matched exactly.
+    """
     if module.scan is None:
         return None
     cartan = module.algebra.cartan
     lam = [int(c) + 1 for c in module.m_hw.coords]  # m_hw + rho
     target = tuple(c + 1 for c in weight)
-    shifted = [(p, tuple(map(add, lam, root_to_fw(cartan, p.mu))))
-               for p in module.scan.candidates if p.n == n]
-    matched = next((p for p, w in shifted if w == target), None)
-    if matched is None:
-        top = dominant_coords(cartan, target)[0]
-        matched = next((p for p, w in shifted
-                        if dominant_coords(cartan, w)[0] == top), None)
-    return matched
+    return next((p for p in module.scan.candidates
+                 if p.n == n and tuple(map(add, lam, root_to_fw(cartan, p.mu)))
+                 == target), None)
 
 
 def singular_vectors(module: TruncatedWeylModule, n: int):
@@ -488,12 +471,16 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
+    raising = [module.columns(p, 1) for p in range(module.cb.dim)]
     found = []
     blocks = _weight_blocks(module, module.degree_range(n))
     for wt_coords in sorted(blocks):
         block = blocks[wt_coords]
+        # all dim g raising modes and no mod-p filter: this is the oracle
+        # of singular_dimensions
         kernel = nullspace_of_columns(
-            [_raising_column(module, {idx: 1}) for idx in block]
+            [{(p, t): v for p, cols in enumerate(raising)
+              for t, v in cols.get(idx, _EMPTY).items()} for idx in block]
         )
         if kernel:
             solutions = [{block[i]: c for i, c in enumerate(vec) if c}
@@ -512,9 +499,7 @@ def singular_dimensions(module: TruncatedWeylModule, n: int):
     = 0 for all i, and ad U(n+) f_theta = g, so the n+-highest vectors of K
     are the common kernel of e_1 .. e_r (mode 0) and f_theta eps.  They lie
     in dominant weight spaces, and dim K_beta = sum over nu of dim K_nu^{n+}
-    mult_{L(nu)}(beta).  Each dominant block first goes through
-    linalg.independent_mod_p; only a block it does not prove kernel-free is
-    solved exactly.
+    mult_{L(nu)}(beta).  The dominant blocks are solved by _block_kernels.
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")
@@ -524,23 +509,17 @@ def singular_dimensions(module: TruncatedWeylModule, n: int):
     f_theta = cb.weights.index(tuple(-c for c in algebra.roots_fw[-1]))
     ops = [module.columns(i, 0) for i in range(algebra.rank)]
     ops.append(module.columns(f_theta, 1))
-    blocks = _weight_blocks(module, module.degree_range(n))
-    tops = []
-    for wt_coords, block in blocks.items():
-        if min(wt_coords) < 0:
-            continue
+
+    def column(idx):
         # the images never share a row: e_i moves the weight by alpha_i
         # within degree n, and f_theta eps lowers the degree
-        columns = [{t: v for op in ops for t, v in op.get(idx, _EMPTY).items()}
-                   for idx in block]
-        if independent_mod_p(columns):
-            continue
-        dim = len(nullspace_of_columns(columns))
-        if dim:
-            char = irrep_character(algebra, algebra.weight(wt_coords))
-            tops.append((char.full_map(), dim))
+        return {t: v for op in ops for t, v in op.get(idx, _EMPTY).items()}
+
+    tops = [(irrep_character(algebra, algebra.weight(wt_coords)).full_map(),
+             len(kernel))
+            for wt_coords, kernel in _block_kernels(module, n, column, dominant=True)]
     found = []
-    for wt_coords in sorted(blocks):
+    for wt_coords in sorted({module.weights[idx] for idx in module.degree_range(n)}):
         dim = sum(d * mults.get(wt_coords, 0) for mults, d in tops)
         if dim:
             found.append((algebra.weight(wt_coords), dim,
@@ -553,10 +532,9 @@ class AnnihilatorSubspace:
     positive modes of loop degree >= order, reported on degrees <= window.
     The span of each degree is built on first use and held."""
 
-    __slots__ = ("module", "order", "window", "vectors", "dims_by_degree", "_spans")
+    __slots__ = ("order", "window", "vectors", "dims_by_degree", "_spans")
 
-    def __init__(self, module, order, window, vectors):
-        self.module = module
+    def __init__(self, order, window, vectors):
         self.order = order
         self.window = window
         self.vectors = tuple(vectors)
@@ -615,8 +593,7 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
     For each basis vector v, image(op) = x_{op[0]} image(op[1:]) is held per
     monomial suffix, so a suffix shared by several monomials is applied to v
     once.  Positive modes lower the degree, so the store is read directly.
-    A block that linalg.independent_mod_p proves kernel-free adds no vector
-    and is not solved exactly.
+    The weight blocks are solved by _block_kernels.
     """
     if order < 1:
         raise ValueError("annihilator order must be >= 1")
@@ -628,27 +605,20 @@ def annihilator_level(module: TruncatedWeylModule, order: int) -> AnnihilatorSub
     window = module.depth - order
     store = module._action
     ops = monomials_of_degree(module.cb.dim, order)
+
+    def column(idx):
+        images = {(): {idx: 1}}
+        return {(o_num, t): v for o_num, op in enumerate(ops)
+                for t, v in _image(store, images, op).items()}
+
     vectors = []
     for d in range(window + 1):
-        rng = module.degree_range(d)
         if d < order:
-            vectors.extend((d, {idx: 1}) for idx in rng)
+            vectors.extend((d, {idx: 1}) for idx in module.degree_range(d))
             continue
-        blocks = _weight_blocks(module, rng)
-        for wt_coords in sorted(blocks):
-            block = blocks[wt_coords]
-            columns = []
-            for idx in block:
-                images = {(): {idx: 1}}
-                columns.append({(o_num, t): v for o_num, op in enumerate(ops)
-                                for t, v in _image(store, images, op).items()})
-            if independent_mod_p(columns):
-                continue
-            for vec in nullspace_of_columns(columns):
-                vectors.append(
-                    (d, {block[i]: c for i, c in enumerate(vec) if c})
-                )
-    return AnnihilatorSubspace(module, order, window, vectors)
+        for _, kernel in _block_kernels(module, d, column):
+            vectors.extend((d, vec) for vec in kernel)
+    return AnnihilatorSubspace(order, window, vectors)
 
 
 def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
@@ -658,21 +628,25 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     the degree window of V(order): the kernel of i equals V(1), i lands in
     V(order-1) componentwise, i is a g-map for the adjoint-twisted action on
     Hom, and V(order) is g-stable.  The levels come from module.annihilator,
-    so each is built once per module.  Returns (ok, diagnostics).
+    so each is built once per module, and it rejects an order outside
+    1..depth.  Returns (ok, diagnostics).
     """
-    if order < 1:
-        raise ValueError("annihilator order must be >= 1")
-    if module.depth < order:
-        raise ValueError(
-            "window too small: need depth >= %d for V(%d)" % (order, order)
-        )
     v_top = module.annihilator(order)
     v_one = module.annihilator(1)
     window = v_top.window
-
     basis = v_top.vectors
+
+    # (x_p eps) v for each basis vector v and generator p; only modes 0 and
+    # 1 act from here on, so the store is read directly
+    store = module._action
+    dim_g = module.cb.dim
+    raised = [[apply(store[p, 1], vec) for p in range(dim_g)] for _, vec in basis]
+
     # kernel of i inside V(order), solved in V(order) coordinates
-    kernel = nullspace_of_columns([_raising_column(module, vec) for _, vec in basis])
+    kernel = nullspace_of_columns(
+        [{(p, t): v for p, img in enumerate(images) for t, v in img.items()}
+         for images in raised]
+    )
     basis_columns = {i: vec for i, (_, vec) in enumerate(basis)}
     kernel_vectors = [
         apply(basis_columns, {i: c for i, c in enumerate(combo) if c})
@@ -690,12 +664,6 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
         if not span_v1.contains(v):
             kernel_inside = False
     kernel_matches = kernel_inside and kernel_span.rank() == span_v1.rank()
-
-    # (x_p eps) v for each basis vector v and generator p; only modes 0 and
-    # 1 act from here on, so the store is read directly
-    store = module._action
-    dim_g = module.cb.dim
-    raised = [[apply(store[p, 1], vec) for p in range(dim_g)] for _, vec in basis]
 
     # i lands in V(order-1) when order >= 2 (for order = 1 the map is zero)
     v_prev = module.annihilator(order - 1) if order >= 2 else None

@@ -39,13 +39,14 @@ from .root_system import AlgebraData, Weight, dominant_below, dominant_coords
 
 
 class GradedCharacter:
-    """Characters level by level, degrees 0..n_max."""
+    """Characters level by level, degrees 0..n_max; levels is a tuple,
+    since sym_ad_graded caches and shares each instance."""
 
     __slots__ = ("algebra", "levels")
 
     def __init__(self, algebra: AlgebraData, levels):
         self.algebra = algebra
-        self.levels = list(levels)
+        self.levels = tuple(levels)
 
     @property
     def n_max(self) -> int:

@@ -377,9 +377,10 @@ def apply_to_vector(module, p, m: int, vec: dict) -> dict:
 
 
 def matched_candidate(module, weight: Weight, n: int):
-    """explicit_module._matched on Weight objects: the degree-n candidate
-    with lambda + mu = weight + rho, else the first whose lambda + mu has the
-    dominant_weight of weight + rho, else None."""
+    """The Weight-level oracle of explicit_module._matched: the degree-n
+    candidate with lambda + mu = weight + rho, else the first whose lambda +
+    mu has the dominant_weight of weight + rho, else None.  _matched has no
+    such W-orbit fallback, so the two agree only while it never fires."""
     if module.scan is None:
         return None
     algebra = module.algebra

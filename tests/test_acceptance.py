@@ -116,9 +116,9 @@ def test_a3_virasoro_commutation():
     for algebra, hw_coords, depth in A1_CONFIGS:
         for kappa in KAPPAS:
             m = _module(algebra, hw_coords, kappa, depth)
-            if not virasoro_commutation_check(m, max_mode=3):
+            if not virasoro_commutation_check(m):
                 ok = False
-    _verdict("A3 Virasoro commutation, |m| <= 3", ok,
+    _verdict("A3 Virasoro commutation, |m| <= depth", ok,
              "%.1fs" % (time.monotonic() - t0))
 
 

@@ -232,14 +232,17 @@ def test_certify_checks_hw_before_the_scan(monkeypatch, capsys):
 
 
 def test_certify_and_crossvalidate_word_a_bad_highest_weight_alike(capsys):
+    # both check the highest weight first, so kappa = 0 (also rejected by
+    # both) does not change the error
     for hw, expected in (
         ("-1", "error: highest weight must be dominant: Weight(-1)\n"),
         ("1/2", "error: highest weight must be integral: Weight(1/2)\n"),
     ):
-        for argv in (["certify", "A", "1", "--hw", hw, "--kappa=-1"],
-                     ["crossvalidate", "A", "1", "--hw", hw, "--kappa=-1",
-                      "--depth", "2"]):
-            assert _run(argv, capsys) == (1, "", expected), argv
+        for kappa in ("-1", "0"):
+            for argv in (["certify", "A", "1", "--hw", hw, "--kappa=" + kappa],
+                         ["crossvalidate", "A", "1", "--hw", hw, "--kappa=" + kappa,
+                          "--depth", "2"]):
+                assert _run(argv, capsys) == (1, "", expected), argv
 
 
 def test_certify_evaluates_each_norm_once(monkeypatch, capsys):
@@ -533,20 +536,28 @@ def test_crossvalidate_beyond_type_a(argv, capsys):
 
 # Full stdout sha256 of runs off the simply-laced types, recorded while every
 # scalar was still a Fraction: the int store and the scaled Sugawara sum must
-# reproduce them byte for byte.
-@pytest.mark.parametrize("argv,digest", [
+# reproduce them byte for byte.  The --dump sha256, recorded while negative
+# modes were still straightened by a recursion of their own, pins the whole
+# action store of each.
+@pytest.mark.parametrize("argv,digest,dump_digest", [
     ("B 2 --hw 1 0 --kappa=-1/3",
-     "f727551e873475664db7880c3c3c288a5ed5811ed5d19d6d31e015b426a656cf"),
+     "f727551e873475664db7880c3c3c288a5ed5811ed5d19d6d31e015b426a656cf",
+     "1db94ddd4a4724de6d38dc6dbf2e65b41af72053d209021e2d917c7953197436"),
     ("G 2 --hw 0 0 --kappa=-1+1i",
-     "544d6f5a1e8af110af1e219b5eb2f9f2b5512b2658e1c69550695777412e1654"),
+     "544d6f5a1e8af110af1e219b5eb2f9f2b5512b2658e1c69550695777412e1654",
+     "cb827fff15f82ce8254a8859f79cfefdb5b263f3aafab8b82632054897ff2c75"),
     ("C 2 --hw 0 1 --kappa=-5/2",
-     "ac0dfec60847071f5cb74f0d68dca2cd483a9843e86844aeeeaa039be1a22238"),
+     "ac0dfec60847071f5cb74f0d68dca2cd483a9843e86844aeeeaa039be1a22238",
+     "06cc8083b627014823bcf964fc007257c89a975e46ff797b780920d935b04863"),
 ], ids=["B2", "G2", "C2"])
-def test_crossvalidate_output_is_pinned(argv, digest, capsys):
+def test_crossvalidate_output_is_pinned(argv, digest, dump_digest, tmp_path, capsys):
+    dump = tmp_path / "dump.json"
     code, out, _ = _run(["crossvalidate"] + argv.split()
-                        + ["--depth", "2", "--format", "json"], capsys)
+                        + ["--depth", "2", "--format", "json", "--dump", str(dump)],
+                        capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest
 
 
 # Full stdout sha256 of two runs whose layers carry singular vectors, and of

@@ -127,3 +127,14 @@ def test_negative_degree_rejected():
     sl2 = build_algebra("A", 1)
     with pytest.raises(ValueError):
         weyl_level_decomposition(sl2, sl2.weight([0]), -1)
+
+
+def test_cached_levels_cannot_be_mutated():
+    # sym_ad_graded is cached, so every caller shares one GradedCharacter
+    sl3 = build_algebra("A", 2)
+    graded = sym_ad_graded(sl3, 2)
+    with pytest.raises(AttributeError):
+        graded.levels.append(graded.level(2))
+    again = sym_ad_graded(sl3, 2)
+    assert again is graded
+    assert (again.dims(), again.n_max) == ([1, 8, 44], 2)
