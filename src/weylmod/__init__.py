@@ -39,11 +39,7 @@ from .finite_rep import (
     tensor_decompose,
     weyl_dimension,
 )
-from .graded_sym import (
-    GradedCharacter,
-    sym_ad_graded,
-    weyl_level_decomposition,
-)
+from .graded_sym import sym_ad_graded, weyl_level_decomposition
 from .rational import ComplexRational, format_scalar, parse_scalar
 from .root_system import (
     AlgebraData,
@@ -60,7 +56,6 @@ __all__ = [
     "ComplexRational",
     "DecompositionMultiset",
     "DeltaBound",
-    "GradedCharacter",
     "IrreducibilityVerdict",
     "TruncatedWeylModule",
     "Weight",

@@ -196,7 +196,7 @@ class ResonanceScan:
         m_hw = self.lam - algebra.rho
         levels = sorted({p.n for p in self.pairs(n_max)})
         graded = sym_ad_graded(algebra, levels[-1])
-        total = sum(tensor_decompose(m_hw, graded.level(n)).length() for n in levels)
+        total = sum(tensor_decompose(m_hw, graded[n]).length() for n in levels)
         return DeltaBound(total, self.level_bound <= n_max)
 
 

@@ -146,12 +146,10 @@ def cmd_symlevels(config: JobConfig, out) -> int:
     n_max = config.n_max
     if n_max < 0:
         raise ValueError("--n must be >= 0")
-    graded = sym_ad_graded(algebra, n_max)
     trivial = algebra.weight([0] * algebra.rank)
     levels = []
     lines = ["S(ad) levels for %s%d" % (algebra.series, algebra.rank)]
-    for n in range(n_max + 1):
-        level = graded.level(n)
+    for n, level in enumerate(sym_ad_graded(algebra, n_max)):
         dec = tensor_decompose(trivial, level)
         dim = level.dimension()
         check(dim == dec.dimension(),
@@ -245,7 +243,7 @@ def _crossvalidate_report(config: JobConfig, module, out) -> bool:
     algebra, hw, kappa, depth = module.algebra, module.m_hw, module.kappa, module.depth
     dims = [module.degree_dim(n) for n in range(depth + 1)]
     expected_dims = [
-        d * module.rep.dim for d in sym_ad_graded(algebra, depth).dims()
+        c.dimension() * module.rep.dim for c in sym_ad_graded(algebra, depth)
     ]
     graded_ok = dims == expected_dims
 

@@ -138,7 +138,7 @@ class TruncatedWeylModule:
         if scalar_im(kappa) != 0 or scalar_re(kappa) < 0:
             self.scan = ResonanceScan(m_hw + algebra.rho, kappa)
 
-        sym_dims = sym_ad_graded(algebra, depth).dims()
+        sym_dims = [c.dimension() for c in sym_ad_graded(algebra, depth)]
         keys = []
         weights = []
         bounds = [0]

@@ -4,19 +4,19 @@ Characters are stored by their dominant weights only: the full weight map is
 the Weyl-orbit expansion of those keys, built on request and never stored,
 and Brauer-Klimyk walks the orbits itself.  Multiplicities come from
 Freudenthal's recursion, dimensions from the Weyl dimension formula, tensor
-products from the signed reflection rule (Brauer-Klimyk), and Casimir
-eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
+products L(nu) (x) U from the signed reflection rule (Brauer-Klimyk), and
+Casimir eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
 
 Every character here has dominant integral highest weights, so inside the
 engine weights are tuples of ints in fundamental-weight coordinates: the
-dominant map of a Character, orbit expansion, products, the reflections of
-Brauer-Klimyk, and Freudenthal and the Weyl dimension formula.  These two
-pair weights by the integer root data of AlgebraData (roots_fw, and
-weight_form and root_pairings, the invariant form times form_scale); they
-use only ratios of pairings, which the scale leaves unchanged.  Weight
-objects (Fraction coordinates) appear only at the boundary: the arguments of
-the public functions, the keys of Character.dominant and of a
-DecompositionMultiset, and Character.items().
+keys of a Character and of its dominant view, orbit expansion, the
+reflections of Brauer-Klimyk, and Freudenthal and the Weyl dimension
+formula.  These two pair weights by the integer root data of AlgebraData
+(roots_fw, and weight_form and root_pairings, the invariant form times
+form_scale); they use only ratios of pairings, which the scale leaves
+unchanged.  Weight objects (Fraction coordinates) appear only at the
+boundary: the arguments of the public functions and the keys of a
+DecompositionMultiset.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
+from types import MappingProxyType
 
 from .invariant import check
 from .root_system import (
@@ -62,32 +63,25 @@ def _natural_mults(mults: dict) -> dict:
 
 
 class Character:
-    """A Weyl-group-invariant character with finite support.
-
-    Built from {dominant integral Weight: multiplicity}, held as
-    {dominant int tuple: multiplicity}.
-    """
+    """A Weyl-group-invariant character with finite support, built from and
+    held as {dominant int tuple: multiplicity}."""
 
     __slots__ = ("algebra", "_dominant")
 
     def __init__(self, algebra: AlgebraData, dominant: dict):
         dominant = _natural_mults(dominant)
-        for w in dominant:
-            _require_dominant_integral(algebra, w)
+        for c in dominant:
+            if not (isinstance(c, tuple) and len(c) == algebra.rank
+                    and all(type(x) is int and x >= 0 for x in c)):
+                raise ValueError("%r is not a dominant integral weight of %r"
+                                 % (c, algebra))
         self.algebra = algebra
-        self._dominant = {tuple(map(int, w.coords)): m for w, m in dominant.items()}
-
-    @classmethod
-    def _of(cls, algebra: AlgebraData, dominant: dict) -> "Character":
-        """The character held as {dominant int tuple: positive int}, not copied."""
-        char = cls.__new__(cls)
-        char.algebra, char._dominant = algebra, dominant
-        return char
+        self._dominant = dominant
 
     @property
-    def dominant(self) -> dict:
-        """Dominant Weight -> multiplicity."""
-        return {Weight(self.algebra, c): m for c, m in self._dominant.items()}
+    def dominant(self):
+        """Dominant int tuple -> multiplicity, read-only."""
+        return MappingProxyType(self._dominant)
 
     def full_map(self) -> dict:
         """Int tuple -> multiplicity over the whole support, built anew."""
@@ -98,14 +92,6 @@ class Character:
         cartan = self.algebra.cartan
         return sum(m * len(orbit_coords(cartan, c)) for c, m in self._dominant.items())
 
-    def dominant_items(self):
-        alg = self.algebra
-        return [(Weight(alg, c), m) for c, m in sorted(self._dominant.items())]
-
-    def items(self):
-        alg = self.algebra
-        return [(Weight(alg, c), m) for c, m in sorted(self.full_map().items())]
-
     def __eq__(self, other):
         return (
             isinstance(other, Character)
@@ -113,41 +99,8 @@ class Character:
             and self._dominant == other._dominant
         )
 
-    def __hash__(self):
-        return hash(frozenset(self._dominant.items()))
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        if self.algebra != other.algebra:
-            raise ValueError("characters over different algebras")
-        out = dict(self._dominant)
-        for c, m in other._dominant.items():
-            out[c] = out.get(c, 0) + m
-        return Character._of(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        """Pointwise product of characters (character of the tensor product)."""
-        if isinstance(other, int):
-            return Character(self.algebra, {w: m * other for w, m in self.dominant.items()})
-        if self.algebra != other.algebra:
-            raise ValueError("characters over different algebras")
-        b = other.full_map()
-        out = {}
-        get = out.get
-        for ca, ma in self.full_map().items():
-            for cb, mb in b.items():
-                key = tuple(map(add, ca, cb))
-                if min(key) >= 0:
-                    out[key] = get(key, 0) + ma * mb
-        return Character._of(self.algebra, out)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
-        parts = ["%r:%d" % (w, m) for w, m in self.dominant_items()]
+        parts = ["%r:%d" % kv for kv in sorted(self._dominant.items())]
         return "Character{%s}" % ", ".join(parts)
 
 
@@ -231,38 +184,14 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
               "Freudenthal multiplicity is not a nonnegative integer")
         if val:
             mults[w] = val
-    return Character._of(algebra, mults)
+    return Character(algebra, mults)
 
 
 def adjoint_character(algebra: AlgebraData) -> Character:
     return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
 
 
-def tensor_decompose(a, b) -> DecompositionMultiset:
-    """Decompose L(a) (x) L(b) (either argument may be a Character)."""
-    if isinstance(a, Weight) and isinstance(b, Weight):
-        algebra = a.algebra
-        _require_dominant_integral(algebra, a)
-        _require_dominant_integral(algebra, b)
-        # run the reflection rule over the smaller weight system
-        if weyl_dimension(algebra, a) < weyl_dimension(algebra, b):
-            a, b = b, a
-        return _brauer_klimyk(a, irrep_character(algebra, b))
-    if isinstance(a, Weight):
-        return _brauer_klimyk(a, b)
-    if isinstance(b, Weight):
-        return _brauer_klimyk(b, a)
-    # both characters: decompose one, then sum
-    algebra = a.algebra
-    out = {}
-    for hw, mult in decompose_character(a).items():
-        part = _brauer_klimyk(hw, b)
-        for w, m in part.mults.items():
-            out[w] = out.get(w, 0) + mult * m
-    return DecompositionMultiset(algebra, out)
-
-
-def _brauer_klimyk(nu: Weight, u: Character) -> DecompositionMultiset:
+def tensor_decompose(nu: Weight, u: Character) -> DecompositionMultiset:
     """L(nu) (x) U by signed dominant reflection of nu + rho + mu."""
     algebra = u.algebra
     _require_dominant_integral(algebra, nu)

@@ -18,8 +18,7 @@ Bull. AMS 1982).  Each H_n is a character, hence W-invariant, so the lookup
 at beta - j gamma may be made at its dominant point: the recursion reads and
 writes dominant keys only.  The weights of S(ad)_n are sums of n weights of
 ad, all <= n theta, so beta runs over root_system.dominant_below(n theta).
-As in finite_rep, keys are int tuples and multiplicities ints; Weight
-objects appear only in the returned Characters' public views.
+As in finite_rep, keys are int tuples and multiplicities ints.
 """
 
 from __future__ import annotations
@@ -38,48 +37,17 @@ from .invariant import check
 from .root_system import AlgebraData, Weight, dominant_below, dominant_coords
 
 
-class GradedCharacter:
-    """Characters level by level, degrees 0..n_max; levels is a tuple,
-    since sym_ad_graded caches and shares each instance."""
-
-    __slots__ = ("algebra", "levels")
-
-    def __init__(self, algebra: AlgebraData, levels):
-        self.algebra = algebra
-        self.levels = tuple(levels)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, n: int) -> Character:
-        if not 0 <= n <= self.n_max:
-            raise ValueError("degree %d outside computed range 0..%d" % (n, self.n_max))
-        return self.levels[n]
-
-    def dims(self):
-        return [c.dimension() for c in self.levels]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedCharacter)
-            and self.algebra == other.algebra
-            and self.levels == other.levels
-        )
-
-    def __repr__(self):
-        return "GradedCharacter(dims=%r)" % (self.dims(),)
-
-
 @lru_cache(maxsize=None)
-def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
-    """S(ad) by total degree, levels 0..n_max, by the module's recursion.
+def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
+    """S(ad) by total degree: the tuple of the Characters of levels
+    0..n_max, by the module's recursion.
 
     The truncation is prefix-stable: level n is computed from levels 0..n-1
-    alone, so for n <= n_max level n of sym_ad_graded(algebra, n_max) equals
-    level n of sym_ad_graded(algebra, n).  A caller that needs several
-    degrees expands S(ad) once, to the largest of them, and reads the others
-    with level(n).
+    alone, so for n <= n_max item n of sym_ad_graded(algebra, n_max) equals
+    item n of sym_ad_graded(algebra, n).  A caller that needs several
+    degrees expands S(ad) once, to the largest of them, and indexes the
+    others.  The result is cached and shared by every caller, so it is a
+    tuple, and each Character gives only a read-only view of its weights.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -120,12 +88,11 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> GradedCharacter:
             if h:
                 level[canon[beta]] = h
         levels.append(level)
-    return GradedCharacter(algebra, [Character._of(algebra, lv) for lv in levels])
+    return tuple(Character(algebra, lv) for lv in levels)
 
 
 def weyl_level_decomposition(
     algebra: AlgebraData, m_hw: Weight, n: int
 ) -> DecompositionMultiset:
     """Irreducible decomposition of the degree-n level of Ind(L(m_hw))."""
-    s = sym_ad_graded(algebra, n).level(n)
-    return tensor_decompose(m_hw, s)
+    return tensor_decompose(m_hw, sym_ad_graded(algebra, n)[n])

@@ -47,41 +47,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .invariant import check
 from .rational import ComplexRational
 
 # p = 10^9 + 9 keeps residues below 2^30, one machine digit.  2 is a square
 # mod p, so 2^((p-1)/4) is not a root of -1; 11 is a non-square, and
-# FILTER_I = 11^((p-1)/4) mod p.
+# FILTER_I = 11^((p-1)/4) mod p.  test_linalg checks that p is a prime
+# = 1 (mod 4) and that FILTER_I^2 = -1 (mod p).
 FILTER_PRIME = 1000000009
 FILTER_I = 569522298
 
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5, 7, which decide every n < 3215031751."""
-    check(1 < n < 3215031751, "no deterministic base set for %d", n)
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        if n % a == 0:
-            return n == a
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-check(_is_prime(FILTER_PRIME) and FILTER_PRIME % 4 == 1,
-      "FILTER_PRIME must be a prime = 1 (mod 4)")
-check(FILTER_I * FILTER_I % FILTER_PRIME == FILTER_PRIME - 1,
-      "FILTER_I is not a square root of -1 mod FILTER_PRIME")
 
 _ZERO = (0, 0)
 _ONE = (1, 0)

@@ -2,7 +2,8 @@
 Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection and the dominant weight it leads to,
 vector normalization, a JobConfig parser, the character of a decomposition,
-the Kostant spectrum, the full-weight-map oracles for S(ad) and for the
+the pointwise product of characters (the oracle of Brauer-Klimyk), the
+Kostant spectrum, the full-weight-map oracles for S(ad) and for the
 weights of an irreducible, the bounding-box oracle for the root-lattice ball
 with its exact floor(x + sqrt t), the resonance value q(mu) through the
 invariant form on weights, and for a truncated module the degree of a basis
@@ -179,10 +180,19 @@ def job_config_from_json_dict(data: dict) -> JobConfig:
 
 def decomposition_character(dec) -> Character:
     """The character sum of m ch L(w) over the constituents of dec."""
-    return sum(
-        (m * irrep_character(dec.algebra, w) for w, m in dec.items()),
-        Character(dec.algebra, {}),
-    )
+    out = {}
+    for w, m in dec.items():
+        for c, mu in irrep_character(dec.algebra, w).dominant.items():
+            out[c] = out.get(c, 0) + m * mu
+    return Character(dec.algebra, out)
+
+
+def character_product(a: Character, b: Character) -> Character:
+    """The pointwise product of characters, the character of the tensor
+    product: the oracle that tensor_decompose's reflection rule matches."""
+    if a.algebra != b.algebra:
+        raise ValueError("characters over different algebras")
+    return _dominant_character(a.algebra, _add_product({}, a.full_map(), b.full_map()))
 
 
 def kostant_spectrum(algebra: AlgebraData, u_hw: Weight, lam: Weight):
@@ -245,8 +255,7 @@ def _sym_power_maps(full: dict, rank: int, m_max: int):
 
 
 def _dominant_character(algebra: AlgebraData, full: dict) -> Character:
-    dominant = {Weight(algebra, c): m for c, m in full.items() if min(c) >= 0}
-    return Character(algebra, dominant)
+    return Character(algebra, {c: m for c, m in full.items() if min(c) >= 0})
 
 
 def sym_powers(char: Character, m_max: int):

@@ -56,7 +56,7 @@ def test_layer_dimensions_match_graded_sym():
     assert [m2.degree_dim(n) for n in range(3)] == [3, 9, 27]
     m3 = build_truncated(SL3, SL3.weight([1, 0]), Fraction(-1), 1)
     assert [m3.degree_dim(n) for n in range(2)] == [3, 24]
-    sym = sym_ad_graded(SL2, 2).dims()
+    sym = [c.dimension() for c in sym_ad_graded(SL2, 2)]
     assert [m2.degree_dim(n) for n in range(3)] == [3 * s for s in sym]
 
 

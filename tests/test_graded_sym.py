@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import decomposition_character, sym_ad_full_maps, sym_powers
-from weylmod.finite_rep import irrep_character, tensor_decompose
+from helpers import (
+    character_product, decomposition_character, sym_ad_full_maps, sym_powers,
+)
+from weylmod.finite_rep import (
+    DecompositionMultiset, decompose_character, irrep_character, tensor_decompose,
+)
 from weylmod.graded_sym import sym_ad_graded, weyl_level_decomposition
 from weylmod.root_system import build_algebra
 
@@ -34,22 +38,26 @@ def _gf_dims(dim_g, n_max):
     return [int(c) for c in coeffs]
 
 
+def _dims(levels):
+    return [c.dimension() for c in levels]
+
+
 def test_sl2_sym_ad_dims_match_generating_function():
     sl2 = build_algebra("A", 1)
-    graded = sym_ad_graded(sl2, 6)
-    assert graded.dims() == _gf_dims(3, 6)
-    assert graded.dims() == [1, 3, 9, 22, 51, 108, 221]
+    dims = _dims(sym_ad_graded(sl2, 6))
+    assert dims == _gf_dims(3, 6)
+    assert dims == [1, 3, 9, 22, 51, 108, 221]
 
 
 def test_sl3_sym_ad_dims_match_generating_function():
     sl3 = build_algebra("A", 2)
-    assert sym_ad_graded(sl3, 8).dims() == _gf_dims(8, 8)
+    assert _dims(sym_ad_graded(sl3, 8)) == _gf_dims(8, 8)
 
 
 def test_other_ranks_sym_ad_dims_match_generating_function():
     for series, rank, n_max in (("A", 3, 4), ("B", 2, 6), ("G", 2, 5)):
         a = build_algebra(series, rank)
-        assert sym_ad_graded(a, n_max).dims() == _gf_dims(a.dim, n_max)
+        assert _dims(sym_ad_graded(a, n_max)) == _gf_dims(a.dim, n_max)
 
 
 def test_sym_powers_newton_identity():
@@ -58,12 +66,10 @@ def test_sym_powers_newton_identity():
     sym = sym_powers(v2, 3)
     assert [s.dimension() for s in sym] == [1, 3, 6, 10]
     # Sym^2 V(2) = V(4) + V(0), Sym^3 V(2) = V(6) + V(2)
-    assert sym[2] == irrep_character(sl2, sl2.weight([4])) + irrep_character(
-        sl2, sl2.weight([0])
-    )
-    assert sym[3] == irrep_character(sl2, sl2.weight([6])) + irrep_character(
-        sl2, sl2.weight([2])
-    )
+    for m, tops in ((2, (4, 0)), (3, (6, 2))):
+        expected = DecompositionMultiset(sl2, {sl2.weight([t]): 1 for t in tops})
+        assert decompose_character(sym[m]) == expected
+        assert sym[m] == decomposition_character(expected)
 
 
 @pytest.mark.parametrize("series,rank,n_max", [
@@ -76,13 +82,11 @@ def test_dominant_recursion_matches_full_map_convolution(series, rank, n_max):
     """Every level of the dominant-key recursion against the Sym-power and
     truncated-convolution product on full weight maps."""
     a = build_algebra(series, rank)
-    graded = sym_ad_graded(a, n_max)
+    levels = sym_ad_graded(a, n_max)
     oracle = sym_ad_full_maps(a, n_max)
-    assert graded.n_max == n_max
-    for n, full in enumerate(oracle):
-        level = graded.level(n)
-        dominant = {tuple(map(int, w.coords)): m for w, m in level.dominant_items()}
-        assert dominant == {c: m for c, m in full.items() if min(c) >= 0}, n
+    assert len(levels) == n_max + 1
+    for n, (level, full) in enumerate(zip(levels, oracle)):
+        assert level.dominant == {c: m for c, m in full.items() if min(c) >= 0}, n
         assert level.full_map() == full, n
         assert level.dimension() == sum(full.values())
 
@@ -99,7 +103,7 @@ def test_sl2_level_two_decomposition():
 def test_level_character_is_product():
     sl2 = build_algebra("A", 1)
     hw = sl2.weight([2])
-    lvl = irrep_character(sl2, hw) * sym_ad_graded(sl2, 2).level(2)
+    lvl = character_product(irrep_character(sl2, hw), sym_ad_graded(sl2, 2)[2])
     assert lvl.dimension() == 27
     dec = weyl_level_decomposition(sl2, hw, 2)
     assert decomposition_character(dec) == lvl
@@ -111,7 +115,7 @@ def test_sl3_level_one_is_adjoint_tensor_m():
     sl3 = build_algebra("A", 2)
     hw = sl3.weight([1, 0])
     dec = weyl_level_decomposition(sl3, hw, 1)
-    expect = tensor_decompose(sl3.weight([1, 1]), hw)
+    expect = tensor_decompose(sl3.weight([1, 1]), irrep_character(sl3, hw))
     assert dec == expect
     assert dec.dimension() == 24
 
@@ -130,11 +134,17 @@ def test_negative_degree_rejected():
 
 
 def test_cached_levels_cannot_be_mutated():
-    # sym_ad_graded is cached, so every caller shares one GradedCharacter
+    # sym_ad_graded is cached, so every caller shares one result: neither
+    # rebinding its levels nor writing through a level's weights may change
+    # what the next caller reads
     sl3 = build_algebra("A", 2)
     graded = sym_ad_graded(sl3, 2)
     with pytest.raises(AttributeError):
-        graded.levels.append(graded.level(2))
+        graded.levels = graded[:2]
+    with pytest.raises(TypeError):
+        graded[2] = graded[1]
+    with pytest.raises(TypeError):
+        graded[1].dominant[0, 0] = 5
     again = sym_ad_graded(sl3, 2)
     assert again is graded
-    assert (again.dims(), again.n_max) == ([1, 8, 44], 2)
+    assert _dims(again) == [1, 8, 44]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -364,7 +365,11 @@ def test_mod_p_filter_denominator_divisible_by_p_is_not_a_proof():
 
 
 def test_mod_p_filter_sends_i_to_a_root_of_minus_one():
-    assert FILTER_I * FILTER_I % FILTER_PRIME == FILTER_PRIME - 1
+    p = FILTER_PRIME
+    # the filter is a ring map onto F_p only for p prime and p = 1 (mod 4)
+    assert p % 4 == 1
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    assert FILTER_I * FILTER_I % p == p - 1
     i = ComplexRational(0, 1)
     # (i, -1) = i (1, i): dependent over Q(i), and mod p only if I^2 = -1
     assert not independent_mod_p([{0: 1, 1: i}, {0: i, 1: -1}])

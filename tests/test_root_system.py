@@ -201,7 +201,7 @@ def test_integer_orbits_match_weyl_orbit_and_orbit_size(series, rank):
     for coords in _test_weights(rank):
         w = a.weight(coords)
         stabilizer = _parabolic_order(a, {i for i in range(rank) if coords[i] == 0})
-        full = Character(a, {w: 1}).full_map()
+        full = Character(a, {coords: 1}).full_map()
         assert len(full) == order // stabilizer, coords
         assert all(type(c) is int for key in full for c in key)
         if order <= 192:
