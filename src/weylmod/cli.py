@@ -25,7 +25,7 @@ from itertools import takewhile
 
 from . import affine_numerics as an
 from . import explicit_module as em
-from .finite_rep import _require_dominant_integral, tensor_decompose, weyl_dimension
+from .finite_rep import _require_dominant_integral, irrep_dimension, tensor_decompose
 from .graded_sym import sym_ad_graded
 from .invariant import InvariantError, check
 from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
@@ -125,18 +125,18 @@ def cmd_algebra(config: JobConfig, out) -> int:
 def _decomposition_json(dec) -> list:
     return [
         {
-            "hw": [format_fraction(c) for c in w.coords],
+            "hw": list(map(str, c)),
             "multiplicity": m,
-            "dimension": weyl_dimension(dec.algebra, w),
+            "dimension": irrep_dimension(dec.algebra, c),
         }
-        for w, m in dec.items()
+        for c, m in dec.items()
     ]
 
 
 def _decomposition_text(dec) -> str:
     parts = []
-    for w, m in dec.items():
-        label = "L(%s)" % ", ".join(format_fraction(c) for c in w.coords)
+    for c, m in dec.items():
+        label = "L(%s)" % ", ".join(map(str, c))
         parts.append(label if m == 1 else "%d %s" % (m, label))
     return " + ".join(parts) if parts else "0"
 

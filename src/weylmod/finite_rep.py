@@ -2,21 +2,22 @@
 
 Characters are stored by their dominant weights only: the full weight map is
 the Weyl-orbit expansion of those keys, built on request and never stored,
-and Brauer-Klimyk walks the orbits itself.  Multiplicities come from
-Freudenthal's recursion, dimensions from the Weyl dimension formula, tensor
-products L(nu) (x) U from the signed reflection rule (Brauer-Klimyk), and
-Casimir eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
+and Brauer-Klimyk walks the orbits itself.  A dimension never walks an
+orbit: orbit sizes come from Macdonald's product (root_system.orbit_size).
+Multiplicities come from Freudenthal's recursion, dimensions of irreducibles
+from the Weyl dimension formula, tensor products L(nu) (x) U from the signed
+reflection rule (Brauer-Klimyk), and Casimir eigenvalues from
+c(nu) = |nu+rho|^2 - |rho|^2.
 
 Every character here has dominant integral highest weights, so inside the
 engine weights are tuples of ints in fundamental-weight coordinates: the
-keys of a Character and of its dominant view, orbit expansion, the
-reflections of Brauer-Klimyk, and Freudenthal and the Weyl dimension
-formula.  These two pair weights by the integer root data of AlgebraData
-(roots_fw, and weight_form and root_pairings, the invariant form times
-form_scale); they use only ratios of pairings, which the scale leaves
-unchanged.  Weight objects (Fraction coordinates) appear only at the
-boundary: the arguments of the public functions and the keys of a
-DecompositionMultiset.
+keys of a Character and of a DecompositionMultiset, orbit expansion, the
+reflections of Brauer-Klimyk (root_system.dominant_coords), and Freudenthal
+and the Weyl dimension formula.  These two pair weights by the integer root
+data of AlgebraData (roots_fw, and weight_form and root_pairings, the
+invariant form times form_scale); they use only ratios of pairings, which
+the scale leaves unchanged.  Weight objects (Fraction coordinates) appear
+only in the arguments of the public functions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .root_system import (
     dominant_coords,
     norm_sq,
     orbit_coords,
+    orbit_size,
 )
 
 
@@ -47,18 +49,24 @@ def _require_dominant_integral(algebra: AlgebraData, hw: Weight):
         raise ValueError("highest weight must be dominant: %r" % (hw,))
 
 
-def _natural_mults(mults: dict) -> dict:
-    """The nonzero entries of {key: multiplicity} as ints; ValueError on a
-    negative or non-integral multiplicity."""
+def _dominant_mults(algebra: AlgebraData, mults: dict) -> dict:
+    """The nonzero entries of {dominant int tuple: multiplicity} as ints;
+    ValueError on a key that is not a dominant integral weight of algebra
+    and on a negative or non-integral multiplicity."""
     out = {}
-    for w, m in mults.items():
+    for c, m in mults.items():
         k = int(m)
         if k != m:
-            raise ValueError("multiplicity %r at %r is not an integer" % (m, w))
+            raise ValueError("multiplicity %r at %r is not an integer" % (m, c))
         if k < 0:
-            raise ValueError("negative multiplicity at %r" % (w,))
-        if k:
-            out[w] = k
+            raise ValueError("negative multiplicity at %r" % (c,))
+        if not k:
+            continue
+        if not (isinstance(c, tuple) and len(c) == algebra.rank
+                and all(type(x) is int and x >= 0 for x in c)):
+            raise ValueError("%r is not a dominant integral weight of %r"
+                             % (c, algebra))
+        out[c] = k
     return out
 
 
@@ -69,14 +77,8 @@ class Character:
     __slots__ = ("algebra", "_dominant")
 
     def __init__(self, algebra: AlgebraData, dominant: dict):
-        dominant = _natural_mults(dominant)
-        for c in dominant:
-            if not (isinstance(c, tuple) and len(c) == algebra.rank
-                    and all(type(x) is int and x >= 0 for x in c)):
-                raise ValueError("%r is not a dominant integral weight of %r"
-                                 % (c, algebra))
         self.algebra = algebra
-        self._dominant = dominant
+        self._dominant = _dominant_mults(algebra, dominant)
 
     @property
     def dominant(self):
@@ -85,12 +87,12 @@ class Character:
 
     def full_map(self) -> dict:
         """Int tuple -> multiplicity over the whole support, built anew."""
-        cartan = self.algebra.cartan
-        return {u: m for c, m in self._dominant.items() for u in orbit_coords(cartan, c)}
+        algebra = self.algebra
+        return {u: m for c, m in self._dominant.items() for u in orbit_coords(algebra, c)}
 
     def dimension(self) -> int:
-        cartan = self.algebra.cartan
-        return sum(m * len(orbit_coords(cartan, c)) for c, m in self._dominant.items())
+        algebra = self.algebra
+        return sum(m * orbit_size(algebra, c) for c, m in self._dominant.items())
 
     def __eq__(self, other):
         return (
@@ -105,22 +107,24 @@ class Character:
 
 
 class DecompositionMultiset:
-    """Multiset of irreducible constituents: highest weight -> multiplicity."""
+    """Multiset of irreducible constituents, held as {dominant int tuple
+    (highest weight): multiplicity}."""
 
     __slots__ = ("algebra", "mults")
 
     def __init__(self, algebra: AlgebraData, mults: dict):
         self.algebra = algebra
-        self.mults = _natural_mults(mults)
+        self.mults = _dominant_mults(algebra, mults)
 
     def items(self):
-        return sorted(self.mults.items(), key=lambda kv: kv[0].coords)
+        return sorted(self.mults.items())
 
     def length(self) -> int:
         return sum(self.mults.values())
 
     def dimension(self) -> int:
-        return sum(m * weyl_dimension(self.algebra, w) for w, m in self.mults.items())
+        algebra = self.algebra
+        return sum(m * irrep_dimension(algebra, c) for c, m in self.mults.items())
 
     def __eq__(self, other):
         return (
@@ -130,7 +134,7 @@ class DecompositionMultiset:
         )
 
     def __repr__(self):
-        parts = ["%r:%d" % (w, m) for w, m in self.items()]
+        parts = ["%r:%d" % kv for kv in self.items()]
         return "Decomposition{%s}" % ", ".join(parts)
 
 
@@ -140,26 +144,28 @@ def _norm_rho(form, w) -> int:
     return sum(x * sum(map(mul, row, v)) for x, row in zip(v, form))
 
 
-def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
-    """dim L(hw) = prod over alpha > 0 of (hw + rho, alpha) / (rho, alpha)."""
-    _require_dominant_integral(algebra, hw)
-    lam_rho = [int(c) + 1 for c in hw.coords]
+def irrep_dimension(algebra: AlgebraData, c) -> int:
+    """dim L(c) for a dominant int tuple c: the product over alpha > 0 of
+    (c + rho, alpha) / (rho, alpha)."""
+    v = [x + 1 for x in c]  # c + rho, rho = (1, ..., 1)
     num = den = 1
     for pair in algebra.root_pairings:
-        num *= sum(map(mul, lam_rho, pair))
+        num *= sum(map(mul, v, pair))
         den *= sum(pair)
     dim, r = divmod(num, den)
     check(r == 0, "Weyl dimension formula is not integral")
     return dim
 
 
-@lru_cache(maxsize=None)
-def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
-    """Character of the irreducible L(hw), multiplicities by Freudenthal."""
+def weyl_dimension(algebra: AlgebraData, hw: Weight) -> int:
+    """dim L(hw) by the Weyl dimension formula (irrep_dimension)."""
     _require_dominant_integral(algebra, hw)
+    return irrep_dimension(algebra, tuple(map(int, hw.coords)))
+
+
+def _freudenthal(algebra: AlgebraData, top) -> dict:
+    """{dominant int tuple: multiplicity} of L(top), by Freudenthal."""
     form = algebra.weight_form
-    cartan = algebra.cartan
-    top = tuple(map(int, hw.coords))
     # the dominant weights of L(top); the weight set is W-invariant, so u is
     # a weight exactly when dom(u) is one of them
     weights = dominant_below(algebra, top)
@@ -172,11 +178,11 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
         acc = 0
         for alpha, pair in zip(algebra.roots_fw, algebra.root_pairings):
             u = tuple(map(add, w, alpha))
-            dom = dominant_coords(cartan, u)[0]
+            dom = dominant_coords(algebra, u)[0]
             while dom in weights:
                 acc += mults.get(dom, 0) * sum(map(mul, u, pair))
                 u = tuple(map(add, u, alpha))
-                dom = dominant_coords(cartan, u)[0]
+                dom = dominant_coords(algebra, u)[0]
         denom = lam_norm - _norm_rho(form, w)
         check(denom != 0, "Freudenthal denominator vanishes")
         val, r = divmod(2 * acc, denom)
@@ -184,7 +190,14 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
               "Freudenthal multiplicity is not a nonnegative integer")
         if val:
             mults[w] = val
-    return Character(algebra, mults)
+    return mults
+
+
+@lru_cache(maxsize=None)
+def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
+    """Character of the irreducible L(hw), multiplicities by Freudenthal."""
+    _require_dominant_integral(algebra, hw)
+    return Character(algebra, _freudenthal(algebra, tuple(map(int, hw.coords))))
 
 
 def adjoint_character(algebra: AlgebraData) -> Character:
@@ -192,23 +205,27 @@ def adjoint_character(algebra: AlgebraData) -> Character:
 
 
 def tensor_decompose(nu: Weight, u: Character) -> DecompositionMultiset:
-    """L(nu) (x) U by signed dominant reflection of nu + rho + mu."""
+    """L(nu) (x) U by signed dominant reflection of nu + rho + mu.
+
+    A point nu + rho + mu with a zero coordinate on the way to the dominant
+    chamber has a singular dominant point and adds nothing, so its walk
+    stops there (dominant_coords with regular=True).
+    """
     algebra = u.algebra
     _require_dominant_integral(algebra, nu)
-    cartan = algebra.cartan
     base = [int(c) + 1 for c in nu.coords]  # nu + rho, rho = (1, ..., 1)
     out = {}
     for c, mult in u._dominant.items():
-        for coords in orbit_coords(cartan, c):
-            t, count = dominant_coords(cartan, map(add, base, coords))
-            if 0 in t:
-                continue
-            out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
+        for coords in orbit_coords(algebra, c):
+            hit = dominant_coords(algebra, map(add, base, coords), regular=True)
+            if hit is not None:
+                t, count = hit
+                out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
     mults = {}
     for t, m in out.items():
         check(m >= 0, "negative tensor multiplicity at nu + rho = %r", t)
         if m:
-            mults[Weight(algebra, [c - 1 for c in t])] = m
+            mults[tuple(x - 1 for x in t)] = m
     return DecompositionMultiset(algebra, mults)
 
 
@@ -223,9 +240,8 @@ def decompose_character(char: Character) -> DecompositionMultiset:
         c = max(remaining, key=lambda w: (_norm_rho(form, w), w))
         m = remaining[c]
         check(m > 0, "character is not a non-negative sum of irreducibles")
-        w = Weight(algebra, c)
-        out[w] = out.get(w, 0) + m
-        for u, mu in irrep_character(algebra, w)._dominant.items():
+        out[c] = m
+        for u, mu in _freudenthal(algebra, c).items():
             r = remaining.get(u, 0) - m * mu
             if r:
                 remaining[u] = r

@@ -18,14 +18,19 @@ Bull. AMS 1982).  Each H_n is a character, hence W-invariant, so the lookup
 at beta - j gamma may be made at its dominant point: the recursion reads and
 writes dominant keys only.  The weights of S(ad)_n are sums of n weights of
 ad, all <= n theta, so beta runs over root_system.dominant_below(n theta).
-As in finite_rep, keys are int tuples and multiplicities ints.
+The dominant points come from root_system.dominant_coords, the one sparse
+reflection kernel, and only for the shifts beta - j gamma below
+(n_max - j) theta in the root order: any other one reads 0.  As in finite_rep, keys are int tuples and
+multiplicities ints, in the levels and in the DecompositionMultiset of
+weyl_level_decomposition.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from math import lcm
+from operator import add, mul, sub
 
 from .finite_rep import (
     Character,
@@ -51,22 +56,39 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cartan = algebra.cartan
     ad = adjoint_character(algebra).full_map()
     theta = algebra.roots_fw[-1]
     # every level lives on the dominant weights <= n_max theta; a lookup
     # outside them reads 0, and a lookup inside reuses the one key object
     support = dominant_below(algebra, tuple(n_max * t for t in theta))
     canon = {b: b for b in support}
+    # a key dom(beta - j gamma) is read only in levels <= n_max - j, whose
+    # weights are <= (n_max - j) theta; as dom(v) >= v, a shift with
+    # beta - j gamma not <= (n_max - j) theta reads 0 there and is skipped.
+    # The order is tested on root coordinates times den (den C^-1 is integral).
+    den = lcm(*(x.denominator for row in algebra.cartan_inv for x in row))
+    inv = [[x.numerator * (den // x.denominator) for x in row]
+           for row in algebra.cartan_inv]
+
+    def roots_of(x):
+        return [sum(map(mul, row, x)) for row in inv]
+
+    theta_r = roots_of(theta)
+    # scaled[j]: (j gamma, roots_of(j gamma), m_gamma) over the weights of ad,
+    # built at level j, the first that reads it
+    scaled = [None]
     memo = {}  # (beta, j) -> (keys dom(beta - j gamma), summed m_gamma)
 
     def shifts(beta, j):
         got = memo.get((beta, j))
         if got is None:
             acc = {}
-            for gamma, m in ad.items():
-                key = canon.get(dominant_coords(
-                    cartan, [b - j * g for b, g in zip(beta, gamma)])[0])
+            # beta - j gamma <= (n_max - j) theta: slack + j gamma >= 0
+            slack = [(n_max - j) * t - b for t, b in zip(theta_r, roots_of(beta))]
+            for step, step_r, m in scaled[j]:
+                if min(map(add, slack, step_r)) < 0:
+                    continue
+                key = canon.get(dominant_coords(algebra, map(sub, beta, step))[0])
                 if key is not None:
                     acc[key] = acc.get(key, 0) + m
             got = memo[beta, j] = (tuple(acc), tuple(acc.values()))
@@ -74,6 +96,8 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
 
     levels = [{(0,) * algebra.rank: 1}]
     for n in range(1, n_max + 1):
+        steps = [(tuple(n * g for g in gamma), m) for gamma, m in ad.items()]
+        scaled.append([(step, roots_of(step), m) for step, m in steps])
         level = {}
         for beta in dominant_below(algebra, tuple(n * t for t in theta)):
             total = 0

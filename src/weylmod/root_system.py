@@ -86,19 +86,24 @@ class AlgebraData:
     theta is roots_fw[-1]); weight_form, the invariant form on fundamental
     coordinates times form_scale, the least integer that clears its
     denominators; root_pairings, one vector per root alpha with
-    x . pairing = form_scale (x, alpha); and ldl, the factors (d, u) of
-    _ldl_from_last(gram_root) that enumerate_root_lattice_ball walks on.
+    x . pairing = form_scale (x, alpha); cartan_cols, the nonzero entries
+    (j, cartan[j][i]) of each Cartan column i, on which every simple
+    reflection s_i acts (dominant_coords, orbit_coords); and ldl, the
+    factors (d, u) of _ldl_from_last(gram_root) that
+    enumerate_root_lattice_ball walks on.
     """
 
     __slots__ = (
         "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
         "positive_roots", "highest_root", "dual_coxeter", "dim",
-        "roots_fw", "weight_form", "form_scale", "root_pairings", "ldl",
+        "roots_fw", "weight_form", "form_scale", "root_pairings", "cartan_cols",
+        "ldl",
     )
 
     def __init__(self, series, rank, cartan, d, cartan_inv, gram_root,
                  positive_roots, highest_root, dual_coxeter, dim,
-                 roots_fw, weight_form, form_scale, root_pairings, ldl):
+                 roots_fw, weight_form, form_scale, root_pairings, cartan_cols,
+                 ldl):
         self.series = series
         self.rank = rank
         self.cartan = cartan  # cartan[i][j] = <a_j, a_i-check>
@@ -113,6 +118,7 @@ class AlgebraData:
         self.weight_form = weight_form
         self.form_scale = form_scale
         self.root_pairings = root_pairings
+        self.cartan_cols = cartan_cols
         self.ldl = ldl
 
     def __repr__(self):
@@ -225,6 +231,10 @@ def build_algebra(series: str, rank: int) -> AlgebraData:
         weight_form=tuple(tuple(int(x * scale) for x in row) for row in form),
         form_scale=scale,
         root_pairings=tuple(tuple(map(int, row)) for row in pairings),
+        cartan_cols=tuple(
+            tuple((j, cartan[j][i]) for j in range(rank) if cartan[j][i])
+            for i in range(rank)
+        ),
         ldl=_ldl_from_last(gram_root),
     )
 
@@ -299,13 +309,20 @@ def norm_sq(x: Weight) -> Fraction:
     return inner_product(x, x)
 
 
-def dominant_coords(cartan, v):
+def dominant_coords(algebra: AlgebraData, v, regular=False):
     """The dominant point of the Weyl orbit of the coordinate tuple v, and
-    the number of simple reflections used to reach it.
+    the number of simple reflections used to reach it; with regular=True,
+    None as soon as a coordinate is 0.
 
-    Works on any exact coordinates (int or Fraction); s_i maps v to
-    v - v_i A[., i] and is applied at the first negative coordinate.
+    The one reflection kernel: s_i maps v to v - v_i A[., i], applied at
+    the first negative coordinate on the nonzero entries of column i only
+    (AlgebraData.cartan_cols).  Each step removes one positive root from
+    those pairing negatively with v, so the count is their number whatever
+    the order of steps.  A point with v_i = 0 is fixed by s_i, so its
+    dominant point lies on a wall and has a zero coordinate: regular=True
+    stops there.  Works on any exact coordinates (int or Fraction).
     """
+    cols = algebra.cartan_cols
     v = list(v)
     n = len(v)
     count = 0
@@ -313,35 +330,61 @@ def dominant_coords(cartan, v):
     while i < n:
         c = v[i]
         if c < 0:
-            for j in range(n):
-                v[j] -= c * cartan[j][i]
+            for j, a in cols[i]:
+                v[j] -= c * a
             count += 1
             i = 0
-        else:
+        elif c or not regular:
             i += 1
+        else:
+            return None
     return tuple(v), count
 
 
-def orbit_coords(cartan, v) -> set:
+def orbit_coords(algebra: AlgebraData, v) -> set:
     """The Weyl orbit of the coordinate tuple v, as a set of tuples.
 
     Starts from the dominant point and reflects only at positive
     coordinates: s_i fixes v when v_i = 0, and every orbit point is reached
     from the dominant one by lowering steps.
     """
-    n = len(v)
-    top = dominant_coords(cartan, v)[0]
+    cols = algebra.cartan_cols
+    top = dominant_coords(algebra, v)[0]
     seen = {top}
     stack = [top]
     while stack:
         u = stack.pop()
         for i, c in enumerate(u):
             if c > 0:
-                r = tuple(u[j] - c * cartan[j][i] for j in range(n))
+                r = list(u)
+                for j, a in cols[i]:
+                    r[j] -= c * a
+                r = tuple(r)
                 if r not in seen:
                     seen.add(r)
                     stack.append(r)
     return seen
+
+
+def orbit_size(algebra: AlgebraData, c) -> int:
+    """|W c| for a dominant coordinate tuple c, without walking the orbit.
+
+    The stabiliser of c is the parabolic W_J, J = {i : c_i = 0},
+    whose positive roots are the alpha > 0 with (c, alpha) = 0.  Macdonald's
+    product for the Poincare series of W ("The Poincare series of a Coxeter
+    group", Math. Ann. 1972) at t = 1 gives |W_J| = prod over those alpha of
+    (ht alpha + 1)/ht alpha, and likewise |W| over all alpha > 0; so |W c| is
+    the product over the alpha > 0 with (c, alpha) != 0.
+    """
+    num = den = 1
+    for root, pair in zip(algebra.positive_roots, algebra.root_pairings):
+        if sum(map(mul, c, pair)):
+            h = sum(root)
+            num *= h + 1
+            den *= h
+    size, r = divmod(num, den)
+    check(r == 0, "orbit size is not an integer")
+    return size
 
 
 def dominant_below(algebra: AlgebraData, top) -> set:

@@ -154,6 +154,27 @@ def dominant_weight(w: Weight) -> Weight:
     return w
 
 
+def dense_dominant_coords(cartan, v):
+    """The dominant point of the Weyl orbit of v and the number of simple
+    reflections used: s_i maps v to v - v_i A[., i] over every row of the
+    dense Cartan matrix, at the first negative coordinate.  The oracle of
+    root_system.dominant_coords, which reflects on the nonzero entries only."""
+    v = list(v)
+    n = len(v)
+    count = 0
+    i = 0
+    while i < n:
+        c = v[i]
+        if c < 0:
+            for j in range(n):
+                v[j] -= c * cartan[j][i]
+            count += 1
+            i = 0
+        else:
+            i += 1
+    return tuple(v), count
+
+
 def normalize_vector(vec):
     """Scale to integral entries with content 1 and positive leading entry.
 
@@ -181,8 +202,9 @@ def job_config_from_json_dict(data: dict) -> JobConfig:
 def decomposition_character(dec) -> Character:
     """The character sum of m ch L(w) over the constituents of dec."""
     out = {}
+    algebra = dec.algebra
     for w, m in dec.items():
-        for c, mu in irrep_character(dec.algebra, w).dominant.items():
+        for c, mu in irrep_character(algebra, algebra.weight(w)).dominant.items():
             out[c] = out.get(c, 0) + m * mu
     return Character(dec.algebra, out)
 

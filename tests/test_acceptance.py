@@ -139,7 +139,8 @@ def _check_kostant_pair(algebra, cb, u_rep, m_rep, u_hw, m_hw):
     # eigenvalue multiset matches the tensor decomposition
     dec = tensor_decompose(u_hw, irrep_character(algebra, m_hw))
     expected = {}
-    for w, mult in dec.items():
+    for c, mult in dec.items():
+        w = algebra.weight(c)
         v = casimir_on_irrep(algebra, w)
         expected[v] = expected.get(v, 0) + mult * weyl_dimension(algebra, w)
     total = 0

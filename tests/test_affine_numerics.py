@@ -380,4 +380,4 @@ def test_candidate_sets_are_weyl_invariant(series, rank, coords, kappa):
     assert any(n >= 1 for n in by_degree)
     for n, points in by_degree.items():
         for nu in points:
-            assert orbit_coords(algebra.cartan, nu) <= points, (n, nu)
+            assert orbit_coords(algebra, nu) <= points, (n, nu)

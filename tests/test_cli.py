@@ -586,6 +586,33 @@ def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Full stdout sha256 of text runs well past the benchmark's grid, recorded
+# while every Weyl reflection still walked the dense Cartan columns and
+# orbit sizes were counted by walking the orbit: the sparse reflection
+# kernel, the orbit-size formula and the int-keyed decompositions must
+# reproduce them byte for byte.
+@pytest.mark.parametrize("argv,code,digest", [
+    ("symlevels D 4 --n 8", 0,
+     "3030ac1aa28b5df6af0fff0f7fb657d6398f654d826a3a65713a9ba379d8c0de"),
+    ("symlevels E 6 --n 4", 0,
+     "12e852e8b40b01902e0c2da353e5814a46ece29ef3c46dc97c824b06f13a12bf"),
+    ("symlevels F 4 --n 4", 0,
+     "6db19cad20a41329ba94e675c2e9aa31df8ed66a20f36685a532c016818e01e8"),
+    ("symlevels G 2 --n 10", 0,
+     "3dbb8ddadb469e150a4bb5d0e571e71e36b0d79e15fc8630c22986dd752338ec"),
+    ("symlevels B 4 --n 6", 0,
+     "dc4604e2bd775a687b6ddb0eaa9c009fb9a6c075d952cebbfdd2011aced8c311"),
+    ("symlevels E 8 --n 2", 0,
+     "a4070a066933564d0c37a41abc8ae1acb21095dc7754bec8c77d390b8cf55b61"),
+    ("certify A 3 --hw 1 1 1 --kappa=-1", 2,
+     "90128fb5fdca4083230a7b7fc8b1b4be7870c54c6aa9e191f6769d193512e8c2"),
+], ids=["D4-n8", "E6-n4", "F4-n4", "G2-n10", "B4-n6", "E8-n2", "A3-111"])
+def test_character_engine_output_is_pinned(argv, code, digest, capsys):
+    got, out, _ = _run(argv.split(), capsys)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_crossvalidate_rejects_algebras_over_64_dimensions(capsys):
     code, out, err = _run(["crossvalidate", "E", "6", "--hw"] + ["0"] * 6
                           + ["--kappa=-1", "--depth", "1"], capsys)

@@ -1,5 +1,7 @@
 """Tests for root data, the invariant form, and Weyl orbits."""
 
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -7,7 +9,7 @@ from operator import mul
 import pytest
 
 from helpers import (
-    ball_by_box, dominant_weight, floor_plus_sqrt, gram_is_positive_definite,
+    ball_by_box, dense_dominant_coords, dominant_weight, floor_plus_sqrt, gram_is_positive_definite,
     reflect_simple, resonance_value, root_weight, weight_closure,
 )
 from weylmod.finite_rep import Character
@@ -19,6 +21,7 @@ from weylmod.root_system import (
     inner_product,
     norm_sq,
     orbit_coords,
+    orbit_size,
 )
 
 # (series, rank) -> (#positive roots, dual Coxeter number, dimension)
@@ -136,20 +139,20 @@ def test_reflections_preserve_norm():
 
 def test_dominant_representative_and_orbit():
     a = build_algebra("A", 2)
-    dom, count = dominant_coords(a.cartan, (-1, -1))
+    dom, count = dominant_coords(a, (-1, -1))
     assert dom == (1, 1) and count == 3
     assert a.weight(dom) == dominant_weight(a.weight([-1, -1]))
-    assert orbit_coords(a.cartan, (1, 0)) == {(1, 0), (-1, 1), (0, -1)}
-    assert dominant_coords(a.cartan, (-1, 1))[0] == (1, 0)
-    assert dominant_coords(a.cartan, (0, 1))[0] != (1, 0)
+    assert orbit_coords(a, (1, 0)) == {(1, 0), (-1, 1), (0, -1)}
+    assert dominant_coords(a, (-1, 1))[0] == (1, 0)
+    assert dominant_coords(a, (0, 1))[0] != (1, 0)
     # |W| orbit of a regular weight: A2 has Weyl group of order 6
-    assert len(orbit_coords(a.cartan, (1, 1))) == 6
+    assert len(orbit_coords(a, (1, 1))) == 6
 
 
 def test_weyl_orbit_sizes_sl2():
     sl2 = build_algebra("A", 1)
-    assert orbit_coords(sl2.cartan, (0,)) == {(0,)}
-    assert orbit_coords(sl2.cartan, (3,)) == {(3,), (-3,)}
+    assert orbit_coords(sl2, (0,)) == {(0,)}
+    assert orbit_coords(sl2, (3,)) == {(3,), (-3,)}
 
 
 # |W| by type: (n+1)!, 2^n n!, 2^(n-1) n!, and the exceptional orders
@@ -208,8 +211,55 @@ def test_integer_orbits_match_weyl_orbit_and_orbit_size(series, rank):
             assert set(full) == _reflection_closure(w)
         # the orbit of any of its points is the same orbit
         some = sorted(full)[len(full) // 2]
-        assert orbit_coords(a.cartan, some) == set(full)
-        assert dominant_coords(a.cartan, some)[0] == coords
+        assert orbit_coords(a, some) == set(full)
+        assert dominant_coords(a, some)[0] == coords
+
+
+# every type of rank <= 8
+_ALL_UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", _ALL_UP_TO_RANK_8)
+def test_sparse_reflection_kernel_matches_dense_oracle(series, rank):
+    a = build_algebra(series, rank)
+    for i, col in enumerate(a.cartan_cols):
+        assert col == tuple((j, a.cartan[j][i]) for j in range(rank) if a.cartan[j][i])
+    rng = random.Random(rank)
+    for _ in range(60):
+        v = tuple(rng.randint(-5, 5) for _ in range(rank))
+        dom, count = dense_dominant_coords(a.cartan, v)
+        # each step removes one positive root pairing negatively with v, so
+        # the count, not only its parity, is the same in any order of steps
+        assert dominant_coords(a, v) == (dom, count), v
+        # the regular walk stops on a wall, which a singular dominant point
+        # lies on, and otherwise finishes the same walk
+        regular = dominant_coords(a, v, regular=True)
+        assert regular == (None if 0 in dom else (dom, count)), v
+
+
+# every weight with coordinates <= 2 on these types, 426 in all
+_ORBIT_SIZE_TYPES = [("A", 1), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                     ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("series,rank", _ORBIT_SIZE_TYPES)
+def test_orbit_size_formula_matches_orbit_walk(series, rank):
+    a = build_algebra(series, rank)
+    for c in itertools.product(range(3), repeat=rank):
+        assert orbit_size(a, c) == len(orbit_coords(a, c)), c
+
+
+def test_orbit_size_at_rho_is_weyl_group_order():
+    orders = {("D", 5): 1920, ("E", 6): 51840, ("E", 7): 2903040,
+              ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+    for (series, rank), order in orders.items():
+        a = build_algebra(series, rank)
+        assert orbit_size(a, (1,) * rank) == order, series + str(rank)
+        assert orbit_size(a, (0,) * rank) == 1
 
 
 def test_ball_enumeration_exact():
