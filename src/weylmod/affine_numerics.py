@@ -16,8 +16,8 @@ vector of weight ``m_hw + mu`` at degree n forces the exact resonance
 A ResonanceScan answers for one (lambda, kappa): one walk of the root lattice
 gives the solutions of that equation (candidate pairs) and the Kostant-style
 lower bound C = min q, which give the irreducibility certificate and the
-composition-length bound.  All arithmetic is exact: rational kappa stays in
-Fraction, non-real kappa in ComplexRational.
+composition-length bound.  All arithmetic is exact: kappa is an int, a
+Fraction or a ComplexRational, read through kappa.real and kappa.imag.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .finite_rep import tensor_decompose
 from .graded_sym import sym_ad_graded
-from .rational import ComplexRational, scalar_im, scalar_re
+from .rational import SCALAR_TYPES, ComplexRational, exact
 from .root_system import Weight, enumerate_root_lattice_ball, norm_sq
 
 __all__ = [
@@ -95,18 +95,18 @@ def check_kappa(kappa) -> None:
     """Reject kappa in R_{>=0}; there the Sugawara normalisation degenerates
     (kappa = 0) or the module is in the integrable regime we do not treat.
 
-    A float kappa is a TypeError: it would stand for a value already rounded."""
-    if isinstance(kappa, float):
-        raise TypeError("not an exact scalar: %r" % kappa)
-    if scalar_im(kappa) == 0 and scalar_re(kappa) >= 0:
+    A kappa that is not an int, Fraction or ComplexRational is a TypeError;
+    a float would stand for a value already rounded."""
+    if not isinstance(kappa, SCALAR_TYPES):
+        raise TypeError("not an exact scalar: %r" % (kappa,))
+    if kappa.imag == 0 and kappa.real >= 0:
         raise ValueError("kappa must lie outside the nonnegative real axis")
 
 
 def top_l0_eigenvalue(a, kappa):
-    """L0 scalar a / (2 kappa) on the degree-0 layer, a = Casimir of M."""
-    if scalar_im(kappa) == 0:
-        return Fraction(a) / (2 * scalar_re(kappa))
-    return Fraction(a) / (2 * kappa)
+    """L0 scalar a / (2 kappa) on the degree-0 layer, a = Casimir of M: a
+    Fraction when kappa is real, else a ComplexRational."""
+    return Fraction(a) / (2 * exact(kappa))
 
 
 def _scaled_resonances(lam: Weight, lam_sq: Fraction):
@@ -149,9 +149,9 @@ class ResonanceScan:
         self.kappa = kappa
         lam_sq = norm_sq(lam)
         ball, values, low, scale = _scaled_resonances(lam, lam_sq)
-        real = scalar_im(kappa) == 0
+        real = kappa.imag == 0
         # for real kappa, n = q / (2 kappa) = v den / step at scaled value v
-        re = Fraction(scalar_re(kappa))
+        re = Fraction(kappa.real)
         den, step = re.denominator, 2 * re.numerator * scale
 
         by_degree = {}  # n -> its mu in walk order, which is lexicographic
@@ -179,7 +179,7 @@ class ResonanceScan:
     def certificate(self) -> IrreducibilityVerdict:
         """KostantBound when kappa is real with re(kappa) < C/2 < 0; otherwise
         OutsideXLambda or Inconclusive by the positive-degree candidates."""
-        if scalar_im(self.kappa) == 0 and scalar_re(self.kappa) < self.c / 2 < 0:
+        if self.kappa.imag == 0 and self.kappa.real < self.c / 2 < 0:
             return IrreducibilityVerdict(CERTIFIED, REASON_KOSTANT)
         positive = tuple(p for p in self.candidates if p.n >= 1)
         if not positive:
@@ -233,7 +233,7 @@ def in_X_lambda(kappa, lam: Weight) -> bool:
 def in_Y_lambda(kappa, lam: Weight) -> bool:
     """Whether kappa lies in Y_lambda; for our rational lambda this is exactly
     the rationality of kappa."""
-    return scalar_im(kappa) == 0
+    return kappa.imag == 0
 
 
 def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:

@@ -17,11 +17,12 @@ the action of every x eps^m with |m| <= N back into this basis using
 with K acting by the scalar kappa - h_dual.  The zero modes act through M and
 the positive modes kill it.  The result is one column-sparse action store,
 and every operator below reads it.  All coefficients are exact, and the
-store holds each in canonical form: an int when integral, a Fraction when
-rational, a ComplexRational only when its imaginary part is nonzero.  Every
-entry is a sum of products of brackets, matrix entries of M and central
-terms m (x, y) (kappa - h_dual).  The brackets are ints, and so are the
-matrices of M on the sl2 ladder and for minuscule M (see chevalley), so
+store holds each in the canonical form rational.exact gives: an int when
+integral, a Fraction when rational, a ComplexRational only when its
+imaginary part is nonzero; x.real and x.imag read the parts of any of them.
+Every entry is a sum of products of brackets, matrix entries of M and
+central terms m (x, y) (kappa - h_dual).  The brackets are ints, and so are
+the matrices of M on the sl2 ladder and for minuscule M (see chevalley), so
 there only the central term can bring a denominator or i into the store.
 
 On top of the raw action the module offers the brute-force oracles used to
@@ -64,7 +65,7 @@ from .linalg import (
     nullspace,  # noqa: F401  (bound here for tools that wrap it per module)
     nullspace_of_columns,
 )
-from .rational import ComplexRational, exact, format_scalar, scalar_im, scalar_re
+from .rational import SCALAR_TYPES, exact, format_scalar
 from .root_system import Weight, root_to_fw
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
@@ -73,13 +74,6 @@ _DEFAULT_DEPTH_CAP = 6
 # monomial factors are packed as (mode << _SHIFT) | generator_index
 _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
-
-
-def _canonical(x):
-    """x as an int when integral, a Fraction when rational, else complex."""
-    if isinstance(x, ComplexRational):
-        return x if x.im else x.re
-    return exact(x)
 
 
 def depth_cap() -> int:
@@ -135,7 +129,7 @@ class TruncatedWeylModule:
         self.rep = rep_from_hw(self.cb, m_hw)
         self.k_scalar = kappa - algebra.dual_coxeter
         self.scan = None
-        if scalar_im(kappa) != 0 or scalar_re(kappa) < 0:
+        if kappa.imag or kappa.real < 0:
             self.scan = ResonanceScan(m_hw + algebra.rho, kappa)
 
         sym_dims = [c.dimension() for c in sym_ad_graded(algebra, depth)]
@@ -243,7 +237,7 @@ def _straighten(module) -> dict:
                     accumulate(out, (m3, tag), cq * c3)
             if m == k0:
                 accumulate(out, (rest, None),
-                           _canonical(m * cb.pairing(p, p0) * k_scalar))
+                           exact(m * cb.pairing(p, p0) * k_scalar))
         memo[key] = out
         return out
 
@@ -270,7 +264,7 @@ def _straighten(module) -> dict:
                             for i, v in mats[tag].get(j, _EMPTY).items():
                                 accumulate(col, index[(m2, i)], c * v)
                         if col:
-                            cols[start + j] = {t: _canonical(v) for t, v in col.items()}
+                            cols[start + j] = {t: exact(v) for t, v in col.items()}
     # op refers to itself, so only a cycle collection would free the memo;
     # release it now
     memo.clear()
@@ -309,15 +303,12 @@ def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
             "depth %d exceeds the cap %d (override with %s)"
             % (depth, cap, DEPTH_CAP_ENV)
         )
-    if isinstance(kappa, int):
-        kappa = Fraction(kappa)
-    if isinstance(kappa, ComplexRational) and kappa.is_real():
-        kappa = kappa.as_fraction()
-    if not isinstance(kappa, (Fraction, ComplexRational)):
+    if not isinstance(kappa, SCALAR_TYPES):
         raise ValueError("kappa must be rational or complex rational")
+    kappa = exact(kappa)
     if not kappa:
         raise ValueError("kappa = 0 is the critical level; rejected")
-    return kappa
+    return kappa if kappa.imag else Fraction(kappa)
 
 
 def _image_degrees(depth: int, m: int) -> range:

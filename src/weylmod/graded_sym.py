@@ -17,12 +17,13 @@ spirit of Moody-Patera, "Fast recursion formula for weight multiplicities",
 Bull. AMS 1982).  Each H_n is a character, hence W-invariant, so the lookup
 at beta - j gamma may be made at its dominant point: the recursion reads and
 writes dominant keys only.  The weights of S(ad)_n are sums of n weights of
-ad, all <= n theta, so beta runs over root_system.dominant_below(n theta).
+ad, all <= n theta, so beta runs over the dominant weights <= n theta; one
+call root_system.dominant_below(n_max theta) lists them for every level.
 The dominant points come from root_system.dominant_coords, the one sparse
 reflection kernel, and only for the shifts beta - j gamma below
-(n_max - j) theta in the root order: any other one reads 0.  As in finite_rep, keys are int tuples and
-multiplicities ints, in the levels and in the DecompositionMultiset of
-weyl_level_decomposition.
+(n_max - j) theta in the root order: any other one reads 0.  As in
+finite_rep, keys are int tuples and multiplicities ints, in the levels and
+in the DecompositionMultiset of weyl_level_decomposition.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
         return [sum(map(mul, row, x)) for row in inv]
 
     theta_r = roots_of(theta)
+    support_r = {b: roots_of(b) for b in support}
     # scaled[j]: (j gamma, roots_of(j gamma), m_gamma) over the weights of ad,
     # built at level j, the first that reads it
     scaled = [None]
@@ -84,7 +86,7 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
         if got is None:
             acc = {}
             # beta - j gamma <= (n_max - j) theta: slack + j gamma >= 0
-            slack = [(n_max - j) * t - b for t, b in zip(theta_r, roots_of(beta))]
+            slack = [(n_max - j) * t - b for t, b in zip(theta_r, support_r[beta])]
             for step, step_r, m in scaled[j]:
                 if min(map(add, slack, step_r)) < 0:
                     continue
@@ -99,7 +101,11 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
         steps = [(tuple(n * g for g in gamma), m) for gamma, m in ad.items()]
         scaled.append([(step, roots_of(step), m) for step, m in steps])
         level = {}
-        for beta in dominant_below(algebra, tuple(n * t for t in theta)):
+        # level n lives on the beta of support with beta <= n theta
+        top = [n * t for t in theta_r]
+        for beta, beta_r in support_r.items():
+            if min(map(sub, top, beta_r)) < 0:
+                continue
             total = 0
             for j in range(1, n + 1):
                 keys, mults = shifts(beta, j)
@@ -110,7 +116,7 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
             check(r == 0 and h >= 0,
                   "S(ad) level %d multiplicity is not a natural number", n)
             if h:
-                level[canon[beta]] = h
+                level[beta] = h
         levels.append(level)
     return tuple(Character(algebra, lv) for lv in levels)
 

@@ -23,11 +23,12 @@ passed instead of by p_{k-1}.  A row that survives every stage is raised
 by p_last / p_passed before it is stored, which puts it back at the exact
 Bareiss scale.
 
-Scalars accepted everywhere: int, Fraction, ComplexRational; ints are the
-fast case, since _scaled then needs no denominator.  nullspace,
-SpanBuilder.coords and matrix_inverse return Fraction, or ComplexRational
-when not real; accumulate and apply return whatever the arithmetic of their
-inputs gives, so ints stay ints.  Never float.
+Scalars accepted everywhere: int, Fraction, ComplexRational, each read
+through its parts x.real and x.imag; ints are the fast case, since _scaled
+then needs no denominator.  nullspace, SpanBuilder.coords and
+matrix_inverse return Fraction, or ComplexRational when not real;
+accumulate and apply return whatever the arithmetic of their inputs gives,
+so ints stay ints.  Never float.
 
 independent_mod_p is a filter in front of that kernel: it reduces the
 columns modulo the fixed prime FILTER_PRIME = 1 (mod 4), with i sent to a
@@ -96,7 +97,7 @@ def _scaled(vec):
     den = 1
     for k, x in items:
         if x:
-            re, im = (x.re, x.im) if isinstance(x, ComplexRational) else (x, 0)
+            re, im = x.real, x.imag
             den = lcm(den, re.denominator, im.denominator)
             parts.append((k, re, im))
     return {
@@ -262,9 +263,8 @@ def _mod_p(x):
     p = FILTER_PRIME
     if type(x) is int:
         return x % p
-    re, im = (x.re, x.im) if isinstance(x, ComplexRational) else (x, 0)
     out = 0
-    for part, unit in ((re, 1), (im, FILTER_I)):
+    for part, unit in ((x.real, 1), (x.imag, FILTER_I)):
         den = part.denominator
         if den % p == 0:
             return None

@@ -2,14 +2,17 @@
 
 The central charge kappa may be any nonzero complex number away from the
 critical value; everything downstream (Sugawara eigenvalues, central terms,
-kernels) must stay exact, so we work in Q(i).  A rational is held in its
-canonical form, exact(x): a Python int when it is integral, else a
-fractions.Fraction.  ComplexRational stores its two components that way and
-interoperates with int and Fraction operands, which lets the module
-machinery run on ints while every scalar is integral, on Fractions once a
-denominator appears, and promote to Q(i) only when an actually complex
-scalar enters.  Every division goes through Fraction, so two int operands
-never give a float.
+kernels) must stay exact, so we work in Q(i).  A scalar is an int, a
+fractions.Fraction or a ComplexRational, and exact(x) gives its canonical
+form: an int when it is integral, a Fraction when it is rational, and a
+ComplexRational only when its imaginary part is nonzero.  As in the numeric
+tower of PEP 3141, x.real and x.imag read the parts of every such scalar,
+so no caller tests which of the three it holds.  ComplexRational stores its
+parts in canonical form and interoperates with int and Fraction operands,
+which lets the module machinery run on ints while every scalar is integral,
+on Fractions once a denominator appears, and in Q(i) only when an actually
+complex scalar enters.  Every division goes through Fraction, so two int
+operands never give a float.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from fractions import Fraction
 
 
 def exact(x):
-    """The rational x as an int when it is integral, else as a Fraction.
+    """The canonical form of the scalar x: an int when it is integral, a
+    Fraction when it is rational, else a ComplexRational.
 
     A float is a TypeError: it would stand for a value already rounded."""
     if type(x) is int:
         return x
+    if isinstance(x, ComplexRational):
+        return x if x.imag else exact(x.real)
     if isinstance(x, float):
         raise TypeError("not an exact scalar: %r" % x)
     x = x if isinstance(x, (int, Fraction)) else Fraction(x)
@@ -30,89 +36,62 @@ def exact(x):
 
 
 class ComplexRational:
-    """A number re + im*i with re, im in Q, each held as exact() gives it."""
+    """A number real + imag*i with real, imag in Q, each held as exact()
+    gives it."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = exact(re)
-        self.im = exact(im)
+    def __init__(self, real=0, imag=0):
+        self.real = exact(real)
+        self.imag = exact(imag)
+        if ComplexRational in (type(self.real), type(self.imag)):
+            raise TypeError("not a rational part: %r, %r" % (real, imag))
 
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexRational):
-            return x
-        if type(x) is int:
-            z = object.__new__(ComplexRational)
-            z.re = x
-            z.im = 0
-            return z
-        if isinstance(x, (int, Fraction)):
-            return ComplexRational(x, 0)
-        return None
-
-    def is_real(self):
-        return self.im == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.im != 0:
-            raise ValueError("not a real number: %s" % format_scalar(self))
-        return Fraction(self.re)
-
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: other is any scalar, read through .real and .imag -------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        return ComplexRational(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        return ComplexRational(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
+        return ComplexRational(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return ComplexRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ComplexRational":
-        n = self.re * self.re + self.im * self.im
+        n = self.real * self.real + self.imag * self.imag
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return ComplexRational(Fraction(self.re, n), Fraction(-self.im, n))
+        return ComplexRational(Fraction(self.real, n), Fraction(-self.imag, n))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return self * o.inverse()
+        return self * ComplexRational(other.real, other.imag).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return ComplexRational(-self.real, -self.imag)
 
     def __pos__(self):
         return self
@@ -120,25 +99,28 @@ class ComplexRational:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
         # keep hash(ComplexRational(x, 0)) == hash(Fraction(x))
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.real != 0 or self.imag != 0
 
     def __repr__(self):
-        return "ComplexRational(%r, %r)" % (self.re, self.im)
+        return "ComplexRational(%r, %r)" % (self.real, self.imag)
 
     def __str__(self):
         return format_scalar(self)
+
+
+# every scalar type: each reads its parts as .real and .imag
+SCALAR_TYPES = (int, Fraction, ComplexRational)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -152,18 +134,21 @@ def format_scalar(x) -> str:
     if isinstance(x, (int, Fraction)):
         return format_fraction(x)
     if isinstance(x, ComplexRational):
-        if x.im == 0:
-            return format_fraction(x.re)
-        sign = "+" if x.im > 0 else "-"
-        return "%s%s%s i" % (format_fraction(x.re), sign, format_fraction(abs(x.im)))
+        if x.imag == 0:
+            return format_fraction(x.real)
+        sign = "+" if x.imag > 0 else "-"
+        return "%s%s%s i" % (format_fraction(x.real), sign, format_fraction(abs(x.imag)))
     raise TypeError("cannot format %r" % (x,))
 
 
 def parse_fraction(tok: str, typed=None) -> Fraction:
     """Parse "p/q"; a malformed token or a zero denominator is a ValueError
     that names typed, the whole text the token was cut from (default: the
-    token itself)."""
+    token itself).  An underscore is malformed on every Python version, as
+    Fraction() takes PEP 515 underscores only from 3.11 on."""
     try:
+        if "_" in tok:
+            raise ValueError(tok)
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (typed or tok)) from None
@@ -204,15 +189,3 @@ def parse_scalar(text: str):
     if im == 0:
         return re
     return ComplexRational(re, im)
-
-
-def scalar_re(x) -> Fraction:
-    if isinstance(x, ComplexRational):
-        return Fraction(x.re)
-    return Fraction(x)
-
-
-def scalar_im(x) -> Fraction:
-    if isinstance(x, ComplexRational):
-        return Fraction(x.im)
-    return Fraction(0)

@@ -235,8 +235,9 @@ def test_kappa_on_nonnegative_axis_rejected():
             irreducibility_certificate(sl2.weight([0]), bad)
         with pytest.raises(ValueError):
             delta_upper_bound(sl2.weight([0]), bad, 1)
-    # a float kappa stands for a value already rounded
-    for bad in (-0.1, -2.0):
+    # a float kappa stands for a value already rounded; a str, None or a
+    # list is no scalar at all
+    for bad in (-0.1, -2.0, "-1", None, [1]):
         with pytest.raises(TypeError):
             check_kappa(bad)
         with pytest.raises(TypeError):

@@ -371,6 +371,10 @@ def test_usage_errors_exit_one(capsys):
         ["certify", "A", "1", "--hw", "--kappa=-1"],
         ["algebra", "A", "1", "extra"],
         ["certify", "A", "1", "--hw", "2", "--kappa=-1", "--depth", "2"],
+        # PEP 515 underscores are malformed on every Python version
+        ["certify", "A", "1", "--hw", "1", "--kappa=-1_0"],
+        ["certify", "A", "1", "--hw", "1", "--kappa=1+1_0i"],
+        ["certify", "A", "1", "--hw", "1_0", "--kappa=-1"],
     ):
         code, out, err = _run(argv, capsys)
         assert code == 1, argv

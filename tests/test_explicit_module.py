@@ -25,7 +25,7 @@ from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
 from weylmod.linalg import FILTER_PRIME, SpanBuilder
 from weylmod.rational import (
-    ComplexRational, format_scalar, parse_scalar, scalar_im, scalar_re,
+    ComplexRational, format_scalar, parse_scalar,
 )
 from weylmod.root_system import build_algebra
 
@@ -691,11 +691,11 @@ def _walk(value):
     """The scalar value, checked to be exact and never float."""
     assert isinstance(value, (int, Fraction, ComplexRational)), value
     if isinstance(value, ComplexRational):
-        assert not isinstance(value.re, float) and not isinstance(value.im, float)
+        assert not isinstance(value.real, float) and not isinstance(value.imag, float)
     return value
 
 
-# the explicit benchmark grid, plus kappa = h-dual
+# the explicit benchmark grid, plus kappa = h-dual and kappa - h-dual = i
 @pytest.mark.parametrize("series,rank,hw,kappa,depth", [
     ("A", 1, [2], "-2", 4),
     ("A", 1, [0], "-1", 5),
@@ -703,6 +703,7 @@ def _walk(value):
     ("A", 2, [1, 0], "-1+1i", 2),
     ("A", 2, [0, 0], "-3/2", 3),
     ("A", 1, [0], "2", 2),
+    ("A", 1, [0], "2+1i", 3),
 ])
 def test_scalars_are_exact_and_integral_entries_are_ints(series, rank, hw, kappa,
                                                          depth):
@@ -716,12 +717,11 @@ def test_scalars_are_exact_and_integral_entries_are_ints(series, rank, hw, kappa
         if isinstance(v, Fraction):
             assert v.denominator != 1, v
         if isinstance(v, ComplexRational):
-            assert v.im and all(type(c) is int or c.denominator != 1
-                                for c in (v.re, v.im)), v
-    if scalar_re(m.k_scalar).denominator == 1 == scalar_im(m.k_scalar).denominator:
+            assert v.imag and all(type(c) is int or c.denominator != 1
+                                  for c in (v.real, v.imag)), v
+    if m.k_scalar.real.denominator == 1 == m.k_scalar.imag.denominator:
         # M is minuscule or g = sl2 here, so only k can bring a denominator
-        assert all(type(c) is int for v in store
-                   for c in ((v.re, v.im) if isinstance(v, ComplexRational) else (v,)))
+        assert all(type(c) is int for v in store for c in (v.real, v.imag))
     for xi in m.l0:
         _walk(xi)
     _assert_l0_is_the_closed_form(m)

@@ -94,7 +94,7 @@ def test_normalize_vector():
     # integral, content one, positive leading coefficient
     assert v == [Fraction(1), Fraction(-2), Fraction(0)]
     w = normalize_vector([ComplexRational(0, Fraction(1, 2)), ComplexRational(1, 0)])
-    assert w[0].im != 0 or w[0] > 0
+    assert w[0].imag != 0 or w[0] > 0
 
 
 def test_determinant_and_inverse():
@@ -237,8 +237,8 @@ def test_kernel_agrees_with_sympy_on_random_matrices():
     def to_sympy(rows, ncols):
         def conv(x):
             if isinstance(x, ComplexRational):
-                return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * (
-                    sympy.Rational(x.im.numerator, x.im.denominator))
+                return sympy.Rational(x.real.numerator, x.real.denominator) + sympy.I * (
+                    sympy.Rational(x.imag.numerator, x.imag.denominator))
             x = Fraction(x)
             return sympy.Rational(x.numerator, x.denominator)
 

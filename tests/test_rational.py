@@ -10,14 +10,12 @@ from weylmod.rational import (
     format_fraction,
     format_scalar,
     parse_scalar,
-    scalar_im,
-    scalar_re,
 )
 
 
 def test_construction_and_coercion():
     z = ComplexRational(Fraction(1, 2), -3)
-    assert z.re == Fraction(1, 2) and z.im == -3
+    assert z.real == Fraction(1, 2) and z.imag == -3
     assert ComplexRational(2) == 2
     assert ComplexRational(Fraction(3, 4), 0) == Fraction(3, 4)
     assert not ComplexRational(0, 0)
@@ -52,12 +50,6 @@ def test_mixed_fraction_interop():
     assert Fraction(1, 2) / ComplexRational(0, 1) == ComplexRational(0, Fraction(-1, 2))
     # hash consistency on the real axis
     assert hash(ComplexRational(Fraction(5, 7), 0)) == hash(Fraction(5, 7))
-
-
-def test_as_fraction():
-    assert ComplexRational(Fraction(2, 3), 0).as_fraction() == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        ComplexRational(0, 1).as_fraction()
 
 
 def test_format_fraction():
@@ -106,10 +98,14 @@ def test_parse_scalar_rejects_garbage():
 
 
 def test_scalar_parts():
-    assert scalar_re(Fraction(2, 3)) == Fraction(2, 3)
-    assert scalar_im(Fraction(2, 3)) == 0
-    assert scalar_re(ComplexRational(1, 5)) == 1
-    assert scalar_im(ComplexRational(1, 5)) == 5
+    # every scalar reads its parts as .real and .imag, as in PEP 3141
+    assert Fraction(2, 3).real == Fraction(2, 3)
+    assert Fraction(2, 3).imag == 0
+    assert (7).real == 7 and (7).imag == 0
+    assert ComplexRational(1, 5).real == 1
+    assert ComplexRational(1, 5).imag == 5
+    assert ComplexRational(Fraction(2, 3), 0).real == Fraction(2, 3)
+    assert ComplexRational(Fraction(2, 3), 0).imag == 0
 
 
 def test_format_parse_round_trip_property():
@@ -126,7 +122,7 @@ def test_format_parse_round_trip_property():
     def check(x):
         y = parse_scalar(format_scalar(x))
         assert y == x
-        assert isinstance(y, Fraction) == (scalar_im(x) == 0)
+        assert isinstance(y, Fraction) == (x.imag == 0)
 
     check()
 
@@ -167,15 +163,21 @@ def test_exact_is_int_when_integral():
         exact(0.5)
     with pytest.raises(TypeError):
         ComplexRational(1, 0.5)
+    with pytest.raises(TypeError):
+        ComplexRational(ComplexRational(1, 1))
+    assert ComplexRational(ComplexRational(1, 0), 2) == ComplexRational(1, 2)
     z = ComplexRational(Fraction(4, 2), Fraction(1, 3))
-    assert type(z.re) is int and z.im == Fraction(1, 3)
+    assert type(z.real) is int and z.imag == Fraction(1, 3)
     # int components never divide to a float
     w = ComplexRational(1, 1).inverse()
     assert w == ComplexRational(Fraction(1, 2), Fraction(-1, 2))
-    assert type(w.re) is Fraction and type(w.im) is Fraction
-    assert type(ComplexRational(2, 0).as_fraction()) is Fraction
-    assert type(scalar_re(ComplexRational(2, 1))) is Fraction
-    assert type(scalar_im(ComplexRational(2, 1))) is Fraction
+    assert type(w.real) is Fraction and type(w.imag) is Fraction
+    # a ComplexRational on the real axis canonicalises to its real part
+    assert type(exact(ComplexRational(2, 0))) is int
+    assert exact(ComplexRational(2, 0)) == 2
+    half = exact(ComplexRational(Fraction(1, 2), 0))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(exact(ComplexRational(2, 1))) is ComplexRational
 
 
 def test_arithmetic_on_mixed_operands_against_pair_oracle():
@@ -190,7 +192,7 @@ def test_arithmetic_on_mixed_operands_against_pair_oracle():
     def pair(x):
         """The oracle: x as a (Fraction, Fraction) pair."""
         if isinstance(x, ComplexRational):
-            return Fraction(x.re), Fraction(x.im)
+            return Fraction(x.real), Fraction(x.imag)
         return Fraction(x), Fraction(0)
 
     def mul(a, b):
@@ -203,9 +205,9 @@ def test_arithmetic_on_mixed_operands_against_pair_oracle():
     def no_float(z):
         assert not isinstance(z, float)
         if isinstance(z, ComplexRational):
-            assert not isinstance(z.re, float) and not isinstance(z.im, float)
+            assert not isinstance(z.real, float) and not isinstance(z.imag, float)
             # components are held in canonical form
-            for c in (z.re, z.im):
+            for c in (z.real, z.imag):
                 assert type(c) is int or c.denominator != 1
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
@@ -237,5 +239,40 @@ def test_arithmetic_on_mixed_operands_against_pair_oracle():
             if c[1] == 0:
                 assert twin == c[0] and hash(twin) == hash(c[0])
         assert (x == y) == (a == b)
+
+    check()
+
+
+def test_parts_and_canonical_form_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    # (scalar, its parts as the pair oracle): ints, Fractions, and
+    # ComplexRationals, those with a zero imaginary part among them
+    scalars = st.one_of(
+        rationals.map(lambda a: (a, (a, 0))),
+        rationals.map(lambda a: (ComplexRational(a, 0), (a, 0))),
+        st.tuples(rationals, rationals).map(lambda p: (ComplexRational(*p), p)),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(scalars)
+    def check(case):
+        x, (a, b) = case
+        assert (x.real, x.imag) == (a, b)
+        y = exact(x)
+        assert y == x and hash(y) == hash(x)
+        again = exact(y)
+        assert again == y and type(again) is type(y)
+        if b:
+            assert type(y) is ComplexRational
+            assert (y.real, y.imag) == (exact(a), exact(b))
+        elif Fraction(a).denominator == 1:
+            assert type(y) is int
+        else:
+            assert type(y) is Fraction
 
     check()
