@@ -23,10 +23,10 @@ Fraction or a ComplexRational, read through kappa.real and kappa.imag.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from .finite_rep import tensor_decompose
-from .graded_sym import sym_ad_graded
+from .graded_sym import sym_ad_graded, tensor_irreps
 from .rational import SCALAR_TYPES, ComplexRational, exact
 from .root_system import Weight, enumerate_root_lattice_ball, norm_sq
 
@@ -190,13 +190,15 @@ class ResonanceScan:
         """The length bound of delta_upper_bound for M = L(lambda - rho).
 
         S(ad) is expanded once, to the largest candidate degree, and each
-        candidate level M (x) S(ad)_n is read from that one expansion.
+        candidate level M (x) S(ad)_n is the sum over its constituents
+        m L(mu) of m M (x) L(mu), whose length is found once per mu.
         """
         algebra = self.lam.algebra
         m_hw = self.lam - algebra.rho
         levels = sorted({p.n for p in self.pairs(n_max)})
         graded = sym_ad_graded(algebra, levels[-1])
-        total = sum(tensor_decompose(m_hw, graded[n]).length() for n in levels)
+        length = lru_cache(None)(lambda mu: tensor_irreps(algebra, m_hw, mu).length())
+        total = sum(m * length(mu) for n in levels for mu, m in graded[n].mults.items())
         return DeltaBound(total, self.level_bound <= n_max)
 
 
@@ -232,8 +234,9 @@ def in_X_lambda(kappa, lam: Weight) -> bool:
 
 def in_Y_lambda(kappa, lam: Weight) -> bool:
     """Whether kappa lies in Y_lambda; for our rational lambda this is exactly
-    the rationality of kappa."""
-    return kappa.imag == 0
+    the rationality of kappa.  A kappa that is not an exact scalar is a
+    TypeError."""
+    return exact(kappa).imag == 0
 
 
 def delta_upper_bound(m_hw: Weight, kappa, n_max: int) -> DeltaBound:

@@ -25,9 +25,9 @@ from itertools import takewhile
 
 from . import affine_numerics as an
 from . import explicit_module as em
-from .finite_rep import _require_dominant_integral, irrep_dimension, tensor_decompose
+from .finite_rep import _require_dominant_integral, irrep_dimension
 from .graded_sym import sym_ad_graded
-from .invariant import InvariantError, check
+from .invariant import InvariantError
 from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
 from .root_system import build_algebra, norm_sq
 
@@ -146,14 +146,10 @@ def cmd_symlevels(config: JobConfig, out) -> int:
     n_max = config.n_max
     if n_max < 0:
         raise ValueError("--n must be >= 0")
-    trivial = algebra.weight([0] * algebra.rank)
     levels = []
     lines = ["S(ad) levels for %s%d" % (algebra.series, algebra.rank)]
-    for n, level in enumerate(sym_ad_graded(algebra, n_max)):
-        dec = tensor_decompose(trivial, level)
-        dim = level.dimension()
-        check(dim == dec.dimension(),
-              "level %d: S(ad) dimension differs from its decomposition", n)
+    for n, dec in enumerate(sym_ad_graded(algebra, n_max)):
+        dim = dec.dimension()
         levels.append(
             {
                 "degree": n,

@@ -2,12 +2,12 @@
 
 Characters are stored by their dominant weights only: the full weight map is
 the Weyl-orbit expansion of those keys, built on request and never stored,
-and Brauer-Klimyk walks the orbits itself.  A dimension never walks an
+and tensor_decompose walks the orbits itself.  A dimension never walks an
 orbit: orbit sizes come from Macdonald's product (root_system.orbit_size).
 Multiplicities come from Freudenthal's recursion, dimensions of irreducibles
-from the Weyl dimension formula, tensor products L(nu) (x) U from the signed
-reflection rule (Brauer-Klimyk), and Casimir eigenvalues from
-c(nu) = |nu+rho|^2 - |rho|^2.
+from the Weyl dimension formula, tensor products from the one signed
+reflection rule (brauer_klimyk, which also takes virtual characters), and
+Casimir eigenvalues from c(nu) = |nu+rho|^2 - |rho|^2.
 
 Every character here has dominant integral highest weights, so inside the
 engine weights are tuples of ints in fundamental-weight coordinates: the
@@ -110,27 +110,32 @@ class DecompositionMultiset:
     """Multiset of irreducible constituents, held as {dominant int tuple
     (highest weight): multiplicity}."""
 
-    __slots__ = ("algebra", "mults")
+    __slots__ = ("algebra", "_mults")
 
     def __init__(self, algebra: AlgebraData, mults: dict):
         self.algebra = algebra
-        self.mults = _dominant_mults(algebra, mults)
+        self._mults = _dominant_mults(algebra, mults)
+
+    @property
+    def mults(self):
+        """Highest weight -> multiplicity, read-only."""
+        return MappingProxyType(self._mults)
 
     def items(self):
-        return sorted(self.mults.items())
+        return sorted(self._mults.items())
 
     def length(self) -> int:
-        return sum(self.mults.values())
+        return sum(self._mults.values())
 
     def dimension(self) -> int:
         algebra = self.algebra
-        return sum(m * irrep_dimension(algebra, c) for c, m in self.mults.items())
+        return sum(m * irrep_dimension(algebra, c) for c, m in self._mults.items())
 
     def __eq__(self, other):
         return (
             isinstance(other, DecompositionMultiset)
             and self.algebra == other.algebra
-            and self.mults == other.mults
+            and self._mults == other._mults
         )
 
     def __repr__(self):
@@ -204,25 +209,29 @@ def adjoint_character(algebra: AlgebraData) -> Character:
     return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
 
 
-def tensor_decompose(nu: Weight, u: Character) -> DecompositionMultiset:
-    """L(nu) (x) U by signed dominant reflection of nu + rho + mu.
+def brauer_klimyk(algebra: AlgebraData, weights, lam) -> dict:
+    """Brauer's rule for V (x) L(lam), lam a dominant int tuple and V a
+    W-invariant, possibly virtual, character given by its (weight mu,
+    multiplicity) pairs: {dominant t + rho: signed multiplicity}.  A point
+    lam + rho + mu that meets a zero coordinate on its way to the dominant
+    chamber is singular and adds nothing (dominant_coords, regular=True)."""
+    base = [c + 1 for c in lam]  # lam + rho, rho = (1, ..., 1)
+    out = {}
+    for mu, mult in weights:
+        hit = dominant_coords(algebra, map(add, base, mu), regular=True)
+        if hit is not None:
+            t, count = hit
+            out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
+    return out
 
-    A point nu + rho + mu with a zero coordinate on the way to the dominant
-    chamber has a singular dominant point and adds nothing, so its walk
-    stops there (dominant_coords with regular=True).
-    """
+
+def tensor_decompose(nu: Weight, u: Character) -> DecompositionMultiset:
+    """L(nu) (x) U by brauer_klimyk over the weights of U."""
     algebra = u.algebra
     _require_dominant_integral(algebra, nu)
-    base = [int(c) + 1 for c in nu.coords]  # nu + rho, rho = (1, ..., 1)
-    out = {}
-    for c, mult in u._dominant.items():
-        for coords in orbit_coords(algebra, c):
-            hit = dominant_coords(algebra, map(add, base, coords), regular=True)
-            if hit is not None:
-                t, count = hit
-                out[t] = out.get(t, 0) + (-mult if count & 1 else mult)
+    lam = tuple(map(int, nu.coords))
     mults = {}
-    for t, m in out.items():
+    for t, m in brauer_klimyk(algebra, u.full_map().items(), lam).items():
         check(m >= 0, "negative tensor multiplicity at nu + rho = %r", t)
         if m:
             mults[tuple(x - 1 for x in t)] = m

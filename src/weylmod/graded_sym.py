@@ -2,127 +2,116 @@
 
 The degree-n level of an induced module Ind(M) is M (x) S(ad)_n as a
 g-module, where S(ad) is the symmetric algebra on one copy of g in each
-positive degree k (the image of g t^{-k}).  Its character is
-H = sum_n H_n q^n = prod_{k>=1} prod_gamma (1 - q^k e^gamma)^{-m_gamma}, gamma
-running over the weights of ad with multiplicities m_gamma, and the levels
-come from one recursion on dominant weights beta:
+positive degree k (the image of g t^{-k}).  The levels are expanded in the
+representation ring R(g), on the basis of irreducibles, by
 
-    n H_n(beta) = sum_{d=1..n} sum_{j|d} (d/j) sum_gamma m_gamma
-                  H_{n-d}(dom(beta - j gamma)).
+    n [S_n] = sum_{d=1..n} [P_d] [S_{n-d}],   P_d = sum_{j|d} (d/j) psi^j(ad).
 
-Proof note.  log H = sum_{k,gamma,j>=1} m_gamma q^{kj} e^{j gamma} / j, so
-q dH/dq = H P with P_d = sum_{j|d} (d/j) sum_gamma m_gamma e^{j gamma} (put
-d = kj); compare the coefficients of q^n e^beta (Newton's identity, in the
-spirit of Moody-Patera, "Fast recursion formula for weight multiplicities",
-Bull. AMS 1982).  Each H_n is a character, hence W-invariant, so the lookup
-at beta - j gamma may be made at its dominant point: the recursion reads and
-writes dominant keys only.  The weights of S(ad)_n are sums of n weights of
-ad, all <= n theta, so beta runs over the dominant weights <= n theta; one
-call root_system.dominant_below(n_max theta) lists them for every level.
-The dominant points come from root_system.dominant_coords, the one sparse
-reflection kernel, and only for the shifts beta - j gamma below
-(n_max - j) theta in the root order: any other one reads 0.  As in
-finite_rep, keys are int tuples and multiplicities ints, in the levels and
-in the DecompositionMultiset of weyl_level_decomposition.
+Proof note.  The Adams operation psi^j maps e^mu to e^{j mu}, so
+psi^j(ad) = sum_gamma m_gamma e^{j gamma} over the weights gamma of ad; it
+is W-invariant, the character of a virtual g-module.  The character of
+S(ad) is H = prod_{k>=1} prod_gamma (1 - q^k e^gamma)^{-m_gamma}, so
+log H = sum_{k,j>=1} psi^j(ad) q^{kj} / j and q dH/dq = H sum_d P_d q^d
+(put d = kj): comparing the coefficients of q^n gives the identity among
+W-invariant characters (Newton's identity, as in Moody-Patera, Bull. AMS
+1982), and as the character map is a ring isomorphism from R(g) onto them,
+it holds in R(g).  Brauer's rule needs only the W-invariance of V, not
+positive multiplicities: ch V A_{lam+rho} = sum_mu m_mu A_{lam+rho+mu} for
+the alternants A_nu = sum_w (-1)^w e^{w nu}, and A_nu / A_rho is
+(-1)^w ch L(w nu - rho) for the w making w nu dominant, or 0 when nu is
+singular.  So each product psi^j(ad) [L(lam)] is one call of
+finite_rep.brauer_klimyk, memoised per (lam, j).  The right side is then an
+integer combination of irreducibles equal to n [S_n], whose coefficients
+are natural numbers, so each divides exactly by n; the quotient is checked.
+No level is a weight map, and no orbit of a level is walked.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from math import lcm
-from operator import add, mul, sub
 
 from .finite_rep import (
-    Character,
     DecompositionMultiset,
     adjoint_character,
+    brauer_klimyk,
+    irrep_character,
+    irrep_dimension,
     tensor_decompose,
+    weyl_dimension,
 )
 from .invariant import check
-from .root_system import AlgebraData, Weight, dominant_below, dominant_coords
+from .root_system import AlgebraData, Weight
 
 
 @lru_cache(maxsize=None)
 def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
-    """S(ad) by total degree: the tuple of the Characters of levels
-    0..n_max, by the module's recursion.
+    """S(ad) by total degree: the tuple of the DecompositionMultisets of
+    levels 0..n_max, by the recursion in R(g).
 
     The truncation is prefix-stable: level n is computed from levels 0..n-1
     alone, so for n <= n_max item n of sym_ad_graded(algebra, n_max) equals
     item n of sym_ad_graded(algebra, n).  A caller that needs several
     degrees expands S(ad) once, to the largest of them, and indexes the
     others.  The result is cached and shared by every caller, so it is a
-    tuple, and each Character gives only a read-only view of its weights.
+    tuple, and each level gives only a read-only view of its constituents.
+    Each level's dimension is checked against the q^n coefficient a(n) of
+    prod_k (1 - q^k)^{-dim g}, by the Euler transform
+    n a(n) = sum_k dim g sigma(k) a(n - k), sigma(k) the sum of divisors of k.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ad = adjoint_character(algebra).full_map()
-    theta = algebra.roots_fw[-1]
-    # every level lives on the dominant weights <= n_max theta; a lookup
-    # outside them reads 0, and a lookup inside reuses the one key object
-    support = dominant_below(algebra, tuple(n_max * t for t in theta))
-    canon = {b: b for b in support}
-    # a key dom(beta - j gamma) is read only in levels <= n_max - j, whose
-    # weights are <= (n_max - j) theta; as dom(v) >= v, a shift with
-    # beta - j gamma not <= (n_max - j) theta reads 0 there and is skipped.
-    # The order is tested on root coordinates times den (den C^-1 is integral).
-    den = lcm(*(x.denominator for row in algebra.cartan_inv for x in row))
-    inv = [[x.numerator * (den // x.denominator) for x in row]
-           for row in algebra.cartan_inv]
-
-    def roots_of(x):
-        return [sum(map(mul, row, x)) for row in inv]
-
-    theta_r = roots_of(theta)
-    support_r = {b: roots_of(b) for b in support}
-    # scaled[j]: (j gamma, roots_of(j gamma), m_gamma) over the weights of ad,
-    # built at level j, the first that reads it
-    scaled = [None]
-    memo = {}  # (beta, j) -> (keys dom(beta - j gamma), summed m_gamma)
-
-    def shifts(beta, j):
-        got = memo.get((beta, j))
-        if got is None:
-            acc = {}
-            # beta - j gamma <= (n_max - j) theta: slack + j gamma >= 0
-            slack = [(n_max - j) * t - b for t, b in zip(theta_r, support_r[beta])]
-            for step, step_r, m in scaled[j]:
-                if min(map(add, slack, step_r)) < 0:
-                    continue
-                key = canon.get(dominant_coords(algebra, map(sub, beta, step))[0])
-                if key is not None:
-                    acc[key] = acc.get(key, 0) + m
-            got = memo[beta, j] = (tuple(acc), tuple(acc.values()))
-        return got
-
-    levels = [{(0,) * algebra.rank: 1}]
+    ad = adjoint_character(algebra).full_map().items() if n_max else ()
+    # psi[j]: the (weight, multiplicity) pairs of psi^j(ad)
+    psi = [[(tuple(j * g for g in gamma), m) for gamma, m in ad]
+           for j in range(n_max + 1)]
+    memo = {}  # (lam, j) -> brauer_klimyk of psi^j(ad) L(lam), keyed by t + rho
+    sigma = [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(n_max + 1)]
+    dims = [1]
+    levels = [DecompositionMultiset(algebra, {(0,) * algebra.rank: 1})]
     for n in range(1, n_max + 1):
-        steps = [(tuple(n * g for g in gamma), m) for gamma, m in ad.items()]
-        scaled.append([(step, roots_of(step), m) for step, m in steps])
+        total = {}
+        for j in range(1, n + 1):
+            # psi^j(ad) times sum_t t [S_{n - jt}], the terms with d = jt
+            coeff = {}
+            for t in range(1, n // j + 1):
+                for lam, m in levels[n - t * j].mults.items():
+                    coeff[lam] = coeff.get(lam, 0) + t * m
+            for lam, c in coeff.items():
+                if (lam, j) not in memo:
+                    memo[lam, j] = brauer_klimyk(algebra, psi[j], lam)
+                for key, k in memo[lam, j].items():
+                    total[key] = total.get(key, 0) + c * k
         level = {}
-        # level n lives on the beta of support with beta <= n theta
-        top = [n * t for t in theta_r]
-        for beta, beta_r in support_r.items():
-            if min(map(sub, top, beta_r)) < 0:
-                continue
-            total = 0
-            for j in range(1, n + 1):
-                keys, mults = shifts(beta, j)
-                for t in range(1, n // j + 1):
-                    prev = levels[n - t * j]
-                    total += t * sum(map(mul, mults, map(prev.get, keys, repeat(0))))
-            h, r = divmod(total, n)
+        for key, v in total.items():
+            h, r = divmod(v, n)
             check(r == 0 and h >= 0,
                   "S(ad) level %d multiplicity is not a natural number", n)
-            if h:
-                level[beta] = h
-        levels.append(level)
-    return tuple(Character(algebra, lv) for lv in levels)
+            level[tuple(x - 1 for x in key)] = h
+        levels.append(DecompositionMultiset(algebra, level))
+        dims.append(sum(algebra.dim * sigma[k] * dims[n - k]
+                        for k in range(1, n + 1)) // n)
+        dim = levels[n].dimension()
+        check(dim == dims[n],
+              "S(ad) level %d has dimension %d, not %d", n, dim, dims[n])
+    return tuple(levels)
+
+
+def tensor_irreps(algebra: AlgebraData, m_hw: Weight, mu) -> DecompositionMultiset:
+    """L(m_hw) (x) L(mu) for a dominant int tuple mu, walking the weights of
+    the factor of smaller dimension."""
+    small, big = m_hw, algebra.weight(mu)
+    if weyl_dimension(algebra, m_hw) > irrep_dimension(algebra, mu):
+        small, big = big, small
+    return tensor_decompose(big, irrep_character(algebra, small))
 
 
 def weyl_level_decomposition(
     algebra: AlgebraData, m_hw: Weight, n: int
 ) -> DecompositionMultiset:
-    """Irreducible decomposition of the degree-n level of Ind(L(m_hw))."""
-    return tensor_decompose(m_hw, sym_ad_graded(algebra, n)[n])
+    """Irreducible decomposition of the degree-n level of Ind(L(m_hw)):
+    the sum over the constituents m L(lam) of S(ad)_n of m L(m_hw) (x) L(lam)."""
+    out = {}
+    for lam, m in sym_ad_graded(algebra, n)[n].mults.items():
+        for c, k in tensor_irreps(algebra, m_hw, lam).mults.items():
+            out[c] = out.get(c, 0) + m * k
+    return DecompositionMultiset(algebra, out)

@@ -24,14 +24,14 @@ def exact(x):
     """The canonical form of the scalar x: an int when it is integral, a
     Fraction when it is rational, else a ComplexRational.
 
-    A float is a TypeError: it would stand for a value already rounded."""
+    Anything else is a TypeError: a float would stand for a value already
+    rounded, and a string is input still to be parsed (parse_scalar)."""
     if type(x) is int:
         return x
     if isinstance(x, ComplexRational):
         return x if x.imag else exact(x.real)
-    if isinstance(x, float):
-        raise TypeError("not an exact scalar: %r" % x)
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    if not isinstance(x, SCALAR_TYPES):
+        raise TypeError("not an exact scalar: %r" % (x,))
     return x.numerator if x.denominator == 1 else x
 
 

@@ -287,6 +287,14 @@ def sym_powers(char: Character, m_max: int):
     return [_dominant_character(algebra, f) for f in maps]
 
 
+def adams_product_full_map(algebra: AlgebraData, j: int, lam) -> dict:
+    """Full map of the virtual character psi^j(ad) ch L(lam), lam a dominant
+    int tuple."""
+    ad = adjoint_character(algebra).full_map()
+    top = irrep_character(algebra, algebra.weight(lam)).full_map()
+    return _add_product({}, _adams(ad, j), top)
+
+
 def sym_ad_full_maps(algebra: AlgebraData, n_max: int):
     """Full maps of S(ad)_n, n = 0..n_max: the tensor product over k of
     Sym(g t^{-k}), as a degree-wise convolution truncated at n_max."""

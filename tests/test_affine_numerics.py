@@ -244,6 +244,17 @@ def test_kappa_on_nonnegative_axis_rejected():
             ResonanceScan(lam, bad)
 
 
+def test_non_scalar_kappa_is_a_type_error_everywhere():
+    # in_Y_lambda and top_l0_eigenvalue do not go through check_kappa: a
+    # str is still no scalar there, not a Fraction to be parsed
+    lam = _lam(build_algebra("A", 1), [0])
+    for bad in ("-1", None, -0.5):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            top_l0_eigenvalue(3, bad)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            in_Y_lambda(bad, lam)
+
+
 def test_membership_in_X_and_Y():
     sl2 = build_algebra("A", 1)
     lam0 = _lam(sl2, [0])
@@ -306,6 +317,12 @@ def test_delta_bound_values():
     assert delta_upper_bound(sl2.weight([2]), Fraction(-2), 1) == (4, True)
     assert delta_upper_bound(sl2.weight([2]), Fraction(-2), 0) == (1, False)
     assert delta_upper_bound(sl2.weight([2]), ComplexRational(-1, 1), 2) == (1, True)
+    # the bound sums M (x) L(mu) over the levels, so M must be finite
+    # dimensional: a highest weight that is not dominant integral is refused,
+    # never rounded to one that is
+    for hw in ([Fraction(1, 2)], [-1]):
+        with pytest.raises(ValueError, match="highest weight must be"):
+            delta_upper_bound(sl2.weight(hw), Fraction(-1, 2), 3)
 
 
 def test_delta_bound_object_protocol():

@@ -594,7 +594,10 @@ def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
 # while every Weyl reflection still walked the dense Cartan columns and
 # orbit sizes were counted by walking the orbit: the sparse reflection
 # kernel, the orbit-size formula and the int-keyed decompositions must
-# reproduce them byte for byte.
+# reproduce them byte for byte.  The three JSON runs were recorded while
+# S(ad) levels were still characters on dominant weights, decomposed by
+# walking their orbits: the expansion in the representation ring must
+# reproduce them too.
 @pytest.mark.parametrize("argv,code,digest", [
     ("symlevels D 4 --n 8", 0,
      "3030ac1aa28b5df6af0fff0f7fb657d6398f654d826a3a65713a9ba379d8c0de"),
@@ -610,7 +613,14 @@ def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
      "a4070a066933564d0c37a41abc8ae1acb21095dc7754bec8c77d390b8cf55b61"),
     ("certify A 3 --hw 1 1 1 --kappa=-1", 2,
      "90128fb5fdca4083230a7b7fc8b1b4be7870c54c6aa9e191f6769d193512e8c2"),
-], ids=["D4-n8", "E6-n4", "F4-n4", "G2-n10", "B4-n6", "E8-n2", "A3-111"])
+    ("symlevels E 6 --n 6 --format json", 0,
+     "f7ba49ea6bd31155e0cc0c8040a57a870eb76d1c827cf07d45d7f34823102611"),
+    ("symlevels D 4 --n 12 --format json", 0,
+     "1285c1ce492a42538441ed3d48140edaaa391c402853c21a58d362587998930d"),
+    ("certify D 4 --hw 1 0 0 0 --kappa=-1/2 --format json", 2,
+     "4c192525c14f001fa3ee72853b68b31ed273b4c55f4c88db061cb9e2b121271a"),
+], ids=["D4-n8", "E6-n4", "F4-n4", "G2-n10", "B4-n6", "E8-n2", "A3-111",
+        "E6-n6", "D4-n12", "D4-1000"])
 def test_character_engine_output_is_pinned(argv, code, digest, capsys):
     got, out, _ = _run(argv.split(), capsys)
     assert got == code

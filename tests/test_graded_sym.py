@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    character_product, decomposition_character, sym_ad_full_maps, sym_powers,
+    adams_product_full_map, character_product, decomposition_character,
+    sym_ad_full_maps, sym_powers,
 )
+from weylmod import finite_rep
 from weylmod.finite_rep import (
-    DecompositionMultiset, decompose_character, irrep_character, tensor_decompose,
+    Character, DecompositionMultiset, adjoint_character, brauer_klimyk,
+    decompose_character, irrep_character, tensor_decompose,
 )
 from weylmod.graded_sym import sym_ad_graded, weyl_level_decomposition
+from weylmod.invariant import InvariantError
 from weylmod.root_system import build_algebra
 
 
@@ -79,16 +83,65 @@ def test_sym_powers_newton_identity():
     ("F", 4, 2), ("E", 6, 2),
 ])
 def test_dominant_recursion_matches_full_map_convolution(series, rank, n_max):
-    """Every level of the dominant-key recursion against the Sym-power and
-    truncated-convolution product on full weight maps."""
+    """The character of every level of the recursion in R(g) against the
+    Sym-power and truncated-convolution product on full weight maps."""
     a = build_algebra(series, rank)
     levels = sym_ad_graded(a, n_max)
     oracle = sym_ad_full_maps(a, n_max)
     assert len(levels) == n_max + 1
     for n, (level, full) in enumerate(zip(levels, oracle)):
-        assert level.dominant == {c: m for c, m in full.items() if min(c) >= 0}, n
-        assert level.full_map() == full, n
+        char = decomposition_character(level)
+        assert char.dominant == {c: m for c, m in full.items() if min(c) >= 0}, n
+        assert char.full_map() == full, n
         assert level.dimension() == sum(full.values())
+
+
+def test_adams_products_match_full_map_oracle():
+    """brauer_klimyk's psi^j(ad) L(lam), the product the recursion reads,
+    against the full-map product.  The product is virtual, so the kernel's
+    negative part N is moved to the other side: the full-map product plus
+    ch N decomposes as the kernel's positive part."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        series, rank = draw(st.sampled_from([("A", 2), ("B", 2), ("G", 2)]))
+        lam = tuple(draw(st.integers(0, 3)) for _ in range(rank))
+        return build_algebra(series, rank), draw(st.integers(1, 3)), lam
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(c):
+        a, j, lam = c
+        psi = [(tuple(j * g for g in gamma), m)
+               for gamma, m in adjoint_character(a).full_map().items()]
+        signed = {tuple(x - 1 for x in t): m
+                  for t, m in brauer_klimyk(a, psi, lam).items()}
+        pos = DecompositionMultiset(a, {w: m for w, m in signed.items() if m > 0})
+        neg = DecompositionMultiset(a, {w: -m for w, m in signed.items() if m < 0})
+        total = adams_product_full_map(a, j, lam)
+        for w, m in decomposition_character(neg).full_map().items():
+            total[w] = total.get(w, 0) + m
+        dominant = {w: m for w, m in total.items() if min(w) >= 0}
+        assert decompose_character(Character(a, dominant)) == pos
+
+    check()
+
+
+def test_level_dimensions_are_checked_by_the_euler_transform(monkeypatch):
+    # a level whose dimension is not the q^n coefficient of
+    # prod (1 - q^k)^-dim g is an InvariantError, which python -O keeps
+    sl3 = build_algebra("A", 2)
+    real = finite_rep.irrep_dimension
+    monkeypatch.setattr(finite_rep, "irrep_dimension",
+                        lambda alg, c: real(alg, c) + (c == (1, 1)))
+    sym_ad_graded.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="level 1 has dimension 9, not 8"):
+            sym_ad_graded(sl3, 2)
+    finally:
+        sym_ad_graded.cache_clear()
 
 
 def test_sl2_level_two_decomposition():
@@ -102,7 +155,8 @@ def test_sl2_level_two_decomposition():
 def test_level_character_is_product():
     sl2 = build_algebra("A", 1)
     hw = sl2.weight([2])
-    lvl = character_product(irrep_character(sl2, hw), sym_ad_graded(sl2, 2)[2])
+    level = decomposition_character(sym_ad_graded(sl2, 2)[2])
+    lvl = character_product(irrep_character(sl2, hw), level)
     assert lvl.dimension() == 27
     dec = weyl_level_decomposition(sl2, hw, 2)
     assert decomposition_character(dec) == lvl
@@ -134,8 +188,8 @@ def test_negative_degree_rejected():
 
 def test_cached_levels_cannot_be_mutated():
     # sym_ad_graded is cached, so every caller shares one result: neither
-    # rebinding its levels nor writing through a level's weights may change
-    # what the next caller reads
+    # rebinding its levels nor writing through a level's constituents may
+    # change what the next caller reads
     sl3 = build_algebra("A", 2)
     graded = sym_ad_graded(sl3, 2)
     with pytest.raises(AttributeError):
@@ -143,7 +197,7 @@ def test_cached_levels_cannot_be_mutated():
     with pytest.raises(TypeError):
         graded[2] = graded[1]
     with pytest.raises(TypeError):
-        graded[1].dominant[0, 0] = 5
+        graded[1].mults[0, 0] = 5
     again = sym_ad_graded(sl3, 2)
     assert again is graded
     assert _dims(again) == [1, 8, 44]

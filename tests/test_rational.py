@@ -180,6 +180,16 @@ def test_exact_is_int_when_integral():
     assert type(exact(ComplexRational(2, 1))) is ComplexRational
 
 
+def test_exact_rejects_what_is_not_a_scalar():
+    # a string is input still to be parsed (parse_scalar), never a scalar
+    # read through Fraction(x); a float stands for a value already rounded
+    for bad in ("-1", "1/2", None, [1], 0.5):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            exact(bad)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            ComplexRational(bad)
+
+
 def test_arithmetic_on_mixed_operands_against_pair_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
