@@ -229,7 +229,8 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
         module = em.build_truncated(algebra, hw, kappa, config.n_max)
         ok_all = _crossvalidate_report(config, module, out)
         if fh is not None:
-            json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2)
+            json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2,
+                      check_circular=False)
             fh.write("\n")
     return 0 if ok_all else 1
 

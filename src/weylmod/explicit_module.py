@@ -15,8 +15,11 @@ the action of every x eps^m with |m| <= N back into this basis using
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
 
 with K acting by the scalar kappa - h_dual.  The zero modes act through M and
-the positive modes kill it.  The result is one column-sparse action store,
-and every operator below reads it.  All coefficients are exact, and the
+the positive modes kill it.  The straightening runs on integers: each PBW
+monomial is numbered by its position in the basis, and each term of the
+recursion, a monomial with the M slot left symbolic, is packed into one int
+(see _straighten).  The result is one column-sparse action store, and every
+operator below reads it.  All coefficients are exact, and the
 store holds each in the canonical form rational.exact gives: an int when
 integral, a Fraction when rational, a ComplexRational only when its
 imaginary part is nonzero; x.real and x.imag read the parts of any of them.
@@ -148,7 +151,6 @@ class TruncatedWeylModule:
             bounds.append(len(keys))
         self.keys = tuple(keys)
         self._bounds = tuple(bounds)
-        self.index = {key: i for i, key in enumerate(keys)}
         self.weights = tuple(weights)
         self._action = _straighten(self)
         self._annihilators = {}
@@ -200,69 +202,95 @@ class TruncatedWeylModule:
 
 
 def _straighten(module) -> dict:
-    """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth."""
+    """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth.
+
+    The recursion runs on integers.  The basis runs over (mono, j) with j
+    fastest, so the PBW monomial of number b, its position among the
+    monomials, carries basis vectors b dim M + j, and a target is written
+    with no lookup.  first[b] is the packed first factor of monomial b and
+    rest[b] the number of mono[1:]; a monomial tuple is built only when a
+    factor is prepended.  op is memoised on (p, m, b).  A term (monomial b,
+    tag t) is the int b (dim g + 1) + t, where tag 0 is the identity on M
+    and tag q + 1 a single factor x_q acting on M.  On a trivial M every x_q
+    acts by 0 (checked on rep.mats), so only the terms of tag 0 count.
+    """
     cb = module.cb
     k_scalar = module.k_scalar
+    dim_m = module.rep.dim
+    width = cb.dim + 1
+    monos = [key[0] for key in module.keys[::dim_m]]
+    number = {mono: b for b, mono in enumerate(monos)}
+    first = [mono[0] if mono else None for mono in monos]
+    rest = [number[mono[1:]] if mono else None for mono in monos]
     memo = {}
 
-    def op(p, m, mono):
-        """x_p eps^m on mono (x) -, with the M tensor slot left symbolic.
+    def op(p, m, a):
+        """x_p eps^m on monomial a (x) -, with the M tensor slot left
+        symbolic: {term: coeff}, with terms packed as above.
 
-        Returns {(monomial, tag): coeff} where tag None means the identity on
-        M and tag q means a single factor x_q acting on M.  A negative mode
-        that does not sort below mono[0] is prepended; every other case
-        commutes x_p eps^m past the first factor g.  Negative modes span a
-        subalgebra with no central term, so their images carry tag None
-        only, and left multiplication by g is op on g's own generator and
-        mode.
+        A negative mode that does not sort below the first factor of a is
+        prepended; every other case commutes x_p eps^m past the first
+        factor g.  Negative modes span a subalgebra with no central term, so
+        their images carry tag 0 only, and left multiplication by g is op on
+        g's own generator and mode.
         """
-        key = (p, m, mono)
+        key = (p, m, a)
         hit = memo.get(key)
         if hit is not None:
             return hit
         f = ((-m) << _SHIFT) | p
-        if m < 0 and (not mono or f >= mono[0]):
-            out = {((f,) + mono, None): 1}
-        elif not mono:
-            out = {((), p): 1} if m == 0 else {}
+        if m < 0 and (not a or f >= first[a]):
+            out = {number[(f,) + monos[a]] * width: 1}
+        elif not a:
+            out = {p + 1: 1} if m == 0 else {}
         else:
-            g, rest = mono[0], mono[1:]
+            g, r = first[a], rest[a]
             k0, p0 = g >> _SHIFT, g & _MASK
             out = {}
-            for (m2, tag), c in op(p, m, rest).items():
-                for (m3, _), c3 in op(p0, -k0, m2).items():
-                    accumulate(out, (m3, tag), c * c3)
+            for term, c in op(p, m, r).items():
+                b2, tag = divmod(term, width)
+                # g's image has tag 0, so adding tag moves it onto M
+                for term3, c3 in op(p0, -k0, b2).items():
+                    accumulate(out, term3 + tag, c * c3)
             for q, cq in cb.bracket_list(p, p0):
-                for (m3, tag), c3 in op(q, m - k0, rest).items():
-                    accumulate(out, (m3, tag), cq * c3)
+                for term3, c3 in op(q, m - k0, r).items():
+                    accumulate(out, term3, cq * c3)
             if m == k0:
-                accumulate(out, (rest, None),
-                           exact(m * cb.pairing(p, p0) * k_scalar))
+                accumulate(out, r * width, exact(m * cb.pairing(p, p0) * k_scalar))
         memo[key] = out
         return out
 
     depth = module.depth
     mats = module.rep.mats
-    dim_m = module.rep.dim
-    index = module.index
+    if dim_m == 1:
+        # the trivial module: every x_q acts on it by 0
+        check(not any(mats), "a one-dimensional M is not trivial")
     store = {(p, m): {} for p in range(cb.dim) for m in range(-depth, depth + 1)}
     for n in range(depth + 1):
         rng = module.degree_range(n)
-        # the basis runs over (mono, j) with j fastest
-        for start in range(rng.start, rng.stop, dim_m):
-            mono = module.keys[start][0]
+        for b in range(rng.start // dim_m, rng.stop // dim_m):
+            start = b * dim_m
             for p in range(cb.dim):
                 for m in range(n - depth, n + 1):
-                    terms = op(p, m, mono)
+                    terms = op(p, m, b)
+                    if not terms:
+                        continue
                     cols = store[p, m]
+                    if dim_m == 1:
+                        col = {term // width: exact(c)
+                               for term, c in terms.items() if not term % width}
+                        if col:
+                            cols[start] = col
+                        continue
+                    split = [(*divmod(term, width), c) for term, c in terms.items()]
                     for j in range(dim_m):
                         col = {}
-                        for (m2, tag), c in terms.items():
-                            if tag is None:
-                                accumulate(col, index[(m2, j)], c)
+                        for b2, tag, c in split:
+                            if not tag:
+                                accumulate(col, b2 * dim_m + j, c)
                                 continue
-                            for i, v in mats[tag].get(j, _EMPTY).items():
-                                accumulate(col, index[(m2, i)], c * v)
+                            for i, v in mats[tag - 1].get(j, _EMPTY).items():
+                                accumulate(col, b2 * dim_m + i, c * v)
                         if col:
                             cols[start + j] = {t: exact(v) for t, v in col.items()}
     # op refers to itself, so only a cycle collection would free the memo;
@@ -345,25 +373,28 @@ def sugawara_l0(module: TruncatedWeylModule) -> tuple:
 
     The sum runs on the integer weights 2 scale w (zero modes: scale w), with
     scale the least common denominator of the Casimir weights w, so on an
-    integral store it stays in ints; each column is divided by
-    2 scale kappa once, at the end.  The terms of each degree are read
-    straight from the action store: on degree n only modes |j| <= n act, so
-    no image leaves the truncation.
+    integral store it stays in ints; each column is compared with
+    2 scale kappa xi_n e_idx, so no entry is divided.  Scalars of different
+    types compare by value, so an accumulated int, Fraction or
+    ComplexRational with imaginary part 0 equals the canonical target.  The
+    terms of each degree are read straight from the action store: on
+    degree n only modes |j| <= n act, so no image leaves the truncation.
     """
     kappa = module.kappa
     a = casimir_on_irrep(module.algebra, module.m_hw)
     scale = lcm(*(Fraction(w).denominator for _, _, w in module.cb.casimir_pairs))
     pairs = [(p, q, exact(w * scale)) for p, q, w in module.cb.casimir_pairs]
-    inverse = Fraction(1) / (2 * scale * kappa)
     store = module._action
     eigenvalues = []
     for n in range(module.depth + 1):
         xi = top_l0_eigenvalue(a, kappa) + n
+        target = exact(xi * 2 * scale * kappa)
         # (lo, hi, w): the term w lo hi, raising half hi applied first; on
         # degree n only modes j <= n can act, and x eps^{-j} returns to n
         terms = [(store[p, 0], store[q, 0], w) for p, q, w in pairs]
         terms.extend((store[p, -j], store[q, j], 2 * w)
                      for j in range(1, n + 1) for p, q, w in pairs)
+        terms = [term for term in terms if term[1]]
         for idx in module.degree_range(n):
             acc = {}
             for lo, hi, w in terms:
@@ -371,8 +402,8 @@ def sugawara_l0(module: TruncatedWeylModule) -> tuple:
                     wu = w * u
                     for t, v in lo.get(mid, _EMPTY).items():
                         acc[t] = acc.get(t, 0) + wu * v
-            col = {t: v * inverse for t, v in acc.items() if v}
-            check(col == ({idx: xi} if xi else {}),
+            col = {t: v for t, v in acc.items() if v}
+            check(col == ({idx: target} if target else {}),
                   "Sugawara sum is not the expected scalar at degree %d", n)
         eigenvalues.append(xi)
     return tuple(eigenvalues)
@@ -390,6 +421,8 @@ def virasoro_commutation_check(module: TruncatedWeylModule) -> bool:
     (A v)_i e_i.  The store holds no zero entry, so the two agree exactly
     when every stored image of a degree-n basis vector lies in degree
     n - m; that containment is what is checked, and no product is formed.
+    Degree n - m is a range of indices, so a column lies in it exactly when
+    its least and greatest targets do.
     """
     depth = module.depth
     module.l0  # sugawara_l0 raises unless L0 is scalar on every layer
@@ -398,8 +431,10 @@ def virasoro_commutation_check(module: TruncatedWeylModule) -> bool:
             cols = module.columns(p, m)
             for n in _image_degrees(depth, m):
                 target = module.degree_range(n - m)
+                lo, hi = target.start, target.stop
                 for j in module.degree_range(n):
-                    if not all(i in target for i in cols.get(j, _EMPTY)):
+                    col = cols.get(j)
+                    if col and not (lo <= min(col) and max(col) < hi):
                         return False
     return True
 

@@ -9,7 +9,8 @@ with its exact floor(x + sqrt t), the resonance value q(mu) through the
 invariant form on weights, and for a truncated module the degree of a basis
 vector, the action on one sparse vector with its checks, the candidate
 matched to a weight, and the per-vector oracles for the Sugawara L0, its
-closed form, the Virasoro commutator and the annihilator levels.
+closed form, the Virasoro commutator, the straightened action store and
+the annihilator levels.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -36,7 +37,7 @@ from weylmod.linalg import (
     _EMPTY, _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
     nullspace_of_columns,
 )
-from weylmod.rational import parse_scalar
+from weylmod.rational import exact, parse_scalar
 from weylmod.root_system import AlgebraData, Weight, inner_product, norm_sq
 
 
@@ -485,6 +486,58 @@ def virasoro_commutator_holds(module, l0_columns):
                     if lhs != {i: -m * v for i, v in aj.items() if m}:
                         return False
     return True
+
+
+def straightened_action(module):
+    """The action store of a truncated module rebuilt on basis indices, in
+    its shape {(p, m): {source: {target: coeff}}} with canonical scalars.
+
+    A negative mode that does not sort below the first factor g of a basis
+    vector g w is prepended; otherwise, with x = x_p eps^m and
+    g = x_{p0} eps^{-k}, x (g w) = g (x w) + [x, g] w
+    + delta_{m,k} m (x, g) (kappa - h_dual) w, from the columns of x on w,
+    of g on the vectors of x w and of [x, g] on w.  The zero modes act on
+    degree 0 through Rep.mats, and the positive ones kill it."""
+    cb, keys = module.cb, module.keys
+    index = {key: i for i, key in enumerate(keys)}
+    columns = {}
+
+    def column(p, m, idx):
+        if (p, m, idx) in columns:
+            return columns[p, m, idx]
+        mono, j = keys[idx]
+        f = ((-m) << _SHIFT) | p
+        if m < 0 and (not mono or f >= mono[0]):
+            out = {index[(f,) + mono, j]: 1}
+        elif not mono:
+            col = module.rep.mats[p].get(j, {}) if m == 0 else {}
+            out = {index[(), i]: v for i, v in col.items()}
+        else:
+            k, p0 = mono[0] >> _SHIFT, mono[0] & _MASK
+            w = index[mono[1:], j]
+            out = {}
+            for t, c in column(p, m, w).items():
+                for s, v in column(p0, -k, t).items():
+                    accumulate(out, s, c * v)
+            for q, cq in cb.bracket_list(p, p0):
+                for s, v in column(q, m - k, w).items():
+                    accumulate(out, s, cq * v)
+            if m == k:
+                accumulate(out, w, m * cb.pairing(p, p0) * module.k_scalar)
+        columns[p, m, idx] = out
+        return out
+
+    depth = module.depth
+    store = {}
+    for p in range(cb.dim):
+        for m in range(-depth, depth + 1):
+            cols = store[p, m] = {}
+            for n in range(max(m, 0), depth + min(m, 0) + 1):
+                for idx in module.degree_range(n):
+                    col = {t: exact(v) for t, v in column(p, m, idx).items()}
+                    if col:
+                        cols[idx] = col
+    return store
 
 
 def annihilator_all_degrees(module, order):

@@ -564,6 +564,24 @@ def test_crossvalidate_output_is_pinned(argv, digest, dump_digest, tmp_path, cap
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest
 
 
+# Full stdout and --dump sha256 of the benchmark's dump run, recorded while
+# the straightening memo was keyed on monomial tuples and the Sugawara sum
+# divided every entry by 2 scale kappa: the integer-keyed straightening and
+# the pre-scaled comparison must reproduce them byte for byte.  They are
+# pinned here too, so that a benchmark change that re-records
+# perfbench/golden.json cannot move them.
+def test_crossvalidate_dump_run_is_pinned(tmp_path, capsys):
+    dump = tmp_path / "dump.json"
+    code, out, _ = _run(["crossvalidate", "A", "2", "--hw", "0", "0",
+                         "--kappa=-3/2", "--depth", "3", "--dump", str(dump)],
+                        capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "251236f9e4950e82f64dd2ea5a0224d209a519f6b661a0f3aac2b46e212b0496")
+    assert (hashlib.sha256(dump.read_bytes()).hexdigest()
+            == "6349f7f964c152e02a2ed2e0e8938d4b6d639aba035403a1ef5d29d9f495665f")
+
+
 # Full stdout sha256 of two runs whose layers carry singular vectors, and of
 # one whose level has the filter prime p in a denominator, recorded while
 # every weight block was still solved exactly with all dim g raising

@@ -23,6 +23,7 @@ from weylmod.explicit_module import (
 )
 from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
+from weylmod.invariant import InvariantError
 from weylmod.linalg import FILTER_PRIME, SpanBuilder
 from weylmod.rational import (
     ComplexRational, format_scalar, parse_scalar,
@@ -238,6 +239,30 @@ def _assert_l0_is_the_closed_form(m):
     assert helpers.sugawara_columns(m) == helpers.layer_scalar_columns(m, eigenvalues)
 
 
+# every row at each depth up to the largest the tests build for its
+# algebra; the last three are the pinned crossvalidate runs off the
+# simply-laced types
+@pytest.mark.parametrize("series, rank, hw, kappa, depth", [
+    ("A", 1, [0], "-1", 5),
+    ("A", 1, [2], "-2", 5),
+    ("A", 2, [0, 0], "-3/2", 3),
+    ("A", 2, [1, 0], "-1+1i", 3),
+    ("B", 2, [1, 0], "-1/3", 2),
+    ("G", 2, [0, 0], "-1+1i", 2),
+    ("C", 2, [0, 1], "-5/2", 2),
+], ids=["A1-0", "A1-2", "A2-00", "A2-10", "B2", "G2", "C2"])
+def test_action_store_matches_the_straightening_oracle(series, rank, hw, kappa,
+                                                       depth):
+    algebra = build_algebra(series, rank)
+    for d in range(1, depth + 1):
+        module = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), d)
+        oracle = helpers.straightened_action(module)
+        assert module._action == oracle, d
+        assert all(type(v) is type(oracle[key][s][t])
+                   for key, cols in module._action.items()
+                   for s, col in cols.items() for t, v in col.items()), d
+
+
 def test_sugawara_eigenvalues_trivial():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=2)
     assert sugawara_l0(m) == (0, 1, 2)
@@ -307,20 +332,36 @@ def test_virasoro_check_matches_the_literal_commutator(series, rank, hw, kappa,
 
 
 def test_virasoro_commutation_detects_a_degree_breaking_entry():
-    # one entry of a mode-0 column moved from degree 1 to degree 2: that
-    # operator no longer commutes with L0, whatever kind of scalar kappa is
+    # one entry of a mode-0 column moved from degree 1 to degree 2 or to
+    # degree 0: that operator no longer commutes with L0, whatever kind of
+    # scalar kappa is
+    for kappa in (Fraction(-2), ComplexRational(-1, 1)):
+        for wrong in (2, 0):
+            m = _sl2(hw=2, kappa=kappa, depth=2)
+            _assert_l0_is_the_closed_form(m)
+            l0_columns = helpers.sugawara_columns(m)
+            degree_one = m.degree_range(1)
+            cols, j = next((m.columns(p, 0), j) for p in range(m.cb.dim)
+                           for j in degree_one if m.columns(p, 0).get(j))
+            i = next(iter(cols[j]))
+            assert i in degree_one
+            cols[j][m.degree_range(wrong).start] = cols[j].pop(i)
+            assert not virasoro_commutation_check(m), (kappa, wrong)
+            assert not helpers.virasoro_commutator_holds(m, l0_columns), (kappa, wrong)
+
+
+def test_sugawara_detects_a_column_that_is_not_scalar():
+    # one stored entry of a zero mode doubled: the Sugawara sum is no longer
+    # xi_n e_idx on some column, for every kind of scalar kappa
     for kappa in (Fraction(-2), ComplexRational(-1, 1)):
         m = _sl2(hw=2, kappa=kappa, depth=2)
-        _assert_l0_is_the_closed_form(m)
-        l0_columns = helpers.sugawara_columns(m)
-        degree_one = m.degree_range(1)
-        cols, j = next((m.columns(p, 0), j) for p in range(m.cb.dim)
-                       for j in degree_one if m.columns(p, 0).get(j))
+        cols = m.columns(0, 0)
+        j = next(j for j in m.degree_range(1) if cols.get(j))
         i = next(iter(cols[j]))
-        assert i in degree_one
-        cols[j][m.degree_range(2).start] = cols[j].pop(i)
-        assert not virasoro_commutation_check(m), kappa
-        assert not helpers.virasoro_commutator_holds(m, l0_columns), kappa
+        cols[j][i] = 2 * cols[j][i]
+        with pytest.raises(InvariantError, match="Sugawara sum is not the "
+                           "expected scalar at degree 1"):
+            sugawara_l0(m)
 
 
 def test_no_singular_vectors_in_certified_module():

@@ -180,6 +180,18 @@ def test_exact_is_int_when_integral():
     assert type(exact(ComplexRational(2, 1))) is ComplexRational
 
 
+def test_scalars_compare_by_value_across_types():
+    # sugawara_l0 compares each accumulated column, whose entries may be of
+    # any scalar type, with the canonical exact() of its target
+    for value in (3, Fraction(3, 2), Fraction(-2, 7)):
+        for form in (Fraction(value), ComplexRational(value, 0)):
+            assert form == exact(value) and exact(value) == form
+            assert {4: form} == {4: exact(form)}
+            assert {4: exact(form)} == {4: form}
+    assert {4: ComplexRational(3, 0)} != {4: ComplexRational(3, 1)}
+    assert {4: ComplexRational(3, 1)} != {4: 3}
+
+
 def test_exact_rejects_what_is_not_a_scalar():
     # a string is input still to be parsed (parse_scalar), never a scalar
     # read through Fraction(x); a float stands for a value already rounded
