@@ -25,9 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .finite_rep import brauer_klimyk, irrep_character, irrep_dimension, weyl_dimension
-from .graded_sym import sym_ad_graded
-from .invariant import check
+from .graded_sym import sym_ad_graded, tensor_coefficients
 from .rational import SCALAR_TYPES, ComplexRational, exact
 from .root_system import Weight, enumerate_root_lattice_ball, norm_sq
 
@@ -193,29 +191,14 @@ class ResonanceScan:
         S(ad) is expanded once, to the largest candidate degree, and each
         candidate level M (x) S(ad)_n is the sum over its constituents
         m L(mu) of m M (x) L(mu).  The length of M (x) L(mu) is found once
-        per mu, as the sum of the brauer_klimyk coefficients over the
-        weights of the factor of smaller dimension; the weights of M are
-        walked at most once per call.
+        per mu, as the sum of its tensor_coefficients.
         """
         algebra = self.lam.algebra
-        m_hw = self.lam - algebra.rho
-        dim_m = weyl_dimension(algebra, m_hw)
-        top = tuple(map(int, m_hw.coords))
         levels = sorted({p.n for p in self.pairs(n_max)})
         graded = sym_ad_graded(algebra, levels[-1])
-        m_weights = None
-        length = {}
-        for mu in {mu for n in levels for mu in graded[n].mults}:
-            if dim_m <= irrep_dimension(algebra, mu):
-                if m_weights is None:
-                    m_weights = irrep_character(algebra, m_hw).full_map().items()
-                coeffs = brauer_klimyk(algebra, m_weights, mu).values()
-            else:
-                weights = irrep_character(algebra, algebra.weight(mu)).full_map()
-                coeffs = brauer_klimyk(algebra, weights.items(), top).values()
-            check(all(c >= 0 for c in coeffs),
-                  "negative tensor multiplicity in M (x) L(%r)", mu)
-            length[mu] = sum(coeffs)
+        mus = {mu for n in levels for mu in graded[n].mults}
+        products = tensor_coefficients(algebra, self.lam - algebra.rho, mus)
+        length = {mu: sum(coeffs.values()) for mu, coeffs in products.items()}
         total = sum(m * length[mu] for n in levels for mu, m in graded[n].mults.items())
         return DeltaBound(total, self.level_bound <= n_max)
 

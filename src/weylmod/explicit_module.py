@@ -211,8 +211,8 @@ def _straighten(module) -> dict:
     rest[b] the number of mono[1:]; a monomial tuple is built only when a
     factor is prepended.  op is memoised on (p, m, b).  A term (monomial b,
     tag t) is the int b (dim g + 1) + t, where tag 0 is the identity on M
-    and tag q + 1 a single factor x_q acting on M.  On a trivial M every x_q
-    acts by 0 (checked on rep.mats), so only the terms of tag 0 count.
+    and tag q + 1 a single factor x_q acting on M.  A factor x_q that acts
+    on M by 0, as every x_q does on a trivial M, leaves no term at all.
     """
     cb = module.cb
     k_scalar = module.k_scalar
@@ -222,6 +222,7 @@ def _straighten(module) -> dict:
     number = {mono: b for b, mono in enumerate(monos)}
     first = [mono[0] if mono else None for mono in monos]
     rest = [number[mono[1:]] if mono else None for mono in monos]
+    mats = module.rep.mats
     memo = {}
 
     def op(p, m, a):
@@ -242,7 +243,7 @@ def _straighten(module) -> dict:
         if m < 0 and (not a or f >= first[a]):
             out = {number[(f,) + monos[a]] * width: 1}
         elif not a:
-            out = {p + 1: 1} if m == 0 else {}
+            out = {p + 1: 1} if m == 0 and mats[p] else {}
         else:
             g, r = first[a], rest[a]
             k0, p0 = g >> _SHIFT, g & _MASK
@@ -261,10 +262,6 @@ def _straighten(module) -> dict:
         return out
 
     depth = module.depth
-    mats = module.rep.mats
-    if dim_m == 1:
-        # the trivial module: every x_q acts on it by 0
-        check(not any(mats), "a one-dimensional M is not trivial")
     store = {(p, m): {} for p in range(cb.dim) for m in range(-depth, depth + 1)}
     for n in range(depth + 1):
         rng = module.degree_range(n)
@@ -276,12 +273,6 @@ def _straighten(module) -> dict:
                     if not terms:
                         continue
                     cols = store[p, m]
-                    if dim_m == 1:
-                        col = {term // width: exact(c)
-                               for term, c in terms.items() if not term % width}
-                        if col:
-                            cols[start] = col
-                        continue
                     split = [(*divmod(term, width), c) for term, c in terms.items()]
                     for j in range(dim_m):
                         col = {}

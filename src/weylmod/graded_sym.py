@@ -36,7 +36,6 @@ from .finite_rep import (
     brauer_klimyk,
     irrep_character,
     irrep_dimension,
-    tensor_decompose,
     weyl_dimension,
 )
 from .invariant import check
@@ -96,13 +95,29 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
     return tuple(levels)
 
 
-def tensor_irreps(algebra: AlgebraData, m_hw: Weight, mu) -> DecompositionMultiset:
-    """L(m_hw) (x) L(mu) for a dominant int tuple mu, walking the weights of
-    the factor of smaller dimension."""
-    small, big = m_hw, algebra.weight(mu)
-    if weyl_dimension(algebra, m_hw) > irrep_dimension(algebra, mu):
-        small, big = big, small
-    return tensor_decompose(big, irrep_character(algebra, small))
+def tensor_coefficients(algebra: AlgebraData, m_hw: Weight, mus) -> dict:
+    """{mu: the brauer_klimyk coefficients of L(m_hw) (x) L(mu)} for dominant
+    int tuples mu, each a {t + rho: multiplicity} checked nonnegative.
+
+    Each product walks the weights of the factor of smaller dimension, ties
+    going to L(m_hw), whose weights are built at most once per call.
+    """
+    dim_m = weyl_dimension(algebra, m_hw)
+    top = tuple(map(int, m_hw.coords))
+    m_weights = None
+    out = {}
+    for mu in mus:
+        if dim_m <= irrep_dimension(algebra, mu):
+            if m_weights is None:
+                m_weights = irrep_character(algebra, m_hw).full_map().items()
+            coeffs = brauer_klimyk(algebra, m_weights, mu)
+        else:
+            weights = irrep_character(algebra, algebra.weight(mu)).full_map()
+            coeffs = brauer_klimyk(algebra, weights.items(), top)
+        check(all(c >= 0 for c in coeffs.values()),
+              "negative tensor multiplicity in L(%r) (x) L(%r)", top, mu)
+        out[mu] = coeffs
+    return out
 
 
 def weyl_level_decomposition(
@@ -110,8 +125,11 @@ def weyl_level_decomposition(
 ) -> DecompositionMultiset:
     """Irreducible decomposition of the degree-n level of Ind(L(m_hw)):
     the sum over the constituents m L(lam) of S(ad)_n of m L(m_hw) (x) L(lam)."""
+    level = sym_ad_graded(algebra, n)[n].mults
     out = {}
-    for lam, m in sym_ad_graded(algebra, n)[n].mults.items():
-        for c, k in tensor_irreps(algebra, m_hw, lam).mults.items():
-            out[c] = out.get(c, 0) + m * k
+    for lam, coeffs in tensor_coefficients(algebra, m_hw, level).items():
+        for t, k in coeffs.items():
+            if k:
+                c = tuple(x - 1 for x in t)
+                out[c] = out.get(c, 0) + level[lam] * k
     return DecompositionMultiset(algebra, out)

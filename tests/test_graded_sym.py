@@ -13,7 +13,9 @@ from weylmod.finite_rep import (
     Character, DecompositionMultiset, adjoint_character, brauer_klimyk,
     decompose_character, irrep_character, tensor_decompose,
 )
-from weylmod.graded_sym import sym_ad_graded, weyl_level_decomposition
+from weylmod.graded_sym import (
+    sym_ad_graded, tensor_coefficients, weyl_level_decomposition,
+)
 from weylmod.invariant import InvariantError
 from weylmod.root_system import build_algebra
 
@@ -171,6 +173,22 @@ def test_sl3_level_one_is_adjoint_tensor_m():
     expect = tensor_decompose(sl3.weight([1, 1]), irrep_character(sl3, hw))
     assert dec == expect
     assert dec.dimension() == 24
+
+
+def test_tensor_coefficients_match_tensor_decompose():
+    # mu smaller than M, larger than M, and of equal dimension (the tie):
+    # either factor walked gives the product that tensor_decompose gives
+    g2 = build_algebra("G", 2)
+    m_hw = g2.weight([1, 0])
+    mus = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+    products = tensor_coefficients(g2, m_hw, mus)
+    assert list(products) == mus
+    for mu in mus:
+        expect = tensor_decompose(g2.weight(mu), irrep_character(g2, m_hw))
+        got = {tuple(x - 1 for x in t): k for t, k in products[mu].items() if k}
+        assert got == expect.mults
+    with pytest.raises(ValueError, match="highest weight must be"):
+        tensor_coefficients(g2, g2.weight([Fraction(1, 2), 0]), mus)
 
 
 def test_level_zero_is_m_itself():
