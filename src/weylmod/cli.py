@@ -5,7 +5,12 @@ Four subcommands drive the library: ``algebra`` prints root data,
 runs the irreducibility certificate for Ind(M)_kappa, and ``crossvalidate``
 builds the truncated module and checks the resonance bookkeeping against the
 brute-force oracles.  All output is deterministic; ``--format json`` emits a
-stable schema with every scalar as an exact string.
+stable schema with every scalar as an exact string or an int.
+
+``--format json`` and ``--dump`` go through one writer, ``_write_json``: its
+bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline, streamed in short pieces, and it refuses a float or any other value
+without an exact JSON form.
 
 ``parse_argv`` reads argv from one table, ``_COMMANDS``, which also gives the
 ``-h`` text; an option name never matches by prefix, and a value may start
@@ -17,11 +22,11 @@ Exit codes: 0 success (or certified), 1 usage or precondition error,
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 
 from . import affine_numerics as an
 from . import explicit_module as em
@@ -65,10 +70,71 @@ class JobConfig:
         }
 
 
+# the JSON text of each scalar type a result may hold; a type missing here,
+# float among them, has no JSON form in a result
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write_value(obj, head: str, nl: str, write) -> None:
+    """Write head and then obj, whose lines break as nl says."""
+    kind = type(obj)
+    if kind is list:
+        if not obj:
+            write(head + "[]")
+            return
+        inner = nl + "  "
+        try:
+            text = [_SCALARS[type(x)](x) for x in obj]
+        except KeyError:  # a container (or a refused type) among the elements
+            head = f"{head}[{inner}"
+            sep = "," + inner
+            for item in obj:
+                _write_value(item, head, inner, write)
+                head = sep
+            write(nl + "]")
+        else:
+            write(f"{head}[{inner}{(',' + inner).join(text)}{nl}]")
+    elif kind is dict:
+        if not obj:
+            write(head + "{}")
+            return
+        inner = nl + "  "
+        head = f"{head}{{{inner}"
+        sep = "," + inner
+        # encode_basestring_ascii refuses a key that is not a str
+        for key in sorted(obj):
+            _write_value(obj[key], f"{head}{encode_basestring_ascii(key)}: ",
+                         inner, write)
+            head = sep
+        write(nl + "}")
+    else:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise TypeError("no JSON form for %s %r: a result holds exact "
+                            "strings and ints" % (kind.__name__, obj))
+        write(head + scalar(obj))
+
+
+def _write_json(obj, write) -> None:
+    """Write the bytes of json.dumps(obj, sort_keys=True, indent=2), then a
+    newline, in short strings, each ending in one scalar, one list of
+    scalars or one closing bracket: json runs its indented encoder in pure
+    Python, and the module dump as one string would take more memory than
+    its build frees.  Only dicts with str keys, lists, strs, ints, bools
+    and None are accepted; anything else, a float among them, is a
+    TypeError."""
+    _write_value(obj, "", "\n", write)
+    write("\n")
+
+
 def _emit(report: dict, lines, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2))
-        out.write("\n")
+        _write_json(report, out.write)
     else:
         for line in lines:
             out.write(line + "\n")
@@ -229,9 +295,7 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
         module = em.build_truncated(algebra, hw, kappa, config.n_max)
         ok_all = _crossvalidate_report(config, module, out)
         if fh is not None:
-            json.dump(em.module_json_dict(module), fh, sort_keys=True, indent=2,
-                      check_circular=False)
-            fh.write("\n")
+            _write_json(em.module_json_dict(module), fh.write)
     return 0 if ok_all else 1
 
 

@@ -701,6 +701,116 @@ def test_json_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def _written(obj):
+    pieces = []
+    cli._write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def _reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# one report of each subcommand, and of each certify status and reason
+@pytest.mark.parametrize("argv,code", [
+    ("algebra A 2", 0),
+    ("algebra G 2", 0),
+    ("symlevels B 2 --n 3", 0),
+    ("crossvalidate A 1 --hw 2 --kappa=-2 --depth 2", 0),
+    ("crossvalidate A 1 --hw 0 --kappa=2 --depth 2", 0),
+    ("certify A 1 --hw 1 --kappa=-200", 0),
+    ("certify A 1 --hw 0 --kappa=-1+1i", 0),
+    ("certify A 1 --hw 2 --kappa=-2", 2),
+], ids=["algebra", "algebra-G2", "symlevels", "crossvalidate",
+        "crossvalidate-positive-kappa", "certify-KostantBound",
+        "certify-OutsideXLambda", "certify-Inconclusive"])
+def test_json_writer_reproduces_json_dumps_on_every_report(argv, code, monkeypatch,
+                                                           capsys):
+    reports = []
+    emit = cli._emit
+
+    def recording_emit(report, lines, fmt, out):
+        reports.append(report)
+        emit(report, lines, fmt, out)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    got, out, _ = _run(argv.split() + ["--format", "json"], capsys)
+    assert got == code
+    [report] = reports
+    assert out == _written(report) == _reference(report)
+
+
+@pytest.mark.parametrize("series,rank,hw,kappa", [
+    ("B", 2, (1, 0), "-1/3"),
+    ("G", 2, (0, 0), "-1+1i"),
+    ("C", 2, (0, 1), "-5/2"),
+    ("A", 2, (1, 0), "-1+1i"),
+], ids=["B2", "G2", "C2", "A2-gaussian"])
+def test_json_writer_reproduces_json_dumps_on_module_dumps(series, rank, hw, kappa):
+    algebra = build_algebra(series, rank)
+    module = em.build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), 2)
+    data = em.module_json_dict(module)
+    pieces = []
+    cli._write_json(data, pieces.append)
+    assert "".join(pieces) == _reference(data)
+    # streamed: no piece holds more than one entry or basis vector's list
+    assert max(map(len, pieces)) < 200
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], {"": {"": []}},
+    "", 0, -1, 2 ** 64 + 1, -(2 ** 70), None,
+    # a bool is an int to isinstance, yet prints as true or false
+    True, False, [True, False, None, 1, 0], {"b": True, "a": [1, "x", None]},
+    ["\"quoted\"", "back\\slash", "\x00\x1f\n\t", "\u00e9\u4e2d\U0001d504"],
+    {"\u00e9": 1, "\n": 2, "\"": [3, [4, {"k": "v"}]]},
+])
+def test_json_writer_reproduces_json_dumps(obj):
+    assert _written(obj) == _reference(obj)
+
+
+def test_json_writer_streams_scalars_and_members():
+    pieces = []
+    cli._write_json({"a": [1, 2], "b": {"c": None}, "d": [[3], []]}, pieces.append)
+    assert pieces == ['{\n  "a": [\n    1,\n    2\n  ]', ',\n  "b": {\n    "c": null',
+                      "\n  }", ',\n  "d": [\n    [\n      3\n    ]', ",\n    []",
+                      "\n  ]", "\n}", "\n"]
+
+
+def test_json_writer_matches_json_dumps_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    text = st.text()
+    scalars = (st.none() | st.booleans() | st.integers() | text
+               | st.integers(min_value=2 ** 64) | st.integers(max_value=-(2 ** 64)))
+    trees = st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(text, children, max_size=4),
+        max_leaves=30)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def writes_the_bytes_of_json_dumps(obj):
+        assert _written(obj) == _reference(obj)
+
+    writes_the_bytes_of_json_dumps()
+
+
+# the JSON writer refuses every value without an exact JSON form, where
+# json.dumps would print a float or turn a tuple into a list
+@pytest.mark.parametrize("obj", [
+    1.5, float("nan"), [1, 2.0], {"a": [0.5]}, (1, 2), {"a": (1,)},
+    Fraction(1, 2), [Fraction(3)], ComplexRational(-1, 1), {"a": ComplexRational(0, 1)},
+    {1: "x"}, {"a": {(1, 2): "x"}}, {True: 1}, b"bytes", {1, 2},
+], ids=["float", "nan", "float-in-list", "nested-float", "tuple", "nested-tuple",
+        "Fraction", "Fraction-in-list", "ComplexRational", "nested-ComplexRational",
+        "int-key", "tuple-key", "bool-key", "bytes", "set"])
+def test_json_writer_refuses_values_without_an_exact_form(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
 def _python(*args):
     # the child finds the package where this process imported it from
     src = os.path.dirname(os.path.dirname(weylmod.__file__))

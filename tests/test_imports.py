@@ -1,5 +1,6 @@
 """No dead imports in the package: every name a module of src/weylmod
-imports is used in that module or listed in its __all__.
+imports is used in that module or listed in its __all__.  And no import
+outside the standard library: the runtime has no dependencies.
 
 A name whose import line carries "# noqa: F401" is exempt; the one such
 name is explicit_module's nullspace, bound there so that tools which wrap
@@ -7,6 +8,7 @@ functions per module can find it.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,22 @@ def test_every_import_is_used_or_exported(path):
 
 def test_only_the_wrapped_rebinding_is_exempt():
     assert set().union(*map(_noqa, MODULES)) == EXEMPT
+
+
+def _absolute_imports(tree):
+    """Top-level package of every absolute import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_absolute_import_is_in_the_standard_library(path):
+    # sys.stdlib_module_names exists from Python 3.10, the supported floor
+    outside = sorted(set(_absolute_imports(ast.parse(path.read_text())))
+                     - sys.stdlib_module_names)
+    assert not outside, "%s imports %s from outside the standard library" % (
+        path.name, outside)
