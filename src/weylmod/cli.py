@@ -33,7 +33,8 @@ from . import explicit_module as em
 from .finite_rep import _require_dominant_integral, irrep_dimension
 from .graded_sym import sym_ad_graded
 from .invariant import InvariantError
-from .rational import format_fraction, format_scalar, parse_fraction, parse_scalar
+from .rational import (format_fraction, format_scalar, parse_fraction, parse_int,
+                       parse_scalar)
 from .root_system import build_algebra, norm_sq
 
 class JobConfig:
@@ -404,13 +405,6 @@ def _crossvalidate_report(config: JobConfig, module, out) -> bool:
     return ok_all
 
 
-def _int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError("invalid integer %r" % tok) from None
-
-
 def _format(tok: str) -> str:
     if tok not in ("text", "json"):
         raise ValueError("invalid format %r: choose text or json" % tok)
@@ -426,12 +420,12 @@ _KAPPA = ("--kappa", parse_scalar, True, False, 'central parameter, e.g. "-3/2"'
 _COMMANDS = {
     "algebra": (cmd_algebra, "print root data of a simple algebra", (_FORMAT,)),
     "symlevels": (cmd_symlevels, "decompose the levels of the symmetric algebra of g",
-                  (("--n", _int, True, False, "largest level"), _FORMAT)),
+                  (("--n", parse_int, True, False, "largest level"), _FORMAT)),
     "certify": (cmd_certify, "irreducibility certificate for Ind(M)_kappa",
                 (_HW, _KAPPA, _FORMAT)),
     "crossvalidate": (
         cmd_crossvalidate, "brute-force oracle checks on the truncated module",
-        (_HW, _KAPPA, ("--depth", _int, True, False, "truncation depth"),
+        (_HW, _KAPPA, ("--depth", parse_int, True, False, "truncation depth"),
          ("--dump", str, False, False, "also write the module as JSON"), _FORMAT)),
 }
 
@@ -475,7 +469,7 @@ def parse_argv(argv) -> tuple:
             raise ValueError("%s requires %s" % (command, flag))
     got = {flag[2:]: [kind(t) for t in raw[flag]] if several else kind(raw[flag][0])
            for flag, kind, _, several, _ in options.values() if flag in raw}
-    config = JobConfig(command, positionals[0], _int(positionals[1]),
+    config = JobConfig(command, positionals[0], parse_int(positionals[1]),
                        weights=[got["hw"]] if "hw" in got else [],
                        kappa=got.get("kappa"), n_max=got.get("n", got.get("depth")),
                        fmt=got.get("format", "text"))

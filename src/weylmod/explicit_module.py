@@ -14,19 +14,20 @@ the action of every x eps^m with |m| <= N back into this basis using
 
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
 
-with K acting by the scalar kappa - h_dual.  The zero modes act through M and
-the positive modes kill it.  The straightening runs on integers: each PBW
-monomial is numbered by its position in the basis, and each term of the
-recursion, a monomial with the M slot left symbolic, is packed into one int
-(see _straighten).  The result is one column-sparse action store, and every
-operator below reads it.  All coefficients are exact, and the
-store holds each in the canonical form rational.exact gives: an int when
-integral, a Fraction when rational, a ComplexRational only when its
-imaginary part is nonzero; x.real and x.imag read the parts of any of them.
-Every entry is a sum of products of brackets, matrix entries of M and
-central terms m (x, y) (kappa - h_dual).  The brackets are ints, and so are
-the matrices of M on the sl2 ladder and for minuscule M (see chevalley), so
-there only the central term can bring a denominator or i into the store.
+with K acting by the scalar kappa - h_dual.  The zero modes act through M
+and the positive modes kill it.  The straightening runs on integers, in the
+store's layout: each PBW monomial is numbered by its position in the basis,
+and each term of the recursion is one int, a basis index when the M slot is
+the identity (see _straighten).  The result is one column-sparse action
+store, the very dicts the recursion memoised: every operator below reads it,
+and none writes.  All coefficients are exact, and the store holds each in
+the canonical form rational.exact gives: an int when integral, a Fraction
+when rational, a ComplexRational only when its imaginary part is nonzero;
+x.real and x.imag read the parts of any of them.  Every entry is a sum of
+products of brackets, matrix entries of M and central terms m (x, y)
+(kappa - h_dual).  The brackets are ints, and so are the matrices of M on
+the sl2 ladder and for minuscule M (see chevalley), so there only the
+central term can bring a denominator or i into the store.
 
 On top of the raw action the module offers the brute-force oracles used to
 cross-check the resonance bookkeeping: the normally-ordered Sugawara L0, the
@@ -68,7 +69,7 @@ from .linalg import (
     nullspace,  # noqa: F401  (bound here for tools that wrap it per module)
     nullspace_of_columns,
 )
-from .rational import SCALAR_TYPES, exact, format_scalar
+from .rational import SCALAR_TYPES, exact, format_scalar, parse_int
 from .root_system import Weight, root_to_fw
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
@@ -84,10 +85,7 @@ def depth_cap() -> int:
     raw = os.environ.get(DEPTH_CAP_ENV)
     if raw is None:
         return _DEFAULT_DEPTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (DEPTH_CAP_ENV, raw))
+    cap = parse_int(raw, DEPTH_CAP_ENV)
     if cap < 1:
         raise ValueError("%s must be >= 1, got %r" % (DEPTH_CAP_ENV, raw))
     return cap
@@ -204,26 +202,28 @@ class TruncatedWeylModule:
 def _straighten(module) -> dict:
     """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth.
 
-    The recursion runs on integers.  The basis runs over (mono, j) with j
-    fastest, so the PBW monomial of number b, its position among the
-    monomials, carries basis vectors b dim M + j, and a target is written
-    with no lookup.  first[b] is the packed first factor of monomial b and
-    rest[b] the number of mono[1:]; a monomial tuple is built only when a
-    factor is prepended.  op is memoised on (p, m, b).  A term (monomial b,
-    tag t) is the int b (dim g + 1) + t, where tag 0 is the identity on M
-    and tag q + 1 a single factor x_q acting on M.  A factor x_q that acts
-    on M by 0, as every x_q does on a trivial M, leaves no term at all.
+    The recursion runs on integers, in the store's layout.  The basis runs
+    over (mono, j) with j fastest, so monomial number b (its position among
+    the monomials) carries basis vectors b dim M + j; first[b] is its packed
+    first factor and rest[b] the number of mono[1:].  op is memoised in one
+    row per (p, m), indexed by b; a result is canonicalised once, and an
+    empty one is linalg._EMPTY.  A term (monomial b, tag t) is the int
+    b dim M + t dim, where tag 0 is the identity on M and tag q + 1 the
+    action of x_q on M.  A result with no tag is thus column j = 0 as it
+    stands, and column j is that dict shifted by j.
     """
     cb = module.cb
     k_scalar = module.k_scalar
     dim_m = module.rep.dim
-    width = cb.dim + 1
+    dim = module.dim
+    depth = module.depth
     monos = [key[0] for key in module.keys[::dim_m]]
     number = {mono: b for b, mono in enumerate(monos)}
     first = [mono[0] if mono else None for mono in monos]
     rest = [number[mono[1:]] if mono else None for mono in monos]
     mats = module.rep.mats
-    memo = {}
+    store = {(p, m): {} for p in range(cb.dim) for m in range(-depth, depth + 1)}
+    memo = {key: [None] * len(monos) for key in store}
 
     def op(p, m, a):
         """x_p eps^m on monomial a (x) -, with the M tensor slot left
@@ -235,57 +235,52 @@ def _straighten(module) -> dict:
         their images carry tag 0 only, and left multiplication by g is op on
         g's own generator and mode.
         """
-        key = (p, m, a)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        row = memo[p, m]
+        if row[a] is not None:
+            return row[a]
         f = ((-m) << _SHIFT) | p
         if m < 0 and (not a or f >= first[a]):
-            out = {number[(f,) + monos[a]] * width: 1}
+            out = {number[(f,) + monos[a]] * dim_m: 1}
         elif not a:
-            out = {p + 1: 1} if m == 0 and mats[p] else {}
+            out = {(p + 1) * dim: 1} if m == 0 and mats[p] else _EMPTY
         else:
-            g, r = first[a], rest[a]
-            k0, p0 = g >> _SHIFT, g & _MASK
+            r, k0, p0 = rest[a], first[a] >> _SHIFT, first[a] & _MASK
             out = {}
             for term, c in op(p, m, r).items():
-                b2, tag = divmod(term, width)
-                # g's image has tag 0, so adding tag moves it onto M
-                for term3, c3 in op(p0, -k0, b2).items():
-                    accumulate(out, term3 + tag, c * c3)
+                t0 = term % dim
+                # g's image has tag 0, so adding term - t0 moves it onto M
+                for term3, c3 in op(p0, -k0, t0 // dim_m).items():
+                    accumulate(out, term3 + term - t0, c * c3)
             for q, cq in cb.bracket_list(p, p0):
                 for term3, c3 in op(q, m - k0, r).items():
                     accumulate(out, term3, cq * c3)
             if m == k0:
-                accumulate(out, r * width, exact(m * cb.pairing(p, p0) * k_scalar))
-        memo[key] = out
+                accumulate(out, r * dim_m, m * cb.pairing(p, p0) * k_scalar)
+            out = {t: exact(c) for t, c in out.items()} if out else _EMPTY
+        row[a] = out
         return out
 
-    depth = module.depth
-    store = {(p, m): {} for p in range(cb.dim) for m in range(-depth, depth + 1)}
-    for n in range(depth + 1):
-        rng = module.degree_range(n)
-        for b in range(rng.start // dim_m, rng.stop // dim_m):
-            start = b * dim_m
-            for p in range(cb.dim):
-                for m in range(n - depth, n + 1):
-                    terms = op(p, m, b)
-                    if not terms:
-                        continue
-                    cols = store[p, m]
-                    split = [(*divmod(term, width), c) for term, c in terms.items()]
-                    for j in range(dim_m):
-                        col = {}
-                        for b2, tag, c in split:
-                            if not tag:
-                                accumulate(col, b2 * dim_m + j, c)
-                                continue
-                            for i, v in mats[tag - 1].get(j, _EMPTY).items():
-                                accumulate(col, b2 * dim_m + i, c * v)
-                        if col:
-                            cols[start + j] = {t: exact(v) for t, v in col.items()}
-    # op refers to itself, so only a cycle collection would free the memo;
-    # release it now
+    for (p, m), cols in store.items():
+        rng = _image_degrees(depth, m)
+        for start in range(module._bounds[rng.start], module._bounds[rng.stop], dim_m):
+            terms = op(p, m, start // dim_m)
+            if terms and max(terms) < dim:
+                cols[start] = terms
+                for j in range(1, dim_m):
+                    cols[start + j] = {t + j: c for t, c in terms.items()}
+            elif terms:
+                for j in range(dim_m):
+                    col = {}
+                    for term, c in terms.items():
+                        tag, t0 = divmod(term, dim)
+                        if not tag:
+                            accumulate(col, t0 + j, c)
+                            continue
+                        for i, v in mats[tag - 1].get(j, _EMPTY).items():
+                            accumulate(col, t0 + i, c * v)
+                    if col:
+                        cols[start + j] = {t: exact(v) for t, v in col.items()}
+    # op refers to itself: free the memo rows now, not at a cycle collection
     memo.clear()
     return store
 

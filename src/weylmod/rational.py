@@ -156,6 +156,17 @@ def parse_fraction(tok: str, typed=None) -> Fraction:
         raise ValueError("invalid scalar %r" % (typed or tok)) from None
 
 
+def parse_int(tok: str, name="integer") -> int:
+    """Parse an integer token; a malformed one is a ValueError that names
+    name.  An underscore is malformed, as in parse_fraction."""
+    try:
+        if "_" in tok:
+            raise ValueError(tok)
+        return int(tok)
+    except ValueError:
+        raise ValueError("invalid %s %r" % (name, tok)) from None
+
+
 def parse_scalar(text: str):
     """Parse "p/q", "a/b+c/d i", and common shorthands ("i", "-1+i", "2-i").
 

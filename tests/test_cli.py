@@ -375,6 +375,9 @@ def test_usage_errors_exit_one(capsys):
         ["certify", "A", "1", "--hw", "1", "--kappa=-1_0"],
         ["certify", "A", "1", "--hw", "1", "--kappa=1+1_0i"],
         ["certify", "A", "1", "--hw", "1_0", "--kappa=-1"],
+        ["symlevels", "A", "1", "--n", "0_2"],
+        ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "0_2"],
+        ["algebra", "A", "1_0"],
     ):
         code, out, err = _run(argv, capsys)
         assert code == 1, argv

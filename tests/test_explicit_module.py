@@ -1,6 +1,9 @@
 """Tests for the truncated PBW realization and its brute-force oracles."""
 
+import copy
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from weylmod.explicit_module import (
 from weylmod import explicit_module
 from weylmod.graded_sym import sym_ad_graded
 from weylmod.invariant import InvariantError
+from weylmod import linalg
 from weylmod.linalg import FILTER_PRIME, SpanBuilder
 from weylmod.rational import (
     ComplexRational, format_scalar, parse_scalar,
@@ -64,8 +68,6 @@ def test_layer_dimensions_match_graded_sym():
 def test_degree_bookkeeping():
     m = _sl2(hw=2, depth=2)
     assert m.dim == 3 + 9 + 27
-    # the action store is built; the straightening memos are not kept
-    assert not hasattr(m, "_opmemo") and not hasattr(m, "_lmmemo")
     for n in range(3):
         for idx in m.degree_range(n):
             assert helpers.degree_of(m, idx) == n
@@ -105,9 +107,10 @@ def test_depth_cap_env_override(monkeypatch):
     monkeypatch.setenv(DEPTH_CAP_ENV, "7")
     m = build_truncated(SL2, SL2.weight([0]), Fraction(-1), 7)
     assert m.depth == 7
-    monkeypatch.setenv(DEPTH_CAP_ENV, "zero")
-    with pytest.raises(ValueError):
-        depth_cap()
+    for raw in ("zero", "1_0"):  # PEP 515 underscores are malformed
+        monkeypatch.setenv(DEPTH_CAP_ENV, raw)
+        with pytest.raises(ValueError):
+            depth_cap()
 
 
 def test_central_element_action():
@@ -250,7 +253,10 @@ def _assert_l0_is_the_closed_form(m):
     ("B", 2, [1, 0], "-1/3", 2),
     ("G", 2, [0, 0], "-1+1i", 2),
     ("C", 2, [0, 1], "-5/2", 2),
-], ids=["A1-0", "A1-2", "A2-00", "A2-10", "B2", "G2", "C2"])
+    # Rep.mats entries +-1/2, and +-1/3, +-2/3: tagged terms times Fractions
+    ("A", 2, [1, 1], "-1/3", 2),
+    ("B", 2, [2, 0], "-1/2", 2),
+], ids=["A1-0", "A1-2", "A2-00", "A2-10", "B2", "G2", "C2", "A2-11", "B2-20"])
 def test_action_store_matches_the_straightening_oracle(series, rank, hw, kappa,
                                                        depth):
     algebra = build_algebra(series, rank)
@@ -261,6 +267,48 @@ def test_action_store_matches_the_straightening_oracle(series, rank, hw, kappa,
         assert all(type(v) is type(oracle[key][s][t])
                    for key, cols in module._action.items()
                    for s, col in cols.items() for t, v in col.items()), d
+
+
+def test_straightening_memo_is_released():
+    # op refers to itself, so a memo row, or the module, left in its closure
+    # would outlive the module until a cycle collection; with gc off it stays
+    args = (SL3, SL3.weight([0, 0]), Fraction(-3, 2), 3)
+    build_truncated(*args)  # warm the caches the build reads
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        module = build_truncated(*args)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del module
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < held / 4, (left, held)
+
+
+@pytest.mark.parametrize("series, rank, hw, kappa, depth", [
+    ("A", 2, [0, 0], "-3/2", 3),
+    ("A", 1, [2], "-2", 3),
+    ("B", 2, [1, 0], "-1/3", 2),
+], ids=["A2-00", "A1-2", "B2-10"])
+def test_consumers_leave_the_store_untouched(series, rank, hw, kappa, depth):
+    # a column is the very dict the straightening memoised, and a missing one
+    # reads as the shared linalg._EMPTY: no consumer may write to either
+    alg = build_algebra(series, rank)
+    m = build_truncated(alg, alg.weight(hw), parse_scalar(kappa), depth)
+    before = copy.deepcopy(m._action)
+    m.l0
+    assert virasoro_commutation_check(m)
+    for n in range(1, depth + 1):
+        singular_dimensions(m, n)
+    for order in (1, 2):
+        check_kl_exact_sequence(m, order)
+    module_json_dict(m)
+    assert m._action == before
+    assert linalg._EMPTY == {}
 
 
 def test_sugawara_eigenvalues_trivial():

@@ -9,6 +9,7 @@ from weylmod.rational import (
     exact,
     format_fraction,
     format_scalar,
+    parse_int,
     parse_scalar,
 )
 
@@ -95,6 +96,15 @@ def test_parse_scalar_rejects_garbage():
     for bad in ("", "one", "1+2j", "--3", "1/0", "-1+1/0 i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_parse_int():
+    assert parse_int("12") == 12 and parse_int("-3") == -3
+    # PEP 515 underscores are malformed on every Python version, as in
+    # parse_fraction
+    for bad in ("", "x", "1.0", "1/1", "1_0", "0_2"):
+        with pytest.raises(ValueError, match="invalid depth %r" % bad):
+            parse_int(bad, "depth")
 
 
 def test_scalar_parts():
