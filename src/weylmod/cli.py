@@ -10,23 +10,28 @@ stable schema with every scalar as an exact string or an int.
 ``--format json`` and ``--dump`` go through one writer, ``_write_json``: its
 bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
 newline, streamed in short pieces, and it refuses a float or any other value
-without an exact JSON form.
+without an exact JSON form.  The dump is written from the action store one
+action at a time (``explicit_module.module_dump``), so no tree of the whole
+module is built.
 
 ``parse_argv`` reads argv from one table, ``_COMMANDS``, which also gives the
 ``-h`` text; an option name never matches by prefix, and a value may start
 with "-" (``--kappa -3/2``).  Every error is one ``error:`` line on stderr.
 
 Exit codes: 0 success (or certified), 1 usage or precondition error,
-2 mathematically valid but inconclusive certificate.
+2 mathematically valid but inconclusive certificate, 141 (128 + SIGPIPE, as
+a shell reports it) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import affine_numerics as an
 from . import explicit_module as em
@@ -82,24 +87,26 @@ _SCALARS = {
 
 
 def _write_value(obj, head: str, nl: str, write) -> None:
-    """Write head and then obj, whose lines break as nl says."""
+    """Write head and then obj, whose lines break as nl says; a generator
+    is written as a list, consumed once."""
     kind = type(obj)
-    if kind is list:
-        if not obj:
-            write(head + "[]")
-            return
-        inner = nl + "  "
+    if kind is list and obj:
         try:
             text = [_SCALARS[type(x)](x) for x in obj]
         except KeyError:  # a container (or a refused type) among the elements
-            head = f"{head}[{inner}"
-            sep = "," + inner
-            for item in obj:
-                _write_value(item, head, inner, write)
-                head = sep
-            write(nl + "]")
+            pass
         else:
+            inner = nl + "  "
             write(f"{head}[{inner}{(',' + inner).join(text)}{nl}]")
+            return
+    if kind is list or kind is GeneratorType:
+        inner = nl + "  "
+        first = item_head = f"{head}[{inner}"
+        sep = "," + inner
+        for item in obj:
+            _write_value(item, item_head, inner, write)
+            item_head = sep
+        write(head + "[]" if item_head is first else nl + "]")
     elif kind is dict:
         if not obj:
             write(head + "{}")
@@ -126,9 +133,9 @@ def _write_json(obj, write) -> None:
     newline, in short strings, each ending in one scalar, one list of
     scalars or one closing bracket: json runs its indented encoder in pure
     Python, and the module dump as one string would take more memory than
-    its build frees.  Only dicts with str keys, lists, strs, ints, bools
-    and None are accepted; anything else, a float among them, is a
-    TypeError."""
+    its build frees.  Only dicts with str keys, lists, generators (read
+    once, as lists), strs, ints, bools and None are accepted; anything
+    else, a float among them, is a TypeError."""
     _write_value(obj, "", "\n", write)
     write("\n")
 
@@ -296,7 +303,7 @@ def cmd_crossvalidate(config: JobConfig, out, dump=None) -> int:
         module = em.build_truncated(algebra, hw, kappa, config.n_max)
         ok_all = _crossvalidate_report(config, module, out)
         if fh is not None:
-            _write_json(em.module_json_dict(module), fh.write)
+            _write_json(em.module_dump(module), fh.write)
     return 0 if ok_all else 1
 
 
@@ -508,8 +515,15 @@ def main(argv=None) -> int:
     try:
         config, dump = parse_argv(argv)
         if config.command == "crossvalidate":
-            return cmd_crossvalidate(config, sys.stdout, dump=dump)
-        return _COMMANDS[config.command][0](config, sys.stdout)
+            code = cmd_crossvalidate(config, sys.stdout, dump=dump)
+        else:
+            code = _COMMANDS[config.command][0](config, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError, InvariantError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -128,7 +128,7 @@ class TruncatedWeylModule:
         self.depth = depth
         self.cb = chevalley_basis(algebra)
         self.rep = rep_from_hw(self.cb, m_hw)
-        self.k_scalar = kappa - algebra.dual_coxeter
+        self.k_scalar = exact(kappa - algebra.dual_coxeter)
         self.scan = None
         if kappa.imag or kappa.real < 0:
             self.scan = ResonanceScan(m_hw + algebra.rho, kappa)
@@ -723,7 +723,18 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
 
 
 def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
-    """Serializable snapshot of the truncated module.
+    """Serializable snapshot of the truncated module: module_dump with its
+    degrees and actions read into lists."""
+    data = module_dump(module, modes)
+    data["degrees"] = list(data["degrees"])
+    data["actions"] = list(data["actions"])
+    return data
+
+
+def module_dump(module: TruncatedWeylModule, modes=None) -> dict:
+    """The one producer of the dump schema, with degrees and actions as
+    generators that build each entry as it is yielded, so a writer that
+    consumes them (cli._write_json) holds one action's entries at a time.
 
     Schema (all scalars are exact strings, "p/q" or "a/b+c/d i"):
       schema: fixed identifier string
@@ -739,50 +750,6 @@ def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
     """
     if modes is None:
         modes = range(-module.depth, module.depth + 1)
-    degrees = []
-    for n in range(module.depth + 1):
-        rng = module.degree_range(n)
-        basis = []
-        for idx in rng:
-            mono, j = module.keys[idx]
-            basis.append(
-                {
-                    "factors": [
-                        [f >> _SHIFT, module.cb.names[f & _MASK]] for f in mono
-                    ],
-                    "m_index": j,
-                    "weight": [format_scalar(c) for c in module.weights[idx]],
-                }
-            )
-        degrees.append({"degree": n, "dimension": len(rng), "basis": basis})
-    actions = []
-    for p in range(module.cb.dim):
-        for m in modes:
-            cols = module.columns(p, m)
-            blocks = []
-            for n in _image_degrees(module.depth, m):
-                src = module.degree_range(n)
-                tgt = module.degree_range(n - m).start
-                entries = sorted(
-                    [i - tgt, c, format_scalar(v)]
-                    for c, idx in enumerate(src)
-                    for i, v in cols.get(idx, _EMPTY).items()
-                )
-                blocks.append(
-                    {
-                        "source_degree": n,
-                        "target_degree": n - m,
-                        "entries": entries,
-                    }
-                )
-            actions.append(
-                {
-                    "generator": module.cb.names[p],
-                    "mode": m,
-                    "partial": m < 0,
-                    "blocks": blocks,
-                }
-            )
     return {
         "schema": "weylmod.truncated_module.v1",
         "algebra": {"series": module.algebra.series, "rank": module.algebra.rank},
@@ -792,6 +759,44 @@ def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
         "dual_coxeter": format_scalar(module.algebra.dual_coxeter),
         "k_scalar": format_scalar(module.k_scalar),
         "generators": list(module.cb.names),
-        "degrees": degrees,
-        "actions": actions,
+        "degrees": (_degree_json(module, n) for n in range(module.depth + 1)),
+        "actions": (_action_json(module, p, m)
+                    for p in range(module.cb.dim) for m in modes),
+    }
+
+
+def _degree_json(module, n: int) -> dict:
+    rng = module.degree_range(n)
+    basis = []
+    for idx in rng:
+        mono, j = module.keys[idx]
+        basis.append(
+            {
+                "factors": [[f >> _SHIFT, module.cb.names[f & _MASK]] for f in mono],
+                "m_index": j,
+                "weight": [format_scalar(c) for c in module.weights[idx]],
+            }
+        )
+    return {"degree": n, "dimension": len(rng), "basis": basis}
+
+
+def _action_json(module, p: int, m: int) -> dict:
+    cols = module.columns(p, m)
+    blocks = []
+    for n in _image_degrees(module.depth, m):
+        src = module.degree_range(n)
+        tgt = module.degree_range(n - m).start
+        entries = sorted(
+            [i - tgt, c, format_scalar(v)]
+            for c, idx in enumerate(src)
+            for i, v in cols.get(idx, _EMPTY).items()
+        )
+        blocks.append(
+            {"source_degree": n, "target_degree": n - m, "entries": entries}
+        )
+    return {
+        "generator": module.cb.names[p],
+        "mode": m,
+        "partial": m < 0,
+        "blocks": blocks,
     }

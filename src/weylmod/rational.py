@@ -144,10 +144,12 @@ def format_scalar(x) -> str:
 def parse_fraction(tok: str, typed=None) -> Fraction:
     """Parse "p/q"; a malformed token or a zero denominator is a ValueError
     that names typed, the whole text the token was cut from (default: the
-    token itself).  An underscore is malformed on every Python version, as
-    Fraction() takes PEP 515 underscores only from 3.11 on."""
+    token itself).  The token is ASCII: Fraction() would also read other
+    decimal digits and whitespace.  An underscore is malformed on every
+    Python version, as Fraction() takes PEP 515 underscores only from 3.11
+    on."""
     try:
-        if "_" in tok:
+        if "_" in tok or not tok.isascii():
             raise ValueError(tok)
         return Fraction(tok)
     except ZeroDivisionError:
@@ -158,9 +160,10 @@ def parse_fraction(tok: str, typed=None) -> Fraction:
 
 def parse_int(tok: str, name="integer") -> int:
     """Parse an integer token; a malformed one is a ValueError that names
-    name.  An underscore is malformed, as in parse_fraction."""
+    name.  A non-ASCII character or an underscore is malformed, as in
+    parse_fraction."""
     try:
-        if "_" in tok:
+        if "_" in tok or not tok.isascii():
             raise ValueError(tok)
         return int(tok)
     except ValueError:
@@ -171,8 +174,10 @@ def parse_scalar(text: str):
     """Parse "p/q", "a/b+c/d i", and common shorthands ("i", "-1+i", "2-i").
 
     Returns a Fraction when the imaginary part is zero, else ComplexRational.
-    Round-trips with format_scalar.
+    Round-trips with format_scalar.  The text is ASCII, as in parse_fraction.
     """
+    if not text.isascii():
+        raise ValueError("invalid scalar %r" % text)
     s = "".join(text.split())
     if not s:
         raise ValueError("empty scalar")

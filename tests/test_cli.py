@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -9,6 +10,8 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +381,9 @@ def test_usage_errors_exit_one(capsys):
         ["symlevels", "A", "1", "--n", "0_2"],
         ["crossvalidate", "A", "1", "--hw", "0", "--kappa=-1", "--depth", "0_2"],
         ["algebra", "A", "1_0"],
+        # integer and fraction tokens are ASCII
+        ["algebra", "A", "\u0662"],
+        ["certify", "A", "1", "--hw", "\u0662", "--kappa=-\u0661"],
     ):
         code, out, err = _run(argv, capsys)
         assert code == 1, argv
@@ -753,11 +759,67 @@ def test_json_writer_reproduces_json_dumps_on_module_dumps(series, rank, hw, kap
     algebra = build_algebra(series, rank)
     module = em.build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), 2)
     data = em.module_json_dict(module)
-    pieces = []
-    cli._write_json(data, pieces.append)
-    assert "".join(pieces) == _reference(data)
-    # streamed: no piece holds more than one entry or basis vector's list
-    assert max(map(len, pieces)) < 200
+    for obj in (data, em.module_dump(module)):
+        pieces = []
+        cli._write_json(obj, pieces.append)
+        assert "".join(pieces) == _reference(data)
+        # streamed: no piece holds more than one entry or basis vector's list
+        assert max(map(len, pieces)) < 200
+
+
+@pytest.mark.parametrize("items", [
+    [], [1, "x", None], [[], [1, [2]], {"a": [3]}], [{"b": 1, "a": [{}]}, {}],
+], ids=["empty", "flat", "nested", "dicts"])
+def test_json_writer_writes_a_generator_as_its_list(items):
+    # the dump streams its degrees and actions as generators
+    assert _written(x for x in items) == _reference(items)
+    assert _written({"k": (x for x in items)}) == _reference({"k": items})
+    assert _written([(x for x in items)]) == _reference([items])
+
+
+def test_crossvalidate_streams_the_dump(monkeypatch, tmp_path, capsys):
+    # the dump reaches the writer as generators, not as a built tree
+    handed = []
+    write_json = cli._write_json
+
+    def recording(obj, write):
+        handed.append(obj)
+        write_json(obj, write)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    path = tmp_path / "m.json"
+    code, _, _ = _run(["crossvalidate", "A", "1", "--hw", "2", "--kappa=-2",
+                       "--depth", "2", "--dump", str(path)], capsys)
+    assert code == 0
+    [dump] = handed
+    assert type(dump["degrees"]) is type(dump["actions"]) is types.GeneratorType
+    algebra = build_algebra("A", 1)
+    module = em.build_truncated(algebra, algebra.weight([2]), Fraction(-2), 2)
+    assert path.read_text() == _reference(em.module_json_dict(module))
+
+
+def test_dump_holds_one_action_at_a_time():
+    # written from the store action by action, the dump's peak above the
+    # module is a small share of what the module holds; the whole tree of
+    # module_json_dict is about three quarters of it
+    algebra = build_algebra("A", 2)
+    args = (algebra, algebra.weight([0, 0]), Fraction(-3, 2), 3)
+    em.build_truncated(*args)  # warm the caches the build reads
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        module = em.build_truncated(*args)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_json(em.module_dump(module), lambda piece: None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < held / 4, (peak, held)
 
 
 @pytest.mark.parametrize("obj", [
@@ -806,20 +868,26 @@ def test_json_writer_matches_json_dumps_on_random_trees():
     1.5, float("nan"), [1, 2.0], {"a": [0.5]}, (1, 2), {"a": (1,)},
     Fraction(1, 2), [Fraction(3)], ComplexRational(-1, 1), {"a": ComplexRational(0, 1)},
     {1: "x"}, {"a": {(1, 2): "x"}}, {True: 1}, b"bytes", {1, 2},
+    (x for x in [1, 0.5]), (x for x in [(2,)]), (x for x in [{1: "x"}]),
 ], ids=["float", "nan", "float-in-list", "nested-float", "tuple", "nested-tuple",
         "Fraction", "Fraction-in-list", "ComplexRational", "nested-ComplexRational",
-        "int-key", "tuple-key", "bool-key", "bytes", "set"])
+        "int-key", "tuple-key", "bool-key", "bytes", "set", "float-in-generator",
+        "tuple-in-generator", "int-key-in-generator"])
 def test_json_writer_refuses_values_without_an_exact_form(obj):
     with pytest.raises(TypeError):
         _written(obj)
 
 
-def _python(*args):
+def _child_env():
     # the child finds the package where this process imported it from
     src = os.path.dirname(os.path.dirname(weylmod.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=_child_env())
 
 
 def test_cli_loads_no_argparse():
@@ -843,6 +911,20 @@ def test_console_script_installed():
                           text=True)
     assert proc.returncode == 0
     assert "dimension 3" in proc.stdout
+
+
+def test_closed_stdout_exits_141_silently():
+    # the reader stops after one line; the output is larger than any pipe
+    # buffer (1.2 MB), so the writer meets the closed pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "weylmod.cli", "symlevels", "A", "2", "--n",
+             "40", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_invariant_failure_exits_one_without_traceback(monkeypatch, capsys):

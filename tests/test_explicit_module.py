@@ -99,6 +99,17 @@ def test_kappa_normalization():
     assert m.k_scalar == -3 - 2
 
 
+def test_k_scalar_is_canonical():
+    # kappa - h_dual in the one scalar form: an int when integral, so the
+    # central terms of the straightening multiply ints on integer levels
+    k = _sl2(hw=2, kappa=Fraction(-2), depth=1).k_scalar
+    assert type(k) is int and k == -4
+    k = build_truncated(SL3, SL3.weight([0, 0]), Fraction(-3, 2), 1).k_scalar
+    assert type(k) is Fraction and k == Fraction(-9, 2)
+    k = _sl2(hw=0, kappa=ComplexRational(-1, 1), depth=1).k_scalar
+    assert k == ComplexRational(-3, 1)
+
+
 def test_depth_cap_env_override(monkeypatch):
     monkeypatch.setenv(DEPTH_CAP_ENV, "2")
     assert depth_cap() == 2
@@ -705,6 +716,8 @@ def test_module_json_shape_and_determinism():
     assert d["kappa"] == "-2"
     assert d["k_scalar"] == "-4"
     assert d["generators"] == ["e", "h", "f"]
+    # the library form holds lists, not the generators the dump streams
+    assert type(d["degrees"]) is list and type(d["actions"]) is list
     assert [lvl["dimension"] for lvl in d["degrees"]] == [3, 9]
     modes = {(a["generator"], a["mode"]) for a in d["actions"]}
     assert modes == {(g, m_) for g in "ehf" for m_ in (-1, 0, 1)}

@@ -93,16 +93,19 @@ def test_parse_scalar_shorthands():
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ("", "one", "1+2j", "--3", "1/0", "-1+1/0 i"):
+    # a token is ASCII: no other decimal digits, no other whitespace
+    for bad in ("", "one", "1+2j", "--3", "1/0", "-1+1/0 i",
+                "\u0662", "\u0661/\u0662", "\uff12", "-1\u3000+ i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
 
 def test_parse_int():
     assert parse_int("12") == 12 and parse_int("-3") == -3
-    # PEP 515 underscores are malformed on every Python version, as in
+    # PEP 515 underscores and non-ASCII digits are malformed, as in
     # parse_fraction
-    for bad in ("", "x", "1.0", "1/1", "1_0", "0_2"):
+    for bad in ("", "x", "1.0", "1/1", "1_0", "0_2", "\u0662", "\u0661/\u0662",
+                "\uff12"):
         with pytest.raises(ValueError, match="invalid depth %r" % bad):
             parse_int(bad, "depth")
 
