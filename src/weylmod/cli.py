@@ -322,8 +322,6 @@ def _crossvalidate_report(config: JobConfig, module, out) -> bool:
 
     virasoro_ok = em.virasoro_commutation_check(module)
 
-    scan = module.scan
-    pairs = [] if scan is None else scan.pairs(depth)
     findings = []
     finding_degrees = set()
     for n in range(1, depth + 1):
@@ -342,7 +340,9 @@ def _crossvalidate_report(config: JobConfig, module, out) -> bool:
     necessity = None
     candidates = []
     certificate_consistent = None
-    if scan is not None:
+    if kappa.imag or kappa.real < 0:  # else no candidates apply
+        scan = an.ResonanceScan(hw + algebra.rho, kappa)
+        pairs = scan.pairs(depth)
         candidates = [_candidate_json(p) for p in pairs]
         candidate_degrees = {p.n for p in pairs}
         necessity = finding_degrees <= candidate_degrees

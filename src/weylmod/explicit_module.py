@@ -44,7 +44,8 @@ other weights off the characters of the irreducibles they generate.  A mod-p
 rank test (linalg.independent_mod_p) settles most of these blocks; it can
 only prove a kernel zero, and every other block is solved exactly, so the
 dimensions are exact.  The same test sits in front of the exact solve of
-each weight block of the annihilators V(order).
+each weight block of the annihilators V(order).  _matched reads the
+candidate of each finding off its weight: the module holds no lattice scan.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from functools import cached_property
 from math import lcm
 from operator import add
 
-from .affine_numerics import ResonanceScan, top_l0_eigenvalue
+from .affine_numerics import CandidatePair, top_l0_eigenvalue
 from .chevalley import chevalley_basis, rep_from_hw
-from .finite_rep import _require_dominant_integral, casimir_on_irrep, irrep_character
+from .finite_rep import (_norm_rho, _require_dominant_integral, casimir_on_irrep,
+                         irrep_character)
 from .graded_sym import sym_ad_graded
 from .invariant import check
 from .linalg import (
@@ -70,7 +72,7 @@ from .linalg import (
     nullspace_of_columns,
 )
 from .rational import SCALAR_TYPES, exact, format_scalar, parse_int
-from .root_system import Weight, root_to_fw
+from .root_system import Weight
 
 DEPTH_CAP_ENV = "WEYLMOD_DEPTH_CAP"
 _DEFAULT_DEPTH_CAP = 6
@@ -116,9 +118,8 @@ class TruncatedWeylModule:
     action of every x_p eps^m with |m| <= depth is straightened once, here,
     into column-sparse form, and every operator below reads that store.
     weights[i] is the weight of basis vector #i, an int tuple in fundamental
-    coordinates.  scan is the resonance scan of lambda = m_hw + rho at kappa
-    when kappa lies outside the nonnegative reals (where candidates apply),
-    else None.
+    coordinates.  The module holds no resonance scan: a finding is matched
+    to its candidate from its own weight (_matched).
     """
 
     def __init__(self, algebra, m_hw: Weight, kappa, depth: int):
@@ -129,9 +130,6 @@ class TruncatedWeylModule:
         self.cb = chevalley_basis(algebra)
         self.rep = rep_from_hw(self.cb, m_hw)
         self.k_scalar = exact(kappa - algebra.dual_coxeter)
-        self.scan = None
-        if kappa.imag or kappa.real < 0:
-            self.scan = ResonanceScan(m_hw + algebra.rho, kappa)
 
         sym_dims = [c.dimension() for c in sym_ad_graded(algebra, depth)]
         keys = []
@@ -453,23 +451,24 @@ def _block_kernels(module, n, column, dominant=False):
 
 
 def _matched(module, weight, n):
-    """The degree-n candidate of module.scan with lambda + mu = weight + rho,
-    else None; weight is an int tuple.
+    """CandidatePair(mu, n, xi) for mu = weight - m_hw when q(mu) = 2 kappa n
+    with kappa real and negative, else None; weight is an int tuple, n >= 1.
 
-    No candidate matches only up to the Weyl group: if weight + rho =
-    w(lambda + mu) for a degree-n candidate mu, then mu' = weight - m_hw
-    lies in the root lattice (every weight of the module differs from m_hw
-    by roots) and |lambda + mu'| = |lambda + mu|, so q(mu') = q(mu) and mu'
-    is itself a degree-n candidate, matched exactly.
+    Every weight of the module lies in m_hw + Q, so mu is the very degree-n
+    candidate of ResonanceScan(m_hw + rho, kappa), which a non-real kappa has
+    only at n = 0; one matched only up to W has the same |weight + rho|,
+    hence the same q.  form_scale q(mu) is two ints of _norm_rho.
     """
-    if module.scan is None:
+    kappa, algebra, m_hw = module.kappa, module.algebra, module.m_hw
+    if kappa.imag or kappa.real >= 0:
         return None
-    cartan = module.algebra.cartan
-    lam = [int(c) + 1 for c in module.m_hw.coords]  # m_hw + rho
-    target = tuple(c + 1 for c in weight)
-    return next((p for p in module.scan.candidates
-                 if p.n == n and tuple(map(add, lam, root_to_fw(cartan, p.mu)))
-                 == target), None)
+    form = algebra.weight_form
+    q = _norm_rho(form, weight) - _norm_rho(form, tuple(map(int, m_hw.coords)))
+    if q != 2 * kappa * n * algebra.form_scale:
+        return None
+    mu = (algebra.weight(weight) - m_hw).to_root_coords()
+    xi = top_l0_eigenvalue(casimir_on_irrep(algebra, m_hw), kappa) + n
+    return CandidatePair(tuple(map(int, mu)), n, xi)
 
 
 def singular_vectors(module: TruncatedWeylModule, n: int):
@@ -478,8 +477,8 @@ def singular_vectors(module: TruncatedWeylModule, n: int):
     The kernel is solved exactly inside each weight space of the layer.
     Returns (weight, solutions, matched candidate) for each weight where it
     is nonzero, solutions a basis of sparse vectors {index: coeff}, in the
-    shape of singular_dimensions; the candidate is that of module.scan, None
-    when kappa lies on the nonnegative reals.
+    shape of singular_dimensions; the candidate is the one _matched reads
+    off the weight, or None.
     """
     if not 1 <= n <= module.depth:
         raise ValueError("degree must satisfy 1 <= n <= depth")

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import add
 
+from weylmod.affine_numerics import ResonanceScan
 from weylmod.chevalley import ChevalleyBasis, Rep
 from weylmod.cli import JobConfig
 from weylmod.explicit_module import (
@@ -420,14 +421,16 @@ def matched_candidate(module, weight: Weight, n: int):
     """The Weight-level oracle of explicit_module._matched: the degree-n
     candidate with lambda + mu = weight + rho, else the first whose lambda +
     mu has the dominant_weight of weight + rho, else None.  _matched has no
-    such W-orbit fallback, so the two agree only while it never fires."""
-    if module.scan is None:
+    such W-orbit fallback, so the two agree only while it never fires.  The
+    candidates are those of a ResonanceScan built here, when kappa lies off
+    the nonnegative reals, so the oracle does not share _matched's form."""
+    algebra, kappa = module.algebra, module.kappa
+    if not (kappa.imag or kappa.real < 0):
         return None
-    algebra = module.algebra
     lam = module.m_hw + algebra.rho
     target = weight + algebra.rho
     shifted = [(p, lam + root_weight(algebra, p.mu))
-               for p in module.scan.candidates if p.n == n]
+               for p in ResonanceScan(lam, kappa).candidates if p.n == n]
     matched = next((p for p, w in shifted if w == target), None)
     if matched is None:
         top = dominant_weight(target)

@@ -171,9 +171,10 @@ def test_certify_walks_the_lattice_ball_once(monkeypatch, capsys):
 
 
 def test_crossvalidate_builds_one_scan_and_walks_the_ball_once(monkeypatch, capsys):
-    # one scan per module, shared by every degree and the certificate
+    # one scan per run, shared by the candidates and the certificate, and
+    # none where kappa >= 0; the module matches findings without one
     scans, walks = [], []
-    scan_class = em.ResonanceScan
+    scan_class = affine_numerics.ResonanceScan
     walk = affine_numerics.enumerate_root_lattice_ball
 
     def counted_scan(*args, **kwargs):
@@ -184,18 +185,19 @@ def test_crossvalidate_builds_one_scan_and_walks_the_ball_once(monkeypatch, caps
         walks.append(args)
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(em, "ResonanceScan", counted_scan)
+    monkeypatch.setattr(affine_numerics, "ResonanceScan", counted_scan)
     monkeypatch.setattr(affine_numerics, "enumerate_root_lattice_ball", counted_walk)
-    for argv in (
-        ["A", "1", "--hw", "2", "--kappa=-2", "--depth", "4"],
-        ["A", "2", "--hw", "1", "0", "--kappa=-3/2", "--depth", "2"],
-        ["A", "1", "--hw", "0", "--kappa=-1+1i", "--depth", "2"],
+    for argv, expected in (
+        (["A", "1", "--hw", "2", "--kappa=-2", "--depth", "4"], 1),
+        (["A", "2", "--hw", "1", "0", "--kappa=-3/2", "--depth", "2"], 1),
+        (["A", "1", "--hw", "0", "--kappa=-1+1i", "--depth", "2"], 1),
+        (["A", "1", "--hw", "0", "--kappa=2", "--depth", "2"], 0),
     ):
         scans.clear()
         walks.clear()
         code, out, _ = _run(["crossvalidate"] + argv + ["--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"] is True
-        assert (len(scans), len(walks)) == (1, 1), argv
+        assert (len(scans), len(walks)) == (expected, expected), argv
 
 
 def test_certify_builds_its_candidate_list_once(monkeypatch, capsys):

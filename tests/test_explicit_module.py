@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod.affine_numerics import candidate_pairs
+from weylmod import affine_numerics
+from weylmod.affine_numerics import ResonanceScan, candidate_pairs
 import helpers
 from weylmod.explicit_module import (
     DEPTH_CAP_ENV,
@@ -540,26 +541,59 @@ _EXPLICIT_WORKLOAD = [
 def test_matched_agrees_with_the_weight_level_oracle():
     # every weight of every degree, so the oracle's W-orbit fallback runs
     # wherever a degree has candidates but none with lambda + mu = weight +
-    # rho; _matched has no fallback, and the two must still agree
+    # rho; _matched has no fallback, and the two must still agree.  repr
+    # also compares the types: a pair with xi = Fraction(0) equals one with
+    # xi = 0
     fallbacks = 0
     for series, rank, hw, kappa, depth in _EXPLICIT_WORKLOAD + [
         ("B", 2, [1, 0], "-1", 2),
         ("B", 2, [0, 1], "-3/2", 2),
         ("G", 2, [1, 0], "-1", 2),
         ("G", 2, [0, 0], "-1/2", 2),
+        ("A", 1, [0], "2", 2),
+        ("A", 2, [1, 0], "3/2", 2),
+        ("B", 3, [1, 0, 0], "-1", 1),
+        ("C", 3, [0, 0, 1], "-1", 1),
     ]:
         algebra = build_algebra(series, rank)
         m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
         lam = m.m_hw + algebra.rho
+        candidates = ()
+        if m.kappa.imag or m.kappa.real < 0:
+            candidates = ResonanceScan(lam, m.kappa).candidates
         for n in range(1, depth + 1):
             shifted = {lam + helpers.root_weight(algebra, p.mu)
-                       for p in m.scan.candidates if p.n == n}
+                       for p in candidates if p.n == n}
             for w in sorted({m.weights[idx] for idx in m.degree_range(n)}):
                 weight = algebra.weight(w)
                 got = explicit_module._matched(m, w, n)
-                assert got == helpers.matched_candidate(m, weight, n), (hw, kappa, n, w)
+                expected = helpers.matched_candidate(m, weight, n)
+                assert repr(got) == repr(expected), (hw, kappa, n, w)
                 fallbacks += bool(shifted) and weight + algebra.rho not in shifted
     assert fallbacks > 0
+
+
+def test_singular_search_builds_no_scan_and_walks_no_ball(monkeypatch):
+    # a finding is matched from its weight, so neither building the module
+    # nor solving any degree walks the root lattice
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resonance scan or ball walk in the module")
+
+    monkeypatch.setattr(affine_numerics, "ResonanceScan", forbidden)
+    monkeypatch.setattr(affine_numerics, "enumerate_root_lattice_ball", forbidden)
+    matched = []
+    for series, rank, hw, kappa, depth in (
+        ("A", 2, [1, 0], "-1", 2),
+        ("B", 2, [0, 1], "-3/2", 2),
+        ("A", 2, [1, 0], "-1+1i", 2),
+        ("A", 1, [2], "-2", 2),
+    ):
+        algebra = build_algebra(series, rank)
+        m = build_truncated(algebra, algebra.weight(hw), parse_scalar(kappa), depth)
+        for n in range(1, depth + 1):
+            matched += [c for _, _, c in singular_dimensions(m, n) if c is not None]
+    # the sl2 row has findings, so a match is made without a scan
+    assert matched
 
 
 def test_annihilator_v1_trivial():
