@@ -2,12 +2,14 @@
 simple type, driven by the Cartan matrix alone.
 
 rep_from_hw builds L(lambda) with a weight basis, weight space by weight
-space from the top down.  chevalley_basis realises the basis on V, the
-fundamental representation of least dimension (faithful, since g is
-simple), which rep_from_hw itself builds, and reads the structure constants
-and the invariant form off V.  Every matrix is column-sparse, {column:
-{row: value}} without zeros (see linalg), and every scalar is held as
-rational.exact gives it: an int when integral, else a Fraction.
+space from the top down.  ChevalleyBasis(algebra), which chevalley_basis
+returns, computes its names, weights and recipe from the root datum,
+realises the basis on V, the fundamental representation of least dimension
+(faithful, since g is simple), which it builds as rep_from_hw does, and
+reads its one bracket table and the invariant form off V.  Every matrix is
+column-sparse, {column: {row: value}} without zeros (see linalg), and every
+scalar is held as rational.exact gives it: an int when integral, else a
+Fraction.
 
 Proof note (Humphreys, Introduction to Lie Algebras and Representation
 Theory, §20-21 and §25).
@@ -73,7 +75,9 @@ def _trace_product(a, b):
 
 
 class ChevalleyBasis:
-    """A Chevalley basis with exact structure constants and trace form.
+    """A Chevalley basis of g with exact structure constants and trace form,
+    computed from the root datum alone and realised on the fundamental
+    representation V of least Weyl dimension (see the module docstring).
 
     Basis order: e_alpha for the positive roots by height (simple roots in
     index order), then h_1..h_rank, then f_alpha in the order of the e's.
@@ -81,24 +85,39 @@ class ChevalleyBasis:
     multiplicity ("e12", "e122"), with no index at rank 1.
     recipe[k] = (i, b, q + 1) defines the root vector of the non-simple
     root k + rank as the bracket of simple vector i with root vector b,
-    divided by q + 1 (see the module docstring).
+    divided by q + 1.  brackets is the one bracket table: [x_p, x_q] as a
+    tuple of (index, coeff) sorted by index, under both keys (p, q) and
+    (q, p), for every nonzero bracket; bracket_list reads it.
     """
 
-    def __init__(self, algebra: AlgebraData, names, weights, recipe, v_hw, v_mats):
-        self.algebra = algebra
-        self.names = tuple(names)
-        self.weights = tuple(weights)  # ad-weights: int tuples, fundamental coords
-        self.recipe = tuple(recipe)
-        self.dim = len(self.names)
-        n_pos = (self.dim - algebra.rank) // 2
-        self.cartan_slots = tuple(range(n_pos, n_pos + algebra.rank))
-        self.index = {nm: i for i, nm in enumerate(self.names)}
-        self._compute_structure(v_hw, v_mats)
+    def __init__(self, algebra: AlgebraData):
+        r = algebra.rank
+        # by height; within a height in decreasing lexicographic order, so the
+        # simple roots come first, in index order
+        roots = sorted(algebra.positive_roots, key=lambda a: (sum(a), [-c for c in a]))
 
-    def _compute_structure(self, v_hw, mats):
-        """Brackets and form from the matrices of the basis on V = L(v_hw)."""
-        alg = self.algebra
-        d = weyl_dimension(alg, v_hw)
+        def name(letter, root):
+            return letter + ("".join(str(i + 1) * c for i, c in enumerate(root))
+                             if r > 1 else "")
+
+        fw = dict(zip(algebra.positive_roots, algebra.roots_fw))
+        pos = [fw[a] for a in roots]
+        self.algebra = algebra
+        self.names = tuple([name("e", a) for a in roots]
+                           + (["h"] if r == 1 else ["h%d" % (i + 1) for i in range(r)])
+                           + [name("f", a) for a in roots])
+        # ad-weights: int tuples, fundamental coords
+        self.weights = tuple(pos + [(0,) * r] * r + [tuple(-c for c in w) for w in pos])
+        self.recipe = tuple(_recipe(roots, r))
+        self.dim = dim = len(self.names)
+        self.cartan_slots = tuple(range(len(roots), len(roots) + r))
+        self.index = {nm: i for i, nm in enumerate(self.names)}
+
+        # brackets and form from the matrices of the basis on V = L(v_hw)
+        fundamentals = [Weight(algebra, [int(i == k) for i in range(r)]) for k in range(r)]
+        v_hw = min(fundamentals, key=lambda w: weyl_dimension(algebra, w))
+        _, mats = _irrep(algebra, self.recipe, tuple(int(c) for c in v_hw.coords))
+        d = weyl_dimension(algebra, v_hw)
 
         def flat(m):
             return {j * d + i: v for j, col in m.items() for i, v in col.items()}
@@ -106,48 +125,40 @@ class ChevalleyBasis:
         span = SpanBuilder()
         for m in mats:
             check(span.add(flat(m)), "basis matrices are dependent")
-        bracket = {}
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
+        self.brackets = brackets = {}
+        for p in range(dim):
+            for q in range(p + 1, dim):
                 coords = span.coords(flat(_bracket(mats[p], mats[q])))
                 check(coords is not None, "bracket left the span")
-                entry = {k: exact(v) for k, v in coords.items() if v}
+                entry = tuple(sorted((k, exact(v)) for k, v in coords.items() if v))
                 if entry:
-                    bracket[(p, q)] = entry
-                    bracket[(q, p)] = {k: -v for k, v in entry.items()}
-        self.bracket = bracket
-        self._bracket_lists = {
-            key: tuple(sorted(entry.items())) for key, entry in bracket.items()
-        }
-        v_index = d * casimir_on_irrep(alg, v_hw) / alg.dim
-        self.form = tuple(
-            tuple(exact(_trace_product(mats[p], mats[q]) / v_index)
-                  for q in range(self.dim))
-            for p in range(self.dim)
+                    brackets[p, q] = entry
+                    brackets[q, p] = tuple((k, -v) for k, v in entry)
+        v_index = d * casimir_on_irrep(algebra, v_hw) / algebra.dim
+        self.form = form = tuple(
+            tuple(exact(_trace_product(mats[p], mats[q]) / v_index) for q in range(dim))
+            for p in range(dim)
         )
-        dual = matrix_inverse(self.form)
-        pairs = []
-        for p in range(self.dim):
-            for q in range(self.dim):
-                if dual[p][q]:
-                    pairs.append((p, q, exact(dual[p][q])))
+        dual = matrix_inverse(form)
         # sum_p x_p (x) x^p = sum_{(p,q)} dual[p][q] x_p (x) x_q
-        self.casimir_pairs = tuple(pairs)
+        self.casimir_pairs = tuple(
+            (p, q, exact(dual[p][q])) for p in range(dim) for q in range(dim) if dual[p][q]
+        )
         for i, hi in enumerate(self.cartan_slots):
             # (h_i, h_j) = (alpha_i-check, alpha_j-check) = cartan[i][j] / d_j
             for j, hj in enumerate(self.cartan_slots):
-                check(self.form[hi][hj] == alg.cartan[i][j] / alg.d[j],
+                check(form[hi][hj] == algebra.cartan[i][j] / algebra.d[j],
                       "trace form is not the normalized invariant form")
             # ad-weight consistency: [h_i, x] = <wt(x), a_i-check> x
-            for q in range(self.dim):
-                ent = self.bracket.get((hi, q), {})
-                expect = self.weights[q][i]
-                got = ent.get(q, Fraction(0))
-                check(got == expect and all(k == q for k in ent), "not a weight basis")
+            for q in range(dim):
+                ent = dict(self.bracket_list(hi, q))
+                check(ent.get(q, 0) == self.weights[q][i] and all(k == q for k in ent),
+                      "not a weight basis")
 
     def bracket_list(self, p, q):
-        """[x_p, x_q] as a sorted tuple of (index, coeff), built once."""
-        return self._bracket_lists.get((p, q), ())
+        """[x_p, x_q] as a sorted tuple of (index, coeff): the held entry of
+        brackets, or () when the bracket is 0."""
+        return self.brackets.get((p, q), ())
 
     def pairing(self, p, q):
         return self.form[p][q]
@@ -238,27 +249,8 @@ def _irrep(algebra: AlgebraData, recipe, top):
 
 
 def chevalley_basis(algebra: AlgebraData) -> ChevalleyBasis:
-    """The Chevalley basis of g described in ChevalleyBasis, realised on the
-    fundamental representation of least Weyl dimension."""
-    r = algebra.rank
-    # by height; within a height in decreasing lexicographic order, so the
-    # simple roots come first, in index order
-    roots = sorted(algebra.positive_roots, key=lambda a: (sum(a), [-c for c in a]))
-    recipe = _recipe(roots, r)
-
-    def name(letter, root):
-        return letter + ("".join(str(i + 1) * c for i, c in enumerate(root)) if r > 1 else "")
-
-    fw = dict(zip(algebra.positive_roots, algebra.roots_fw))
-    pos = [fw[a] for a in roots]
-    names = ([name("e", a) for a in roots]
-             + (["h"] if r == 1 else ["h%d" % (i + 1) for i in range(r)])
-             + [name("f", a) for a in roots])
-    fundamentals = [Weight(algebra, [int(i == k) for i in range(r)]) for k in range(r)]
-    v_hw = min(fundamentals, key=lambda w: weyl_dimension(algebra, w))
-    _, mats = _irrep(algebra, recipe, tuple(int(c) for c in v_hw.coords))
-    weights = pos + [(0,) * r] * r + [tuple(-c for c in w) for w in pos]
-    return ChevalleyBasis(algebra, names, weights, recipe, v_hw, mats)
+    """The Chevalley basis of g described in ChevalleyBasis."""
+    return ChevalleyBasis(algebra)
 
 
 class Rep:

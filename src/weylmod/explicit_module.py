@@ -15,10 +15,12 @@ the action of every x eps^m with |m| <= N back into this basis using
     [x eps^a, y eps^b] = [x, y] eps^{a+b} + a delta_{a,-b} (x, y) K,
 
 with K acting by the scalar kappa - h_dual.  The zero modes act through M
-and the positive modes kill it.  The straightening runs on integers, in the
-store's layout: each PBW monomial is numbered by its position in the basis,
-and each term of the recursion is one int, a basis index when the M slot is
-the identity (see _straighten).  The result is one column-sparse action
+and the positive modes kill it.  The module holds each PBW monomial once,
+in basis order (monos), and no table per basis vector: vector i is
+monos[b] (x) m_j for b, j = divmod(i, dim M).  The straightening runs on
+integers, in the store's layout: each monomial is numbered by its position
+b, and each term of the recursion is one int, a basis index when the M slot
+is the identity (see _straighten).  The result is one column-sparse action
 store, the very dicts the recursion memoised: every operator below reads it,
 and none writes.  All coefficients are exact, and the store holds each in
 the canonical form rational.exact gives: an int when integral, a Fraction
@@ -117,9 +119,11 @@ class TruncatedWeylModule:
     computed on first use and held); use build_truncated to construct.  The
     action of every x_p eps^m with |m| <= depth is straightened once, here,
     into column-sparse form, and every operator below reads that store.
-    weights[i] is the weight of basis vector #i, an int tuple in fundamental
-    coordinates.  The module holds no resonance scan: a finding is matched
-    to its candidate from its own weight (_matched).
+    monos holds the PBW monomials of degrees 0..depth, each a tuple of packed
+    factors, in basis order; basis vector #i is monos[b] (x) m_j for
+    b, j = divmod(i, rep.dim).  weights[i] is its weight, an int tuple in
+    fundamental coordinates.  The module holds no resonance scan: a finding
+    is matched to its candidate from its own weight (_matched).
     """
 
     def __init__(self, algebra, m_hw: Weight, kappa, depth: int):
@@ -132,20 +136,20 @@ class TruncatedWeylModule:
         self.k_scalar = exact(kappa - algebra.dual_coxeter)
 
         sym_dims = [c.dimension() for c in sym_ad_graded(algebra, depth)]
-        keys = []
+        monos = []
         weights = []
         bounds = [0]
         for n in range(depth + 1):
-            monos = sorted(monomials_of_degree(self.cb.dim, n))
-            check(len(monos) == sym_dims[n], "PBW layer does not match S(ad)")
-            for mono in monos:
+            layer = sorted(monomials_of_degree(self.cb.dim, n))
+            check(len(layer) == sym_dims[n], "PBW layer does not match S(ad)")
+            for mono in layer:
                 w = (0,) * algebra.rank
                 for f in mono:
                     w = tuple(map(add, w, self.cb.weights[f & _MASK]))
-                keys.extend((mono, j) for j in range(self.rep.dim))
                 weights.extend(tuple(map(add, w, u)) for u in self.rep.basis_weights)
-            bounds.append(len(keys))
-        self.keys = tuple(keys)
+            monos.extend(layer)
+            bounds.append(len(weights))
+        self.monos = tuple(monos)
         self._bounds = tuple(bounds)
         self.weights = tuple(weights)
         self._action = _straighten(self)
@@ -155,7 +159,7 @@ class TruncatedWeylModule:
 
     @property
     def dim(self) -> int:
-        return len(self.keys)
+        return len(self.monos) * self.rep.dim
 
     def degree_range(self, n: int) -> range:
         if not 0 <= n <= self.depth:
@@ -171,7 +175,7 @@ class TruncatedWeylModule:
         """The nonzero columns of x_p eps^m, {source: {target: coeff}}, p a
         generator name or index; the store is shared, so treat it as read-only."""
         p = self.generator_index(p)
-        if not isinstance(m, int) or abs(m) > self.depth:
+        if type(m) is not int or abs(m) > self.depth:
             raise ValueError("mode must be an integer with |m| <= depth")
         return self._action[p, m]
 
@@ -188,7 +192,8 @@ class TruncatedWeylModule:
         return self._annihilators[order]
 
     def generator_index(self, x) -> int:
-        if isinstance(x, int):
+        """The index of generator x, a name or an int index (not a bool)."""
+        if type(x) is int:
             if not 0 <= x < self.cb.dim:
                 raise ValueError("generator index %d out of range" % x)
             return x
@@ -201,8 +206,8 @@ def _straighten(module) -> dict:
     """The action store {(p, m): {source: {target: coeff}}}, |m| <= depth.
 
     The recursion runs on integers, in the store's layout.  The basis runs
-    over (mono, j) with j fastest, so monomial number b (its position among
-    the monomials) carries basis vectors b dim M + j; first[b] is its packed
+    over (mono, j) with j fastest, so monomial number b (its position in
+    module.monos) carries basis vectors b dim M + j; first[b] is its packed
     first factor and rest[b] the number of mono[1:].  op is memoised in one
     row per (p, m), indexed by b; a result is canonicalised once, and an
     empty one is linalg._EMPTY.  A term (monomial b, tag t) is the int
@@ -215,7 +220,7 @@ def _straighten(module) -> dict:
     dim_m = module.rep.dim
     dim = module.dim
     depth = module.depth
-    monos = [key[0] for key in module.keys[::dim_m]]
+    monos = module.monos
     number = {mono: b for b, mono in enumerate(monos)}
     first = [mono[0] if mono else None for mono in monos]
     rest = [number[mono[1:]] if mono else None for mono in monos]
@@ -307,7 +312,7 @@ def check_truncation(algebra, m_hw: Weight, kappa, depth: int):
             "explicit construction needs dim g <= %d (%s%d has dimension %d)"
             % (1 << _SHIFT, algebra.series, algebra.rank, algebra.dim)
         )
-    if not isinstance(depth, int) or depth < 1:
+    if type(depth) is not int or depth < 1:
         raise ValueError("depth must be a positive integer")
     cap = depth_cap()
     if depth > cap:
@@ -721,16 +726,16 @@ def check_kl_exact_sequence(module: TruncatedWeylModule, order: int):
     return ok, diagnostics
 
 
-def module_json_dict(module: TruncatedWeylModule, modes=None) -> dict:
+def module_json_dict(module: TruncatedWeylModule) -> dict:
     """Serializable snapshot of the truncated module: module_dump with its
     degrees and actions read into lists."""
-    data = module_dump(module, modes)
+    data = module_dump(module)
     data["degrees"] = list(data["degrees"])
     data["actions"] = list(data["actions"])
     return data
 
 
-def module_dump(module: TruncatedWeylModule, modes=None) -> dict:
+def module_dump(module: TruncatedWeylModule) -> dict:
     """The one producer of the dump schema, with degrees and actions as
     generators that build each entry as it is yielded, so a writer that
     consumes them (cli._write_json) holds one action's entries at a time.
@@ -742,25 +747,23 @@ def module_dump(module: TruncatedWeylModule, modes=None) -> dict:
       generators: Chevalley generator names in index order
       degrees: per degree, the basis as {factors: [[mode, generator], ...],
                m_index} with factor modes positive (eps^{-mode})
-      actions: per generator and mode, blocks of exact entries
-               [row, col, value] sorted by (row, col); partial marks modes
-               whose image leaves the truncation on some degrees
-    Modes default to every |m| <= depth.
+      actions: per generator and every mode |m| <= depth, blocks of exact
+               entries [row, col, value] sorted by (row, col); partial marks
+               modes whose image leaves the truncation on some degrees
     """
-    if modes is None:
-        modes = range(-module.depth, module.depth + 1)
+    depth = module.depth
     return {
         "schema": "weylmod.truncated_module.v1",
         "algebra": {"series": module.algebra.series, "rank": module.algebra.rank},
         "m_hw": [format_scalar(c) for c in module.m_hw.coords],
         "kappa": format_scalar(module.kappa),
-        "depth": module.depth,
+        "depth": depth,
         "dual_coxeter": format_scalar(module.algebra.dual_coxeter),
         "k_scalar": format_scalar(module.k_scalar),
         "generators": list(module.cb.names),
-        "degrees": (_degree_json(module, n) for n in range(module.depth + 1)),
+        "degrees": (_degree_json(module, n) for n in range(depth + 1)),
         "actions": (_action_json(module, p, m)
-                    for p in range(module.cb.dim) for m in modes),
+                    for p in range(module.cb.dim) for m in range(-depth, depth + 1)),
     }
 
 
@@ -768,10 +771,11 @@ def _degree_json(module, n: int) -> dict:
     rng = module.degree_range(n)
     basis = []
     for idx in rng:
-        mono, j = module.keys[idx]
+        b, j = divmod(idx, module.rep.dim)
         basis.append(
             {
-                "factors": [[f >> _SHIFT, module.cb.names[f & _MASK]] for f in mono],
+                "factors": [[f >> _SHIFT, module.cb.names[f & _MASK]]
+                            for f in module.monos[b]],
                 "m_index": j,
                 "weight": [format_scalar(c) for c in module.weights[idx]],
             }

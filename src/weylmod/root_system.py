@@ -8,9 +8,10 @@ vector is a tuple of ints, its coordinates in the simple root basis.  The
 two are related by fw = C @ root for the Cartan matrix C (root_to_fw).
 
 Only this module maps roots to weight coordinates and builds the invariant
-form on weights: build_algebra does both once, as the integer fields of
-AlgebraData, using (omega_j, a_i) = d_i delta_ij (Humphreys, Introduction to
-Lie Algebras and Representation Theory, section 13).
+form on weights: the AlgebraData constructor does both once, as its integer
+fields, using (omega_j, a_i) = d_i delta_ij (Humphreys, Introduction to Lie
+Algebras and Representation Theory, section 13).  It computes every field
+from the series and rank, and build_algebra caches one datum per pair.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def _symmetrizers(cartan):
 
 
 class AlgebraData:
-    """Immutable root datum of a simple Lie algebra.
+    """Immutable root datum of a simple Lie algebra, computed from the series
+    and rank alone; build_algebra is the cached way to get one.
 
     Besides the Cartan data it holds the integer root data that
     inner_product and the character engines read: roots_fw, the positive
@@ -90,7 +92,9 @@ class AlgebraData:
     (j, cartan[j][i]) of each Cartan column i, on which every simple
     reflection s_i acts (dominant_coords, orbit_coords); and ldl, the
     factors (d, u) of _ldl_from_last(gram_root) that
-    enumerate_root_lattice_ball walks on.
+    enumerate_root_lattice_ball walks on.  A series other than A-G (in
+    either case), a rank that is not an int (bool included) or a rank
+    outside the series' range is a ValueError.
     """
 
     __slots__ = (
@@ -100,26 +104,48 @@ class AlgebraData:
         "ldl",
     )
 
-    def __init__(self, series, rank, cartan, d, cartan_inv, gram_root,
-                 positive_roots, highest_root, dual_coxeter, dim,
-                 roots_fw, weight_form, form_scale, root_pairings, cartan_cols,
-                 ldl):
-        self.series = series
-        self.rank = rank
-        self.cartan = cartan  # cartan[i][j] = <a_j, a_i-check>
-        self.d = d  # symmetrizers (a_i, a_i)/2
-        self.cartan_inv = cartan_inv
-        self.gram_root = gram_root  # (a_i, a_j)
-        self.positive_roots = positive_roots  # simple-root coords, by height
-        self.highest_root = highest_root
-        self.dual_coxeter = dual_coxeter
-        self.dim = dim
-        self.roots_fw = roots_fw
-        self.weight_form = weight_form
-        self.form_scale = form_scale
-        self.root_pairings = root_pairings
-        self.cartan_cols = cartan_cols
-        self.ldl = ldl
+    def __init__(self, series: str, rank: int):
+        if not isinstance(series, str) or series.upper() not in _SERIES_MIN_RANK:
+            raise ValueError("unknown series %r; expected one of A B C D E F G" % (series,))
+        if type(rank) is not int:
+            raise ValueError("rank must be an integer, got %r" % (rank,))
+        self.series = series = series.upper()
+        hi = _SERIES_MAX_RANK.get(series)
+        if rank < _SERIES_MIN_RANK[series] or (hi is not None and rank > hi):
+            raise ValueError("invalid rank %d for series %s" % (rank, series))
+        self.rank = r = rank
+        self.cartan = cartan = _cartan_matrix(series, r)  # <a_j, a_i-check>
+        self.d = d = _symmetrizers(cartan)  # (a_i, a_i)/2
+        # (a_i, a_j); positive definite, which _ldl_from_last checks
+        self.gram_root = gram = tuple(
+            tuple(d[i] * cartan[i][j] for j in range(r)) for i in range(r)
+        )
+        check(all(gram[i][j] == gram[j][i] for i in range(r) for j in range(r)),
+              "root Gram matrix not symmetric")
+        self.ldl = _ldl_from_last(gram)
+        self.positive_roots = pos = _positive_roots(cartan)  # simple-root coords, by height
+        tops = [a for a in pos if sum(a) == sum(pos[-1])]
+        check(len(tops) == 1, "highest root must be unique")
+        self.highest_root = theta = tops[0]
+        self.dual_coxeter = h_dual = Fraction(1) + sum(theta[j] * d[j] for j in range(r))
+        check(h_dual.denominator == 1, "dual Coxeter number is not an integer")
+        self.dim = r + 2 * len(pos)
+        self.cartan_inv = inv = matrix_inverse(cartan)
+        self.roots_fw = tuple(root_to_fw(cartan, a) for a in pos)
+        # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k on fundamental coordinates
+        form = [[d[j] * inv[j][k] for k in range(r)] for j in range(r)]
+        self.form_scale = scale = lcm(*(x.denominator for row in form for x in row))
+        self.weight_form = tuple(tuple(int(x * scale) for x in row) for row in form)
+        # (omega_j, a_i) = d_i delta_ij, so (x, alpha) = sum_j x_j d_j alpha_j
+        # for alpha in simple-root coordinates
+        pairings = [[d[j] * scale * a[j] for j in range(r)] for a in pos]
+        check(all(x.denominator == 1 for row in pairings for x in row),
+              "scaled root pairings are not integral")
+        self.root_pairings = tuple(tuple(map(int, row)) for row in pairings)
+        self.cartan_cols = tuple(
+            tuple((j, cartan[j][i]) for j in range(r) if cartan[j][i])
+            for i in range(r)
+        )
 
     def __repr__(self):
         return "AlgebraData(%s%d)" % (self.series, self.rank)
@@ -158,7 +184,7 @@ def _positive_roots(cartan):
                 cur = list(beta)
                 while True:
                     cur[i] -= 1
-                    if tuple(cur) in found or (sum(abs(x) for x in cur) == 0):
+                    if tuple(cur) in found:
                         q += 1
                     else:
                         break
@@ -180,72 +206,22 @@ def root_to_fw(cartan, mu):
     return tuple(sum(map(mul, row, mu)) for row in cartan)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_algebra(series: str, rank: int) -> AlgebraData:
-    """Construct the root datum for the simple series A-G at the given rank."""
-    if not isinstance(series, str) or series.upper() not in _SERIES_MIN_RANK:
-        raise ValueError("unknown series %r; expected one of A B C D E F G" % (series,))
-    series = series.upper()
-    rank = int(rank)
-    lo = _SERIES_MIN_RANK[series]
-    hi = _SERIES_MAX_RANK.get(series)
-    if rank < lo or (hi is not None and rank > hi):
-        raise ValueError("invalid rank %d for series %s" % (rank, series))
-    cartan = _cartan_matrix(series, rank)
-    d = _symmetrizers(cartan)
-    gram_root = tuple(
-        tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
-    )
-    # sanity: symmetric, and positive definite (checked by _ldl_from_last)
-    for i in range(rank):
-        for j in range(rank):
-            check(gram_root[i][j] == gram_root[j][i], "root Gram matrix not symmetric")
-    pos = _positive_roots(cartan)
-    top_height = sum(pos[-1])
-    tops = [r for r in pos if sum(r) == top_height]
-    check(len(tops) == 1, "highest root must be unique")
-    theta = tops[0]
-    h_dual = Fraction(1) + sum(theta[j] * d[j] for j in range(rank))
-    check(h_dual.denominator == 1, "dual Coxeter number is not an integer")
-    cartan_inv = matrix_inverse(cartan)
-    # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k on fundamental coordinates
-    form = [[d[j] * cartan_inv[j][k] for k in range(rank)] for j in range(rank)]
-    scale = lcm(*(x.denominator for row in form for x in row))
-    # (omega_j, a_i) = d_i delta_ij, so (x, alpha) = sum_j x_j d_j alpha_j
-    # for alpha in simple-root coordinates
-    pairings = [[d[j] * scale * a[j] for j in range(rank)] for a in pos]
-    check(all(x.denominator == 1 for row in pairings for x in row),
-          "scaled root pairings are not integral")
-    return AlgebraData(
-        series=series,
-        rank=rank,
-        cartan=cartan,
-        d=d,
-        cartan_inv=cartan_inv,
-        gram_root=gram_root,
-        positive_roots=pos,
-        highest_root=theta,
-        dual_coxeter=h_dual,
-        dim=rank + 2 * len(pos),
-        roots_fw=tuple(root_to_fw(cartan, a) for a in pos),
-        weight_form=tuple(tuple(int(x * scale) for x in row) for row in form),
-        form_scale=scale,
-        root_pairings=tuple(tuple(map(int, row)) for row in pairings),
-        cartan_cols=tuple(
-            tuple((j, cartan[j][i]) for j in range(rank) if cartan[j][i])
-            for i in range(rank)
-        ),
-        ldl=_ldl_from_last(gram_root),
-    )
+    """The root datum AlgebraData(series, rank), built once per argument
+    pair; typed, so True never finds the entry of 1."""
+    return AlgebraData(series, rank)
 
 
 class Weight:
-    """A rational weight in fundamental-weight coordinates."""
+    """A rational weight in fundamental-weight coordinates, held as
+    Fractions.  Each coordinate goes through rational.exact, so a float or a
+    string is a TypeError, as for every other scalar of the package."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: AlgebraData, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(Fraction(exact(c)) for c in coords)
         if len(coords) != algebra.rank:
             raise ValueError("%r needs %d weight coordinates, got %d"
                              % (algebra, algebra.rank, len(coords)))

@@ -501,7 +501,9 @@ def straightened_action(module):
     + delta_{m,k} m (x, g) (kappa - h_dual) w, from the columns of x on w,
     of g on the vectors of x w and of [x, g] on w.  The zero modes act on
     degree 0 through Rep.mats, and the positive ones kill it."""
-    cb, keys = module.cb, module.keys
+    cb = module.cb
+    # the (monomial, j) key of each basis vector, j fastest
+    keys = [(mono, j) for mono in module.monos for j in range(module.rep.dim)]
     index = {key: i for i, key in enumerate(keys)}
     columns = {}
 

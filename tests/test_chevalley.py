@@ -221,7 +221,7 @@ def test_a1_a2_tables_are_pinned(rank):
     names, bracket, form, pairs, weights = _PINNED[rank]
     cb = chevalley_basis(build_algebra("A", rank))
     assert cb.names == names
-    assert cb.bracket == bracket
+    assert {key: dict(entry) for key, entry in cb.brackets.items()} == bracket
     assert cb.form == form
     assert cb.casimir_pairs == pairs
     assert cb.weights == weights
@@ -279,11 +279,16 @@ def test_jacobi_and_chevalley_relations(series, rank):
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
 def test_bracket_list_is_the_held_sorted_bracket(series, rank):
     cb = chevalley_basis(build_algebra(series, rank))
+    # the one table holds only nonzero brackets, each sorted by index with
+    # no zero coefficient
+    assert all(entry and entry == tuple(sorted(entry)) and all(c for _, c in entry)
+               for entry in cb.brackets.values())
     for p in range(cb.dim):
         for q in range(cb.dim):
             got = cb.bracket_list(p, q)
-            assert got == tuple(sorted(cb.bracket.get((p, q), {}).items()))
-            # built once in the basis, not sorted again on each call
+            assert got == cb.brackets.get((p, q), ())
+            # antisymmetric, and read from the table, not built on each call
+            assert got == tuple((k, -c) for k, c in cb.bracket_list(q, p))
             assert cb.bracket_list(p, q) is got
     assert all(cb.bracket_list(p, p) == () for p in range(cb.dim))
 
@@ -351,7 +356,7 @@ def test_scalars_are_ints_where_integral():
     for series, rank in _TYPES:
         cb = chevalley_basis(build_algebra(series, rank))
         # Chevalley's theorem: integral brackets; the form is integral too
-        assert all(type(v) is int for e in cb.bracket.values() for v in e.values())
+        assert all(type(v) is int for entry in cb.brackets.values() for _, v in entry)
         assert all(type(v) is int for row in cb.form for v in row)
         assert all(canonical(w) for _, _, w in cb.casimir_pairs)
     for (series, rank), hws in _MINUSCULE.items():

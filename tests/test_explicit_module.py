@@ -90,6 +90,18 @@ def test_build_rejections():
         build_truncated(SL2, SL2.weight([-2]), Fraction(-1), 1)
     with pytest.raises(ValueError):
         build_truncated(SL2, SL3.weight([0, 0]), Fraction(-1), 1)
+    # a bool is no depth, generator index or mode, although bool is an int
+    with pytest.raises(ValueError):
+        build_truncated(SL2, SL2.weight([0]), Fraction(-1), True)
+    m = _sl2(hw=0, depth=1)
+    with pytest.raises(ValueError):
+        m.generator_index(True)
+    with pytest.raises(ValueError):
+        m.columns(True, 0)
+    with pytest.raises(ValueError):
+        m.columns(0, True)
+    with pytest.raises(ValueError):
+        act(m, "e", False)
 
 
 def test_kappa_normalization():
@@ -762,8 +774,8 @@ def test_module_json_shape_and_determinism():
 
 def test_module_json_entries_match_action():
     m = _sl2(hw=0, kappa=Fraction(-1), depth=1)
-    d = module_json_dict(m, modes=[1])
-    (action,) = [a for a in d["actions"] if a["generator"] == "e"]
+    d = module_json_dict(m)
+    (action,) = [a for a in d["actions"] if a["generator"] == "e" and a["mode"] == 1]
     assert action["mode"] == 1 and action["partial"] is False
     (block,) = [b for b in action["blocks"] if b["source_degree"] == 1]
     src, tgt = m.degree_range(1), m.degree_range(0)
@@ -818,9 +830,13 @@ def test_module_json_marks_partial_modes():
 
 def test_complex_kappa_json_scalars():
     m = _sl2(hw=0, kappa=ComplexRational(-1, 1), depth=1)
-    d = module_json_dict(m, modes=[0])
+    d = module_json_dict(m)
     assert d["kappa"] == "-1+1 i"
     assert d["k_scalar"] == "-3+1 i"
+    # the zero modes act through M alone: no central term, so no i
+    zero = [a for a in d["actions"] if a["mode"] == 0]
+    assert [a["generator"] for a in zero] == ["e", "h", "f"]
+    assert all(" i" not in v for a in zero for b in a["blocks"] for _, _, v in b["entries"])
 
 
 def _walk(value):

@@ -1,5 +1,6 @@
 """Tests for root data, the invariant form, and Weyl orbits."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from helpers import (
     ball_by_box, dense_dominant_coords, dominant_weight, floor_plus_sqrt, gram_is_positive_definite,
     reflect_simple, resonance_value, root_weight, weight_closure,
 )
-from weylmod.finite_rep import Character
+from weylmod import cli
+from weylmod.finite_rep import Character, weyl_dimension
 from weylmod.root_system import (
     build_algebra,
     dominant_below,
@@ -57,6 +59,115 @@ def test_bad_input_rejected():
         build_algebra("B", 1)
     with pytest.raises(ValueError):
         build_algebra("A", 0)
+    # the rank is an int, not a float, a string or a bool; the cache is
+    # typed, so ("A", True) does not find the entry of ("A", 1)
+    build_algebra("A", 1)
+    for rank in (2.7, 2.0, "3", True, None):
+        with pytest.raises(ValueError):
+            build_algebra("A", rank)
+
+
+def test_weight_coordinates_are_exact_scalars():
+    a = build_algebra("A", 1)
+    for coord in (0.1, 2.0, "1/2", "1", None):
+        with pytest.raises(TypeError):
+            a.weight([coord])
+    with pytest.raises(TypeError):
+        weyl_dimension(a, a.weight([2.0]))
+    assert a.weight([Fraction(4, 2)]).coords == (Fraction(2),)
+    assert a.weight([2]) == a.weight([Fraction(2)])
+    assert all(type(c) is Fraction for c in a.weight([2]).coords)
+
+
+# sha256 of every AlgebraData slot (as "name=repr" lines, in this order) and
+# of `algebra --format json` stdout, for every type up to rank 8, recorded
+# before AlgebraData computed its own fields.
+_DATUM_SLOTS = (
+    "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
+    "positive_roots", "highest_root", "dual_coxeter", "dim",
+    "roots_fw", "weight_form", "form_scale", "root_pairings", "cartan_cols",
+    "ldl",
+)
+_DATUM_DIGESTS = {
+    ("A", 1): ("49cb6fd1bdd61159ce81ae24ef67efa8071e3857d5e0d98dffcc3f7874c4b28d",
+             "5fef31e21b2b98b93de0f3667e90bc35bd7f79fdf2affbb5f9424131572cec0d"),
+    ("A", 2): ("34143a80448b3a9cf94e832083edfe9baa582c424039e33059ef8c63bd4b5770",
+             "2707b432d60713b5bbdb34a55a7b4a4fec2acc1e12ca95e1b859f46a7c8440f8"),
+    ("A", 3): ("1394d4b14d6898c1fd4ed46b453e670fc1b93155ed1309d111414e3bd4691dd2",
+             "2b7707d07b20b4b7883800946bbd64be6f2e7ee7b8f61e321efb3ef13350580b"),
+    ("A", 4): ("07d7a43c0be66cebaaaa1d1880ab002ecede5e6e6380119f78906516e72f20ec",
+             "4970375991c03fd4314680faa4b9ac0c40d4ecd587bd4fa502890e8f0b4b3fa0"),
+    ("A", 5): ("2d6c24370e993a2bf12ce5af5532ec0a3f7d8d4690f82ba8549ef0740254e642",
+             "946ffaca0bdc4bc0e80c5febeab1113eb79a4ec861e5b7a10b0885a9c1c7b308"),
+    ("A", 6): ("1533bd86fc5aaea824e2a5b06932b0b6c80e3d3bf13016bb5b11398062c6184c",
+             "8b0837e17a256ec90c7482d515e9ffe268661efe02648c2c8282427e734c3edc"),
+    ("A", 7): ("20aeea82a6f5366291dffe12ada15bd0fdfd629e37b0f6780761f57b7a00bd9a",
+             "257cd511ae6f8748d3d20551babcc8115e69721c77db30708dfce71fe73c6602"),
+    ("A", 8): ("2e327c3de03d8053e19ab871b9a8a22b6a0ff40105fc1f72d063ff0296fea43d",
+             "7cb5d59fc22dfba4fa5df508fb81862020363d0d8edefd8ef8362a9ca7eadef2"),
+    ("B", 2): ("bdc4dcfe44b1f4dd8b7f6abc54b31abfcd6d3199135e1591b615ffff8646c3c6",
+             "bdb1226b45b3b7c6d9ec94b37702acd8ea48c87bd5576f797773af2e2ca21cc1"),
+    ("B", 3): ("b4e0d70bc95d931a3f84b231ea6c3da76082db5d24aa9ab73e663e5ad5f6be2e",
+             "3891f2083229e771cb3e46442a91185ee2eea99c3da56c3f3bdceb4346248e33"),
+    ("B", 4): ("ed77db3e81395a73397fa47f233ecb0a018587730b8349de371b857f78c8cfe0",
+             "06183e22f075b459a694c928a031932a65b0a2558b3c5c00ee1de8c63ae6269b"),
+    ("B", 5): ("005b16003647241bfaeab355f6120d39262b234728fc7684d221b834f535ea22",
+             "971c6b90a0d54f08b284a875dd5f395a1214851c062db933f9e6c06fb34d669b"),
+    ("B", 6): ("8a84716791ecd35ada5bd5ab2fa758eff866acbf4c879e7d40a166dc17b7c8a8",
+             "601d5416a9240843613752a9551c10f1988da0cfe176b277e98d19b8f29e0860"),
+    ("B", 7): ("2718e5e6a55593cccaa4d8ef95f17baed39283ab6f34a8b735d1bbc8958bb4b0",
+             "6843eadf48a4391630174f7f4f18db0cf83e1471908c35723d371f65cdb92499"),
+    ("B", 8): ("27bf9453f3330776a7b1b5977f72a9358493c73811b90c89bb4a4f056d167e6b",
+             "304fd3a3a2227590451758909b892a7a6d69995c50f12b0a3836c6cfbf9247a1"),
+    ("C", 2): ("92796eb9f6780c43ab6fc1205ed682a0e47e95805974e7b9f795cc9eef8d5107",
+             "bbd884dabd59f687b96eb6a150f57060d41f764ad7c6d38009b60574d33cc224"),
+    ("C", 3): ("fcad31faabe8fe3ee53a7e04e5d269f62a60bf27690a439c96b2e960c4d2c893",
+             "28600956cec088462eebff04254b82a7b9125ed6bbc04d9d7c9acb25bca10e7d"),
+    ("C", 4): ("c83c80352212759bdccde867e13d35e994a42f69a9cd09c0b6a45f8907ee64c2",
+             "c9f6cde6ed7e1674077afe1186b63121245789145b58cf314d648327557a9b8b"),
+    ("C", 5): ("eda1ef75b5d1a372c607b9ff74b654dc421aa5208fac000b571be582bfd29a13",
+             "7e952317389e0031c72fff2d3623a5a8b48f3d045ecfcccaa4002c2ab5287e21"),
+    ("C", 6): ("f1a101f156a883e35848beac42b89a5a2d668ed97bb21df8e67fe1854ff66816",
+             "f30dcca49cb99c5f00724b11d848be390ac5f9800bcb66f4997fd2dbd2de5617"),
+    ("C", 7): ("7e61d2a44504fdf5e62221d3dc77efedd97ffee830520ec7a640f8ad3a5c30ed",
+             "9711d8d1e7c2b2c818435254ae686cac66c2593a82725c230bea0f88295d0727"),
+    ("C", 8): ("aa9a271ec3210f272b32bd5ebaa0aff8d2a871a3dcc63f8117b6c7cd04180df7",
+             "8a072a61d2074ab037d219a04cf4510e5c0281e2c76bc840ecaaca2b5f909bed"),
+    ("D", 3): ("786d68cb61fcabb8d17b0fc93e92c295a34d6d97d1d7c44e750f73a938ff5627",
+             "f7da38951a4a6a7749ec8735e3649bf6279e78b85175e48bada8a3bfa19c277a"),
+    ("D", 4): ("044ef7a0c268f11f56b406dd14a46452ab8f479a451afb4fdb4881ec2cfcaeae",
+             "32987f814c81cfc159e26a9dfcf45fb87cda6e07752155deb6c9aa9caf8f526e"),
+    ("D", 5): ("34be6200aa64bb3543f9f2ca54c5fbbff8b0c85fed72e987ab11021a7cf7a0e7",
+             "461dcfff5d9bdb9d1541322a9cf6a2c03707cb1390d3d45b20e1ecd5ec2bb33f"),
+    ("D", 6): ("0b47e74224796bb9f4fceb76c67cefb6d9d976b7d0831f490a73dfade1d1933b",
+             "91083390f41fb5fcba93dac0a49c7dfdafe010f9ad82ae39a04dabfc3793e321"),
+    ("D", 7): ("de258c19b5c43437b81ee16a90c517cb065e89963456b32c16c44fa762f98acf",
+             "3109f6c2df822bd0628bb3b8f8ccbbab2c5bf3273f5defb64bf4d9066e716e24"),
+    ("D", 8): ("b8685cbe2229939915361fbc6fef7c9dfc406c146f547359ea589e382e002f6a",
+             "4ebfadabe318521f2122acf9460b1453d4c196ea418e5ff305bade90b89074a7"),
+    ("E", 6): ("d165bef218ddfb0a6eafecc385e3930d0a82603796569c0b5550e0fe76f25c92",
+             "365922733c2aab4b5b27d81bdac5eaef200816f9d13089b546e11cde71bfe0d0"),
+    ("E", 7): ("b9bbf20695da82c8d084cc5c3bd5f24fa452be247c4b3ec49bf9cad544f0c96c",
+             "c744e63e629b991c83767bc653eeeb5d469b5853a065b67a63929c4b5bd640df"),
+    ("E", 8): ("845058cff59c2f7a0ec370f0d80443c72fe40761015edab4e517c5e3afd1ff01",
+             "40d4804d633352ce049ce30b456d390b6a9054d4b32e64c6ac97fd2cc0687e1a"),
+    ("F", 4): ("f2c8b11c92bc3c9e094edd82d100581b9fc5ea9e94ce7ef40893042b2c652cae",
+             "dbc91947dfaeb1f4f9c2e2692bc69738c88f9190b7fb6e6e0ab296cb1c0d7f97"),
+    ("G", 2): ("8594ce330337e1d213ce971f0e6a39a42446e8d6852b86f71328464c983dc4e9",
+             "3d3276fc3c8418b4e16aa4acffbecb82409add7303a6b6a1cf064f5b89e6cc01"),
+}
+
+
+@pytest.mark.parametrize("series,rank", list(_DATUM_DIGESTS))
+def test_root_datum_is_pinned(series, rank, capsys):
+    slots_digest, json_digest = _DATUM_DIGESTS[series, rank]
+    a = build_algebra(series, rank)
+    assert set(type(a).__slots__) == set(_DATUM_SLOTS)
+    text = "\n".join("%s=%r" % (name, getattr(a, name)) for name in _DATUM_SLOTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == slots_digest
+    assert cli.main(["algebra", series, str(rank), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
 
 
 def test_normalization_long_roots_norm_two():
