@@ -197,7 +197,7 @@ class TruncatedWeylModule:
             if not 0 <= x < self.cb.dim:
                 raise ValueError("generator index %d out of range" % x)
             return x
-        if x in self.cb.index:
+        if isinstance(x, str) and x in self.cb.index:
             return self.cb.index[x]
         raise ValueError("unknown generator %r" % (x,))
 

@@ -5,7 +5,8 @@ and the invariant form is normalized so long roots have (a, a) = 2.  The
 symmetrizers d_i = (a_i, a_i)/2 then satisfy (a_i, a_j) = d_i cartan[i][j].
 Weights carry coordinates in the fundamental weight basis; a root lattice
 vector is a tuple of ints, its coordinates in the simple root basis.  The
-two are related by fw = C @ root for the Cartan matrix C (root_to_fw).
+two are related by fw = C @ root for the Cartan matrix C; for the positive
+roots, the walk that finds them (_positive_roots) carries both.
 
 Only this module maps roots to weight coordinates and builds the invariant
 form on weights: the AlgebraData constructor does both once, as its integer
@@ -26,7 +27,8 @@ from .linalg import matrix_inverse
 from .rational import exact
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
-_SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
+# A-D are capped where `algebra S R --format json` still takes well under 2 s
+_SERIES_MAX_RANK = {"A": 64, "B": 64, "C": 64, "D": 64, "E": 8, "F": 4, "G": 2}
 
 
 def _cartan_matrix(series: str, rank: int):
@@ -83,18 +85,19 @@ class AlgebraData:
     and rank alone; build_algebra is the cached way to get one.
 
     Besides the Cartan data it holds the integer root data that
-    inner_product and the character engines read: roots_fw, the positive
-    roots in fundamental-weight coordinates (in positive_roots order, so
+    inner_product and the character engines read: positive_roots and
+    roots_fw, the positive roots in simple-root and in fundamental-weight
+    coordinates, both from one walk on cartan_cols sorted by height (so
     theta is roots_fw[-1]); weight_form, the invariant form on fundamental
     coordinates times form_scale, the least integer that clears its
     denominators; root_pairings, one vector per root alpha with
     x . pairing = form_scale (x, alpha); cartan_cols, the nonzero entries
     (j, cartan[j][i]) of each Cartan column i, on which every simple
-    reflection s_i acts (dominant_coords, orbit_coords); and ldl, the
-    factors (d, u) of _ldl_from_last(gram_root) that
+    reflection s_i acts (_positive_roots, dominant_coords, orbit_coords);
+    and ldl, the factors (d, u) of _ldl_from_last(gram_root) that
     enumerate_root_lattice_ball walks on.  A series other than A-G (in
     either case), a rank that is not an int (bool included) or a rank
-    outside the series' range is a ValueError.
+    outside the series' range (at most 64 for A-D) is a ValueError.
     """
 
     __slots__ = (
@@ -110,8 +113,7 @@ class AlgebraData:
         if type(rank) is not int:
             raise ValueError("rank must be an integer, got %r" % (rank,))
         self.series = series = series.upper()
-        hi = _SERIES_MAX_RANK.get(series)
-        if rank < _SERIES_MIN_RANK[series] or (hi is not None and rank > hi):
+        if not _SERIES_MIN_RANK[series] <= rank <= _SERIES_MAX_RANK[series]:
             raise ValueError("invalid rank %d for series %s" % (rank, series))
         self.rank = r = rank
         self.cartan = cartan = _cartan_matrix(series, r)  # <a_j, a_i-check>
@@ -123,7 +125,12 @@ class AlgebraData:
         check(all(gram[i][j] == gram[j][i] for i in range(r) for j in range(r)),
               "root Gram matrix not symmetric")
         self.ldl = _ldl_from_last(gram)
-        self.positive_roots = pos = _positive_roots(cartan)  # simple-root coords, by height
+        self.cartan_cols = cols = tuple(
+            tuple((j, cartan[j][i]) for j in range(r) if cartan[j][i])
+            for i in range(r)
+        )
+        pos, self.roots_fw = _positive_roots(cols)  # both by height
+        self.positive_roots = pos
         tops = [a for a in pos if sum(a) == sum(pos[-1])]
         check(len(tops) == 1, "highest root must be unique")
         self.highest_root = theta = tops[0]
@@ -131,21 +138,17 @@ class AlgebraData:
         check(h_dual.denominator == 1, "dual Coxeter number is not an integer")
         self.dim = r + 2 * len(pos)
         self.cartan_inv = inv = matrix_inverse(cartan)
-        self.roots_fw = tuple(root_to_fw(cartan, a) for a in pos)
         # (x, y) = sum_jk x_j d_j cartan_inv[j][k] y_k on fundamental coordinates
         form = [[d[j] * inv[j][k] for k in range(r)] for j in range(r)]
         self.form_scale = scale = lcm(*(x.denominator for row in form for x in row))
         self.weight_form = tuple(tuple(int(x * scale) for x in row) for row in form)
         # (omega_j, a_i) = d_i delta_ij, so (x, alpha) = sum_j x_j d_j alpha_j
-        # for alpha in simple-root coordinates
-        pairings = [[d[j] * scale * a[j] for j in range(r)] for a in pos]
-        check(all(x.denominator == 1 for row in pairings for x in row),
-              "scaled root pairings are not integral")
-        self.root_pairings = tuple(tuple(map(int, row)) for row in pairings)
-        self.cartan_cols = tuple(
-            tuple((j, cartan[j][i]) for j in range(r) if cartan[j][i])
-            for i in range(r)
-        )
+        # for alpha in simple-root coordinates; alpha_j is a root, so
+        # d_j scale is an integer exactly when every pairing is
+        dj = [x * scale for x in d]
+        check(all(x.denominator == 1 for x in dj), "scaled root pairings are not integral")
+        dj = tuple(map(int, dj))
+        self.root_pairings = tuple(tuple(map(mul, dj, a)) for a in pos)
 
     def __repr__(self):
         return "AlgebraData(%s%d)" % (self.series, self.rank)
@@ -168,42 +171,37 @@ class AlgebraData:
         return Weight(self, coords)
 
 
-def _positive_roots(cartan):
-    n = len(cartan)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = set(simple)
-    layer = list(simple)
-    all_roots = list(simple)
-    while layer:
-        nxt = []
-        for beta in layer:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                # root string: beta - q a_i ... beta + p a_i with p = q - pairing
-                q = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) in found:
-                        q += 1
-                    else:
-                        break
-                if q - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in found:
-                        found.add(up)
-                        nxt.append(up)
-                        all_roots.append(up)
-        layer = nxt
-    all_roots.sort(key=lambda r: (sum(r), r))
-    return tuple(all_roots)
+def _positive_roots(cols):
+    """The positive roots in simple-root and in fundamental coordinates, by
+    (height, coordinates), from the Cartan columns cols.
 
-
-def root_to_fw(cartan, mu):
-    """The fundamental-weight coordinates C @ mu of the root lattice vector mu."""
-    return tuple(sum(map(mul, row, mu)) for row in cartan)
+    Fundamental coordinate i of a root beta is <beta, a_i-check>; where it is
+    c < 0, s_i beta = beta - c a_i is a higher root, whose coordinates move
+    as in dominant_coords.  A non-simple positive root pairs positively with
+    some a_i, and s_i lowers it to a positive root, so the walk up from the
+    simple roots meets every positive root (Humphreys, sections 10.2-10.3).
+    """
+    r = len(cols)
+    fw = {}
+    for i, col in enumerate(cols):
+        col = dict(col)
+        fw[tuple(int(i == j) for j in range(r))] = tuple(col.get(j, 0) for j in range(r))
+    stack = list(fw)
+    while stack:
+        beta = stack.pop()
+        v = fw[beta]
+        for i, c in enumerate(v):
+            if c >= 0:
+                continue
+            up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+            if up not in fw:
+                w = list(v)
+                for j, a in cols[i]:
+                    w[j] -= c * a
+                fw[up] = tuple(w)
+                stack.append(up)
+    pos = tuple(sorted(fw, key=lambda a: (sum(a), a)))
+    return pos, tuple(fw[a] for a in pos)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -398,10 +396,11 @@ def _ldl_from_last(gram):
     for i in range(n - 1, -1, -1):
         d[i] = a[i][i]
         check(d[i] > 0, "root Gram matrix not positive definite")
-        u[i] = [a[i][j] / d[i] for j in range(i)]
+        u[i] = ui = [a[i][j] / d[i] for j in range(i)]
         for j in range(i):
-            for k in range(i):
-                a[j][k] -= d[i] * u[i][j] * u[i][k]
+            if ui[j]:  # a zero multiplier changes no entry
+                for k in range(i):
+                    a[j][k] -= d[i] * ui[j] * ui[k]
     return tuple(d), tuple(map(tuple, u))
 
 

@@ -410,6 +410,15 @@ def test_bad_algebra_exits_one(capsys):
     assert "error" in err
 
 
+def test_rank_over_series_cap_exits_one(capsys):
+    # A-D stop at rank 64, where `algebra --format json` still answers in
+    # about a second; one rank more is the one-line invalid-rank error
+    for series in "ABCD":
+        code, out, err = _run(["algebra", series, "65", "--format", "json"], capsys)
+        assert (code, out) == (1, ""), series
+        assert err == "error: invalid rank 65 for series %s\n" % series
+
+
 def test_zero_denominator_names_the_token(capsys):
     # a complex scalar's error names the whole scalar, not the summand
     for argv, message in (

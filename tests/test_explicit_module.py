@@ -202,7 +202,10 @@ def test_negative_mode_is_partial_positive_is_not():
                 lambda: helpers.apply_to_vector(m, 3, 0, {0: 1}),
                 lambda: helpers.apply_to_vector(m, 0, 1, {99: 1}),
                 lambda: helpers.apply_to_vector(m, 0, 1, {13: 1}),
-                lambda: helpers.apply_to_vector(m, 0, 0, {-1: 1})):
+                lambda: helpers.apply_to_vector(m, 0, 0, {-1: 1}),
+                lambda: m.generator_index([1]),
+                lambda: m.generator_index({}),
+                lambda: m.generator_index(1.0)):
         with pytest.raises(ValueError):
             bad()
     assert helpers.apply_to_vector(m, "e", 1, {12: 1}) == m.columns(0, 1).get(12, {})

@@ -232,6 +232,44 @@ def test_integer_root_data(series, rank):
     assert gcd(scale, *(x for row in form for x in row)) == 1
 
 
+# |Phi+| and the highest root theta (simple-root coordinates) of each
+# classical series, in closed form; |Phi+| of each exceptional type
+_CLASSICAL = {
+    "A": (lambda r: r * (r + 1) // 2, lambda r: (1,) * r),
+    "B": (lambda r: r * r, lambda r: (1,) + (2,) * (r - 1)),
+    "C": (lambda r: r * r, lambda r: (2,) * (r - 1) + (1,)),
+    "D": (lambda r: r * (r - 1), lambda r: (1,) + (2,) * (r - 3) + (1, 1)),
+}
+_EXCEPTIONAL_COUNT = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
+
+
+@pytest.mark.parametrize("series,rank", [
+    (s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 31)
+] + list(_EXCEPTIONAL_COUNT))
+def test_positive_roots_match_closed_forms_and_dense_cartan(series, rank):
+    a = build_algebra(series, rank)
+    pos = a.positive_roots
+    if series in _CLASSICAL:
+        count, theta = _CLASSICAL[series]
+        assert len(pos) == count(rank)
+        assert a.highest_root == pos[-1] == theta(rank)
+    else:
+        assert len(pos) == _EXCEPTIONAL_COUNT[series, rank]
+    # ht theta = h - 1 for the Coxeter number h = |Phi| / rank
+    assert sum(pos[-1]) == 2 * len(pos) // rank - 1
+    assert list(pos) == sorted(set(pos), key=lambda b: (sum(b), b))
+    # each root in fundamental coordinates is the dense product C beta
+    assert a.roots_fw == tuple(
+        tuple(sum(map(mul, row, beta)) for row in a.cartan) for beta in pos
+    )
+    # a non-simple positive root minus some simple root is a positive root
+    roots = set(pos)
+    for beta in pos:
+        if sum(beta) > 1:
+            assert any(beta[:i] + (beta[i] - 1,) + beta[i + 1:] in roots
+                       for i in range(rank)), beta
+
+
 def test_inner_product_symmetry_and_integrality():
     a = build_algebra("B", 2)
     x = a.weight([1, 2])
