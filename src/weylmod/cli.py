@@ -223,13 +223,14 @@ def cmd_symlevels(config: JobConfig, out) -> int:
     levels = []
     lines = ["S(ad) levels for %s%d" % (algebra.series, algebra.rank)]
     for n, dec in enumerate(sym_ad_graded(algebra, n_max)):
-        dim = dec.dimension()
+        constituents = _decomposition_json(dec)
+        dim = sum(e["multiplicity"] * e["dimension"] for e in constituents)
         levels.append(
             {
                 "degree": n,
                 "dimension": dim,
                 "length": dec.length(),
-                "constituents": _decomposition_json(dec),
+                "constituents": constituents,
             }
         )
         lines.append("level %d: dim %d = %s" % (n, dim, _decomposition_text(dec)))

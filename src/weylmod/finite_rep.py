@@ -14,8 +14,8 @@ engine weights are tuples of ints in fundamental-weight coordinates: the
 keys of a Character and of a DecompositionMultiset, orbit expansion, the
 reflections of Brauer-Klimyk (root_system.dominant_coords), and Freudenthal
 and the Weyl dimension formula.  These two pair weights by the integer root
-data of AlgebraData (roots_fw, and weight_form and root_pairings, the
-invariant form times form_scale); they use only ratios of pairings, which
+data of AlgebraData (roots_fw, and weight_form, root_pairings and
+root_steps, scaled by form_scale); they use only ratios of pairings, which
 the scale leaves unchanged.  Weight objects (Fraction coordinates) appear
 only in the arguments of the public functions.
 """
@@ -151,12 +151,18 @@ def _norm_rho(form, w) -> int:
 
 def irrep_dimension(algebra: AlgebraData, c) -> int:
     """dim L(c) for a dominant int tuple c: the product over alpha > 0 of
-    (c + rho, alpha) / (rho, alpha)."""
-    v = [x + 1 for x in c]  # c + rho, rho = (1, ..., 1)
+    (c + rho, alpha) / (rho, alpha), each pairing one multiply-add on that
+    of the root's parent (AlgebraData.root_steps)."""
+    steps = algebra.root_steps
+    # xs[k], ys[k]: scaled (c + rho, alpha_k), (rho, alpha_k); p = -1 reads 0
+    xs = [0] * (len(steps) + 1)
+    ys = xs[:]
     num = den = 1
-    for pair in algebra.root_pairings:
-        num *= sum(map(mul, v, pair))
-        den *= sum(pair)
+    for k, (p, i, w) in enumerate(steps):
+        xs[k] = x = xs[p] + (c[i] + 1) * w
+        ys[k] = y = ys[p] + w
+        num *= x
+        den *= y
     dim, r = divmod(num, den)
     check(r == 0, "Weyl dimension formula is not integral")
     return dim
@@ -203,10 +209,6 @@ def irrep_character(algebra: AlgebraData, hw: Weight) -> Character:
     """Character of the irreducible L(hw), multiplicities by Freudenthal."""
     _require_dominant_integral(algebra, hw)
     return Character(algebra, _freudenthal(algebra, tuple(map(int, hw.coords))))
-
-
-def adjoint_character(algebra: AlgebraData) -> Character:
-    return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
 
 
 def brauer_klimyk(algebra: AlgebraData, weights, lam) -> dict:

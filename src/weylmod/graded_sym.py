@@ -32,7 +32,6 @@ from functools import lru_cache
 
 from .finite_rep import (
     DecompositionMultiset,
-    adjoint_character,
     brauer_klimyk,
     irrep_character,
     irrep_dimension,
@@ -59,7 +58,10 @@ def sym_ad_graded(algebra: AlgebraData, n_max: int) -> tuple:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ad = adjoint_character(algebra).full_map().items() if n_max else ()
+    # the weights of ad: 0 with multiplicity rank, and each of +-alpha once
+    roots = algebra.roots_fw if n_max else ()
+    ad = [((0,) * algebra.rank, algebra.rank)] + [(a, 1) for a in roots]
+    ad += [(tuple(-x for x in a), 1) for a in roots]
     # psi[j]: the (weight, multiplicity) pairs of psi^j(ad)
     psi = [[(tuple(j * g for g in gamma), m) for gamma, m in ad]
            for j in range(n_max + 1)]

@@ -6,7 +6,8 @@ symmetrizers d_i = (a_i, a_i)/2 then satisfy (a_i, a_j) = d_i cartan[i][j].
 Weights carry coordinates in the fundamental weight basis; a root lattice
 vector is a tuple of ints, its coordinates in the simple root basis.  The
 two are related by fw = C @ root for the Cartan matrix C; for the positive
-roots, the walk that finds them (_positive_roots) carries both.
+roots, the walk that finds them (_positive_roots) carries both, and records
+the step by which it first reaches each root (AlgebraData.root_steps).
 
 Only this module maps roots to weight coordinates and builds the invariant
 form on weights: the AlgebraData constructor does both once, as its integer
@@ -94,17 +95,21 @@ class AlgebraData:
     x . pairing = form_scale (x, alpha); cartan_cols, the nonzero entries
     (j, cartan[j][i]) of each Cartan column i, on which every simple
     reflection s_i acts (_positive_roots, dominant_coords, orbit_coords);
-    and ldl, the factors (d, u) of _ldl_from_last(gram_root) that
-    enumerate_root_lattice_ball walks on.  A series other than A-G (in
-    either case), a rank that is not an int (bool included) or a rank
-    outside the series' range (at most 64 for A-D) is a ValueError.
+    ldl, the factors (d, u) of _ldl_from_last(gram_root) that
+    enumerate_root_lattice_ball walks on; and root_steps, the walk's step
+    (p, i, m d_i form_scale) to each root k = root p + m alpha_i, p < k
+    (p = -1 for a simple root), so form_scale (x, alpha_k) is one
+    multiply-add on that of root p (finite_rep.irrep_dimension).  A series
+    other than A-G (in either case), a rank that is not an int (bool
+    included) or a rank outside the series' range (at most 64 for A-D) is a
+    ValueError.
     """
 
     __slots__ = (
         "series", "rank", "cartan", "d", "cartan_inv", "gram_root",
         "positive_roots", "highest_root", "dual_coxeter", "dim",
         "roots_fw", "weight_form", "form_scale", "root_pairings", "cartan_cols",
-        "ldl",
+        "ldl", "root_steps",
     )
 
     def __init__(self, series: str, rank: int):
@@ -129,7 +134,7 @@ class AlgebraData:
             tuple((j, cartan[j][i]) for j in range(r) if cartan[j][i])
             for i in range(r)
         )
-        pos, self.roots_fw = _positive_roots(cols)  # both by height
+        pos, self.roots_fw, steps = _positive_roots(cols)  # by height
         self.positive_roots = pos
         tops = [a for a in pos if sum(a) == sum(pos[-1])]
         check(len(tops) == 1, "highest root must be unique")
@@ -149,6 +154,7 @@ class AlgebraData:
         check(all(x.denominator == 1 for x in dj), "scaled root pairings are not integral")
         dj = tuple(map(int, dj))
         self.root_pairings = tuple(tuple(map(mul, dj, a)) for a in pos)
+        self.root_steps = tuple((p, i, m * dj[i]) for p, i, m in steps)
 
     def __repr__(self):
         return "AlgebraData(%s%d)" % (self.series, self.rank)
@@ -173,7 +179,9 @@ class AlgebraData:
 
 def _positive_roots(cols):
     """The positive roots in simple-root and in fundamental coordinates, by
-    (height, coordinates), from the Cartan columns cols.
+    (height, coordinates), from the Cartan columns cols, and the step
+    (p, i, m) that first reached each: root = root p + m a_i, p = -1 for a
+    simple root (m = 1) and else an earlier, lower root.
 
     Fundamental coordinate i of a root beta is <beta, a_i-check>; where it is
     c < 0, s_i beta = beta - c a_i is a higher root, whose coordinates move
@@ -182,10 +190,12 @@ def _positive_roots(cols):
     simple roots meets every positive root (Humphreys, sections 10.2-10.3).
     """
     r = len(cols)
-    fw = {}
+    fw, step = {}, {}
     for i, col in enumerate(cols):
         col = dict(col)
-        fw[tuple(int(i == j) for j in range(r))] = tuple(col.get(j, 0) for j in range(r))
+        simple = tuple(int(i == j) for j in range(r))
+        fw[simple] = tuple(col.get(j, 0) for j in range(r))
+        step[simple] = (None, i, 1)
     stack = list(fw)
     while stack:
         beta = stack.pop()
@@ -199,9 +209,12 @@ def _positive_roots(cols):
                 for j, a in cols[i]:
                     w[j] -= c * a
                 fw[up] = tuple(w)
+                step[up] = (beta, i, -c)
                 stack.append(up)
     pos = tuple(sorted(fw, key=lambda a: (sum(a), a)))
-    return pos, tuple(fw[a] for a in pos)
+    index = {a: k for k, a in enumerate(pos)}
+    steps = tuple((index.get(p, -1), i, m) for p, i, m in map(step.get, pos))
+    return pos, tuple(fw[a] for a in pos), steps
 
 
 @lru_cache(maxsize=None, typed=True)

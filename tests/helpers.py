@@ -3,14 +3,15 @@ Casimir matrix, products and linear combinations of column-sparse matrices,
 a determinant, a simple reflection and the dominant weight it leads to,
 vector normalization, a JobConfig parser, the character of a decomposition,
 the pointwise product of characters (the oracle of Brauer-Klimyk), the
-Kostant spectrum, the full-weight-map oracles for S(ad) and for the
-weights of an irreducible, the bounding-box oracle for the root-lattice ball
-with its exact floor(x + sqrt t), the resonance value q(mu) through the
-invariant form on weights, and for a truncated module the degree of a basis
-vector, the action on one sparse vector with its checks, the candidate
-matched to a weight, and the per-vector oracles for the Sugawara L0, its
-closed form, the Virasoro commutator, the straightened action store and
-the annihilator levels.
+Kostant spectrum, the adjoint character by Freudenthal, the Weyl dimension
+as a product over root_pairings, the full-weight-map oracles for S(ad) and
+for the weights of an irreducible, the bounding-box oracle for the
+root-lattice ball with its exact floor(x + sqrt t), the resonance value
+q(mu) through the invariant form on weights, and for a truncated module the
+degree of a basis vector, the action on one sparse vector with its checks,
+the candidate matched to a weight, and the per-vector oracles for the
+Sugawara L0, its closed form, the Virasoro commutator, the straightened
+action store and the annihilator levels.
 
 Matrices are column-sparse, {column: {row: value}} without zeros, as in
 Rep.mats; compose and combine are built on linalg's apply and accumulate.
@@ -22,7 +23,7 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 from weylmod.affine_numerics import ResonanceScan
 from weylmod.chevalley import ChevalleyBasis, Rep
@@ -30,9 +31,7 @@ from weylmod.cli import JobConfig
 from weylmod.explicit_module import (
     _MASK, _SHIFT, _weight_blocks, monomials_of_degree,
 )
-from weylmod.finite_rep import (
-    Character, adjoint_character, casimir_on_irrep, irrep_character,
-)
+from weylmod.finite_rep import Character, casimir_on_irrep, irrep_character
 from weylmod.invariant import check
 from weylmod.linalg import (
     _EMPTY, _ZERO, _canonical, _scaled, accumulate, apply, matrix_inverse,
@@ -233,6 +232,25 @@ def kostant_spectrum(algebra: AlgebraData, u_hw: Weight, lam: Weight):
         vals.extend([v] * mult)
     vals.sort(reverse=True)
     return vals
+
+
+def adjoint_character(algebra: AlgebraData) -> Character:
+    return irrep_character(algebra, algebra.weight(algebra.roots_fw[-1]))
+
+
+def weyl_dimension_by_pairings(algebra: AlgebraData, c) -> int:
+    """dim L(c) for a dominant int tuple c as the product over alpha > 0 of
+    (c + rho, alpha) / (rho, alpha), each pairing a full dot product with
+    AlgebraData.root_pairings: the oracle of finite_rep.irrep_dimension."""
+    v = [x + 1 for x in c]  # c + rho, rho = (1, ..., 1)
+    num = den = 1
+    for pair in algebra.root_pairings:
+        num *= sum(map(mul, v, pair))
+        den *= sum(pair)
+    dim, r = divmod(num, den)
+    if r:  # an explicit raise, so python -O keeps the check
+        raise AssertionError((algebra, c, num, den))
+    return dim
 
 
 # -- full-weight-map oracles ---------------------------------------------------

@@ -635,7 +635,10 @@ def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
 # reproduce them byte for byte.  The three JSON runs were recorded while
 # S(ad) levels were still characters on dominant weights, decomposed by
 # walking their orbits: the expansion in the representation ring must
-# reproduce them too.
+# reproduce them too.  The five JSON runs of the exceptional types were
+# recorded while each Weyl dimension was a product of full dot products with
+# root_pairings and ad was built by Freudenthal: the root steps and the ad
+# weights read off the positive roots must reproduce them.
 @pytest.mark.parametrize("argv,code,digest", [
     ("symlevels D 4 --n 8", 0,
      "3030ac1aa28b5df6af0fff0f7fb657d6398f654d826a3a65713a9ba379d8c0de"),
@@ -657,8 +660,19 @@ def test_crossvalidate_kernel_output_is_pinned(argv, digest, capsys):
      "1285c1ce492a42538441ed3d48140edaaa391c402853c21a58d362587998930d"),
     ("certify D 4 --hw 1 0 0 0 --kappa=-1/2 --format json", 2,
      "4c192525c14f001fa3ee72853b68b31ed273b4c55f4c88db061cb9e2b121271a"),
+    ("symlevels E 6 --n 10 --format json", 0,
+     "1b3c3ba2eaf0f1e6b4c87d4e079a65175f023c904c3dfb81c2c6dad1650a5524"),
+    ("symlevels E 7 --n 4 --format json", 0,
+     "6dd13c05f9cc2936cc6b7d1424926287b9c38caffc0640dcc7a4ad9b4384237a"),
+    ("symlevels E 8 --n 2 --format json", 0,
+     "4f396acba50c8233179bf3adb187a891a0b68137d0ee0413a17911ea967027a1"),
+    ("symlevels F 4 --n 6 --format json", 0,
+     "c02d0ecf8e99492c14998b54a8c628a2640839fe61837ca73ee3c6b2af4b717b"),
+    ("symlevels G 2 --n 12 --format json", 0,
+     "b2670b2244538b2040b8c45f680f8d70eb3941f9c38e489fccee77ff22e9af7c"),
 ], ids=["D4-n8", "E6-n4", "F4-n4", "G2-n10", "B4-n6", "E8-n2", "A3-111",
-        "E6-n6", "D4-n12", "D4-1000"])
+        "E6-n6", "D4-n12", "D4-1000", "E6-n10-json", "E7-n4-json", "E8-n2-json",
+        "F4-n6-json", "G2-n12-json"])
 def test_character_engine_output_is_pinned(argv, code, digest, capsys):
     got, out, _ = _run(argv.split(), capsys)
     assert got == code

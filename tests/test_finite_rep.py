@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import character_product, decomposition_character, kostant_spectrum
+from helpers import (
+    adjoint_character, character_product, decomposition_character, kostant_spectrum,
+)
 from weylmod.affine_numerics import irreducibility_certificate
 from weylmod.finite_rep import (
     Character,
     DecompositionMultiset,
-    adjoint_character,
     casimir_on_irrep,
     decompose_character,
     irrep_character,

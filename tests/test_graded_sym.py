@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    adams_product_full_map, character_product, decomposition_character,
-    sym_ad_full_maps, sym_powers,
+    adams_product_full_map, adjoint_character, character_product,
+    decomposition_character, sym_ad_full_maps, sym_powers,
 )
-from weylmod import finite_rep
+from weylmod import finite_rep, graded_sym
 from weylmod.finite_rep import (
-    Character, DecompositionMultiset, adjoint_character, brauer_klimyk,
+    Character, DecompositionMultiset, brauer_klimyk,
     decompose_character, irrep_character, tensor_decompose,
 )
 from weylmod.graded_sym import (
@@ -129,6 +129,34 @@ def test_adams_products_match_full_map_oracle():
         assert decompose_character(Character(a, dominant)) == pos
 
     check()
+
+
+_ALL_UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", _ALL_UP_TO_RANK_8)
+def test_ad_weights_read_off_the_roots_are_the_adjoint_character(series, rank, monkeypatch):
+    # S(ad)_1 is psi^1(ad) L(0), one brauer_klimyk call on the weights of ad;
+    # they must be the weight map of L(theta) by Freudenthal
+    a = build_algebra(series, rank)
+    seen = []
+
+    def spy(algebra, weights, lam):
+        seen.append(list(weights))
+        return brauer_klimyk(algebra, seen[-1], lam)
+
+    monkeypatch.setattr(graded_sym, "brauer_klimyk", spy)
+    level = sym_ad_graded.__wrapped__(a, 1)[1]
+    assert len(seen) == 1
+    weights = {}
+    for w, m in seen[0]:
+        weights[w] = weights.get(w, 0) + m
+    assert weights == adjoint_character(a).full_map()
+    assert level.mults == {a.roots_fw[-1]: 1}
 
 
 def test_level_dimensions_are_checked_by_the_euler_transform(monkeypatch):

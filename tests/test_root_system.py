@@ -11,10 +11,10 @@ import pytest
 
 from helpers import (
     ball_by_box, dense_dominant_coords, dominant_weight, floor_plus_sqrt, gram_is_positive_definite,
-    reflect_simple, resonance_value, root_weight, weight_closure,
+    reflect_simple, resonance_value, root_weight, weight_closure, weyl_dimension_by_pairings,
 )
 from weylmod import cli
-from weylmod.finite_rep import Character, weyl_dimension
+from weylmod.finite_rep import Character, irrep_dimension, weyl_dimension
 from weylmod.root_system import (
     build_algebra,
     dominant_below,
@@ -162,7 +162,7 @@ _DATUM_DIGESTS = {
 def test_root_datum_is_pinned(series, rank, capsys):
     slots_digest, json_digest = _DATUM_DIGESTS[series, rank]
     a = build_algebra(series, rank)
-    assert set(type(a).__slots__) == set(_DATUM_SLOTS)
+    assert set(type(a).__slots__) == set(_DATUM_SLOTS) | {"root_steps"}
     text = "\n".join("%s=%r" % (name, getattr(a, name)) for name in _DATUM_SLOTS)
     assert hashlib.sha256(text.encode()).hexdigest() == slots_digest
     assert cli.main(["algebra", series, str(rank), "--format", "json"]) == 0
@@ -243,9 +243,12 @@ _CLASSICAL = {
 _EXCEPTIONAL_COUNT = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
 
 
-@pytest.mark.parametrize("series,rank", [
+_TYPES_TO_RANK_30 = [
     (s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 31)
-] + list(_EXCEPTIONAL_COUNT))
+] + list(_EXCEPTIONAL_COUNT)
+
+
+@pytest.mark.parametrize("series,rank", _TYPES_TO_RANK_30)
 def test_positive_roots_match_closed_forms_and_dense_cartan(series, rank):
     a = build_algebra(series, rank)
     pos = a.positive_roots
@@ -268,6 +271,48 @@ def test_positive_roots_match_closed_forms_and_dense_cartan(series, rank):
         if sum(beta) > 1:
             assert any(beta[:i] + (beta[i] - 1,) + beta[i + 1:] in roots
                        for i in range(rank)), beta
+
+
+@pytest.mark.parametrize("series,rank", _TYPES_TO_RANK_30)
+def test_root_steps_raise_an_earlier_root_by_a_simple_root(series, rank):
+    a = build_algebra(series, rank)
+    pos = a.positive_roots
+    assert len(a.root_steps) == len(pos)
+    for k, (p, i, w) in enumerate(a.root_steps):
+        assert all(type(x) is int for x in (p, i, w))
+        m, rem = divmod(w, a.d[i] * a.form_scale)
+        assert rem == 0 and m >= 1
+        m = int(m)
+        if p == -1:
+            assert m == 1 and pos[k] == tuple(int(j == i) for j in range(rank))
+            continue
+        assert 0 <= p < k and sum(pos[p]) < sum(pos[k])
+        # m = -<root p, alpha_i-check>: s_i raised root p to root k
+        assert m == -a.roots_fw[p][i]
+        assert pos[k] == pos[p][:i] + (pos[p][i] + m,) + pos[p][i + 1:]
+    # form_scale (x, alpha_k) by one multiply-add per step, against the
+    # full dot product with root_pairings, for x = rho and every e_j
+    for x in [(1,) * rank] + [tuple(int(i == j) for i in range(rank)) for j in range(rank)]:
+        vals = [0] * (len(pos) + 1)
+        for k, (p, i, w) in enumerate(a.root_steps):
+            vals[k] = vals[p] + x[i] * w
+            assert vals[k] == sum(map(mul, x, a.root_pairings[k])), (x, k)
+
+
+@pytest.mark.parametrize("series,rank", [t for t in _EVERY_TYPE if t[1] <= 6])
+def test_irrep_dimension_matches_product_over_root_pairings(series, rank):
+    a = build_algebra(series, rank)
+    for c in itertools.product(range(3), repeat=rank):
+        assert irrep_dimension(a, c) == weyl_dimension_by_pairings(a, c), c
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_irrep_dimension_matches_product_over_root_pairings_e7_e8(rank):
+    a = build_algebra("E", rank)
+    units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    for c in [(0,) * rank, (1,) * rank, (2,) * rank] + units:
+        assert irrep_dimension(a, c) == weyl_dimension_by_pairings(a, c), c
+    assert irrep_dimension(a, a.roots_fw[-1]) == a.dim
 
 
 def test_inner_product_symmetry_and_integrality():
